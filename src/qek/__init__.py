@@ -70,7 +70,6 @@ from .ekoperator import (
     OperatorResult,
     ek_integral,
     ek_series,
-    ek_weighted,
     kober,
 )
 from .inequalities import (

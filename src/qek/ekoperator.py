@@ -12,8 +12,11 @@ equivalent representations:
   with the Jackson integration in tau running on base q^(1/beta), the
   unique base whose node set t q^(k/beta) matches the series.
 
-The Kober operator is the beta = 1 member, evaluated from its own
-integral form so the reduction identity is a real cross-check.
+The series is a quadrature rule: weights times integrand values at the
+geometric nodes t q^(k/beta). ``OperatorRule`` holds the nodes, weights
+and factor values of one (t, p, q) and sums any product of its factors
+under one stop rule; ``ek_series`` is its one-factor case. The Kober
+operator is the beta = 1 member of the integral form.
 
 All series weights are positive for mu > 0, so each retained term keeps
 the sign of f at its node; results report the smallest scaled term so
@@ -22,7 +25,10 @@ nonnegativity of the operator can be checked term by term.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from operator import mul
 
 from .errors import DomainError, NotConvergedError
 from .functions import FunctionSpec, compile_expr
@@ -42,7 +48,6 @@ __all__ = [
     "ek_series",
     "ek_integral",
     "kober",
-    "ek_weighted",
 ]
 
 
@@ -95,63 +100,115 @@ def _check_exponent(f, p: OperatorParams) -> None:
         )
 
 
+class OperatorRule:
+    """The series quadrature rule of one operator side at one (t, p, q).
+
+    Nodes x_k = t q^(k/beta), weights (q^mu;q)_k / (q;q)_k q^(k(eta+1))
+    and the value of every named factor of ``fns`` at every node are
+    generated on demand and kept, so each factor is evaluated once per
+    node however many products of factors are summed over the rule.
+    """
+
+    def __init__(self, t: float, p: OperatorParams,
+                 q: DeformationParam | float, fns: dict,
+                 policy: TruncationPolicy = DEFAULT_POLICY):
+        if not t > 0.0:
+            raise ValueError(f"evaluation point must be positive, got {t}")
+        qv = as_deformation(q).q
+        self.policy = policy
+        self.nodes = array("d")
+        self.weights = array("d")
+        self.values = {name: array("d") for name in fns}
+        self._fns = {name: _as_callable(fn) for name, fn in fns.items()}
+        self._q = qv
+        self._root = qv ** (1.0 / p.beta)
+        self._ratio_eta = qv ** (p.eta + 1.0)
+        self._prefactor = (p.beta * (1.0 - self._root)
+                           * (1.0 - qv) ** (p.mu - 1.0))
+        # (x_k, w_k, q^k, q^(mu+k)) of the next node to generate
+        self._next = (t, 1.0, 1.0, qv ** p.mu)
+
+    def _terms(self, names, moment: int):
+        """Iterator over w_k * (x_k^moment * v_1(x_k) * v_2(x_k) * ...),
+        k = 0, 1, ...: stored nodes first, then one new node per term."""
+        nodes = self.nodes
+        cols = [self.values[name] for name in names]
+        fns = [self._fns[name] for name in names]
+        for col, fn in zip(cols, fns):
+            col.extend(map(fn, nodes[len(col):]))
+        products = map(pow, nodes, repeat(moment))
+        for col in cols:
+            products = map(mul, products, col)
+        stored = map(mul, self.weights, products)
+        return chain(stored, self._fresh_terms(cols, fns, moment))
+
+    def _fresh_terms(self, cols, fns, moment: int):
+        nodes, weights = self.nodes, self.weights
+        qv, root, ratio_eta = self._q, self._root, self._ratio_eta
+        pairs = list(zip(cols, fns))
+        while True:
+            node, coef, qk, qmu_k = self._next
+            nodes.append(node)
+            weights.append(coef)
+            self._next = (node * root,
+                          coef * ((1.0 - qmu_k) / (1.0 - qk * qv) * ratio_eta),
+                          qk * qv, qmu_k * qv)
+            term = node ** moment
+            for col, fn in pairs:
+                val = fn(node)
+                col.append(val)
+                term *= val
+            yield coef * term
+
+    def apply(self, names, moment: int = 0) -> OperatorResult:
+        """Operator applied to s^moment times the product of the named
+        factors, summed under the policy's stop rule."""
+        if moment < 0:
+            raise ValueError(f"moment must be >= 0, got {moment}")
+        policy = self.policy
+        rel_tol = policy.rel_tol
+        abs_tol = policy.abs_tol
+        needed = policy.consecutive_small
+        max_terms = policy.max_terms
+
+        total = 0.0
+        streak = 0
+        used = 0
+        last = 0.0
+        min_raw = float("inf")
+        stopped = False
+        for term in islice(self._terms(names, moment), max_terms):
+            total += term
+            used += 1
+            last = term
+            if term < min_raw:
+                min_raw = term
+            if abs(term) < rel_tol * abs(total) + abs_tol:
+                streak += 1
+                if streak >= needed and used < max_terms:
+                    stopped = True
+                    break
+            else:
+                streak = 0
+        pre = self._prefactor
+        if not stopped:
+            raise NotConvergedError(
+                f"operator series: no convergence within {max_terms} terms",
+                partial=OperatorResult(pre * total, used, pre * abs(total),
+                                       False, pre * min_raw),
+            )
+        ratio_eta = self._ratio_eta
+        tail = abs(last) * ratio_eta / (1.0 - ratio_eta)
+        return OperatorResult(pre * total, used, pre * tail, True,
+                              pre * min_raw)
+
+
 def ek_series(f, t: float, p: OperatorParams, q: DeformationParam | float,
               policy: TruncationPolicy = DEFAULT_POLICY) -> OperatorResult:
     """Series representation of the generalized Erdelyi-Kober q-operator."""
-    if not t > 0.0:
-        raise ValueError(f"evaluation point must be positive, got {t}")
-    qv = as_deformation(q).q
+    rule = OperatorRule(t, p, q, {"f": f}, policy)
     _check_exponent(f, p)
-    fn = _as_callable(f)
-    beta, eta, mu = p.beta, p.eta, p.mu
-
-    root = qv ** (1.0 / beta)
-    prefactor = beta * (1.0 - root) * (1.0 - qv) ** (mu - 1.0)
-    ratio_eta = qv ** (eta + 1.0)
-
-    rel_tol = policy.rel_tol
-    abs_tol = policy.abs_tol
-    needed = policy.consecutive_small
-    max_terms = policy.max_terms
-
-    total = 0.0
-    coef = 1.0          # (q^mu;q)_k / (q;q)_k * q^(k(eta+1))
-    qk = 1.0            # q^k
-    qmu_k = qv ** mu    # q^(mu+k)
-    node = t
-    streak = 0
-    used = 0
-    last = 0.0
-    min_raw = float("inf")
-    stopped = False
-    while used < max_terms:
-        term = coef * fn(node)
-        total += term
-        used += 1
-        last = term
-        if term < min_raw:
-            min_raw = term
-        if abs(term) < rel_tol * abs(total) + abs_tol:
-            streak += 1
-            if streak >= needed and used < max_terms:
-                stopped = True
-                break
-        else:
-            streak = 0
-        coef *= (1.0 - qmu_k) / (1.0 - qk * qv) * ratio_eta
-        qmu_k *= qv
-        qk *= qv
-        node *= root
-    tail = abs(last) * ratio_eta / (1.0 - ratio_eta)
-    if not stopped:
-        raise NotConvergedError(
-            f"operator series: no convergence within {max_terms} terms",
-            partial=OperatorResult(prefactor * total, used,
-                                   prefactor * abs(total), False,
-                                   prefactor * min_raw),
-        )
-    return OperatorResult(prefactor * total, used, prefactor * tail, True,
-                          prefactor * min_raw)
+    return rule.apply(("f",))
 
 
 def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
@@ -222,84 +279,6 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
 
 def kober(f, t: float, eta: float, mu: float, q: DeformationParam | float,
           policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
-    """Kober fractional q-integral operator (the beta = 1 case).
-
-    t^(-eta-mu) / GammaQ(mu) * int_0^t (t - tau q)_(mu-1) tau^eta f(tau) d_q tau,
-    evaluated from this integral form directly; agrees with ek_series at
-    beta = 1 within combined truncation tolerances.
-    """
-    if not t > 0.0:
-        raise ValueError(f"evaluation point must be positive, got {t}")
-    if not eta > -1.0:
-        raise ValueError(f"eta must exceed -1, got {eta}")
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    qv = as_deformation(q).q
-    fn = _as_callable(f)
-
-    gam = q_gamma(mu, qv, policy)
-    front = t ** (-eta - mu) / gam.value
-    ratio_eta = qv ** (eta + 1.0)
-
-    rel_tol = policy.rel_tol
-    abs_tol = policy.abs_tol
-    needed = policy.consecutive_small
-    max_terms = policy.max_terms
-
-    total = 0.0
-    qj = 1.0
-    streak = 0
-    used = 0
-    last = 0.0
-    kernel_rel = 0.0
-    stopped = False
-    while used < max_terms:
-        tau = t * qj
-        kern = q_power_alpha(t, tau * qv, qv, mu - 1.0, policy)
-        if kern.value != 0.0:
-            krel = kern.tail_estimate / abs(kern.value)
-            if krel > kernel_rel:
-                kernel_rel = krel
-        term = qj * kern.value * tau ** eta * fn(tau)
-        total += term
-        used += 1
-        last = term
-        if abs(term) < rel_tol * abs(total) + abs_tol:
-            streak += 1
-            if streak >= needed and used < max_terms:
-                stopped = True
-                break
-        else:
-            streak = 0
-        qj *= qv
-    scale = front * (1.0 - qv) * t
-    value = scale * total
-    if not stopped:
-        raise NotConvergedError(
-            f"kober: no convergence within {max_terms} nodes",
-            partial=SeriesResult(value, used, abs(value), False),
-        )
-    sum_tail = abs(last) * ratio_eta / (1.0 - ratio_eta)
-    gam_rel = gam.tail_estimate / abs(gam.value)
-    tail = abs(scale) * sum_tail + abs(value) * (gam_rel + kernel_rel)
-    return SeriesResult(value, used, tail, True)
-
-
-def ek_weighted(f, weight_power: int, u, t: float, p: OperatorParams,
-                q: DeformationParam | float,
-                policy: TruncationPolicy = DEFAULT_POLICY) -> OperatorResult:
-    """Operator applied to the pointwise product s^weight_power * u(s) * f(s).
-
-    Single code path for the moment terms of the Lipschitz-type
-    inequalities.
-    """
-    wp = int(weight_power)
-    if wp < 0:
-        raise ValueError(f"weight_power must be >= 0, got {wp}")
-    uf = _as_callable(u)
-    ff = _as_callable(f)
-    if wp == 0:
-        combined = lambda s: uf(s) * ff(s)  # noqa: E731
-    else:
-        combined = lambda s: s ** wp * uf(s) * ff(s)  # noqa: E731
-    return ek_series(combined, t, p, q, policy)
+    """Kober fractional q-integral operator: the integral form at beta = 1,
+    t^(-eta-mu) / GammaQ(mu) * int_0^t (t - tau q)_(mu-1) tau^eta f(tau) d_q tau."""
+    return ek_integral(f, t, OperatorParams(eta, mu, 1.0), q, policy)

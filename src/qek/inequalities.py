@@ -13,7 +13,9 @@ violation.
 
 Within one case the eight products per side reuse repeated operator
 evaluations through a case-local memo (e.g. the plain weight operator
-appears in several products).
+appears in several products), and all operators of one side share one
+quadrature rule, so each of f, g, h, u and v is evaluated once per node
+and side however many products use it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .ekoperator import OperatorParams, ek_series
+from .ekoperator import OperatorParams, OperatorRule
+# Not called here; kept so tracing harnesses (qekbench/child.py) that wrap
+# qek.inequalities.ek_series by attribute still find it.
+from .ekoperator import ek_series  # noqa: F401
 from .errors import HypothesisViolatedError, NotConvergedError
 from .functions import (
     BoundsTriple,
@@ -112,47 +117,26 @@ def _verdict(margin: float, worst_tail: float) -> str:
     return "holds" if margin > 0.0 else "violated"
 
 
-def _pointwise_product(factors, moment: int):
-    m = moment
-    if len(factors) == 1:
-        f0, = factors
-        if m == 0:
-            return f0
-        return lambda s: s ** m * f0(s)
-    if len(factors) == 2:
-        f0, f1 = factors
-        if m == 0:
-            return lambda s: f0(s) * f1(s)
-        return lambda s: s ** m * f0(s) * f1(s)
-    if len(factors) == 3:
-        f0, f1, f2 = factors
-        if m == 0:
-            return lambda s: f0(s) * f1(s) * f2(s)
-        return lambda s: s ** m * f0(s) * f1(s) * f2(s)
-    f0, f1, f2, f3 = factors
-    if m == 0:
-        return lambda s: f0(s) * f1(s) * f2(s) * f3(s)
-    return lambda s: s ** m * f0(s) * f1(s) * f2(s) * f3(s)
-
-
 class _CaseOps:
     """Case-local memo over operator evaluations.
 
     Keys are (side, weight name, function subset, moment power); side 1
-    evaluates at (q1, p1), side 2 at (q2, p2).
+    evaluates on the rule at (q1, p1), side 2 on the rule at (q2, p2).
     """
 
     def __init__(self, case: TheoremCase, policy: TruncationPolicy):
-        self.case = case
-        self.policy = policy
-        self._fns = {
+        fns = {
             "f": compile_expr(case.f.expr),
             "g": compile_expr(case.g.expr),
             "h": compile_expr(case.h.expr),
             "u": compile_expr(case.u.expr),
         }
         if case.v is not None:
-            self._fns["v"] = compile_expr(case.v.expr)
+            fns["v"] = compile_expr(case.v.expr)
+        self._rules = {
+            1: OperatorRule(case.t, case.p1, case.q1, fns, policy),
+            2: OperatorRule(case.t, case.p2, case.q2, fns, policy),
+        }
         self._memo: dict[tuple, float] = {}
         self.worst_tail = 0.0
         self.evals = 0
@@ -163,11 +147,7 @@ class _CaseOps:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        factors = tuple(self._fns[name] for name in (weight, *subset))
-        fn = _pointwise_product(factors, moment)
-        q, p = ((self.case.q1, self.case.p1) if side == 1
-                else (self.case.q2, self.case.p2))
-        res = ek_series(fn, self.case.t, p, q, self.policy)
+        res = self._rules[side].apply((weight, *subset), moment)
         self.evals += 1
         if res.tail_estimate > self.worst_tail:
             self.worst_tail = res.tail_estimate

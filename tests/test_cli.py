@@ -1,9 +1,11 @@
 """Command line front end: exit codes, output formats, determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
+from qek import cli, inequalities
 from qek.cli import (
     REPORT_COLUMNS,
     CampaignConfig,
@@ -125,6 +127,27 @@ class TestVerify:
         )
         assert code == 0
         assert "summary T1" in err
+
+    @pytest.mark.parametrize("factor,expected", [(10.0, 0), (2.0, 1)])
+    def test_reversal_threshold_follows_safety_factor(self, capsys,
+                                                      monkeypatch, factor,
+                                                      expected):
+        def noisy(case, policy, expect_reversed=False):
+            # a positive margin of five worst tails: inside the noise band
+            # at SAFETY_FACTOR 10, a failed reversal at SAFETY_FACTOR 2
+            rep = inequalities.evaluate_case(case, policy, expect_reversed)
+            assert rep.worst_tail > 0.0
+            return dataclasses.replace(rep, margin=5.0 * rep.worst_tail)
+
+        monkeypatch.setattr(cli, "evaluate_case", noisy)
+        monkeypatch.setattr(inequalities, "SAFETY_FACTOR", factor)
+        code, _, _ = run(
+            ["verify", "--theorem", "T1", "--cases", "3", "--seed", "5",
+             "--family", "asynchronous", "--expect", "reversed",
+             "--no-timestamp"],
+            capsys,
+        )
+        assert code == expected
 
     def test_unknown_theorem_exits_two(self, capsys):
         code, _, _ = run(["verify", "--theorem", "T7", "--cases", "2"], capsys)

@@ -11,9 +11,9 @@ import pytest
 from qek.ekoperator import (
     OperatorParams,
     OperatorResult,
+    OperatorRule,
     ek_integral,
     ek_series,
-    ek_weighted,
     kober,
 )
 from qek.errors import DomainError, NotConvergedError
@@ -231,29 +231,60 @@ class TestKober:
             kober(lambda t: 1.0, 0.0, 0.0, 1.0, 0.5)
 
 
-class TestWeightedOperator:
+class TestOperatorRule:
     def test_identity_weight(self):
         p = OperatorParams(0.2, 1.1, 1.0)
         u = SHAPES[2]
         direct = ek_series(u, 1.0, p, 0.5)
-        wrapped = ek_weighted(lambda s: 1.0, 0, u, 1.0, p, 0.5)
-        assert wrapped.value == pytest.approx(direct.value, rel=1e-13)
+        rule = OperatorRule(1.0, p, 0.5, {"one": lambda s: 1.0, "u": u})
+        assert rule.apply(("u",)) == direct
+        assert rule.apply(("one", "u")).value == direct.value
 
     def test_cubic_moment_matches_power_closed_form(self):
         p = OperatorParams(0.0, 1.0, 1.0)
         q = 0.5
-        res = ek_weighted(lambda s: 1.0, 3, lambda s: 1.0, 1.0, p, q)
+        rule = OperatorRule(1.0, p, q, {"one": lambda s: 1.0})
+        res = rule.apply(("one",), moment=3)
         assert res.value == pytest.approx(power_closed_form(3.0, 1.0, 0.0, 1.0, 1.0, q),
                                           rel=1e-11)
 
     def test_moment_association(self):
         p = OperatorParams(0.4, 0.9, 1.5)
         q = 0.6
-        a = ek_weighted(lambda s: 1.0, 1, lambda s: s, 1.0, p, q)
-        b = ek_weighted(lambda s: 1.0, 2, lambda s: 1.0, 1.0, p, q)
+        rule = OperatorRule(1.0, p, q, {"one": lambda s: 1.0, "s": lambda s: s})
+        a = rule.apply(("s",), moment=1)
+        b = rule.apply(("one",), moment=2)
         assert a.value == pytest.approx(b.value, rel=1e-13)
 
-    def test_rejects_negative_power(self):
+    def test_rejects_negative_moment(self):
+        rule = OperatorRule(1.0, OperatorParams(0.0, 1.0, 1.0), 0.5,
+                            {"one": lambda s: 1.0})
         with pytest.raises(ValueError):
-            ek_weighted(lambda s: 1.0, -1, lambda s: 1.0, 1.0,
-                        OperatorParams(0.0, 1.0, 1.0), 0.5)
+            rule.apply(("one",), moment=-1)
+
+    def test_each_factor_evaluated_once_per_node(self):
+        calls = {"a": 0, "b": 0}
+
+        def counted(name, fn):
+            def wrapped(s):
+                calls[name] += 1
+                return fn(s)
+            return wrapped
+
+        fns = {"a": counted("a", lambda s: 1.0 + s),
+               "b": counted("b", lambda s: s * s)}
+        rule = OperatorRule(1.3, OperatorParams(0.5, 1.5, 2.0), 0.9, fns)
+        results = [rule.apply(names, m) for names, m in
+                   ((("a",), 0), (("a", "b"), 0), (("b",), 2), (("b", "a"), 1))]
+        assert calls["a"] == len(rule.values["a"]) <= len(rule.nodes)
+        assert calls["b"] == len(rule.values["b"]) <= len(rule.nodes)
+        assert len(rule.nodes) == max(r.terms_used for r in results)
+
+    def test_not_converged_carries_partial(self):
+        rule = OperatorRule(1.0, OperatorParams(0.0, 1.0, 1.0), 0.9,
+                            {"one": lambda s: 1.0},
+                            TruncationPolicy(max_terms=10))
+        with pytest.raises(NotConvergedError) as info:
+            rule.apply(("one",))
+        assert info.value.partial.terms_used == 10
+        assert len(rule.nodes) == 10

@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+from qek import inequalities
+from qek.cli import CampaignConfig, derive_case
 from qek.ekoperator import OperatorParams, ek_series
 from qek.errors import HypothesisViolatedError
 from qek.functions import (
@@ -328,3 +330,59 @@ class TestVerdictSemantics:
                 assert rep.verdict == "inconclusive"
             else:
                 assert rep.verdict in ("holds", "violated")
+
+
+def _composed(factors, moment):
+    """s^moment * w(s) * a(s) * ... as one function, multiplied left to
+    right: the integrand the case memo would hand to ek_series."""
+    def fn(s):
+        acc = s ** moment
+        for factor in factors:
+            acc = acc * factor(s)
+        return acc
+    return fn
+
+
+class TestCaseRuleEquivalence:
+    """Every operator value a case requests from its per-side rules equals
+    ek_series of the composed integrand, bit for bit, and worst_tail is
+    the largest tail among those evaluations."""
+
+    @pytest.mark.parametrize("grid,cases", [((0.3, 0.6, 0.9), 4),
+                                            ((0.97, 0.99), 1)])
+    @pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "T4", "T5", "T6"])
+    def test_values_match_composed_series(self, monkeypatch, theorem, grid,
+                                          cases):
+        requests = []
+        ops_seen = []
+        original = inequalities._CaseOps.value
+
+        def recording(self, side, subset, weight="u", moment=0):
+            if not ops_seen or ops_seen[-1] is not self:
+                ops_seen.append(self)
+            val = original(self, side, subset, weight, moment)
+            requests.append((side, subset, weight, moment, val))
+            return val
+
+        monkeypatch.setattr(inequalities._CaseOps, "value", recording)
+        config = CampaignConfig(theorems=(theorem,), seed=1,
+                                q1_grid=grid, q2_grid=grid)
+        for index in range(cases):
+            case = derive_case(config, theorem, index)
+            requests.clear()
+            ops_seen.clear()
+            rep = evaluate_case(case, config.policy)
+            assert requests and len(ops_seen) == 1
+            names = {"f": case.f, "g": case.g, "h": case.h, "u": case.u,
+                     "v": case.v}
+            tails = []
+            for side, subset, weight, moment, val in requests:
+                q, p = ((case.q1, case.p1) if side == 1
+                        else (case.q2, case.p2))
+                factors = [names[n] for n in (weight, *subset)]
+                ref = ek_series(_composed(factors, moment), case.t, p, q,
+                                config.policy)
+                assert val == ref.value
+                tails.append(ref.tail_estimate)
+            assert rep.worst_tail == max(tails)
+            assert rep.operator_evals == len({r[:4] for r in requests})
