@@ -519,7 +519,7 @@ def cmd_sweep(args) -> int:
 def cmd_reduce_check(args) -> int:
     if args.beta is not None and args.beta != 1.0:
         return _fail_usage("reduce-check fixes beta=1")
-    policy = _policy_from_args(args)
+    policy = TruncationPolicy(max_terms=args.max_terms)
     max_gap = 0.0
     worst = None
     for q, eta, mu, shape, gap in reduce_check_rows(policy):
@@ -530,8 +530,8 @@ def cmd_reduce_check(args) -> int:
     return 0 if max_gap <= args.tol else 1
 
 
-def _add_policy_flags(parser, tol_default=1e-14):
-    parser.add_argument("--tol", type=float, default=tol_default,
+def _add_policy_flags(parser):
+    parser.add_argument("--tol", type=float, default=1e-14,
                         help="relative truncation tolerance")
     parser.add_argument("--max-terms", type=int, default=100_000,
                         dest="max_terms")
@@ -595,7 +595,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce = sub.add_parser("reduce-check",
                               help="series vs Kober agreement at beta=1")
     p_reduce.add_argument("--beta", type=float, default=None)
-    _add_policy_flags(p_reduce, tol_default=1e-12)
+    p_reduce.add_argument("--tol", type=float, default=1e-12,
+                          help="pass threshold on the max relative gap; "
+                               "truncation uses the default policy")
+    p_reduce.add_argument("--max-terms", type=int, default=100_000,
+                          dest="max_terms")
     p_reduce.set_defaults(func=cmd_reduce_check)
     return parser
 

@@ -18,6 +18,14 @@ and factor values of one (t, p, q) and sums any product of its factors
 under one stop rule; ``ek_series`` is its one-factor case. The Kober
 operator is the beta = 1 member of the integral form.
 
+``ek_integral`` evaluates the integral form on the same nodes but by its
+own route: at node j the kernel is t^(beta(mu-1)) (q^(j+1); q)_inf /
+(q^(j+mu); q)_inf, read from one table of suffix sums of log factors
+log1p(-q^(k+1)) - log1p(-q^(k+mu)) built once per call, and the result
+is normalised by GammaQ(mu). It never uses the series weight recurrence
+or its (1-q)^(mu-1) prefactor, so it checks them; the table makes the
+cost O(nodes + factors) instead of two infinite products per node.
+
 All series weights are positive for mu > 0, so each retained term keeps
 the sign of f at its node; results report the smallest scaled term so
 nonnegativity of the operator can be checked term by term.
@@ -27,7 +35,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
+from math import exp, expm1, log1p
 from operator import mul
 
 from .errors import DomainError, NotConvergedError
@@ -39,8 +48,10 @@ from .qcore import (
     TruncationPolicy,
     as_deformation,
     q_gamma,
-    q_power_alpha,
 )
+# Not called here; kept so tracing harnesses (qekbench/child.py) that wrap
+# qek.ekoperator.q_power_alpha by attribute still find it.
+from .qcore import q_power_alpha  # noqa: F401
 
 __all__ = [
     "OperatorParams",
@@ -211,13 +222,58 @@ def ek_series(f, t: float, p: OperatorParams, q: DeformationParam | float,
     return rule.apply(("f",))
 
 
+def _log_kernel_table(qv: float, mu: float, policy: TruncationPolicy):
+    """Log kernel factors of the integral form at base q and order mu.
+
+    Returns ``(table, log_tail, converged)`` with
+    table[j] = sum_{k>=j} [log1p(-q^(k+1)) - log1p(-q^(k+mu))]
+    = log((q^(j+1); q)_inf / (q^(j+mu); q)_inf), truncated at the first
+    ``len(table)`` factors under the policy's stop rule for infinite
+    products. ``log_tail`` bounds |log-factor sum dropped| for every j,
+    including j >= len(table), whose truncated table entry is 0. The
+    suffix sums are accumulated from the small end.
+    """
+    rel_tol = policy.rel_tol
+    needed = policy.consecutive_small
+    max_terms = policy.max_terms
+    table = array("d")
+    streak = 0
+    converged = False
+    k = 0
+    while k < max_terms:
+        num, den = qv ** (k + 1), qv ** (k + mu)
+        table.append(log1p(-num) - log1p(-den))
+        k += 1
+        if max(num, den) < rel_tol:
+            streak += 1
+            if streak >= needed and k < max_terms:
+                converged = True
+                break
+        else:
+            streak = 0
+    # each product's dropped deviations are q^i times its last kept one
+    log_tail = 0.0
+    for dev in (num, den):
+        log_tail += dev * qv / ((1.0 - qv) * (1.0 - min(dev, 0.5)))
+    table.reverse()
+    table = array("d", accumulate(table))
+    table.reverse()
+    return table, log_tail, converged
+
+
 def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
                 policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """Integral representation; an independent oracle for ek_series.
 
-    The kernel (t^beta - tau^beta q)_(mu-1) is evaluated through
-    q_power_alpha at every node, so the computational route shares no
-    coefficient recurrence with the series form.
+    The Jackson node tau_j = t q^(j/beta) carries the kernel
+    (t^beta - tau_j^beta q)_(mu-1)
+    = t^(beta(mu-1)) (q^(j+1); q)_inf / (q^(j+mu); q)_inf, read from one
+    table of log factors summed from the small end (``_log_kernel_table``),
+    and the result is normalised by q_gamma(mu). The series form instead
+    builds its weights by the forward ratio recurrence
+    (1 - q^(mu+k)) / (1 - q^(k+1)) from 1 and scales by (1-q)^(mu-1); the
+    two routes share no arithmetic beyond the nodes, so a fault in either
+    shows as a gap between them. Cost is O(nodes + factors).
     """
     if not t > 0.0:
         raise ValueError(f"evaluation point must be positive, got {t}")
@@ -227,9 +283,10 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     beta, eta, mu = p.beta, p.eta, p.mu
 
     root = qv ** (1.0 / beta)
-    tb = t ** beta
     gam = q_gamma(mu, qv, policy)
-    front = beta * t ** (-beta * (eta + mu)) / gam.value
+    table, log_tail, table_done = _log_kernel_table(qv, mu, policy)
+    # t^(-beta(eta+mu)) times the kernel's t^(beta(mu-1))
+    front = beta * t ** (-beta * (eta + 1.0)) / gam.value
     tau_exp = beta * (eta + 1.0) - 1.0
     ratio_eta = qv ** (eta + 1.0)
 
@@ -237,22 +294,18 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     abs_tol = policy.abs_tol
     needed = policy.consecutive_small
     max_terms = policy.max_terms
+    size = len(table)
 
     total = 0.0
     rj = 1.0            # root^j
     streak = 0
     used = 0
     last = 0.0
-    kernel_rel = 0.0
     stopped = False
     while used < max_terms:
         tau = t * rj
-        kern = q_power_alpha(tb, (tau ** beta) * qv, qv, mu - 1.0, policy)
-        if kern.value != 0.0:
-            krel = kern.tail_estimate / abs(kern.value)
-            if krel > kernel_rel:
-                kernel_rel = krel
-        term = rj * kern.value * tau ** tau_exp * fn(tau)
+        kern = exp(table[used]) if used < size else 1.0
+        term = rj * kern * tau ** tau_exp * fn(tau)
         total += term
         used += 1
         last = term
@@ -266,14 +319,15 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
         rj *= root
     scale = front * (1.0 - root) * t
     value = scale * total
-    if not stopped:
+    if not (stopped and table_done):
+        what = "nodes" if not stopped else "kernel factors"
         raise NotConvergedError(
-            f"operator integral: no convergence within {max_terms} nodes",
+            f"operator integral: no convergence within {max_terms} {what}",
             partial=SeriesResult(value, used, abs(value), False),
         )
     sum_tail = abs(last) * ratio_eta / (1.0 - ratio_eta)
     gam_rel = gam.tail_estimate / abs(gam.value)
-    tail = abs(scale) * sum_tail + abs(value) * (gam_rel + kernel_rel)
+    tail = abs(scale) * sum_tail + abs(value) * (gam_rel + expm1(log_tail))
     return SeriesResult(value, used, tail, True)
 
 

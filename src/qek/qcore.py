@@ -308,8 +308,10 @@ def q_power_alpha(t: float, a: float, q: DeformationParam | float, alpha: float,
                   policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """q-analogue of (t - a)^alpha for real alpha and t > 0.
 
-    Evaluates t^alpha * (a/t; q)_alpha; this is the kernel used by the
-    integral representation of the fractional operators.
+    Evaluates t^alpha * (a/t; q)_alpha. This is the kernel of the
+    integral representation of the fractional operators; ek_integral
+    reads it from one table of log factors per call, and this per-node
+    form is that table's reference.
     """
     if not t > 0.0:
         raise ValueError(f"q_power_alpha requires t > 0, got {t}")

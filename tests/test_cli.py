@@ -269,6 +269,12 @@ class TestReduceCheck:
         code, _, _ = run(["reduce-check", "--tol", "1e-16"], capsys)
         assert code == 1
 
+    def test_tolerance_is_only_the_pass_threshold(self, capsys):
+        _, default_out, _ = run(["reduce-check"], capsys)
+        code, loose_out, _ = run(["reduce-check", "--tol", "0.5"], capsys)
+        assert code == 0
+        assert loose_out == default_out
+
     def test_beta_flag_rejected(self, capsys):
         code, _, err = run(["reduce-check", "--beta", "2"], capsys)
         assert code == 2

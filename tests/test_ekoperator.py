@@ -6,19 +6,29 @@ evaluator's recurrence) before being relied on; the integral form serves
 as the cross-representation oracle for the series form.
 """
 
+import functools
+import math
+
 import pytest
 
 from qek.ekoperator import (
     OperatorParams,
     OperatorResult,
     OperatorRule,
+    _log_kernel_table,
     ek_integral,
     ek_series,
     kober,
 )
 from qek.errors import DomainError, NotConvergedError
 from qek.functions import PiecewiseLinear, function_spec, parse_function_spec
-from qek.qcore import TruncationPolicy, q_gamma, q_pochhammer_n
+from qek.qcore import (
+    DEFAULT_POLICY,
+    TruncationPolicy,
+    q_gamma,
+    q_pochhammer_n,
+    q_power_alpha,
+)
 
 
 def brute_series(f, t, eta, mu, beta, q, terms=900):
@@ -187,6 +197,93 @@ class TestIntegralForm:
             s = ek_series(shape, 1.0, p, q)
             i = ek_integral(shape, 1.0, p, q)
             assert abs(s.value - i.value) <= 1e-8 * max(1.0, abs(s.value))
+
+
+class TestIntegralKernel:
+    """The log-factor table behind ek_integral against the per-node
+    reference kernel q_power_alpha(t^beta, tau^beta q, q, mu - 1)."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.9, 0.99])
+    @pytest.mark.parametrize("mu", [0.5, 1.5, 2.0])
+    def test_table_matches_q_power_alpha(self, q, mu):
+        table, log_tail, converged = _log_kernel_table(q, mu, DEFAULT_POLICY)
+        size = len(table)
+        assert converged
+        assert 0.0 < log_tail < 2.0 * DEFAULT_POLICY.rel_tol / (1.0 - q)
+        # sampled nodes, the last table entry and a node past the table
+        nodes = sorted({*range(0, size, max(1, size // 6)), size - 1, size + 5})
+        for beta in (0.5, 2.0):
+            for t in (0.5, 2.0):
+                for j in nodes:
+                    log_kern = table[j] if j < size else 0.0
+                    kern = t ** (beta * (mu - 1.0)) * math.exp(log_kern)
+                    tau = t * q ** (j / beta)
+                    ref = q_power_alpha(t ** beta, tau ** beta * q, q, mu - 1.0)
+                    assert abs(kern - ref.value) <= 1e-12 * abs(ref.value)
+
+    def test_table_over_budget_is_flagged(self):
+        table, log_tail, converged = _log_kernel_table(
+            0.9, 1.5, TruncationPolicy(max_terms=20))
+        assert not converged
+        assert len(table) == 20
+        assert log_tail > 1e-3
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_qinf_power(q, e):
+    """(q^e; q)_inf in 40-digit mpmath, multiplied out until the factors
+    drop below 1e-42; q and e are taken at their exact binary values."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        Q = mp.mpf(q)
+        prod, term = mp.mpf(1), Q ** mp.mpf(e)
+        while term > mp.mpf(10) ** -42:
+            prod *= 1 - term
+            term *= Q
+        return prod
+
+
+def _q_binomial_exact(sigma, t, eta, mu, beta, q):
+    """Operator of s^sigma at t in closed form (q-binomial theorem):
+    t^sigma beta (1 - q^(1/beta)) (1-q)^(mu-1) (q^mu x; q)_inf / (x; q)_inf
+    with x = q^c, c = eta + 1 + sigma/beta (exact for the dyadic grids
+    used here)."""
+    import mpmath as mp
+
+    c = eta + 1.0 + sigma / beta
+    with mp.workdps(40):
+        Q, B, M = mp.mpf(q), mp.mpf(beta), mp.mpf(mu)
+        return float(mp.mpf(t) ** sigma * B * (1 - Q ** (1 / B))
+                     * (1 - Q) ** (M - 1)
+                     * _mp_qinf_power(q, c + mu) / _mp_qinf_power(q, c))
+
+
+class TestIntegralOracle:
+    @pytest.mark.parametrize("q", [0.9, 0.97, 0.99])
+    @pytest.mark.parametrize("eta", [-0.5, 0.0, 1.0])
+    @pytest.mark.parametrize("mu", [0.5, 1.5, 2.0])
+    def test_monomials_match_q_binomial_closed_form(self, q, eta, mu):
+        t = 1.3
+        for beta in (0.5, 1.0, 2.0):
+            p = OperatorParams(eta, mu, beta)
+            for sigma in (0, 1, 2):
+                res = ek_integral(lambda s: s ** sigma, t, p, q)
+                exact = _q_binomial_exact(sigma, t, eta, mu, beta, q)
+                rounding = 8 * res.terms_used * 2.0 ** -53 * abs(res.value)
+                assert abs(res.value - exact) <= res.tail_estimate + rounding
+
+    def test_not_converged_carries_partial(self):
+        # q_gamma and the kernel table fit in 300 factors, the nodes do not
+        p = OperatorParams(-0.5, 1.5, 2.0)
+        full = ek_integral(lambda s: 1.0, 1.0, p, 0.9)
+        assert full.terms_used > 300
+        with pytest.raises(NotConvergedError) as info:
+            ek_integral(lambda s: 1.0, 1.0, p, 0.9, TruncationPolicy(max_terms=300))
+        partial = info.value.partial
+        assert partial.converged is False
+        assert partial.terms_used == 300
+        assert 0.0 < partial.value < full.value
 
 
 class TestKober:
