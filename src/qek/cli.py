@@ -6,19 +6,28 @@ global seed and the case index through a fixed 64-bit mixer, so identical
 configs produce byte-identical report files (modulo the suppressible
 timestamp header). Exit codes: 0 all checks hold, 1 at least one
 violation, 2 usage/config error.
+
+``qek verify`` runs in constant memory: one ordered engine maps a row
+worker over the cases (in-process, or in a process pool with --jobs N),
+each finished line is written in case-index order, and the summary is
+tallied as rows pass, so no report is kept and none is pickled.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import random
 import sys
+from collections import Counter, defaultdict, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
+from itertools import islice
 
 from . import inequalities
 from .ekoperator import OperatorParams, ek_integral, ek_series, kober
@@ -37,12 +46,14 @@ from .qcore import DeformationParam, TruncationPolicy
 __all__ = [
     "CampaignConfig",
     "CampaignResult",
+    "CampaignTally",
     "mix_seed",
     "derive_case",
     "run_campaign",
     "report_row",
     "rows_to_jsonl",
     "rows_to_csv",
+    "format_row",
     "standard_shapes",
     "reduce_check_rows",
     "sweep_rows",
@@ -57,6 +68,10 @@ REPORT_COLUMNS = (
 )
 
 _MASK64 = (1 << 64) - 1
+
+# Cases per pool task, and pool tasks in flight per worker process.
+_CHUNK = 8
+_CHUNKS_AHEAD = 4
 
 _THEOREM_FAMILY = {
     "T1": "synchronous_triple",
@@ -154,11 +169,114 @@ def derive_case(config: CampaignConfig, theorem: str,
                        bounds=fam.bounds, lipschitz=fam.lipschitz)
 
 
-def _evaluate_index(args) -> InequalityReport:
-    config, theorem, index = args
+def _evaluate_index(item) -> tuple[int, InequalityReport]:
+    """Report worker: the case's index and its report."""
+    config, theorem, index = item
     case = derive_case(config, theorem, index)
-    return evaluate_case(case, config.policy,
-                         expect_reversed=(config.expect == "reversed"))
+    return index, evaluate_case(case, config.policy,
+                                expect_reversed=(config.expect == "reversed"))
+
+
+def _summary_fields(report: InequalityReport) -> tuple:
+    """(theorem, verdict, margin, worst_tail, bracket): all a tally reads."""
+    return (report.case.theorem_id, report.verdict, report.margin,
+            report.worst_tail, report.bracket)
+
+
+def _row_of_index(fmt: str, item) -> tuple[str, tuple]:
+    """Row worker: the case's finished output line and its summary fields,
+    so no report crosses a process boundary."""
+    index, report = _evaluate_index(item)
+    return format_row(report_row(index, report), fmt), _summary_fields(report)
+
+
+def _run_chunk(worker, items) -> list:
+    return [worker(item) for item in items]
+
+
+def _ordered_map(worker, config: CampaignConfig):
+    """Yield ``worker((config, theorem, index))`` for every case of the
+    campaign in (theorem, index) order, each as soon as it and all before
+    it are done.
+
+    In-process at jobs 1. Otherwise a process pool runs chunks of
+    _CHUNK cases, with at most _CHUNKS_AHEAD chunks per worker submitted
+    and not yet yielded: ``Executor.map`` would submit the whole campaign
+    at once and hold every result the caller has not reached yet.
+    """
+    work = ((config, theorem, index)
+            for theorem in config.theorems
+            for index in range(config.cases))
+    if config.jobs == 1:
+        yield from map(worker, work)
+        return
+    chunks = iter(lambda: list(islice(work, _CHUNK)), [])
+    pending = deque()
+    pool = ProcessPoolExecutor(max_workers=config.jobs)
+    try:
+        for chunk in chunks:
+            pending.append(pool.submit(_run_chunk, worker, chunk))
+            if len(pending) >= _CHUNKS_AHEAD * config.jobs:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+class CampaignTally:
+    """Per-theorem summary of a campaign, updated one case at a time:
+    verdict counts, smallest margin, T5/T6 bracket signs, and whether the
+    campaign's expectation failed."""
+
+    def __init__(self, config: CampaignConfig):
+        self._reversed = config.expect == "reversed"
+        self._counts = defaultdict(Counter)  # verdicts and bracket signs
+        self._min_margin: dict[str, float] = {}
+        self._failed: set[str] = set()
+
+    def add(self, theorem: str, verdict: str, margin: float,
+            worst_tail: float, bracket) -> None:
+        counts = self._counts[theorem]
+        counts[verdict] += 1
+        if bracket is not None:
+            counts["bracket_nonneg" if bracket >= 0.0 else "bracket_neg"] += 1
+        if margin == margin:
+            self._min_margin[theorem] = min(
+                margin, self._min_margin.get(theorem, margin))
+        if self._reversed:
+            # every margin must sit at or below the noise threshold; NaN
+            # compares false
+            if margin > worst_tail * inequalities.SAFETY_FACTOR:
+                self._failed.add(theorem)
+        elif verdict == "violated":
+            self._failed.add(theorem)
+
+    def counts(self, theorem: str) -> dict[str, int]:
+        counts = self._counts[theorem]
+        return {v: counts[v] for v in ("holds", "violated", "inconclusive")}
+
+    def min_margin(self, theorem: str) -> float:
+        """Smallest non-NaN margin; NaN when there is none."""
+        return self._min_margin.get(theorem, float("nan"))
+
+    def bracket_sign_counts(self, theorem: str) -> tuple[int, int]:
+        counts = self._counts[theorem]
+        return counts["bracket_nonneg"], counts["bracket_neg"]
+
+    def failed(self, theorem: str) -> bool:
+        return theorem in self._failed
+
+    def summary_line(self, theorem: str) -> str:
+        counts = self._counts[theorem]
+        line = (f"summary {theorem}: holds={counts['holds']} "
+                f"violated={counts['violated']} "
+                f"inconclusive={counts['inconclusive']} "
+                f"min_margin={self.min_margin(theorem):.6e}")
+        if theorem in ("T5", "T6"):
+            line += (f" bracket_nonneg={counts['bracket_nonneg']}"
+                     f" bracket_neg={counts['bracket_neg']}")
+        return line
 
 
 @dataclass
@@ -166,54 +284,31 @@ class CampaignResult:
     config: CampaignConfig
     reports: list[tuple[int, InequalityReport]] = field(default_factory=list)
 
-    def counts(self, theorem: str) -> dict[str, int]:
-        out = {"holds": 0, "violated": 0, "inconclusive": 0}
+    def _tally(self) -> CampaignTally:
+        tally = CampaignTally(self.config)
         for _, rep in self.reports:
-            if rep.case.theorem_id == theorem:
-                out[rep.verdict] += 1
-        return out
+            tally.add(*_summary_fields(rep))
+        return tally
+
+    def counts(self, theorem: str) -> dict[str, int]:
+        return self._tally().counts(theorem)
 
     def min_margin(self, theorem: str) -> float:
-        margins = [rep.margin for _, rep in self.reports
-                   if rep.case.theorem_id == theorem
-                   and rep.margin == rep.margin]
-        return min(margins) if margins else float("nan")
-
-    def max_margin(self, theorem: str) -> float:
-        margins = [rep.margin for _, rep in self.reports
-                   if rep.case.theorem_id == theorem
-                   and rep.margin == rep.margin]
-        return max(margins) if margins else float("nan")
+        return self._tally().min_margin(theorem)
 
     def bracket_sign_counts(self, theorem: str) -> tuple[int, int]:
-        pos = neg = 0
-        for _, rep in self.reports:
-            if rep.case.theorem_id == theorem and rep.bracket is not None:
-                if rep.bracket >= 0.0:
-                    pos += 1
-                else:
-                    neg += 1
-        return pos, neg
+        return self._tally().bracket_sign_counts(theorem)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
-    """Evaluate every (theorem, case index) pair of the campaign.
+    """Evaluate every (theorem, case index) pair of the campaign and keep
+    the reports.
 
-    With jobs > 1 cases run in a process pool; results are emitted in
+    With jobs > 1 cases run in a process pool; results are kept in
     case-index order either way, so output is deterministic regardless
-    of parallelism.
+    of parallelism. ``qek verify`` streams rows instead of calling this.
     """
-    work = [(config, theorem, idx)
-            for theorem in config.theorems
-            for idx in range(config.cases)]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(_evaluate_index, work, chunksize=8))
-    else:
-        reports = [_evaluate_index(item) for item in work]
-    result = CampaignResult(config)
-    result.reports = [(item[2], rep) for item, rep in zip(work, reports)]
-    return result
+    return CampaignResult(config, list(_ordered_map(_evaluate_index, config)))
 
 
 def report_row(case_index: int, report: InequalityReport) -> dict:
@@ -247,26 +342,46 @@ def _timestamp_line() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _csv_line(values) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(values)
+    return buf.getvalue()
+
+
+def format_row(row: dict, fmt: str) -> str:
+    """One report row as one output line: a JSON object with the row's key
+    order, or CSV fields in the documented column order."""
+    if fmt == "csv":
+        return _csv_line([row[col] for col in REPORT_COLUMNS])
+    return json.dumps(row) + "\n"
+
+
+def _header_lines(fmt: str, timestamp: bool) -> list[str]:
+    """The lines before the first row: the optional timestamp, and the
+    column names for CSV."""
+    lines = []
+    if timestamp:
+        lines.append(f"# {_timestamp_line()}\n" if fmt == "csv"
+                     else json.dumps({"timestamp": _timestamp_line()}) + "\n")
+    if fmt == "csv":
+        lines.append(_csv_line(REPORT_COLUMNS))
+    return lines
+
+
+def _rows_to_text(rows, fmt: str, timestamp: bool) -> str:
+    lines = _header_lines(fmt, timestamp)
+    lines.extend(format_row(row, fmt) for row in rows)
+    return "".join(lines)
+
+
 def rows_to_jsonl(rows, timestamp: bool = True) -> str:
     """Serialize report rows as JSON lines (fixed key order)."""
-    out = []
-    if timestamp:
-        out.append(json.dumps({"timestamp": _timestamp_line()}))
-    for row in rows:
-        out.append(json.dumps(row))
-    return "\n".join(out) + "\n"
+    return _rows_to_text(rows, "json-lines", timestamp)
 
 
 def rows_to_csv(rows, timestamp: bool = True) -> str:
     """Serialize report rows as CSV with the documented column order."""
-    buf = io.StringIO()
-    if timestamp:
-        buf.write(f"# {_timestamp_line()}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for row in rows:
-        writer.writerow([row[col] for col in REPORT_COLUMNS])
-    return buf.getvalue()
+    return _rows_to_text(rows, "csv", timestamp)
 
 
 # ---------------------------------------------------------------------------
@@ -451,37 +566,16 @@ def cmd_verify(args) -> int:
         return _fail_usage(str(exc))
     output = args.output or io.get("output")
     timestamp = not (args.no_timestamp or io.get("no_timestamp", False))
-    result = run_campaign(config)
-    rows = [report_row(idx, rep) for idx, rep in result.reports]
-    text = (rows_to_csv(rows, timestamp=timestamp) if fmt == "csv"
-            else rows_to_jsonl(rows, timestamp=timestamp))
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    failed = False
+    tally = CampaignTally(config)
+    with (open(output, "w", encoding="utf-8", newline="") if output
+          else contextlib.nullcontext(sys.stdout)) as out:
+        out.writelines(_header_lines(fmt, timestamp))
+        for line, fields in _ordered_map(partial(_row_of_index, fmt), config):
+            out.write(line)
+            tally.add(*fields)
     for theorem in config.theorems:
-        counts = result.counts(theorem)
-        line = (f"summary {theorem}: holds={counts['holds']} "
-                f"violated={counts['violated']} "
-                f"inconclusive={counts['inconclusive']} "
-                f"min_margin={result.min_margin(theorem):.6e}")
-        if theorem in ("T5", "T6"):
-            pos, neg = result.bracket_sign_counts(theorem)
-            line += f" bracket_nonneg={pos} bracket_neg={neg}"
-        print(line, file=sys.stderr)
-        if config.expect == "reversed":
-            # every margin must sit at or below the noise threshold
-            factor = inequalities.SAFETY_FACTOR
-            for _, rep in result.reports:
-                if (rep.case.theorem_id == theorem
-                        and rep.margin == rep.margin
-                        and rep.margin > rep.worst_tail * factor):
-                    failed = True
-        elif counts["violated"]:
-            failed = True
-    return 1 if failed else 0
+        print(tally.summary_line(theorem), file=sys.stderr)
+    return 1 if any(map(tally.failed, config.theorems)) else 0
 
 
 def cmd_sweep(args) -> int:

@@ -36,11 +36,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
-from math import exp, expm1, log1p
+from math import exp, expm1, inf, log1p
 from operator import mul
 
 from .errors import DomainError, NotConvergedError
-from .functions import FunctionSpec, compile_expr
+from .functions import as_callable
 from .qcore import (
     DEFAULT_POLICY,
     DeformationParam,
@@ -97,12 +97,6 @@ class OperatorResult(SeriesResult):
     min_term: float = 0.0
 
 
-def _as_callable(f):
-    if isinstance(f, FunctionSpec):
-        return compile_expr(f.expr)
-    return f
-
-
 def _check_exponent(f, p: OperatorParams) -> None:
     pf = getattr(f, "c_lambda_exponent", None)
     if pf is not None and p.eta + 1.0 + pf / p.beta <= 0.0:
@@ -130,7 +124,7 @@ class OperatorRule:
         self.nodes = array("d")
         self.weights = array("d")
         self.values = {name: array("d") for name in fns}
-        self._fns = {name: _as_callable(fn) for name, fn in fns.items()}
+        self._fns = {name: as_callable(fn) for name, fn in fns.items()}
         self._q = qv
         self._root = qv ** (1.0 / p.beta)
         self._ratio_eta = qv ** (p.eta + 1.0)
@@ -274,17 +268,28 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     (1 - q^(mu+k)) / (1 - q^(k+1)) from 1 and scales by (1-q)^(mu-1); the
     two routes share no arithmetic beyond the nodes, so a fault in either
     shows as a gap between them. Cost is O(nodes + factors).
+
+    A node loop or kernel table that needs more than ``max_terms`` raises
+    this operator's NotConvergedError, whose partial result is the
+    truncated integral (``converged=False``).
     """
     if not t > 0.0:
         raise ValueError(f"evaluation point must be positive, got {t}")
     qv = as_deformation(q).q
     _check_exponent(f, p)
-    fn = _as_callable(f)
+    fn = as_callable(f)
     beta, eta, mu = p.beta, p.eta, p.mu
 
     root = qv ** (1.0 / beta)
-    gam = q_gamma(mu, qv, policy)
     table, log_tail, table_done = _log_kernel_table(qv, mu, policy)
+    if table_done:
+        gam = q_gamma(mu, qv, policy)
+    else:
+        # q_gamma truncates its two products under the table's stop rule,
+        # so it would raise its own error; the partial result is normalised
+        # by the truncated table's (q;q)_inf/(q^mu;q)_inf (1-q)^(1-mu).
+        gam = SeriesResult(exp(table[0]) * (1.0 - qv) ** (1.0 - mu),
+                           len(table), inf, False)
     # t^(-beta(eta+mu)) times the kernel's t^(beta(mu-1))
     front = beta * t ** (-beta * (eta + 1.0)) / gam.value
     tau_exp = beta * (eta + 1.0) - 1.0

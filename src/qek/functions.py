@@ -39,6 +39,7 @@ __all__ = [
     "format_expr",
     "parse_function_spec",
     "compile_expr",
+    "as_callable",
     "check_synchronous",
     "extract_bounds",
     "extract_lipschitz",
@@ -130,13 +131,16 @@ class Scale(Expr):
 # evaluation
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded: campaigns build fresh trees for every case, so an unbounded
+# cache would grow with the campaign.
+@functools.lru_cache(maxsize=256)
 def compile_expr(expr: Expr) -> Callable[[float], float]:
     """Compile an expression tree into a plain closure.
 
     Compiled evaluators assume t >= 0 (the domain check lives in
-    FunctionSpec.__call__); operator loops fetch the closure once and
-    call it per node.
+    FunctionSpec.__call__). A FunctionSpec compiles its tree once, at
+    construction, and keeps the closure as ``spec.fn``; the cache shares
+    subtrees between specs built from the same nodes.
     """
     if isinstance(expr, Const):
         c = expr.value
@@ -321,6 +325,10 @@ class FunctionSpec:
     ``monotonicity`` and ``c_lambda_exponent`` are derived structurally by
     :func:`function_spec`; ``domain_hint`` is the T of the certified
     interval [0, T]. Evaluation beyond T is permitted but uncertified.
+
+    ``fn`` is the compiled closure of ``expr``, built once here: it skips
+    the domain check of ``__call__``, and it is not part of equality,
+    hashing, repr or the pickled state (unpickling compiles it again).
     """
 
     expr: Expr
@@ -328,13 +336,25 @@ class FunctionSpec:
     c_lambda_exponent: float
     domain_hint: float = 1.0
 
+    def __post_init__(self):
+        object.__setattr__(self, "fn", compile_expr(self.expr))
+
+    def __reduce__(self):
+        return (FunctionSpec, (self.expr, self.monotonicity,
+                               self.c_lambda_exponent, self.domain_hint))
+
     def __call__(self, t: float) -> float:
         if t < 0.0:
             raise DomainError(f"function domain is [0, inf), got t={t}")
-        return compile_expr(self.expr)(t)
+        return self.fn(t)
 
     def to_sexpr(self) -> str:
         return format_expr(self.expr)
+
+
+def as_callable(f) -> Callable[[float], float]:
+    """The compiled closure of a FunctionSpec; any other callable as is."""
+    return f.fn if isinstance(f, FunctionSpec) else f
 
 
 def function_spec(expr: Expr, T: float = 1.0) -> FunctionSpec:

@@ -34,7 +34,6 @@ from .functions import (
     FunctionSpec,
     LipschitzTriple,
     check_synchronous,
-    compile_expr,
     nonnegative_on,
 )
 from .qcore import DEFAULT_POLICY, DeformationParam, TruncationPolicy
@@ -125,14 +124,9 @@ class _CaseOps:
     """
 
     def __init__(self, case: TheoremCase, policy: TruncationPolicy):
-        fns = {
-            "f": compile_expr(case.f.expr),
-            "g": compile_expr(case.g.expr),
-            "h": compile_expr(case.h.expr),
-            "u": compile_expr(case.u.expr),
-        }
+        fns = {"f": case.f.fn, "g": case.g.fn, "h": case.h.fn, "u": case.u.fn}
         if case.v is not None:
-            fns["v"] = compile_expr(case.v.expr)
+            fns["v"] = case.v.fn
         self._rules = {
             1: OperatorRule(case.t, case.p1, case.q1, fns, policy),
             2: OperatorRule(case.t, case.p2, case.q2, fns, policy),

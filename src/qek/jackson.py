@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .functions import as_callable
 from .qcore import (
     DEFAULT_POLICY,
     DeformationParam,
@@ -96,11 +97,12 @@ def jackson_integral(f, b: float, q: DeformationParam | float,
         raise ValueError(f"upper limit must be positive, got {b}")
     qv = as_deformation(q).q
     _check_integrable(f)
+    fn = as_callable(f)
 
     def terms():
         qj = 1.0
         while True:
-            yield qj * f(b * qj)
+            yield qj * fn(b * qj)
             qj *= qv
 
     inner = sum_series(terms(), policy, qv, what=f"jackson_integral(b={b})")

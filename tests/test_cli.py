@@ -1,11 +1,18 @@
 """Command line front end: exit codes, output formats, determinism."""
 
 import dataclasses
+import gc
 import json
+import pickle
+import tracemalloc
+import weakref
+from concurrent.futures import Future
 
 import pytest
 
 from qek import cli, inequalities
+from qek.errors import QekError
+from qek.functions import compile_expr
 from qek.cli import (
     REPORT_COLUMNS,
     CampaignConfig,
@@ -215,6 +222,178 @@ class TestVerify:
         code2, out2, _ = run(base + ["--jobs", "2"], capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+ALL_THEOREMS = ("T1", "T2", "T3", "T4", "T5", "T6")
+
+
+def _theorem_flags(theorems):
+    return [arg for t in theorems for arg in ("--theorem", t)]
+
+
+def _expected_summary_lines(result):
+    """The stderr summary, computed from the kept reports directly."""
+    lines = []
+    for theorem in result.config.theorems:
+        reps = [rep for _, rep in result.reports
+                if rep.case.theorem_id == theorem]
+        counts = {v: sum(rep.verdict == v for rep in reps)
+                  for v in ("holds", "violated", "inconclusive")}
+        margins = [rep.margin for rep in reps if rep.margin == rep.margin]
+        line = (f"summary {theorem}: holds={counts['holds']} "
+                f"violated={counts['violated']} "
+                f"inconclusive={counts['inconclusive']} "
+                f"min_margin={min(margins, default=float('nan')):.6e}")
+        if theorem in ("T5", "T6"):
+            pos = sum(rep.bracket >= 0.0 for rep in reps)
+            line += f" bracket_nonneg={pos} bracket_neg={len(reps) - pos}"
+        lines.append(line)
+    return lines
+
+
+class TestStreaming:
+    """`qek verify` writes each row as it finishes; the bytes, the summary
+    and the exit code match the collect-then-serialize route."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
+    def test_matches_run_campaign(self, capsys, jobs, fmt):
+        cfg = CampaignConfig(theorems=ALL_THEOREMS, cases=4, seed=17)
+        result = run_campaign(cfg)
+        rows = [report_row(i, rep) for i, rep in result.reports]
+        serialize = rows_to_csv if fmt == "csv" else rows_to_jsonl
+        code, out, err = run(
+            ["verify", *_theorem_flags(ALL_THEOREMS), "--cases", "4",
+             "--seed", "17", "--format", fmt, "--jobs", str(jobs),
+             "--no-timestamp"],
+            capsys,
+        )
+        assert out == serialize(rows, timestamp=False)
+        assert err.splitlines() == _expected_summary_lines(result)
+        violated = any(rep.verdict == "violated" for _, rep in result.reports)
+        assert code == (1 if violated else 0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("theorems,family", [
+        (("T1", "T2"), "asynchronous"),
+        (("T3", "T5"), "synchronous"),
+    ])
+    def test_reversed_exit_code(self, capsys, jobs, theorems, family):
+        cfg = CampaignConfig(theorems=theorems, cases=5, seed=8,
+                             family=family, expect="reversed")
+        unreversed = any(
+            rep.margin == rep.margin
+            and rep.margin > rep.worst_tail * inequalities.SAFETY_FACTOR
+            for _, rep in run_campaign(cfg).reports)
+        code, _, _ = run(
+            ["verify", *_theorem_flags(theorems), "--cases", "5", "--seed",
+             "8", "--family", family, "--expect", "reversed", "--jobs",
+             str(jobs), "--no-timestamp"],
+            capsys,
+        )
+        assert code == (1 if unreversed else 0)
+
+    def test_pool_window_is_bounded(self, capsys, monkeypatch):
+        # An in-process stand-in for the pool: counts the tasks submitted
+        # and not yet read, and pickles what a worker would send back.
+        state = {"open": 0, "most": 0, "tasks": 0}
+
+        class Tracked(Future):
+            def result(self, timeout=None):
+                state["open"] -= 1
+                return super().result(timeout)
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, *args):
+                out = pickle.loads(pickle.dumps(fn(*args)))
+                for line, fields in out:
+                    assert isinstance(line, str) and len(fields) == 5
+                fut = Tracked()
+                fut.set_result(out)
+                state["open"] += 1
+                state["tasks"] += 1
+                state["most"] = max(state["most"], state["open"])
+                return fut
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        base = ["verify", "--theorem", "T1", "--cases", "100", "--seed", "6",
+                "--no-timestamp"]
+        _, serial, _ = run(base, capsys)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        _, pooled, _ = run(base + ["--jobs", "2"], capsys)
+        assert pooled == serial
+        assert state["tasks"] == 13 and state["open"] == 0
+        assert state["most"] <= 2 * cli._CHUNKS_AHEAD < state["tasks"]
+
+    def test_failed_run_keeps_rows_written(self, capsys, monkeypatch,
+                                           tmp_path):
+        evaluate = cli.evaluate_case
+
+        def fail_at_third(case, policy, expect_reversed=False):
+            report = evaluate(case, policy, expect_reversed)
+            if fail_at_third.calls == 3:
+                raise QekError("stop")
+            fail_at_third.calls += 1
+            return report
+
+        fail_at_third.calls = 0
+        monkeypatch.setattr(cli, "evaluate_case", fail_at_third)
+        out_path = tmp_path / "partial.jsonl"
+        code, _, err = run(
+            ["verify", "--theorem", "T1", "--cases", "6", "--seed", "3",
+             "--output", str(out_path), "--no-timestamp"],
+            capsys,
+        )
+        assert code == 2 and "stop" in err
+        rows = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert [row["case_index"] for row in rows] == [0, 1, 2]
+
+    def test_no_report_outlives_its_row(self, capsys, monkeypatch):
+        evaluate = cli.evaluate_case
+        earlier = []
+
+        def tracked(case, policy, expect_reversed=False):
+            assert all(ref() is None for ref in earlier)
+            report = evaluate(case, policy, expect_reversed)
+            earlier.append(weakref.ref(report))
+            return report
+
+        monkeypatch.setattr(cli, "evaluate_case", tracked)
+        code, out, _ = run(
+            ["verify", "--theorem", "T1", "--theorem", "T5", "--cases", "5",
+             "--seed", "2", "--no-timestamp"],
+            capsys,
+        )
+        assert len(earlier) == 10 and len(out.splitlines()) == 10
+
+    def test_peak_memory_does_not_grow_with_cases(self, tmp_path):
+        def peak_bytes(cases):
+            argv = ["verify", *_theorem_flags(("T1", "T3", "T5")),
+                    "--cases", str(cases), "--seed", "1", "--grid-q1", "0.3",
+                    "--grid-q2", "0.3", "--no-timestamp",
+                    "--output", str(tmp_path / f"{cases}.jsonl")]
+            # same start for both runs, whatever ran before in this process
+            compile_expr.cache_clear()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                main(argv)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_bytes(50), peak_bytes(200)
+        # Collecting every report, row and the output text before writing
+        # holds about 6 kB per case. Streaming leaves the bounded compile
+        # cache and the interpreter's free lists filling up, under 1 kB per
+        # case at these sizes and less the longer the campaign.
+        per_case = (large - small) / (3 * (200 - 50))
+        assert per_case < 2048, (small, large, per_case)
 
 
 class TestSweep:

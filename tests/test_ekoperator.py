@@ -285,6 +285,20 @@ class TestIntegralOracle:
         assert partial.terms_used == 300
         assert 0.0 < partial.value < full.value
 
+    def test_kernel_overrun_raises_operator_error(self):
+        # q_gamma(1.5) and the kernel table need more than 10 factors: the
+        # caller gets the operator's error and partial, not a q-product's
+        p = OperatorParams(0.0, 1.5, 1.0)
+        one = parse_function_spec("(const 1)")
+        full = ek_integral(one, 1.0, p, 0.9)
+        with pytest.raises(NotConvergedError) as info:
+            ek_integral(one, 1.0, p, 0.9, TruncationPolicy(max_terms=10))
+        assert "operator integral" in str(info.value)
+        partial = info.value.partial
+        assert partial.converged is False
+        assert partial.terms_used == 10
+        assert 0.0 < partial.value < full.value
+
 
 class TestKober:
     def test_unit_case(self):

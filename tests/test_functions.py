@@ -1,6 +1,7 @@
 """Function DSL: evaluation, certified metadata, serialization round-trips,
 synchronicity classification, and seeded family generation."""
 
+import pickle
 import random
 
 import pytest
@@ -18,7 +19,9 @@ from qek.functions import (
     Product,
     Scale,
     Sum,
+    FunctionSpec,
     check_synchronous,
+    compile_expr,
     extract_bounds,
     extract_lipschitz,
     format_expr,
@@ -64,6 +67,42 @@ class TestEvaluation:
             PiecewiseLinear(((0.0, 0.0),))  # single knot
         with pytest.raises(ValueError):
             PiecewiseLinear(((0.0, 0.0), (0.0, 1.0)))  # duplicate abscissa
+
+
+class TestCompiledSpec:
+    EXPR = Sum(Product(Power(2.0), Affine(0.5, 1.0)),
+               PiecewiseLinear(((0.0, 0.0), (1.0, 2.0), (2.0, 2.5))))
+
+    def test_pickle_round_trip(self):
+        s = spec(self.EXPR, 2.0)
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s
+        assert hash(back) == hash(s)
+        assert back(1.5) == s(1.5)
+        assert back.fn(0.25) == s.fn(0.25)
+
+    def test_closure_left_out_of_eq_and_repr(self):
+        s = spec(self.EXPR, 2.0)
+        twin = FunctionSpec(s.expr, s.monotonicity, s.c_lambda_exponent,
+                            s.domain_hint)
+        assert twin == s and hash(twin) == hash(s)
+        assert "fn=" not in repr(s)
+        assert "<function" not in repr(s)
+
+    def test_calls_do_not_recompile(self):
+        s = spec(self.EXPR, 2.0)
+        before = compile_expr.cache_info()
+        values = [s(0.1 * k) for k in range(50)]
+        after = compile_expr.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert values[10] == s.fn(1.0)
+
+    def test_compile_cache_is_bounded(self):
+        info = compile_expr.cache_info()
+        assert info.maxsize is not None
+        for k in range(info.maxsize + 10):
+            spec(Affine(1.0, float(k)))
+        assert compile_expr.cache_info().currsize == info.maxsize
 
 
 class TestMetadata:
