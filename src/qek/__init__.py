@@ -3,7 +3,7 @@
 Layers, bottom up:
 
 * :mod:`qek.qcore` -- q-shifted factorials, q-Gamma, q-powers, all under an
-  explicit truncation policy with certified tail estimates.
+  explicit truncation policy with (geometric-assumption) tail estimates.
 * :mod:`qek.jackson` -- q-derivative and Jackson q-integration.
 * :mod:`qek.functions` -- a closed function DSL with certified monotonicity,
   bounds and Lipschitz metadata, plus seeded family generation.

@@ -546,10 +546,7 @@ def _config_from_args(args) -> tuple[CampaignConfig, dict]:
         values["family"] = args.family
     if args.expect:
         values["expect"] = args.expect
-    for flag, key in (("t", "t_values"), ("q1", "q1_grid"), ("q2", "q2_grid"),
-                      ("eta", "eta_grid"), ("mu", "mu_grid"),
-                      ("beta", "beta_grid"), ("zeta", "zeta_grid"),
-                      ("nu", "nu_grid"), ("delta", "delta_grid")):
+    for flag, key in _GRID_KEYS.items():
         text = getattr(args, f"grid_{flag}")
         if text:
             values[key] = _parse_grid(text)
@@ -706,10 +703,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except QekError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (QekError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, repeat, tee
 from math import exp, expm1, inf, log1p
-from operator import mul
+from operator import add, mul, neg, sub
 
 from .errors import DomainError, NotConvergedError
 from .functions import as_callable
@@ -47,7 +47,9 @@ from .qcore import (
     SeriesResult,
     TruncationPolicy,
     as_deformation,
+    product_length,
     q_gamma,
+    truncated_sum,
 )
 # Not called here; kept so tracing harnesses (qekbench/child.py) that wrap
 # qek.ekoperator.q_power_alpha by attribute still find it.
@@ -170,42 +172,20 @@ class OperatorRule:
         factors, summed under the policy's stop rule."""
         if moment < 0:
             raise ValueError(f"moment must be >= 0, got {moment}")
-        policy = self.policy
-        rel_tol = policy.rel_tol
-        abs_tol = policy.abs_tol
-        needed = policy.consecutive_small
-        max_terms = policy.max_terms
-
-        total = 0.0
-        streak = 0
-        used = 0
-        last = 0.0
-        min_raw = float("inf")
-        stopped = False
-        for term in islice(self._terms(names, moment), max_terms):
-            total += term
-            used += 1
-            last = term
-            if term < min_raw:
-                min_raw = term
-            if abs(term) < rel_tol * abs(total) + abs_tol:
-                streak += 1
-                if streak >= needed and used < max_terms:
-                    stopped = True
-                    break
-            else:
-                streak = 0
+        total, used, last, smallest, stopped = truncated_sum(
+            self._terms(names, moment), self.policy)
         pre = self._prefactor
         if not stopped:
             raise NotConvergedError(
-                f"operator series: no convergence within {max_terms} terms",
+                f"operator series: no convergence within "
+                f"{self.policy.max_terms} terms",
                 partial=OperatorResult(pre * total, used, pre * abs(total),
-                                       False, pre * min_raw),
+                                       False, pre * smallest),
             )
         ratio_eta = self._ratio_eta
         tail = abs(last) * ratio_eta / (1.0 - ratio_eta)
         return OperatorResult(pre * total, used, pre * tail, True,
-                              pre * min_raw)
+                              pre * smallest)
 
 
 def ek_series(f, t: float, p: OperatorParams, q: DeformationParam | float,
@@ -222,37 +202,21 @@ def _log_kernel_table(qv: float, mu: float, policy: TruncationPolicy):
     Returns ``(table, log_tail, converged)`` with
     table[j] = sum_{k>=j} [log1p(-q^(k+1)) - log1p(-q^(k+mu))]
     = log((q^(j+1); q)_inf / (q^(j+mu); q)_inf), truncated at the first
-    ``len(table)`` factors under the policy's stop rule for infinite
-    products. ``log_tail`` bounds |log-factor sum dropped| for every j,
-    including j >= len(table), whose truncated table entry is 0. The
-    suffix sums are accumulated from the small end.
+    ``len(table)`` factors: the longer of the two products' lengths under
+    ``product_length``. ``log_tail`` bounds |log-factor sum dropped| for
+    every j, including j >= len(table), whose truncated table entry is 0.
+    The suffix sums are accumulated from the small end.
     """
-    rel_tol = policy.rel_tol
-    needed = policy.consecutive_small
-    max_terms = policy.max_terms
-    table = array("d")
-    streak = 0
-    converged = False
-    k = 0
-    while k < max_terms:
-        num, den = qv ** (k + 1), qv ** (k + mu)
-        table.append(log1p(-num) - log1p(-den))
-        k += 1
-        if max(num, den) < rel_tol:
-            streak += 1
-            if streak >= needed and k < max_terms:
-                converged = True
-                break
-        else:
-            streak = 0
-    # each product's dropped deviations are q^i times its last kept one
-    log_tail = 0.0
-    for dev in (num, den):
-        log_tail += dev * qv / ((1.0 - qv) * (1.0 - min(dev, 0.5)))
+    size_num, tail_num, num_done = product_length(qv, qv, policy)
+    size_den, tail_den, den_done = product_length(qv ** mu, qv, policy)
+    size = max(size_num, size_den)
+    # factors k = size-1, ..., 0: suffix sums accumulate from the small end
+    nums = map(pow, repeat(qv), range(size, 0, -1))
+    dens = map(pow, repeat(qv), map(add, range(size - 1, -1, -1), repeat(mu)))
+    factors = map(sub, map(log1p, map(neg, nums)), map(log1p, map(neg, dens)))
+    table = array("d", accumulate(factors))
     table.reverse()
-    table = array("d", accumulate(table))
-    table.reverse()
-    return table, log_tail, converged
+    return table, tail_num + tail_den, num_done and den_done
 
 
 def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
@@ -295,39 +259,20 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     tau_exp = beta * (eta + 1.0) - 1.0
     ratio_eta = qv ** (eta + 1.0)
 
-    rel_tol = policy.rel_tol
-    abs_tol = policy.abs_tol
-    needed = policy.consecutive_small
-    max_terms = policy.max_terms
-    size = len(table)
-
-    total = 0.0
-    rj = 1.0            # root^j
-    streak = 0
-    used = 0
-    last = 0.0
-    stopped = False
-    while used < max_terms:
-        tau = t * rj
-        kern = exp(table[used]) if used < size else 1.0
-        term = rj * kern * tau ** tau_exp * fn(tau)
-        total += term
-        used += 1
-        last = term
-        if abs(term) < rel_tol * abs(total) + abs_tol:
-            streak += 1
-            if streak >= needed and used < max_terms:
-                stopped = True
-                break
-        else:
-            streak = 0
-        rj *= root
+    # term j = root^j * kernel_j * tau_j^tau_exp * f(tau_j), tau_j = t root^j
+    rjs, rjs_tau = tee(accumulate(repeat(root), mul, initial=1.0))
+    taus, taus_f = tee(map(mul, repeat(t), rjs_tau))
+    kernels = chain(map(exp, table), repeat(1.0))
+    terms = map(mul, map(mul, map(mul, rjs, kernels),
+                         map(pow, taus, repeat(tau_exp))), map(fn, taus_f))
+    total, used, last, _, stopped = truncated_sum(terms, policy)
     scale = front * (1.0 - root) * t
     value = scale * total
     if not (stopped and table_done):
         what = "nodes" if not stopped else "kernel factors"
         raise NotConvergedError(
-            f"operator integral: no convergence within {max_terms} {what}",
+            f"operator integral: no convergence within "
+            f"{policy.max_terms} {what}",
             partial=SeriesResult(value, used, abs(value), False),
         )
     sum_tail = abs(last) * ratio_eta / (1.0 - ratio_eta)

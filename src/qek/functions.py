@@ -249,8 +249,6 @@ def monotonicity_on(expr: Expr, T: float) -> str:
     """
     if _is_constant(expr):
         return "increasing"
-    if isinstance(expr, Const):
-        return "increasing"
     if isinstance(expr, Power):
         return "increasing"
     if isinstance(expr, Affine):

@@ -8,8 +8,10 @@ weight u, q2 with parameters p2 and weight u or v), and returns an
 Margins are oriented so that margin >= 0 means the inequality holds as
 printed; a verdict is "inconclusive" whenever |margin| is within
 SAFETY_FACTOR times the worst truncation tail of the contributing
-operator evaluations, so truncation noise can never manufacture a
-violation.
+operator evaluations. That guards against truncation noise but does not
+rule it out: the tail is one operator's geometric estimate, which can
+undercount for mu > 1, and it is not propagated through the products or
+joined by a rounding term (ROADMAP item 3).
 
 Within one case the eight products per side reuse repeated operator
 evaluations through a case-local memo (e.g. the plain weight operator

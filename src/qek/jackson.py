@@ -105,10 +105,8 @@ def jackson_integral(f, b: float, q: DeformationParam | float,
             yield qj * fn(b * qj)
             qj *= qv
 
-    inner = sum_series(terms(), policy, qv, what=f"jackson_integral(b={b})")
-    scale = (1.0 - qv) * b
-    return SeriesResult(inner.value * scale, inner.terms_used,
-                        inner.tail_estimate * scale, inner.converged)
+    return sum_series(terms(), policy, qv, what=f"jackson_integral(b={b})",
+                      scale=(1.0 - qv) * b)
 
 
 def jackson_integral_ab(f, a: float, b: float, q: DeformationParam | float,

@@ -2,8 +2,20 @@
 
 All infinite sums and products are truncated under an explicit
 :class:`TruncationPolicy` and return a :class:`SeriesResult` carrying the
-value together with a certified tail estimate, so downstream consumers can
-propagate truncation error instead of guessing it.
+value together with a tail estimate under a geometric-tail assumption
+(not yet a certified bound; see ROADMAP item 3).
+
+The policy's stop rule is written out twice, here and nowhere else:
+
+* sums, :func:`truncated_sum`: stop after ``consecutive_small`` terms in a
+  row below ``rel_tol * |running total| + abs_tol``, reading at most
+  ``max_terms`` terms;
+* products, :func:`product_length`: a factor 1 - x_k with |x_k| <= dev q^k
+  is negligible once dev q^k < rel_tol. Those deviations only fall, so the
+  streak never resets and the number of factors kept is the first such k
+  plus ``consecutive_small``, computed directly instead of factor by factor.
+
+Either rule converges only if it stops short of ``max_terms``.
 
 Conventions: the deformation base q always lies strictly inside (0, 1);
 all parameters are real.
@@ -13,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
+from operator import mul
 
 from .errors import NotConvergedError, PoleError
 
@@ -22,6 +36,8 @@ __all__ = [
     "SeriesResult",
     "DEFAULT_POLICY",
     "as_deformation",
+    "truncated_sum",
+    "product_length",
     "q_pochhammer_n",
     "q_pochhammer_inf",
     "q_pochhammer_alpha",
@@ -76,8 +92,9 @@ class TruncationPolicy:
             raise ValueError("tolerances must be strictly positive")
         if self.max_terms <= 0 or self.consecutive_small <= 0:
             raise ValueError("term counts must be positive")
-        if self.max_terms < self.consecutive_small:
-            raise ValueError("max_terms must be >= consecutive_small")
+        if self.max_terms <= self.consecutive_small:
+            # a sum or product stops only with a full streak short of max_terms
+            raise ValueError("max_terms must exceed consecutive_small")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -99,46 +116,84 @@ class SeriesResult:
     converged: bool
 
 
-def sum_series(terms, policy: TruncationPolicy, tail_ratio: float,
-               what: str = "series") -> SeriesResult:
-    """Sum an iterable of terms under the policy's stop rule.
+def truncated_sum(terms, policy: TruncationPolicy):
+    """Sum ``terms`` under the policy's stop rule for sums.
 
-    ``tail_ratio`` is the eventual geometric ratio of the summand; the
-    tail estimate is last_term * r / (1 - r). Finite iterables that
-    exhaust naturally converge with zero tail.
+    Reads at most ``max_terms`` terms and returns ``(total, used, last,
+    smallest, stopped)``: the running total, the number of terms read, the
+    last and the smallest of them, and whether the rule stopped the sum
+    (False when ``max_terms`` ran out first).
     """
     rel_tol = policy.rel_tol
     abs_tol = policy.abs_tol
     needed = policy.consecutive_small
+    max_terms = policy.max_terms
     total = 0.0
     streak = 0
     used = 0
-    last = 0.0
-    stopped = False
-    for term in terms:
-        if used >= policy.max_terms:
-            break
+    term = 0.0
+    smallest = math.inf
+    for used, term in enumerate(islice(terms, max_terms), 1):
         total += term
-        used += 1
-        last = term
+        if term < smallest:
+            smallest = term
         if abs(term) < rel_tol * abs(total) + abs_tol:
             streak += 1
-            if streak >= needed and used < policy.max_terms:
-                stopped = True
-                break
+            if streak >= needed and used < max_terms:
+                return total, used, term, smallest, True
         else:
             streak = 0
-    else:
-        # Iterable exhausted on its own: a finite sum, no tail.
-        return SeriesResult(total, used, 0.0, True)
+    return total, used, term, smallest, False
+
+
+def sum_series(terms, policy: TruncationPolicy, tail_ratio: float,
+               what: str = "series", scale: float = 1.0) -> SeriesResult:
+    """``scale`` times an infinite sum of terms under the policy's stop rule.
+
+    ``tail_ratio`` in (0, 1) is the eventual geometric ratio of the
+    summand; the tail estimate is scale * |last term| * r / (1 - r). The
+    partial result of a sum that does not converge is scaled too.
+    """
+    total, used, last, _, stopped = truncated_sum(terms, policy)
     r = tail_ratio
-    tail = abs(last) * r / (1.0 - r) if 0.0 < r < 1.0 else abs(last)
+    tail = abs(last) * r / (1.0 - r)
+    result = SeriesResult(total * scale, used, tail * scale, stopped)
     if not stopped:
         raise NotConvergedError(
             f"{what}: no convergence within {policy.max_terms} terms",
-            partial=SeriesResult(total, used, tail, False),
+            partial=result,
         )
-    return SeriesResult(total, used, tail, True)
+    return result
+
+
+def product_length(dev: float, q: float,
+                   policy: TruncationPolicy) -> tuple[int, float, bool]:
+    """Stop rule for an infinite product prod_k (1 - x_k), |x_k| <= dev q^k.
+
+    Returns ``(kept, log_tail, converged)``. Factor k is negligible once
+    dev q^k < rel_tol; the deviations only fall, so from the first such k
+    on every factor is negligible and the product keeps that k plus
+    ``consecutive_small`` factors. That count comes from a log estimate
+    and a short correcting loop. ``log_tail`` bounds the log of the dropped
+    factors by sum_{k>=K} d q^(k-K+1) / (1 - min(d, 1/2)), d the last kept
+    deviation. Without convergence, kept is ``max_terms`` and the tail inf.
+    """
+    rel_tol = policy.rel_tol
+    limit = policy.max_terms - policy.consecutive_small
+    first = 0
+    if not dev < rel_tol:
+        # an inf or nan deviation estimates to inf or nan and never converges
+        estimate = (math.log(rel_tol) - math.log(dev)) / math.log(q)
+        first = math.ceil(estimate) if estimate < limit else limit
+        while first > 0 and dev * q ** (first - 1) < rel_tol:
+            first -= 1
+        while first < limit and not dev * q ** first < rel_tol:
+            first += 1
+    if first >= limit:
+        return policy.max_terms, math.inf, False
+    kept = first + policy.consecutive_small
+    last = dev * q ** (kept - 1)
+    return kept, last * q / ((1.0 - q) * (1.0 - min(last, 0.5))), True
 
 
 def q_pochhammer_n(a: float, q: DeformationParam | float, n: int) -> float:
@@ -181,42 +236,30 @@ def _pochhammer_inf_parts(a: float, qv: float,
     q-Gamma function near q -> 1 where both products underflow. A factor
     that is exactly zero yields log|value| = -inf.
 
-    Truncation stops once |a| q^k < rel_tol for ``consecutive_small``
-    successive k; the tail bound is sum_{k>=K} |a| q^k / (1 - |a| q^K)
-    on the log of the product.
+    ``product_length(|a|, q)`` sets the number of factors. The few leading
+    factors with a q^k >= 1 set the sign; the rest add log1p(-a q^k).
     """
-    rel_tol = policy.rel_tol
-    needed = policy.consecutive_small
+    kept, log_tail, converged = product_length(abs(a), qv, policy)
+    qks = accumulate(repeat(qv, kept - 1), mul, initial=1.0)  # q^k, k < kept
     log_abs = 0.0
     sign = 1
-    qk = 1.0
-    streak = 0
-    used = 0
-    abs_a = abs(a)
-    while used < policy.max_terms:
+    for used, qk in enumerate(qks, 1):
         x = a * qk
-        if x == 1.0:
-            return (-math.inf, 1, used + 1, 0.0)
         if x < 1.0:
             log_abs += math.log1p(-x)
-        else:
-            sign = -sign
-            log_abs += math.log(x - 1.0)
-        used += 1
-        if abs_a * qk < rel_tol:
-            streak += 1
-            if streak >= needed and used < policy.max_terms:
-                dev = abs_a * qk  # every dropped deviation is <= this
-                log_tail = dev * qv / ((1.0 - qv) * (1.0 - min(dev, 0.5)))
-                return (log_abs, sign, used, log_tail)
-        else:
-            streak = 0
-        qk *= qv
-    raise NotConvergedError(
-        f"(a;q)_inf: no convergence within {policy.max_terms} factors "
-        f"(a={a}, q={qv})",
-        partial=SeriesResult(sign * _safe_exp(log_abs), used, math.inf, False),
-    )
+            break
+        if x == 1.0:
+            return (-math.inf, 1, used, 0.0)
+        sign = -sign
+        log_abs += math.log(x - 1.0)
+    log_abs = sum(map(math.log1p, map(mul, repeat(-a), qks)), log_abs)
+    if not converged:
+        raise NotConvergedError(
+            f"(a;q)_inf: no convergence within {policy.max_terms} factors "
+            f"(a={a}, q={qv})",
+            partial=SeriesResult(sign * _safe_exp(log_abs), kept, math.inf, False),
+        )
+    return (log_abs, sign, kept, log_tail)
 
 
 def _safe_exp(log_abs: float) -> float:

@@ -99,9 +99,13 @@ class TestJacksonIntegral:
         assert abs(res.value - exact) <= res.tail_estimate + 1e-16
 
     def test_not_converged(self):
-        with pytest.raises(NotConvergedError):
+        with pytest.raises(NotConvergedError) as info:
             jackson_integral(lambda t: 1.0, 1.0, 0.9,
                              TruncationPolicy(max_terms=5))
+        partial = info.value.partial
+        assert partial.converged is False
+        assert partial.terms_used == 5
+        assert partial.value == pytest.approx(1.0 - 0.9 ** 5, rel=1e-14)
 
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 partial products; identities as property tests."""
 
 import math
+from itertools import chain, repeat
 
 import mpmath
 import pytest
@@ -12,6 +13,7 @@ from qek.errors import NotConvergedError, PoleError
 from qek.qcore import (
     DeformationParam,
     TruncationPolicy,
+    product_length,
     q_factorial,
     q_gamma,
     q_pochhammer_alpha,
@@ -19,6 +21,7 @@ from qek.qcore import (
     q_pochhammer_n,
     q_power,
     q_power_alpha,
+    truncated_sum,
 )
 
 
@@ -58,11 +61,112 @@ class TestTruncationPolicy:
             {"max_terms": 0},
             {"consecutive_small": 0},
             {"max_terms": 2, "consecutive_small": 3},
+            {"max_terms": 3, "consecutive_small": 3},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             TruncationPolicy(**kwargs)
+
+
+def streak_sum(terms, policy):
+    """Reference for truncated_sum: the term-by-term streak loop that
+    sum_series, OperatorRule.apply and ek_integral each used to hold."""
+    total = 0.0
+    streak = 0
+    used = 0
+    last = 0.0
+    smallest = math.inf
+    stopped = False
+    for term in terms:
+        if used >= policy.max_terms:
+            break
+        total += term
+        used += 1
+        last = term
+        if term < smallest:
+            smallest = term
+        if abs(term) < policy.rel_tol * abs(total) + policy.abs_tol:
+            streak += 1
+            if streak >= policy.consecutive_small and used < policy.max_terms:
+                stopped = True
+                break
+        else:
+            streak = 0
+    return total, used, last, smallest, stopped
+
+
+def streak_product_length(dev, q, policy):
+    """Reference for product_length: the factor-by-factor streak loop that
+    (a;q)_inf and the integral form's kernel table used to run;
+    returns (factors kept, converged)."""
+    qk = 1.0
+    streak = 0
+    used = 0
+    while used < policy.max_terms:
+        used += 1
+        if dev * qk < policy.rel_tol:
+            streak += 1
+            if streak >= policy.consecutive_small and used < policy.max_terms:
+                return used, True
+        else:
+            streak = 0
+        qk *= q
+    return used, False
+
+
+class TestStopRules:
+    _terms = st.lists(
+        st.one_of(st.just(0.0), st.floats(-1e3, 1e3), st.floats(-1e-12, 1e-12)),
+        max_size=30,
+    )
+
+    @given(head=_terms, needed=st.integers(1, 4),
+           rel_tol=st.sampled_from([1e-14, 1e-6, 1e-2]),
+           offset=st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=300)
+    def test_sum_matches_streak_loop(self, head, needed, rel_tol, offset):
+        # head then zeros: infinite like every caller's terms, and it stops
+        unlimited = TruncationPolicy(rel_tol=rel_tol, consecutive_small=needed)
+        stop = streak_sum(chain(head, repeat(0.0)), unlimited)[1]
+        policy = TruncationPolicy(rel_tol=rel_tol, consecutive_small=needed,
+                                  max_terms=max(needed + 1, stop + offset))
+        read = []
+        terms = (read.append(x) or x for x in chain(head, repeat(0.0)))
+        got = truncated_sum(terms, policy)
+        assert got == streak_sum(chain(head, repeat(0.0)), policy)
+        assert len(read) == got[1] <= policy.max_terms
+
+    @given(dev=st.floats(1e-20, 10.0), q=st.floats(0.05, 0.9999),
+           needed=st.integers(1, 4), rel_tol=st.sampled_from([1e-14, 1e-8]),
+           offset=st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_product_matches_streak_loop(self, dev, q, needed, rel_tol, offset):
+        unlimited = TruncationPolicy(rel_tol=rel_tol, consecutive_small=needed,
+                                     max_terms=10**6)
+        stop = product_length(dev, q, unlimited)[0]
+        policy = TruncationPolicy(rel_tol=rel_tol, consecutive_small=needed,
+                                  max_terms=max(needed + 1, stop + offset))
+        kept, log_tail, converged = product_length(dev, q, policy)
+        assert (kept, converged) == streak_product_length(dev, q, policy)
+        assert converged == (stop < policy.max_terms)
+        assert 0.0 < log_tail < math.inf if converged else log_tail == math.inf
+
+    # dev q^k lands on rel_tol: the log estimate overshoots by one factor
+    @pytest.mark.parametrize("dev, q", [(0.0006871947673599999, 0.5),
+                                        (3.8893845486632106e-08, 0.64)])
+    def test_product_at_estimate_boundary(self, dev, q):
+        policy = TruncationPolicy()
+        assert product_length(dev, q, policy)[::2] == streak_product_length(
+            dev, q, policy)
+
+    def test_product_rule_on_pochhammer(self):
+        a, q = 3.7, 0.8
+        policy = TruncationPolicy(max_terms=500)
+        kept = streak_product_length(a, q, policy)[0]
+        assert q_pochhammer_inf(a, q, policy).terms_used == kept
+        assert q_pochhammer_inf(a, q, policy).value == pytest.approx(
+            brute_pochhammer(a, q, kept), rel=1e-13)
 
 
 class TestPochhammerFinite:
