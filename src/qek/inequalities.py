@@ -1,9 +1,14 @@
 """Evaluators for the six Chebyshev-type operator inequalities.
 
-Each evaluator computes both sides of one inequality, combining operator
-values at two independent deformation bases (q1 with parameters p1 and
-weight u, q2 with parameters p2 and weight u or v), and returns an
-:class:`InequalityReport` with the oriented margin and a verdict.
+The six are three shapes, Chebyshev (T1/T2), bounded (T3/T4) and
+Lipschitz (T5/T6), each with one weight u on both sides or with u at
+(q1, p1) and v at (q2, p2). One function evaluates every theorem from a
+table that maps its id to a sides function, a q2 weight and a hypothesis
+check, and returns an :class:`InequalityReport` with the oriented margin
+and a verdict; a side that does not converge makes it inconclusive.
+Every eight-product sum is one ``_pair_sum`` over a table of
+(q1-subset, q2-subset) pairs; it adds the products left to right, so
+reports are the same bytes on every supported Python.
 
 Margins are oriented so that margin >= 0 means the inequality holds as
 printed; a verdict is "inconclusive" whenever |margin| is within
@@ -151,10 +156,10 @@ class _CaseOps:
         return res.value
 
 
-# (q2-subset, q1-subset) product pairs of the synchronous inequality:
+# (q1-subset, q2-subset) product pairs of the synchronous inequality:
 # the first four products dominate the last four.
-_CHEBYSHEV_UPPER = (("fgh", ""), ("fg", "h"), ("h", "fg"), ("", "fgh"))
-_CHEBYSHEV_LOWER = (("gh", "f"), ("fh", "g"), ("f", "gh"), ("g", "fh"))
+_CHEBYSHEV_UPPER = (("", "fgh"), ("h", "fg"), ("fg", "h"), ("fgh", ""))
+_CHEBYSHEV_LOWER = (("f", "gh"), ("g", "fh"), ("gh", "f"), ("fh", "g"))
 
 # (q1-subset, q2-subset) terms of the antisymmetric two-point-kernel
 # combination shared by the bounded and Lipschitz inequalities; it is the
@@ -174,29 +179,30 @@ def _require_nonnegative(spec: FunctionSpec, t: float, name: str) -> None:
     worst = min(spec(x) for x in [0.0] + _sample_grid(t, 64))
     if worst < 0.0:
         raise HypothesisViolatedError(
-            f"weight {name} must map [0,inf) into [0,inf); sampled {worst}"
+            f"{name} must map [0,inf) into [0,inf); sampled {worst}"
         )
 
 
-def _require_pairwise_synchronous(case: TheoremCase) -> None:
+def _require_chebyshev(case: TheoremCase, expect_reversed: bool) -> None:
+    """T1/T2: f, g, h pairwise synchronous, or f, g asynchronous when the
+    reversed inequality is expected; h >= 0 either way."""
     grid = _sample_grid(case.t)
-    for a, b, na, nb in ((case.f, case.g, "f", "g"),
-                         (case.f, case.h, "f", "h"),
-                         (case.g, case.h, "g", "h")):
-        kind, witness = check_synchronous(a, b, grid)
-        if kind != "synchronous":
+    if expect_reversed:
+        kind, witness = check_synchronous(case.f, case.g, grid)
+        if kind != "asynchronous":
             raise HypothesisViolatedError(
-                f"{na} and {nb} are not synchronous (witness {witness})"
+                f"reversal case needs f, g asynchronous; scan says {kind}"
+                f" (witness {witness})"
             )
-
-
-def _require_reversal_hypotheses(case: TheoremCase) -> None:
-    kind, witness = check_synchronous(case.f, case.g, _sample_grid(case.t))
-    if kind != "asynchronous":
-        raise HypothesisViolatedError(
-            f"reversal case needs f, g asynchronous; scan says {kind}"
-            f" (witness {witness})"
-        )
+    else:
+        for a, b, na, nb in ((case.f, case.g, "f", "g"),
+                             (case.f, case.h, "f", "h"),
+                             (case.g, case.h, "g", "h")):
+            kind, witness = check_synchronous(a, b, grid)
+            if kind != "synchronous":
+                raise HypothesisViolatedError(
+                    f"{na} and {nb} are not synchronous (witness {witness})"
+                )
     _require_nonnegative(case.h, case.t, "h")
 
 
@@ -242,81 +248,118 @@ def _require_lipschitz_holds(case: TheoremCase) -> None:
                     )
 
 
-def _inconclusive_report(case: TheoremCase, ops: _CaseOps,
-                         reason: str) -> InequalityReport:
-    nan = float("nan")
-    return InequalityReport(case, nan, nan, nan, "inconclusive",
-                            ops.worst_tail, ops.evals, notes=(reason,))
+def _pair_sum(ops: _CaseOps, pairs: tuple[tuple[str, str], ...],
+              weight2: str) -> float:
+    """Sum over (q1-subset, q2-subset) pairs of the side-1 operator value
+    times the side-2 one with q2 weight ``weight2``.
+
+    Added left to right with ``+=``: the builtin sum() compensates float
+    rounding from Python 3.12 on, which would make report bytes depend on
+    the interpreter version.
+    """
+    total = 0.0
+    for s1, s2 in pairs:
+        total += ops.value(1, s1) * ops.value(2, s2, weight2)
+    return total
 
 
-def _chebyshev_sides(ops: _CaseOps, weight2: str) -> tuple[float, float]:
-    lhs = sum(ops.value(2, s2, weight2) * ops.value(1, s1)
-              for s2, s1 in _CHEBYSHEV_UPPER)
-    rhs = sum(ops.value(2, s2, weight2) * ops.value(1, s1)
-              for s2, s1 in _CHEBYSHEV_LOWER)
-    return lhs, rhs
+def _kernel_combo(ops: _CaseOps, weight2: str) -> float:
+    return (_pair_sum(ops, _KERNEL_PLUS, weight2)
+            - _pair_sum(ops, _KERNEL_MINUS, weight2))
 
 
-def _eval_chebyshev(case: TheoremCase, policy: TruncationPolicy,
-                    weight2: str, expect_reversed: bool) -> InequalityReport:
+def _chebyshev_sides(case: TheoremCase, ops: _CaseOps, weight2: str):
+    lhs = _pair_sum(ops, _CHEBYSHEV_UPPER, weight2)
+    rhs = _pair_sum(ops, _CHEBYSHEV_LOWER, weight2)
+    return lhs, rhs, lhs - rhs, {}
+
+
+def _bounded_sides(case: TheoremCase, ops: _CaseOps, weight2: str):
+    b = case.bounds
+    lhs = abs(_kernel_combo(ops, weight2))
+    rhs = (ops.value(1, "") * ops.value(2, "", weight2)
+           * (b.Psi - b.psi) * (b.Phi - b.phi) * (b.Omega - b.omega))
+    return lhs, rhs, rhs - lhs, {}
+
+
+def _lipschitz_sides(case: TheoremCase, ops: _CaseOps, weight2: str):
+    trip = case.lipschitz
+    lhs = abs(_kernel_combo(ops, weight2))
+    notes = ()
+    if weight2 == "v":
+        # The q2 weight of the (f | gh) product is printed as u in the
+        # two-weight display; it is evaluated with v for consistency with
+        # its siblings, and flagged when it dominates. The eight products
+        # are read back through the memo.
+        products = [abs(ops.value(1, s1) * ops.value(2, s2, "v"))
+                    for s1, s2 in _KERNEL_PLUS + _KERNEL_MINUS]
+        if abs(ops.value(1, "f") * ops.value(2, "gh", "v")) >= max(products):
+            notes = ("corrected q2-weight term dominates combination",)
+    # Moment bracket: double integral of u(tau) w(rho) (tau - rho)^3,
+    # expanded into four moment products. The first product carries
+    # weight u on the q2 side even in the two-weight version.
+    bracket = (ops.value(1, "", moment=3) * ops.value(2, "", "u")
+               + 3.0 * ops.value(1, "", moment=1)
+               * ops.value(2, "", weight2, moment=2)
+               - 3.0 * ops.value(1, "", moment=2)
+               * ops.value(2, "", weight2, moment=1)
+               - ops.value(1, "") * ops.value(2, "", weight2, moment=3))
+    rhs = trip.L1 * trip.L2 * trip.L3 * bracket
+    return lhs, rhs, rhs - lhs, {"bracket": bracket,
+                                 "bracket_nonnegative": bracket >= 0.0,
+                                 "notes": notes}
+
+
+# theorem id -> (sides, q2 weight, hypothesis check). A sides function
+# returns (lhs, rhs, margin, extra report fields), margin >= 0 meaning the
+# inequality holds as printed.
+_THEOREMS = {
+    "T1": (_chebyshev_sides, "u", _require_chebyshev),
+    "T2": (_chebyshev_sides, "v", _require_chebyshev),
+    "T3": (_bounded_sides, "u", lambda case, _: _require_bounds_hold(case)),
+    "T4": (_bounded_sides, "v", lambda case, _: _require_bounds_hold(case)),
+    "T5": (_lipschitz_sides, "u",
+           lambda case, _: _require_lipschitz_holds(case)),
+    "T6": (_lipschitz_sides, "v",
+           lambda case, _: _require_lipschitz_holds(case)),
+}
+
+
+def _evaluate(theorem_id: str, case: TheoremCase, policy: TruncationPolicy,
+              expect_reversed: bool = False) -> InequalityReport:
+    sides, weight2, require = _THEOREMS[theorem_id]
     _require_nonnegative(case.u, case.t, "u")
     if weight2 == "v":
         _require_nonnegative(case.v, case.t, "v")
-    if expect_reversed:
-        _require_reversal_hypotheses(case)
-    else:
-        _require_pairwise_synchronous(case)
+    require(case, expect_reversed)
     ops = _CaseOps(case, policy)
     try:
-        lhs, rhs = _chebyshev_sides(ops, weight2)
+        lhs, rhs, margin, extra = sides(case, ops, weight2)
     except NotConvergedError as exc:
-        return _inconclusive_report(case, ops, f"not converged: {exc}")
-    margin = lhs - rhs
+        lhs = rhs = margin = float("nan")  # a nan margin is inconclusive
+        extra = {"notes": (f"not converged: {exc}",)}
     return InequalityReport(case, lhs, rhs, margin,
                             _verdict(margin, ops.worst_tail),
-                            ops.worst_tail, ops.evals)
+                            ops.worst_tail, ops.evals, **extra)
 
 
 def theorem1(case: TheoremCase, policy: TruncationPolicy = DEFAULT_POLICY,
              expect_reversed: bool = False) -> InequalityReport:
     """Synchronous-triple inequality with one weight u on both sides.
 
-    With ``expect_reversed`` the hypothesis check switches to the sign
-    condition under which the inequality flips (f, g asynchronous and
-    h >= 0); the margin is computed identically either way.
+    Hypotheses: u >= 0, f and g synchronous, h >= 0 (h is also checked
+    synchronous with f and g). With ``expect_reversed`` the check switches
+    to the sign condition under which the inequality flips (f, g
+    asynchronous and h >= 0); the margin is computed identically either way.
     """
-    return _eval_chebyshev(case, policy, "u", expect_reversed)
+    return _evaluate("T1", case, policy, expect_reversed)
 
 
 def theorem2(case: TheoremCase, policy: TruncationPolicy = DEFAULT_POLICY,
              expect_reversed: bool = False) -> InequalityReport:
     """Two-weight version: v inside every q2 operator. Reduces to
     theorem1 when v = u."""
-    return _eval_chebyshev(case, policy, "v", expect_reversed)
-
-
-def _eval_bounded(case: TheoremCase, policy: TruncationPolicy,
-                  weight2: str) -> InequalityReport:
-    _require_nonnegative(case.u, case.t, "u")
-    if weight2 == "v":
-        _require_nonnegative(case.v, case.t, "v")
-    _require_bounds_hold(case)
-    ops = _CaseOps(case, policy)
-    b = case.bounds
-    try:
-        combo = sum(ops.value(1, s1) * ops.value(2, s2, weight2)
-                    for s1, s2 in _KERNEL_PLUS)
-        combo -= sum(ops.value(1, s1) * ops.value(2, s2, weight2)
-                     for s1, s2 in _KERNEL_MINUS)
-        bound = (ops.value(1, "") * ops.value(2, "", weight2)
-                 * (b.Psi - b.psi) * (b.Phi - b.phi) * (b.Omega - b.omega))
-    except NotConvergedError as exc:
-        return _inconclusive_report(case, ops, f"not converged: {exc}")
-    lhs = abs(combo)
-    margin = bound - lhs
-    return InequalityReport(case, lhs, bound, margin,
-                            _verdict(margin, ops.worst_tail),
-                            ops.worst_tail, ops.evals)
+    return _evaluate("T2", case, policy, expect_reversed)
 
 
 def theorem3(case: TheoremCase,
@@ -324,59 +367,14 @@ def theorem3(case: TheoremCase,
     """Bounded-difference inequality: the absolute eight-term combination
     is dominated by the product of the plain weight operators times the
     three bound gaps."""
-    return _eval_bounded(case, policy, "u")
+    return _evaluate("T3", case, policy)
 
 
 def theorem4(case: TheoremCase,
              policy: TruncationPolicy = DEFAULT_POLICY) -> InequalityReport:
     """Two-weight bounded-difference inequality. Reduces to theorem3 when
     v = u."""
-    return _eval_bounded(case, policy, "v")
-
-
-def _eval_lipschitz(case: TheoremCase, policy: TruncationPolicy,
-                    weight2: str) -> InequalityReport:
-    _require_nonnegative(case.u, case.t, "u")
-    if weight2 == "v":
-        _require_nonnegative(case.v, case.t, "v")
-    _require_lipschitz_holds(case)
-    ops = _CaseOps(case, policy)
-    trip = case.lipschitz
-    notes: list[str] = []
-    try:
-        terms = [ops.value(1, s1) * ops.value(2, s2, weight2)
-                 for s1, s2 in _KERNEL_PLUS]
-        neg_terms = [ops.value(1, s1) * ops.value(2, s2, weight2)
-                     for s1, s2 in _KERNEL_MINUS]
-        combo = sum(terms) - sum(neg_terms)
-        if weight2 == "v":
-            # The q2 weight of the (f | gh) product is printed as u in the
-            # two-weight display; it is evaluated with v for consistency
-            # with its siblings, and flagged when it dominates.
-            corrected = abs(ops.value(1, "f") * ops.value(2, "gh", "v"))
-            others = max(abs(x) for x in terms + neg_terms)
-            if corrected >= others:
-                notes.append("corrected q2-weight term dominates combination")
-        # Moment bracket: double integral of u(tau) w(rho) (tau - rho)^3,
-        # expanded into four moment products. The first product carries
-        # weight u on the q2 side even in the two-weight version.
-        bracket = (ops.value(1, "", moment=3) * ops.value(2, "", "u")
-                   + 3.0 * ops.value(1, "", moment=1)
-                   * ops.value(2, "", weight2, moment=2)
-                   - 3.0 * ops.value(1, "", moment=2)
-                   * ops.value(2, "", weight2, moment=1)
-                   - ops.value(1, "") * ops.value(2, "", weight2, moment=3))
-    except NotConvergedError as exc:
-        return _inconclusive_report(case, ops, f"not converged: {exc}")
-    lhs = abs(combo)
-    rhs = trip.L1 * trip.L2 * trip.L3 * bracket
-    margin = rhs - lhs
-    return InequalityReport(case, lhs, rhs, margin,
-                            _verdict(margin, ops.worst_tail),
-                            ops.worst_tail, ops.evals,
-                            bracket=bracket,
-                            bracket_nonnegative=bracket >= 0.0,
-                            notes=tuple(notes))
+    return _evaluate("T4", case, policy)
 
 
 def theorem5(case: TheoremCase,
@@ -384,33 +382,21 @@ def theorem5(case: TheoremCase,
     """Lipschitz-type inequality: the absolute combination against the
     L1 L2 L3-scaled moment bracket. The bracket is antisymmetric in the
     two integration variables and its sign is recorded, not asserted."""
-    return _eval_lipschitz(case, policy, "u")
+    return _evaluate("T5", case, policy)
 
 
 def theorem6(case: TheoremCase,
              policy: TruncationPolicy = DEFAULT_POLICY) -> InequalityReport:
     """Two-weight Lipschitz-type inequality. Reduces to theorem5 when
     v = u."""
-    return _eval_lipschitz(case, policy, "v")
-
-
-_EVALUATORS = {
-    "T1": theorem1,
-    "T2": theorem2,
-    "T3": theorem3,
-    "T4": theorem4,
-    "T5": theorem5,
-    "T6": theorem6,
-}
+    return _evaluate("T6", case, policy)
 
 
 def evaluate_case(case: TheoremCase, policy: TruncationPolicy = DEFAULT_POLICY,
                   expect_reversed: bool = False) -> InequalityReport:
-    """Dispatch a case to its theorem evaluator."""
-    fn = _EVALUATORS[case.theorem_id]
-    if case.theorem_id in ("T1", "T2"):
-        return fn(case, policy, expect_reversed)
-    return fn(case, policy)
+    """Evaluate a case under its own theorem id; ``expect_reversed`` only
+    affects T1/T2."""
+    return _evaluate(case.theorem_id, case, policy, expect_reversed)
 
 
 def proof_kernel_A(f, g, h, tau: float, rho: float) -> float:

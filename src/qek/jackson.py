@@ -11,8 +11,10 @@ to behave like t^p near 0 with p > -1; specs carrying a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
-from .errors import DomainError
+from .errors import DomainError, NotConvergedError
 from .functions import as_callable
 from .qcore import (
     DEFAULT_POLICY,
@@ -20,6 +22,7 @@ from .qcore import (
     SeriesResult,
     TruncationPolicy,
     as_deformation,
+    product_length,
     sum_series,
 )
 
@@ -56,16 +59,20 @@ class QGridSample:
     @classmethod
     def sample(cls, f, base_point: float, base: DeformationParam | float,
                policy: TruncationPolicy = DEFAULT_POLICY) -> "QGridSample":
-        """Sample f on {base^j * base_point} until base^j < rel_tol."""
+        """Sample f on {base^j * base_point}, j < n, with n from the
+        policy's stop rule for products (the first j with base^j < rel_tol,
+        plus ``consecutive_small``). Raises NotConvergedError carrying the
+        ``max_terms``-node sample when that rule does not stop."""
         b = as_deformation(base)
-        values = []
-        node = float(base_point)
-        scale = 1.0
-        while scale >= policy.rel_tol and len(values) < policy.max_terms:
-            values.append((node, f(node)))
-            scale *= b.q
-            node = base_point * scale
-        return cls(float(base_point), b, tuple(values))
+        count, _, converged = product_length(1.0, b.q, policy)
+        scales = accumulate(repeat(b.q, count - 1), mul, initial=1.0)
+        nodes = [base_point * scale for scale in scales]
+        sample = cls(float(base_point), b, tuple((x, f(x)) for x in nodes))
+        if not converged:
+            raise NotConvergedError(
+                f"QGridSample: no convergence within {count} nodes",
+                partial=sample)
+        return sample
 
 
 def _check_integrable(f) -> None:

@@ -252,7 +252,8 @@ def _pochhammer_inf_parts(a: float, qv: float,
             return (-math.inf, 1, used, 0.0)
         sign = -sign
         log_abs += math.log(x - 1.0)
-    log_abs = sum(map(math.log1p, map(mul, repeat(-a), qks)), log_abs)
+    for qk in qks:  # left to right; sum() compensates rounding from 3.12 on
+        log_abs += math.log1p(-a * qk)
     if not converged:
         raise NotConvergedError(
             f"(a;q)_inf: no convergence within {policy.max_terms} factors "

@@ -4,9 +4,12 @@ import dataclasses
 import gc
 import json
 import pickle
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -458,6 +461,17 @@ class TestReduceCheck:
         code, _, err = run(["reduce-check", "--beta", "2"], capsys)
         assert code == 2
         assert "fixes beta=1" in err
+
+
+class TestPinnedOutputs:
+    def test_pinned_script_passes(self):
+        # the stdlib check CI also runs on interpreters without pytest
+        root = Path(__file__).resolve().parent.parent
+        script = root / "tools" / "check_pinned.py"
+        done = subprocess.run([sys.executable, str(script)],
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "3 of 3 pinned outputs match" in done.stdout
 
 
 class TestReportSerialization:

@@ -128,6 +128,15 @@ class TestTheoremOne:
         with pytest.raises(HypothesisViolatedError):
             theorem1(case)
 
+    def test_negative_h_rejected(self):
+        # f = g = h synchronous but negative on [0, t]: without the h >= 0
+        # check this case reported margin -4.42, "violated"
+        case = derive_case(CampaignConfig(theorems=("T1",), seed=1), "T1", 0)
+        neg = parse_function_spec("(affine 1 -5)", case.t)
+        bad = dataclasses.replace(case, f=neg, g=neg, h=neg)
+        with pytest.raises(HypothesisViolatedError, match="h must map"):
+            theorem1(bad)
+
     def test_reversal_hypotheses_enforced(self):
         case = make_case("T1", IDENT, IDENT, IDENT)
         with pytest.raises(HypothesisViolatedError):
@@ -315,10 +324,12 @@ class TestVerdictSemantics:
         assert abs(rep.margin) <= rep.worst_tail * SAFETY_FACTOR
         assert rep.verdict == "inconclusive"
 
-    def test_dispatch_matches_direct_calls(self):
-        fam = generate_family("synchronous_triple", 3, 1.0)
-        case = make_case("T1", fam.f, fam.g, fam.h)
-        assert evaluate_case(case) == theorem1(case)
+    @pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "T4", "T5", "T6"])
+    def test_dispatch_matches_direct_calls(self, theorem):
+        case = derive_case(CampaignConfig(theorems=(theorem,), seed=1),
+                           theorem, 3)
+        direct = getattr(inequalities, f"theorem{theorem[1]}")
+        assert evaluate_case(case) == direct(case)
 
     def test_report_invariant_on_sample(self):
         for seed in range(10):

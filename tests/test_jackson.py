@@ -198,6 +198,15 @@ class TestQGridSample:
                                   TruncationPolicy(rel_tol=1e-12))
         assert len(fine.values) > len(coarse.values)
 
+    def test_unconverged_sample_raises_with_partial(self):
+        # q^j stays above rel_tol for all 10 allowed nodes (q^9 = 0.9991)
+        with pytest.raises(NotConvergedError) as info:
+            QGridSample.sample(lambda t: 1.0, 1.0, 0.9999,
+                               TruncationPolicy(max_terms=10))
+        partial = info.value.partial
+        assert len(partial.values) == 10
+        assert partial.values[-1][0] == pytest.approx(0.9999 ** 9)
+
     def test_rejects_unsorted_nodes(self):
         with pytest.raises(ValueError):
             QGridSample(1.0, DeformationParam(0.5), ((0.5, 1.0), (0.7, 1.0)))

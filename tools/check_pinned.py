@@ -1,0 +1,72 @@
+"""Check that seeded campaign reports and the reduce-check line are unchanged.
+
+Runs ``qek verify`` on two pinned campaigns and ``qek reduce-check`` in
+this process, then compares the SHA-256 of each campaign's report bytes
+and the reduce-check line against the values pinned below. Exits 0 when
+all match and 1 on any mismatch. Stdlib only, so it runs where pytest is
+not installed:
+
+    python tools/check_pinned.py
+
+The ``qek`` package is imported from the ``src`` directory next to this
+script. A change that alters report bytes on purpose updates the pinned
+value here and says so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from qek.cli import main  # noqa: E402
+
+PINNED = (
+    ("T1-T6 --cases 200 --seed 1",
+     ["verify", "--theorem", "T1", "--theorem", "T2", "--theorem", "T3",
+      "--theorem", "T4", "--theorem", "T5", "--theorem", "T6",
+      "--cases", "200", "--seed", "1", "--no-timestamp"],
+     "sha256 0c92dc0d0cb76d8b14e9ca3af76fc9611916e45aa3227fa285927e8d7a665e0a"),
+    ("T1,T5 --cases 30 --seed 3 at q in 0.97,0.99",
+     ["verify", "--theorem", "T1", "--theorem", "T5", "--cases", "30",
+      "--seed", "3", "--grid-q1", "0.97,0.99", "--grid-q2", "0.97,0.99",
+      "--no-timestamp"],
+     "sha256 05ad3ea7ee4cc2f4a480e17c18cebd4c8596ec93912dc285b8e2ee7dffce59ba"),
+    ("reduce-check",
+     ["reduce-check"],
+     "max relative gap 1.316e-14 at (q, eta, mu, shape)=(0.9, -0.5, 0.5, 0)"),
+)
+
+
+def observed(argv: list[str]) -> str:
+    """A verify run's report hash, or the one line reduce-check prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+    text = out.getvalue()
+    if argv[0] == "verify":
+        return "sha256 " + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return text.strip()
+
+
+def run() -> int:
+    failed = 0
+    for name, argv, want in PINNED:
+        got = observed(argv)
+        if got == want:
+            print(f"ok        {name}: {got}")
+        else:
+            failed += 1
+            print(f"MISMATCH  {name}: got {got!r}, pinned {want!r}")
+    print(f"{len(PINNED) - failed} of {len(PINNED)} pinned outputs match "
+          f"on Python {sys.version.split()[0]}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())
