@@ -471,7 +471,7 @@ class TestPinnedOutputs:
         done = subprocess.run([sys.executable, str(script)],
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stdout + done.stderr
-        assert "3 of 3 pinned outputs match" in done.stdout
+        assert "4 of 4 pinned outputs match" in done.stdout
 
 
 class TestReportSerialization:

@@ -1,6 +1,6 @@
 """Check that seeded campaign reports and the reduce-check line are unchanged.
 
-Runs ``qek verify`` on two pinned campaigns and ``qek reduce-check`` in
+Runs ``qek verify`` on three pinned campaigns and ``qek reduce-check`` in
 this process, then compares the SHA-256 of each campaign's report bytes
 and the reduce-check line against the values pinned below. Exits 0 when
 all match and 1 on any mismatch. Stdlib only, so it runs where pytest is
@@ -36,6 +36,11 @@ PINNED = (
       "--seed", "3", "--grid-q1", "0.97,0.99", "--grid-q2", "0.97,0.99",
       "--no-timestamp"],
      "sha256 05ad3ea7ee4cc2f4a480e17c18cebd4c8596ec93912dc285b8e2ee7dffce59ba"),
+    ("T1,T2 --cases 200 --seed 1 asynchronous, expect reversed",
+     ["verify", "--theorem", "T1", "--theorem", "T2", "--cases", "200",
+      "--seed", "1", "--family", "asynchronous", "--expect", "reversed",
+      "--no-timestamp"],
+     "sha256 61ae114e410cbdfb55a6b56eeec94c2ae8e3b24dca0bac65f78da6c670f1dfb7"),
     ("reduce-check",
      ["reduce-check"],
      "max relative gap 1.316e-14 at (q, eta, mu, shape)=(0.9, -0.5, 0.5, 0)"),
