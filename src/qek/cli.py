@@ -40,7 +40,12 @@ from .functions import (
     generate_weight,
     parse_function_spec,
 )
-from .inequalities import InequalityReport, TheoremCase, evaluate_case
+from .inequalities import (
+    _THEOREMS,
+    InequalityReport,
+    TheoremCase,
+    evaluate_case,
+)
 from .qcore import DeformationParam, TruncationPolicy
 
 __all__ = [
@@ -72,15 +77,6 @@ _MASK64 = (1 << 64) - 1
 # Cases per pool task, and pool tasks in flight per worker process.
 _CHUNK = 8
 _CHUNKS_AHEAD = 4
-
-_THEOREM_FAMILY = {
-    "T1": "synchronous_triple",
-    "T2": "synchronous_triple",
-    "T3": "bounded_triple",
-    "T4": "bounded_triple",
-    "T5": "lipschitz_triple",
-    "T6": "lipschitz_triple",
-}
 
 
 def mix_seed(global_seed: int, case_index: int) -> int:
@@ -116,7 +112,7 @@ class CampaignConfig:
 
     def __post_init__(self):
         for tid in self.theorems:
-            if tid not in _THEOREM_FAMILY:
+            if tid not in _THEOREMS:
                 raise ValueError(f"unknown theorem id {tid!r}")
         if self.cases <= 0:
             raise ValueError("case count must be positive")
@@ -156,13 +152,13 @@ def derive_case(config: CampaignConfig, theorem: str,
     p2 = OperatorParams(rng.choice(config.zeta_grid),
                         rng.choice(config.nu_grid),
                         rng.choice(config.delta_grid))
-    kind = _THEOREM_FAMILY[theorem]
-    if theorem in ("T1", "T2") and config.family == "asynchronous":
+    kind = _THEOREMS[theorem].family
+    if kind == "synchronous_triple" and config.family == "asynchronous":
         kind = "asynchronous_pair_plus_nonneg"
     fam = generate_family(kind, rng.getrandbits(63), t)
     u = generate_weight(rng.getrandbits(63), t)
     v = None
-    if theorem in ("T2", "T4", "T6"):
+    if _THEOREMS[theorem].weight2 == "v":
         v = generate_weight(rng.getrandbits(63), t)
     return TheoremCase(theorem_id=theorem, t=t, q1=q1, q2=q2, p1=p1, p2=p2,
                        u=u, f=fam.f, g=fam.g, h=fam.h, v=v,
@@ -273,7 +269,7 @@ class CampaignTally:
                 f"violated={counts['violated']} "
                 f"inconclusive={counts['inconclusive']} "
                 f"min_margin={self.min_margin(theorem):.6e}")
-        if theorem in ("T5", "T6"):
+        if _THEOREMS[theorem].family == "lipschitz_triple":
             line += (f" bracket_nonneg={counts['bracket_nonneg']}"
                      f" bracket_neg={counts['bracket_neg']}")
         return line

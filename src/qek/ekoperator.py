@@ -35,9 +35,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat, tee
+from functools import partial
+from itertools import accumulate, chain, repeat, takewhile, tee
 from math import exp, expm1, inf, log1p
-from operator import add, mul, neg, sub
+from operator import add, lt, mul, neg, sub
 
 from .errors import DomainError, NotConvergedError
 from .functions import as_callable
@@ -46,6 +47,7 @@ from .qcore import (
     DeformationParam,
     SeriesResult,
     TruncationPolicy,
+    _unstopped,
     as_deformation,
     product_length,
     q_gamma,
@@ -155,6 +157,8 @@ class OperatorRule:
         pairs = list(zip(cols, fns))
         while True:
             node, coef, qk, qmu_k = self._next
+            if not node > 0.0:  # underflow ends the node stream
+                return
             nodes.append(node)
             weights.append(coef)
             self._next = (node * root,
@@ -177,8 +181,7 @@ class OperatorRule:
         pre = self._prefactor
         if not stopped:
             raise NotConvergedError(
-                f"operator series: no convergence within "
-                f"{self.policy.max_terms} terms",
+                _unstopped("operator series", used, self.policy),
                 partial=OperatorResult(pre * total, used, pre * abs(total),
                                        False, pre * smallest),
             )
@@ -259,9 +262,11 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     tau_exp = beta * (eta + 1.0) - 1.0
     ratio_eta = qv ** (eta + 1.0)
 
-    # term j = root^j * kernel_j * tau_j^tau_exp * f(tau_j), tau_j = t root^j
+    # term j = root^j * kernel_j * tau_j^tau_exp * f(tau_j), tau_j = t root^j;
+    # the nodes end at the first one that underflows to 0
     rjs, rjs_tau = tee(accumulate(repeat(root), mul, initial=1.0))
-    taus, taus_f = tee(map(mul, repeat(t), rjs_tau))
+    positive = partial(lt, 0.0)
+    taus, taus_f = tee(takewhile(positive, map(mul, repeat(t), rjs_tau)))
     kernels = chain(map(exp, table), repeat(1.0))
     terms = map(mul, map(mul, map(mul, rjs, kernels),
                          map(pow, taus, repeat(tau_exp))), map(fn, taus_f))
@@ -269,12 +274,13 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     scale = front * (1.0 - root) * t
     value = scale * total
     if not (stopped and table_done):
-        what = "nodes" if not stopped else "kernel factors"
+        if stopped:
+            why = (f"operator integral: no convergence within "
+                   f"{policy.max_terms} kernel factors")
+        else:
+            why = _unstopped("operator integral", used, policy, "nodes")
         raise NotConvergedError(
-            f"operator integral: no convergence within "
-            f"{policy.max_terms} {what}",
-            partial=SeriesResult(value, used, abs(value), False),
-        )
+            why, partial=SeriesResult(value, used, abs(value), False))
     sum_tail = abs(last) * ratio_eta / (1.0 - ratio_eta)
     gam_rel = gam.tail_estimate / abs(gam.value)
     tail = abs(scale) * sum_tail + abs(value) * (gam_rel + expm1(log_tail))

@@ -6,7 +6,8 @@ piecewise-linear, product, sum, scale) and wrapped in a
 monotonicity direction, the exponent p of the t^p behaviour near 0, and
 the certified domain [0, T]. The closed grammar is what makes bounds,
 Lipschitz constants and synchronicity certifiable instead of sampled
-guesses.
+guesses. Bounds are one interval enclosure over [0, T], with no sampled
+fallback: sound for every term, exact for every certified direction.
 
 Specs serialize to s-expressions, e.g. ``(product (power 2) (const 1.5))``,
 and round-trip exactly.
@@ -46,15 +47,11 @@ __all__ = [
     "generate_family",
     "generate_weight",
     "SYNC_TOL",
-    "BOUNDS_GRID",
 ]
 
 # Absolute tolerance on products of differences in the synchronicity scan;
 # ties from equal samples must not produce spurious "neither".
 SYNC_TOL = 1e-14
-
-# Grid density for bound extraction on non-monotone composites.
-BOUNDS_GRID = 1025
 
 
 class Expr:
@@ -208,35 +205,38 @@ def _is_constant(expr: Expr) -> bool:
     return False
 
 
-def _constant_value(expr: Expr) -> float:
-    return compile_expr(expr)(1.0)
+def _range(expr: Expr, T: float) -> tuple[float, float]:
+    """Interval enclosure (lo, hi) of expr over [0, T], one rule per node
+    type; for a certified direction the ends are exactly f(0) and f(T)."""
+    if isinstance(expr, Const):
+        return expr.value, expr.value
+    if isinstance(expr, Power):
+        return (1.0, 1.0) if expr.exponent == 0.0 else (0.0, T ** expr.exponent)
+    if isinstance(expr, Affine):
+        a, b = expr.slope, expr.intercept
+        ends = (a * 0.0 + b, a * T + b)
+    elif isinstance(expr, PiecewiseLinear):
+        ends = [y for x, y in expr.knots if x <= T]
+        if T < expr.knots[-1][0]:  # past the last knot, f(T) is listed
+            ends.append(compile_expr(expr)(T))
+    elif isinstance(expr, Scale):
+        ends = [expr.factor * end for end in _range(expr.inner, T)]
+    elif isinstance(expr, (Sum, Product)):
+        (lo_l, hi_l), (lo_r, hi_r) = _range(expr.left, T), _range(expr.right, T)
+        if isinstance(expr, Sum):
+            return lo_l + lo_r, hi_l + hi_r
+        ends = (lo_l * lo_r, lo_l * hi_r, hi_l * lo_r, hi_l * hi_r)
+    else:
+        raise TypeError(f"unknown expression node {expr!r}")
+    return min(ends), max(ends)
 
 
 def nonnegative_on(expr: Expr, T: float) -> bool:
-    """Structurally certified nonnegativity on [0, T] (conservative)."""
-    if isinstance(expr, Const):
-        return expr.value >= 0.0
-    if isinstance(expr, Power):
-        return True
-    if isinstance(expr, Affine):
-        return expr.intercept >= 0.0 and expr.slope * T + expr.intercept >= 0.0
-    if isinstance(expr, PiecewiseLinear):
-        return all(y >= 0.0 for _, y in expr.knots)
-    if isinstance(expr, (Product, Sum)):
-        return nonnegative_on(expr.left, T) and nonnegative_on(expr.right, T)
-    if isinstance(expr, Scale):
-        if expr.factor == 0.0:
-            return True
-        return expr.factor > 0.0 and nonnegative_on(expr.inner, T)
-    return False
+    """Whether the interval enclosure of expr over [0, T] is >= 0."""
+    return _range(expr, T)[0] >= 0.0
 
 
-def _flip(direction: str) -> str:
-    if direction == "increasing":
-        return "decreasing"
-    if direction == "decreasing":
-        return "increasing"
-    return "none"
+_FLIP = {"increasing": "decreasing", "decreasing": "increasing", "none": "none"}
 
 
 def monotonicity_on(expr: Expr, T: float) -> str:
@@ -247,9 +247,7 @@ def monotonicity_on(expr: Expr, T: float) -> str:
     inequalities are non-strict. Returns "none" whenever the construction
     rules cannot certify a direction.
     """
-    if _is_constant(expr):
-        return "increasing"
-    if isinstance(expr, Power):
+    if isinstance(expr, Power) or _is_constant(expr):
         return "increasing"
     if isinstance(expr, Affine):
         return "increasing" if expr.slope >= 0.0 else "decreasing"
@@ -263,31 +261,22 @@ def monotonicity_on(expr: Expr, T: float) -> str:
         return "none"
     if isinstance(expr, Scale):
         inner = monotonicity_on(expr.inner, T)
-        return inner if expr.factor >= 0.0 else _flip(inner)
-    if isinstance(expr, Sum):
-        if _is_constant(expr.left):
-            return monotonicity_on(expr.right, T)
-        if _is_constant(expr.right):
-            return monotonicity_on(expr.left, T)
+        return inner if expr.factor >= 0.0 else _FLIP[inner]
+    if isinstance(expr, (Sum, Product)):
+        # a constant keeps the other side's direction; a negative factor flips it
+        for const, other in ((expr.left, expr.right), (expr.right, expr.left)):
+            if _is_constant(const):
+                m = monotonicity_on(other, T)
+                if isinstance(expr, Sum) or _range(const, T)[0] >= 0.0:
+                    return m
+                return _FLIP[m]
         ml = monotonicity_on(expr.left, T)
-        mr = monotonicity_on(expr.right, T)
-        return ml if ml == mr else "none"
-    if isinstance(expr, Product):
-        if _is_constant(expr.left):
-            c = _constant_value(expr.left)
-            m = monotonicity_on(expr.right, T)
-            return m if c >= 0.0 else _flip(m)
-        if _is_constant(expr.right):
-            c = _constant_value(expr.right)
-            m = monotonicity_on(expr.left, T)
-            return m if c >= 0.0 else _flip(m)
-        ml = monotonicity_on(expr.left, T)
-        mr = monotonicity_on(expr.right, T)
-        if ml == mr and ml != "none":
-            # product of co-monotone nonnegative functions keeps direction
-            if nonnegative_on(expr.left, T) and nonnegative_on(expr.right, T):
-                return ml
-        return "none"
+        if ml != monotonicity_on(expr.right, T):
+            return "none"
+        # co-monotone factors keep their direction when both are nonnegative
+        if isinstance(expr, Sum) or (nonnegative_on(expr.left, T)
+                                     and nonnegative_on(expr.right, T)):
+            return ml
     return "none"
 
 
@@ -516,41 +505,26 @@ def check_synchronous(f: FunctionSpec, g: FunctionSpec,
 
 
 def extract_bounds(spec: FunctionSpec, T: float) -> tuple[float, float]:
-    """Certified (min, max) of the spec over [0, T].
-
-    Exact via endpoint/knot evaluation for monotone and piecewise-linear
-    specs; otherwise a dense-grid estimate with BOUNDS_GRID nodes.
-    """
+    """Certified (min, max) bounds of the spec over [0, T]: an interval
+    enclosure with no sampled fallback, sound for every spec and exactly
+    (min, max) of f(0) and f(T) for every spec with a certified direction."""
     if not T > 0.0:
         raise ValueError("T must be positive")
-    if spec.monotonicity != "none":
-        lo, hi = spec(0.0), spec(T)
-        return (min(lo, hi), max(lo, hi))
-    if isinstance(spec.expr, PiecewiseLinear):
-        xs = [x for x, _ in spec.expr.knots if 0.0 <= x <= T]
-        vals = [spec(x) for x in xs] + [spec(0.0), spec(T)]
-        return (min(vals), max(vals))
-    vals = [spec(T * k / (BOUNDS_GRID - 1)) for k in range(BOUNDS_GRID)]
-    return (min(vals), max(vals))
+    return _range(spec.expr, T)
 
 
 def extract_lipschitz(spec_or_expr, T: float) -> float:
     """Certified Lipschitz constant on [0, T].
 
     Max slope for affine/piecewise pieces, p*T^(p-1) for power(p >= 1),
-    sum/product rules (using extract_bounds for the sup factors) for
-    composites. power(p) with 0 < p < 1 has an unbounded difference
-    quotient at 0 and raises NotLipschitzError.
+    sum/product rules (each sup|factor| from the interval enclosure of
+    extract_bounds) for composites. power(p) with 0 < p < 1 has an
+    unbounded difference quotient at 0 and raises NotLipschitzError.
     """
     if not T > 0.0:
         raise ValueError("T must be positive")
     expr = spec_or_expr.expr if isinstance(spec_or_expr, FunctionSpec) else spec_or_expr
     return _lipschitz(expr, T)
-
-
-def _sup_abs(expr: Expr, T: float) -> float:
-    lo, hi = extract_bounds(function_spec(expr, T), T)
-    return max(abs(lo), abs(hi))
 
 
 def _lipschitz(expr: Expr, T: float) -> float:
@@ -578,8 +552,8 @@ def _lipschitz(expr: Expr, T: float) -> float:
     if isinstance(expr, Scale):
         return abs(expr.factor) * _lipschitz(expr.inner, T)
     if isinstance(expr, Product):
-        return (_lipschitz(expr.left, T) * _sup_abs(expr.right, T)
-                + _lipschitz(expr.right, T) * _sup_abs(expr.left, T))
+        return (_lipschitz(expr.left, T) * max(map(abs, _range(expr.right, T)))
+                + _lipschitz(expr.right, T) * max(map(abs, _range(expr.left, T))))
     raise TypeError(f"unknown expression node {expr!r}")
 
 
@@ -709,15 +683,11 @@ def generate_family(kind: str, seed: int, T: float) -> FunctionFamily:
     g = function_spec(_increasing_expr(rng, T, lipschitz_safe), T)
     h = function_spec(_increasing_expr(rng, T, lipschitz_safe), T)
     if kind == "bounded_triple":
-        (psi, Psi) = extract_bounds(f, T)
-        (phi, Phi) = extract_bounds(g, T)
-        (omega, Omega) = extract_bounds(h, T)
-        return FunctionFamily(kind, f, g, h,
-                              bounds=BoundsTriple(psi, Psi, phi, Phi, omega, Omega))
+        bounds = BoundsTriple(*extract_bounds(f, T), *extract_bounds(g, T),
+                              *extract_bounds(h, T))
+        return FunctionFamily(kind, f, g, h, bounds=bounds)
     if kind == "lipschitz_triple":
-        trip = LipschitzTriple(extract_lipschitz(f, T),
-                               extract_lipschitz(g, T),
-                               extract_lipschitz(h, T))
+        trip = LipschitzTriple(*(extract_lipschitz(s, T) for s in (f, g, h)))
         return FunctionFamily(kind, f, g, h, lipschitz=trip)
     return FunctionFamily(kind, f, g, h)
 

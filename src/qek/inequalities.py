@@ -3,9 +3,10 @@
 The six are three shapes, Chebyshev (T1/T2), bounded (T3/T4) and
 Lipschitz (T5/T6), each with one weight u on both sides or with u at
 (q1, p1) and v at (q2, p2). One function evaluates every theorem from a
-table that maps its id to a sides function, a q2 weight and a hypothesis
-check, and returns an :class:`InequalityReport` with the oriented margin
-and a verdict; a side that does not converge makes it inconclusive.
+table that maps its id to a sides function, a q2 weight, a hypothesis
+check and the family kind campaigns draw from, and returns an
+:class:`InequalityReport` with the oriented margin and a verdict; a side
+that does not converge makes it inconclusive.
 Every eight-product sum is one ``_pair_sum`` over a table of
 (q1-subset, q2-subset) pairs; it adds the products left to right, so
 reports are the same bytes on every supported Python.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .ekoperator import OperatorParams, OperatorRule
 # Not called here; kept so tracing harnesses (qekbench/child.py) that wrap
@@ -63,8 +64,6 @@ __all__ = [
 # as numerically indistinguishable from zero.
 SAFETY_FACTOR = 10.0
 
-_THEOREM_IDS = ("T1", "T2", "T3", "T4", "T5", "T6")
-
 
 @dataclass(frozen=True)
 class TheoremCase:
@@ -86,15 +85,16 @@ class TheoremCase:
     lipschitz: Optional[LipschitzTriple] = None
 
     def __post_init__(self):
-        if self.theorem_id not in _THEOREM_IDS:
+        theorem = _THEOREMS.get(self.theorem_id)
+        if theorem is None:
             raise ValueError(f"unknown theorem id {self.theorem_id!r}")
         if not self.t > 0.0:
             raise ValueError("evaluation point t must be positive")
-        if self.theorem_id in ("T2", "T4", "T6") and self.v is None:
+        if theorem.weight2 == "v" and self.v is None:
             raise ValueError(f"{self.theorem_id} needs a second weight v")
-        if self.theorem_id in ("T3", "T4") and self.bounds is None:
+        if theorem.family == "bounded_triple" and self.bounds is None:
             raise ValueError(f"{self.theorem_id} needs a BoundsTriple")
-        if self.theorem_id in ("T5", "T6") and self.lipschitz is None:
+        if theorem.family == "lipschitz_triple" and self.lipschitz is None:
             raise ValueError(f"{self.theorem_id} needs a LipschitzTriple")
 
 
@@ -206,7 +206,7 @@ def _require_chebyshev(case: TheoremCase, expect_reversed: bool) -> None:
     _require_nonnegative(case.h, case.t, "h")
 
 
-def _require_bounds_hold(case: TheoremCase) -> None:
+def _require_bounds_hold(case: TheoremCase, expect_reversed: bool) -> None:
     b = case.bounds
     nodes = [0.0] + _sample_grid(case.t, 48)
     # Operator node sets thin out geometrically; spot-check their heads.
@@ -229,7 +229,8 @@ def _require_bounds_hold(case: TheoremCase) -> None:
                 )
 
 
-def _require_lipschitz_holds(case: TheoremCase) -> None:
+def _require_lipschitz_holds(case: TheoremCase,
+                             expect_reversed: bool) -> None:
     trip = case.lipschitz
     pts = [0.0] + _sample_grid(case.t, 20)
     eps = 1e-9
@@ -310,24 +311,35 @@ def _lipschitz_sides(case: TheoremCase, ops: _CaseOps, weight2: str):
                                  "notes": notes}
 
 
-# theorem id -> (sides, q2 weight, hypothesis check). A sides function
-# returns (lhs, rhs, margin, extra report fields), margin >= 0 meaning the
-# inequality holds as printed.
+class _Theorem(NamedTuple):
+    """One row of the theorem table, the one place per-theorem facts live.
+
+    ``sides`` returns (lhs, rhs, margin, extra report fields), margin >= 0
+    meaning the inequality holds as printed; ``weight2`` is the q2 weight
+    ("v" for the two-weight versions); ``require(case, expect_reversed)``
+    checks the hypotheses; ``family`` is the generated family kind a
+    campaign draws f, g, h and their certificates from.
+    """
+
+    sides: Callable
+    weight2: str
+    require: Callable
+    family: str
+
+
 _THEOREMS = {
-    "T1": (_chebyshev_sides, "u", _require_chebyshev),
-    "T2": (_chebyshev_sides, "v", _require_chebyshev),
-    "T3": (_bounded_sides, "u", lambda case, _: _require_bounds_hold(case)),
-    "T4": (_bounded_sides, "v", lambda case, _: _require_bounds_hold(case)),
-    "T5": (_lipschitz_sides, "u",
-           lambda case, _: _require_lipschitz_holds(case)),
-    "T6": (_lipschitz_sides, "v",
-           lambda case, _: _require_lipschitz_holds(case)),
+    "T1": _Theorem(_chebyshev_sides, "u", _require_chebyshev, "synchronous_triple"),
+    "T2": _Theorem(_chebyshev_sides, "v", _require_chebyshev, "synchronous_triple"),
+    "T3": _Theorem(_bounded_sides, "u", _require_bounds_hold, "bounded_triple"),
+    "T4": _Theorem(_bounded_sides, "v", _require_bounds_hold, "bounded_triple"),
+    "T5": _Theorem(_lipschitz_sides, "u", _require_lipschitz_holds, "lipschitz_triple"),
+    "T6": _Theorem(_lipschitz_sides, "v", _require_lipschitz_holds, "lipschitz_triple"),
 }
 
 
 def _evaluate(theorem_id: str, case: TheoremCase, policy: TruncationPolicy,
               expect_reversed: bool = False) -> InequalityReport:
-    sides, weight2, require = _THEOREMS[theorem_id]
+    sides, weight2, require, _ = _THEOREMS[theorem_id]
     _require_nonnegative(case.u, case.t, "u")
     if weight2 == "v":
         _require_nonnegative(case.v, case.t, "v")

@@ -109,7 +109,10 @@ def jackson_integral(f, b: float, q: DeformationParam | float,
     def terms():
         qj = 1.0
         while True:
-            yield qj * fn(b * qj)
+            node = b * qj
+            if not node > 0.0:  # underflow ends the node stream
+                return
+            yield qj * fn(node)
             qj *= qv
 
     return sum_series(terms(), policy, qv, what=f"jackson_integral(b={b})",
@@ -155,7 +158,10 @@ def jackson_stieltjes(f, g, b: float, q: DeformationParam | float,
         g_here = g(b)
         while True:
             qj_next = qj * qv
-            g_next = g(b * qj_next)
+            node_next = b * qj_next
+            if not node_next > 0.0:  # term j needs node j + 1
+                return
+            g_next = g(node_next)
             yield f(b * qj) * (g_here - g_next)
             qj = qj_next
             g_here = g_next

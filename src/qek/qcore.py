@@ -122,7 +122,8 @@ def truncated_sum(terms, policy: TruncationPolicy):
     Reads at most ``max_terms`` terms and returns ``(total, used, last,
     smallest, stopped)``: the running total, the number of terms read, the
     last and the smallest of them, and whether the rule stopped the sum
-    (False when ``max_terms`` ran out first).
+    (False when ``max_terms`` ran out first, or when ``terms`` ended first:
+    a node sum ends its stream at the first node that underflows to 0).
     """
     rel_tol = policy.rel_tol
     abs_tol = policy.abs_tol
@@ -146,6 +147,15 @@ def truncated_sum(terms, policy: TruncationPolicy):
     return total, used, term, smallest, False
 
 
+def _unstopped(what: str, used: int, policy: TruncationPolicy,
+               unit: str = "terms") -> str:
+    """Why a node sum's stop rule did not fire after ``used`` terms: its
+    nodes underflowed to 0 first, or ``max_terms`` ran out."""
+    if used < policy.max_terms:
+        return f"{what}: nodes underflow to 0 after {used} terms"
+    return f"{what}: no convergence within {policy.max_terms} {unit}"
+
+
 def sum_series(terms, policy: TruncationPolicy, tail_ratio: float,
                what: str = "series", scale: float = 1.0) -> SeriesResult:
     """``scale`` times an infinite sum of terms under the policy's stop rule.
@@ -159,10 +169,7 @@ def sum_series(terms, policy: TruncationPolicy, tail_ratio: float,
     tail = abs(last) * r / (1.0 - r)
     result = SeriesResult(total * scale, used, tail * scale, stopped)
     if not stopped:
-        raise NotConvergedError(
-            f"{what}: no convergence within {policy.max_terms} terms",
-            partial=result,
-        )
+        raise NotConvergedError(_unstopped(what, used, policy), partial=result)
     return result
 
 

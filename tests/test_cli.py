@@ -71,6 +71,13 @@ class TestEval:
             ["eval", "--q", "0.5", "--t", "-1", "--f", "(const 1)"], capsys)
         assert code == 2
 
+    def test_underflowed_nodes_exit_two(self, capsys):
+        code, _, err = run(
+            ["eval", "--form", "integral", "--q", "1e-120", "--eta", "-0.5",
+             "--f", "(const 1)"], capsys)
+        assert code == 2
+        assert err.startswith("error: operator integral: nodes underflow")
+
 
 class TestMixSeed:
     def test_stable_values(self):

@@ -157,6 +157,16 @@ class TestSeriesForm:
             ek_series(lambda s: 1.0, 1.0, OperatorParams(0.0, 1.0, 1.0), 0.9,
                       TruncationPolicy(max_terms=5))
 
+    def test_underflowed_node_ends_the_sum(self):
+        # at q = 1e-120 the fourth node t q^3 underflows to 0.0
+        seen = []
+        with pytest.raises(NotConvergedError, match="underflow") as info:
+            ek_series(lambda s: seen.append(s) or 1.0, 1.0,
+                      OperatorParams(-0.5, 1.0, 1.0), 1e-120)
+        assert min(seen) > 0.0
+        assert info.value.partial.terms_used == 3
+        assert info.value.partial.converged is False
+
     def test_rejects_non_summable_exponent(self):
         def f(s):
             return s ** -0.9
@@ -186,6 +196,16 @@ class TestIntegralForm:
     def test_zero_function(self):
         p = OperatorParams(0.5, 0.7, 2.0)
         assert ek_integral(lambda t: 0.0, 2.0, p, 0.3).value == 0.0
+
+    def test_underflowed_node_ends_the_sum(self):
+        # the fourth node underflows to 0.0, where tau^(-1/2) has no value
+        seen = []
+        with pytest.raises(NotConvergedError, match="underflow") as info:
+            ek_integral(lambda s: seen.append(s) or 1.0, 1.0,
+                        OperatorParams(-0.5, 1.0, 1.0), 1e-120)
+        assert min(seen) > 0.0
+        assert info.value.partial.terms_used == 3
+        assert info.value.partial.converged is False
 
     @pytest.mark.parametrize("q", [0.3, 0.9])
     @pytest.mark.parametrize("eta", [-0.5, 1.0])

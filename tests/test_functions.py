@@ -28,6 +28,7 @@ from qek.functions import (
     function_spec,
     generate_family,
     generate_weight,
+    nonnegative_on,
     parse_expr,
     parse_function_spec,
 )
@@ -234,6 +235,35 @@ class TestSerializationProperty:
         assert parse_expr(format_expr(expr)) == expr
 
 
+def _knot_abscissae(expr):
+    if isinstance(expr, PiecewiseLinear):
+        return [x for x, _ in expr.knots]
+    children = [getattr(expr, name) for name in ("left", "right", "inner")
+                if hasattr(expr, name)]
+    return [x for child in children for x in _knot_abscissae(child)]
+
+
+class TestBoundsProperty:
+    @given(expr=_exprs, T=st.floats(0.1, 4.0))
+    @settings(max_examples=300)
+    def test_enclosure_sound_and_exact_when_certified(self, expr, T):
+        s = spec(expr, T)
+        lo, hi = extract_bounds(s, T)
+        xs = [T * k / 64 for k in range(65)]
+        xs += [x for x in _knot_abscissae(expr) if x <= T]
+        values = [s(x) for x in xs]
+        # slack for the rounding of the pointwise evaluation only: a
+        # piecewise-linear interpolant can round an ulp of its knot values
+        # past the knots' own range
+        slack = 1e-12 * (1.0 + abs(lo) + abs(hi))
+        assert all(lo - slack <= v <= hi + slack for v in values)
+        if nonnegative_on(expr, T):
+            assert min(values) >= 0.0
+        if s.monotonicity != "none":
+            ends = (s(0.0), s(T))
+            assert (lo, hi) == (min(ends), max(ends))
+
+
 class TestSynchronicity:
     def test_pair_with_itself(self):
         f = spec(Power(1.0))
@@ -307,13 +337,24 @@ class TestBounds:
         assert abs(lo - s(0.0)) < 1e-12
         assert abs(hi - s(2.0)) < 1e-12
 
-    def test_grid_estimate_contains_samples(self):
+    def test_enclosure_contains_samples(self):
         s = spec(Product(Affine(1.0, 0.0), Affine(-1.0, 2.0)), 2.0)
         assert s.monotonicity == "none"
         lo, hi = extract_bounds(s, 2.0)
         for k in range(101):
             val = s(2.0 * k / 100)
             assert lo - 1e-12 <= val <= hi + 1e-12
+
+    def test_enclosure_covers_interior_maximum(self):
+        # the maximum f(0.15) = 0.0225 falls between the points of a k/1024 grid
+        s = parse_function_spec("(product (affine 1 0) (affine -1 0.3))", 1.0)
+        assert s(0.15) == pytest.approx(0.0225, rel=1e-15)
+        assert extract_bounds(s, 1.0)[1] >= 0.0225
+
+    def test_nonnegative_product_of_negative_slopes(self):
+        # (-t)(-t) = t^2 >= 0 although neither factor is nonnegative
+        assert nonnegative_on(Product(Affine(-1.0, 0.0), Affine(-1.0, 0.0)), 2.0)
+        assert not nonnegative_on(Affine(-1.0, 0.0), 2.0)
 
 
 class TestLipschitz:

@@ -111,6 +111,14 @@ class TestJacksonIntegral:
         with pytest.raises(ValueError):
             jackson_integral(lambda t: t, 0.0, 0.5)
 
+    def test_underflowed_node_ends_the_sum(self):
+        # the fourth node q^3 underflows to 0.0; f is never evaluated there
+        seen = []
+        with pytest.raises(NotConvergedError, match="underflow") as info:
+            jackson_integral(lambda t: seen.append(t) or 1.0, 1.0, 1e-120)
+        assert min(seen) > 0.0
+        assert info.value.partial.terms_used == 3
+
     def test_rejects_non_integrable_exponent(self):
         def f(t):
             return t ** -1.5
@@ -169,6 +177,15 @@ class TestJacksonStieltjes:
         with pytest.raises(NotConvergedError):
             jackson_stieltjes(lambda t: 1.0, lambda t: t, 1.0, 0.9,
                               TruncationPolicy(max_terms=4))
+
+    def test_underflowed_node_ends_the_sum(self):
+        # term j reads g at node j + 1, and node 3 underflows to 0.0
+        seen = []
+        with pytest.raises(NotConvergedError, match="underflow") as info:
+            jackson_stieltjes(lambda t: seen.append(t) or 1.0,
+                              lambda t: seen.append(t) or t, 1.0, 1e-120)
+        assert min(seen) > 0.0
+        assert info.value.partial.terms_used == 2
 
 
 class TestFundamentalTheorem:
