@@ -24,7 +24,7 @@ import random
 import sys
 from collections import Counter, defaultdict, deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from itertools import islice
@@ -277,23 +277,21 @@ class CampaignTally:
 
 @dataclass
 class CampaignResult:
-    config: CampaignConfig
-    reports: list[tuple[int, InequalityReport]] = field(default_factory=list)
+    """A campaign's (case index, report) pairs in (theorem, index) order
+    and the tally of those reports."""
 
-    def _tally(self) -> CampaignTally:
-        tally = CampaignTally(self.config)
-        for _, rep in self.reports:
-            tally.add(*_summary_fields(rep))
-        return tally
+    config: CampaignConfig
+    reports: list[tuple[int, InequalityReport]]
+    tally: CampaignTally
 
     def counts(self, theorem: str) -> dict[str, int]:
-        return self._tally().counts(theorem)
+        return self.tally.counts(theorem)
 
     def min_margin(self, theorem: str) -> float:
-        return self._tally().min_margin(theorem)
+        return self.tally.min_margin(theorem)
 
     def bracket_sign_counts(self, theorem: str) -> tuple[int, int]:
-        return self._tally().bracket_sign_counts(theorem)
+        return self.tally.bracket_sign_counts(theorem)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
@@ -304,7 +302,11 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     case-index order either way, so output is deterministic regardless
     of parallelism. ``qek verify`` streams rows instead of calling this.
     """
-    return CampaignResult(config, list(_ordered_map(_evaluate_index, config)))
+    reports = list(_ordered_map(_evaluate_index, config))
+    tally = CampaignTally(config)
+    for _, report in reports:
+        tally.add(*_summary_fields(report))
+    return CampaignResult(config, reports, tally)
 
 
 def report_row(case_index: int, report: InequalityReport) -> dict:

@@ -516,10 +516,11 @@ def extract_bounds(spec: FunctionSpec, T: float) -> tuple[float, float]:
 def extract_lipschitz(spec_or_expr, T: float) -> float:
     """Certified Lipschitz constant on [0, T].
 
-    Max slope for affine/piecewise pieces, p*T^(p-1) for power(p >= 1),
-    sum/product rules (each sup|factor| from the interval enclosure of
-    extract_bounds) for composites. power(p) with 0 < p < 1 has an
-    unbounded difference quotient at 0 and raises NotLipschitzError.
+    |slope| for affine, the largest |slope| of the pieces that start below
+    T for piecewise-linear, p*T^(p-1) for power(p >= 1), sum/product rules
+    (each sup|factor| from the interval enclosure of extract_bounds) for
+    composites. power(p) with 0 < p < 1 has an unbounded difference
+    quotient at 0 and raises NotLipschitzError.
     """
     if not T > 0.0:
         raise ValueError("T must be positive")
@@ -545,7 +546,7 @@ def _lipschitz(expr: Expr, T: float) -> float:
         knots = expr.knots
         return max(
             abs((y1 - y0) / (x1 - x0))
-            for (x0, y0), (x1, y1) in zip(knots, knots[1:])
+            for (x0, y0), (x1, y1) in zip(knots, knots[1:]) if x0 < T
         )
     if isinstance(expr, Sum):
         return _lipschitz(expr.left, T) + _lipschitz(expr.right, T)

@@ -11,6 +11,11 @@ Every eight-product sum is one ``_pair_sum`` over a table of
 (q1-subset, q2-subset) pairs; it adds the products left to right, so
 reports are the same bytes on every supported Python.
 
+Nonnegativity, the T3/T4 bounds and the T5/T6 Lipschitz constants come
+from the interval enclosure of :mod:`qek.functions` on the interval each
+check reads, and one it cannot certify is rejected even if true. Only the
+synchrony of a T1/T2 pair with no certified direction is a 12-point scan.
+
 Margins are oriented so that margin >= 0 means the inequality holds as
 printed; a verdict is "inconclusive" whenever |margin| is within
 SAFETY_FACTOR times the worst truncation tail of the contributing
@@ -36,12 +41,14 @@ from .ekoperator import OperatorParams, OperatorRule
 # Not called here; kept so tracing harnesses (qekbench/child.py) that wrap
 # qek.inequalities.ek_series by attribute still find it.
 from .ekoperator import ek_series  # noqa: F401
-from .errors import HypothesisViolatedError, NotConvergedError
+from .errors import HypothesisViolatedError, NotConvergedError, NotLipschitzError
 from .functions import (
     BoundsTriple,
     FunctionSpec,
     LipschitzTriple,
     check_synchronous,
+    extract_bounds,
+    extract_lipschitz,
     nonnegative_on,
 )
 from .qcore import DEFAULT_POLICY, DeformationParam, TruncationPolicy
@@ -169,31 +176,24 @@ _KERNEL_PLUS = (("fgh", ""), ("h", "fg"), ("g", "fh"), ("f", "gh"))
 _KERNEL_MINUS = (("gh", "f"), ("fh", "g"), ("fg", "h"), ("", "fgh"))
 
 
-def _sample_grid(t: float, n: int = 12) -> list[float]:
-    return [t * k / n for k in range(1, n + 1)]
-
-
 def _require_nonnegative(spec: FunctionSpec, t: float, name: str) -> None:
-    if nonnegative_on(spec.expr, max(t, spec.domain_hint)):
-        return
-    worst = min(spec(x) for x in [0.0] + _sample_grid(t, 64))
-    if worst < 0.0:
+    T = max(t, spec.domain_hint)
+    if not nonnegative_on(spec.expr, T):
         raise HypothesisViolatedError(
-            f"{name} must map [0,inf) into [0,inf); sampled {worst}"
-        )
+            f"{name} must map [0,inf) into [0,inf); the interval enclosure"
+            f" cannot certify it on [0, {T}]")
 
 
 def _require_chebyshev(case: TheoremCase, expect_reversed: bool) -> None:
     """T1/T2: f, g, h pairwise synchronous, or f, g asynchronous when the
     reversed inequality is expected; h >= 0 either way."""
-    grid = _sample_grid(case.t)
+    grid = [case.t * k / 12 for k in range(1, 13)]
     if expect_reversed:
         kind, witness = check_synchronous(case.f, case.g, grid)
         if kind != "asynchronous":
             raise HypothesisViolatedError(
                 f"reversal case needs f, g asynchronous; scan says {kind}"
-                f" (witness {witness})"
-            )
+                f" (witness {witness})")
     else:
         for a, b, na, nb in ((case.f, case.g, "f", "g"),
                              (case.f, case.h, "f", "h"),
@@ -201,52 +201,36 @@ def _require_chebyshev(case: TheoremCase, expect_reversed: bool) -> None:
             kind, witness = check_synchronous(a, b, grid)
             if kind != "synchronous":
                 raise HypothesisViolatedError(
-                    f"{na} and {nb} are not synchronous (witness {witness})"
-                )
+                    f"{na} and {nb} are not synchronous (witness {witness})")
     _require_nonnegative(case.h, case.t, "h")
 
 
 def _require_bounds_hold(case: TheoremCase, expect_reversed: bool) -> None:
     b = case.bounds
-    nodes = [0.0] + _sample_grid(case.t, 48)
-    # Operator node sets thin out geometrically; spot-check their heads.
-    for q, p in ((case.q1.q, case.p1), (case.q2.q, case.p2)):
-        r = q ** (1.0 / p.beta)
-        node = case.t
-        for _ in range(24):
-            nodes.append(node)
-            node *= r
-    eps = 1e-9
     for spec, lo, hi, name in ((case.f, b.psi, b.Psi, "f"),
                                (case.g, b.phi, b.Phi, "g"),
                                (case.h, b.omega, b.Omega, "h")):
-        scale = eps * (1.0 + abs(lo) + abs(hi))
-        for x in nodes:
-            val = spec(x)
-            if val < lo - scale or val > hi + scale:
-                raise HypothesisViolatedError(
-                    f"{name}({x}) = {val} escapes certified bounds [{lo}, {hi}]"
-                )
+        elo, ehi = extract_bounds(spec, case.t)
+        if elo < lo or ehi > hi:
+            raise HypothesisViolatedError(
+                f"the interval enclosure cannot certify {name} within"
+                f" [{lo}, {hi}] on [0, {case.t}]; it gives [{elo}, {ehi}]")
 
 
 def _require_lipschitz_holds(case: TheoremCase,
                              expect_reversed: bool) -> None:
     trip = case.lipschitz
-    pts = [0.0] + _sample_grid(case.t, 20)
-    eps = 1e-9
     for spec, const, name in ((case.f, trip.L1, "f"),
                               (case.g, trip.L2, "g"),
                               (case.h, trip.L3, "h")):
-        vals = [spec(x) for x in pts]
-        for i, x in enumerate(pts):
-            for j in range(i + 1, len(pts)):
-                gap = abs(vals[i] - vals[j])
-                allowed = const * abs(x - pts[j]) * (1.0 + eps) + 1e-12
-                if gap > allowed:
-                    raise HypothesisViolatedError(
-                        f"{name} violates its Lipschitz certificate "
-                        f"L={const} at ({x}, {pts[j]})"
-                    )
+        try:
+            certified = extract_lipschitz(spec, case.t)
+        except NotLipschitzError:
+            certified = math.inf  # no finite constant exists
+        if certified > const:
+            raise HypothesisViolatedError(
+                f"the interval enclosure cannot certify {name} Lipschitz with"
+                f" L={const} on [0, {case.t}]; it certifies L={certified}")
 
 
 def _pair_sum(ops: _CaseOps, pairs: tuple[tuple[str, str], ...],

@@ -162,15 +162,17 @@ def sum_series(terms, policy: TruncationPolicy, tail_ratio: float,
 
     ``tail_ratio`` in (0, 1) is the eventual geometric ratio of the
     summand; the tail estimate is scale * |last term| * r / (1 - r). The
-    partial result of a sum that does not converge is scaled too.
+    partial result of a sum that does not converge is scaled too, and its
+    tail is its own |value|, as for the operator sums: a sum cut short has
+    no geometric tail estimate.
     """
     total, used, last, _, stopped = truncated_sum(terms, policy)
-    r = tail_ratio
-    tail = abs(last) * r / (1.0 - r)
-    result = SeriesResult(total * scale, used, tail * scale, stopped)
+    value = total * scale
     if not stopped:
-        raise NotConvergedError(_unstopped(what, used, policy), partial=result)
-    return result
+        partial = SeriesResult(value, used, abs(value), False)
+        raise NotConvergedError(_unstopped(what, used, policy), partial=partial)
+    tail = abs(last) * tail_ratio / (1.0 - tail_ratio)
+    return SeriesResult(value, used, tail * scale, True)
 
 
 def product_length(dev: float, q: float,

@@ -372,6 +372,12 @@ class TestLipschitz:
         pwl = spec(PiecewiseLinear(((0.0, 0.0), (0.5, 2.0), (2.0, 2.5))), 2.0)
         assert extract_lipschitz(pwl, 2.0) == 4.0
 
+    @pytest.mark.parametrize("T, const", [(1.0, 1.0), (1.5, 4.0)])
+    def test_piecewise_reads_pieces_below_T(self, T, const):
+        # the slope-4 piece starts at 1, so it does not meet [0, 1)
+        pwl = spec(PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 5.0))), 2.0)
+        assert extract_lipschitz(pwl, T) == const
+
     def test_constant_rate_zero(self):
         assert extract_lipschitz(spec(Const(9.0)), 3.0) == 0.0
 

@@ -315,6 +315,43 @@ class TestTheoremSix:
         assert flagged == (corrected >= max(magnitudes))
 
 
+class TestCertifiedHypotheses:
+    # Each hypothesis is false only between the points a sampled check
+    # would read; the interval enclosure cannot certify any of them.
+    @pytest.mark.parametrize("theorem, fields, false_at", [
+        # u = (t - 0.51)^2 - 1e-6 is -1e-6 at t = 0.51
+        ("T1", {"u": parse_function_spec(
+            "(sum (product (affine 1 -0.51) (affine 1 -0.51)) (const -1e-06))")},
+         lambda c: c.u(0.51) < 0.0),
+        # f = t (0.3 - t) reaches 0.0225 at t = 0.15, above Psi = 0.02249
+        ("T3", {"f": parse_function_spec("(product (affine 1 0) (affine -1 0.3))"),
+                "bounds": BoundsTriple(-0.7, 0.02249, 0.0, 1.0, 0.0, 1.0)},
+         lambda c: c.f(0.15) > c.bounds.Psi),
+        # sqrt(t) has an unbounded difference quotient at 0
+        ("T5", {"f": parse_function_spec("(power 0.5)"),
+                "lipschitz": LipschitzTriple(10.0, 1.0, 1.0)},
+         lambda c: c.f(1e-4) / 1e-4 > c.lipschitz.L1),
+    ], ids=["T1-negative-u", "T3-escaping-Psi", "T5-sqrt-L1"])
+    def test_false_hypothesis_rejected(self, theorem, fields, false_at):
+        case = dataclasses.replace(
+            make_case(theorem, IDENT, IDENT, IDENT,
+                      bounds=BoundsTriple(0.0, 1.0, 0.0, 1.0, 0.0, 1.0),
+                      lipschitz=LipschitzTriple(1.0, 1.0, 1.0)),
+            **fields)
+        assert false_at(case)
+        with pytest.raises(HypothesisViolatedError, match="cannot certify"):
+            evaluate_case(case)
+
+    def test_true_but_uncertified_bound_rejected(self):
+        # Psi = 0.0225 is the true maximum, but the enclosure of the product
+        # of a rising and a falling factor reaches up to 0.3
+        f = parse_function_spec("(product (affine 1 0) (affine -1 0.3))")
+        case = make_case("T3", f, IDENT, IDENT,
+                         bounds=BoundsTriple(-0.7, 0.0225, 0.0, 1.0, 0.0, 1.0))
+        with pytest.raises(HypothesisViolatedError, match="cannot certify f"):
+            theorem3(case)
+
+
 class TestVerdictSemantics:
     def test_inconclusive_band(self):
         # margin exactly zero with nonzero tails must be inconclusive

@@ -119,6 +119,13 @@ class TestJacksonIntegral:
         assert min(seen) > 0.0
         assert info.value.partial.terms_used == 3
 
+    def test_unconverged_partial_tail_is_its_value(self):
+        # three of infinitely many terms: the partial's tail is not 0
+        with pytest.raises(NotConvergedError) as info:
+            jackson_integral(lambda t: 1.0, 1.0, 1e-120)
+        partial = info.value.partial
+        assert partial.tail_estimate == abs(partial.value) > 0.0
+
     def test_rejects_non_integrable_exponent(self):
         def f(t):
             return t ** -1.5
