@@ -5,8 +5,9 @@ Layers, bottom up:
 * :mod:`qek.qcore` -- q-shifted factorials, q-Gamma, q-powers, all under an
   explicit truncation policy with (geometric-assumption) tail estimates.
 * :mod:`qek.jackson` -- q-derivative and Jackson q-integration.
-* :mod:`qek.functions` -- a closed function DSL with certified monotonicity,
-  bounds and Lipschitz metadata, plus seeded family generation.
+* :mod:`qek.functions` -- a closed function DSL whose monotone directions,
+  bounds, nonnegativity and Lipschitz constants are certified on any
+  [0, T] from the expression, plus seeded family generation.
 * :mod:`qek.ekoperator` -- the generalized Erdelyi-Kober fractional
   q-integral operator (series and integral forms) and the Kober operator.
 * :mod:`qek.inequalities` -- evaluators for six Chebyshev-type operator
@@ -61,6 +62,7 @@ from .functions import (
     function_spec,
     generate_family,
     generate_weight,
+    monotonicity_on,
     parse_expr,
     parse_function_spec,
     format_expr,

@@ -386,14 +386,14 @@ def rows_to_csv(rows, timestamp: bool = True) -> str:
 # standard grids shared by reduce-check, sweeps and the acceptance suite
 
 
-def standard_shapes(T: float = 2.0) -> list[FunctionSpec]:
+def standard_shapes() -> list[FunctionSpec]:
     """The four reference integrand shapes: 1, t, t^2, monotone piecewise."""
     pwl = PiecewiseLinear(((0.0, 0.0), (0.5, 0.3), (1.0, 0.5), (2.0, 1.2)))
     return [
-        parse_function_spec("(const 1)", T),
-        parse_function_spec("(power 1)", T),
-        parse_function_spec("(power 2)", T),
-        function_spec(pwl, T),
+        parse_function_spec("(const 1)"),
+        parse_function_spec("(power 1)"),
+        parse_function_spec("(power 2)"),
+        function_spec(pwl),
     ]
 
 
@@ -449,7 +449,7 @@ def cmd_eval(args) -> int:
         return _fail_usage("q must lie in (0,1)")
     try:
         p = OperatorParams(args.eta, args.mu, args.beta)
-        spec = parse_function_spec(args.f, max(args.t, 1.0))
+        spec = parse_function_spec(args.f)
         policy = _policy_from_args(args)
         if not args.t > 0:
             raise ValueError("t must be positive")
@@ -512,7 +512,7 @@ def _config_from_args(args) -> tuple[CampaignConfig, dict]:
     if args.config:
         raw = _load_config_file(args.config)
         for key, val in raw.items():
-            if key.startswith("grid."):
+            if key.startswith("grid.") and key[5:] in _GRID_KEYS:
                 values[_GRID_KEYS[key[5:]]] = val
             elif key == "theorem":
                 values["theorems"] = tuple(s.strip() for s in val.split(","))
@@ -580,7 +580,7 @@ def cmd_sweep(args) -> int:
         return _fail_usage("empty sweep range")
     try:
         policy = _policy_from_args(args)
-        spec = parse_function_spec(args.f, max(args.t, 1.0))
+        spec = parse_function_spec(args.f)
         if args.steps == 1:
             values = [args.start]
         else:

@@ -2,12 +2,14 @@
 
 Expressions are built from seven node types (constant, power, affine,
 piecewise-linear, product, sum, scale) and wrapped in a
-:class:`FunctionSpec` that carries metadata certified by construction:
-monotonicity direction, the exponent p of the t^p behaviour near 0, and
-the certified domain [0, T]. The closed grammar is what makes bounds,
-Lipschitz constants and synchronicity certifiable instead of sampled
-guesses. Bounds are one interval enclosure over [0, T], with no sampled
-fallback: sound for every term, exact for every certified direction.
+:class:`FunctionSpec`: the tree, its compiled closure and the exponent p
+of its t^p behaviour near 0. The closed grammar is what makes bounds,
+Lipschitz constants, nonnegativity and monotone directions certifiable
+instead of sampled guesses. Each certificate is a function of the
+expression and an interval [0, T], computed on the interval the caller
+reads; none is stored on the spec and none is sampled. Bounds are one
+interval enclosure over [0, T]: sound for every term, exact for every
+certified direction.
 
 Specs serialize to s-expressions, e.g. ``(product (power 2) (const 1.5))``,
 and round-trip exactly.
@@ -19,7 +21,7 @@ import functools
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import DomainError, NotLipschitzError
 
@@ -46,12 +48,9 @@ __all__ = [
     "extract_lipschitz",
     "generate_family",
     "generate_weight",
-    "SYNC_TOL",
+    "monotonicity_on",
+    "nonnegative_on",
 ]
-
-# Absolute tolerance on products of differences in the synchronicity scan;
-# ties from equal samples must not produce spurious "neither".
-SYNC_TOL = 1e-14
 
 
 class Expr:
@@ -89,7 +88,7 @@ class PiecewiseLinear(Expr):
     """Linear interpolation through knots (x_i, y_i), first knot at x = 0.
 
     Beyond the last knot the value is clamped to the last y, which keeps
-    monotonicity and range certificates valid under uncertified extension.
+    the monotonicity and range certificates valid on every [0, T].
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -307,11 +306,14 @@ def c_lambda_exponent_of(expr: Expr) -> float:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """DSL expression plus certified metadata.
+    """DSL expression, its compiled closure and its exponent near 0.
 
-    ``monotonicity`` and ``c_lambda_exponent`` are derived structurally by
-    :func:`function_spec`; ``domain_hint`` is the T of the certified
-    interval [0, T]. Evaluation beyond T is permitted but uncertified.
+    ``c_lambda_exponent`` is derived structurally by :func:`function_spec`.
+    The spec stores no interval and no certificate: direction, bounds,
+    nonnegativity and Lipschitz constants are computed from ``expr`` on
+    the [0, T] each caller reads (:func:`monotonicity_on`,
+    :func:`extract_bounds`, :func:`nonnegative_on`,
+    :func:`extract_lipschitz`).
 
     ``fn`` is the compiled closure of ``expr``, built once here: it skips
     the domain check of ``__call__``, and it is not part of equality,
@@ -319,16 +321,13 @@ class FunctionSpec:
     """
 
     expr: Expr
-    monotonicity: str
     c_lambda_exponent: float
-    domain_hint: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "fn", compile_expr(self.expr))
 
     def __reduce__(self):
-        return (FunctionSpec, (self.expr, self.monotonicity,
-                               self.c_lambda_exponent, self.domain_hint))
+        return (FunctionSpec, (self.expr, self.c_lambda_exponent))
 
     def __call__(self, t: float) -> float:
         if t < 0.0:
@@ -344,16 +343,9 @@ def as_callable(f) -> Callable[[float], float]:
     return f.fn if isinstance(f, FunctionSpec) else f
 
 
-def function_spec(expr: Expr, T: float = 1.0) -> FunctionSpec:
-    """Build a FunctionSpec with metadata certified by construction."""
-    if not T > 0.0:
-        raise ValueError("domain upper end must be positive")
-    return FunctionSpec(
-        expr=expr,
-        monotonicity=monotonicity_on(expr, T),
-        c_lambda_exponent=c_lambda_exponent_of(expr),
-        domain_hint=float(T),
-    )
+def function_spec(expr: Expr) -> FunctionSpec:
+    """Wrap an expression tree in a FunctionSpec."""
+    return FunctionSpec(expr, c_lambda_exponent_of(expr))
 
 
 # ---------------------------------------------------------------------------
@@ -462,46 +454,24 @@ def parse_expr(text: str) -> Expr:
     return node
 
 
-def parse_function_spec(text: str, T: float = 1.0) -> FunctionSpec:
-    return function_spec(parse_expr(text), T)
+def parse_function_spec(text: str) -> FunctionSpec:
+    return function_spec(parse_expr(text))
 
 
 # ---------------------------------------------------------------------------
 # synchronicity, bounds, Lipschitz
 
 
-def check_synchronous(f: FunctionSpec, g: FunctionSpec,
-                      grid: Sequence[float]):
-    """Classify a pair as synchronous / asynchronous / neither on a grid.
-
-    Synchronous means (f(x)-f(y))(g(x)-g(y)) >= 0 for all pairs (within
-    SYNC_TOL); asynchronous reverses the sign. When both specs carry a
-    certified monotone direction the answer follows from the directions
-    and the scan is skipped. For "neither" the witness is the grid pair
-    with the most negative product of differences.
+def check_synchronous(f: FunctionSpec, g: FunctionSpec, T: float) -> str:
+    """Classify a pair on [0, T] from the directions :func:`monotonicity_on`
+    certifies for their expressions: "synchronous" for the same direction,
+    "asynchronous" for opposite ones, and "none" when either has no
+    certified direction on [0, T]. Nothing is sampled.
     """
-    if f.monotonicity != "none" and g.monotonicity != "none":
-        if f.monotonicity == g.monotonicity:
-            return "synchronous", None
-        return "asynchronous", None
-    if not grid:
-        raise ValueError("synchronicity grid must be nonempty")
-    pts = [(x, f(x), g(x)) for x in grid]
-    min_prod, max_prod = 0.0, 0.0
-    min_pair = None
-    for i, (x, fx, gx) in enumerate(pts):
-        for y, fy, gy in pts[i + 1:]:
-            d = (fx - fy) * (gx - gy)
-            if d < min_prod:
-                min_prod = d
-                min_pair = (x, y)
-            elif d > max_prod:
-                max_prod = d
-    if min_prod >= -SYNC_TOL:
-        return "synchronous", None
-    if max_prod <= SYNC_TOL:
-        return "asynchronous", None
-    return "neither", min_pair
+    df, dg = monotonicity_on(f.expr, T), monotonicity_on(g.expr, T)
+    if "none" in (df, dg):
+        return "none"
+    return "synchronous" if df == dg else "asynchronous"
 
 
 def extract_bounds(spec: FunctionSpec, T: float) -> tuple[float, float]:
@@ -676,13 +646,13 @@ def generate_family(kind: str, seed: int, T: float) -> FunctionFamily:
     rng = random.Random(seed)
     lipschitz_safe = kind == "lipschitz_triple"
     if kind == "asynchronous_pair_plus_nonneg":
-        f = function_spec(_increasing_expr(rng, T, True), T)
-        g = function_spec(_decreasing_expr(rng, T), T)
-        h = function_spec(_increasing_atom(rng, T, True), T)
+        f = function_spec(_increasing_expr(rng, T, True))
+        g = function_spec(_decreasing_expr(rng, T))
+        h = function_spec(_increasing_atom(rng, T, True))
         return FunctionFamily(kind, f, g, h)
-    f = function_spec(_increasing_expr(rng, T, lipschitz_safe), T)
-    g = function_spec(_increasing_expr(rng, T, lipschitz_safe), T)
-    h = function_spec(_increasing_expr(rng, T, lipschitz_safe), T)
+    f = function_spec(_increasing_expr(rng, T, lipschitz_safe))
+    g = function_spec(_increasing_expr(rng, T, lipschitz_safe))
+    h = function_spec(_increasing_expr(rng, T, lipschitz_safe))
     if kind == "bounded_triple":
         bounds = BoundsTriple(*extract_bounds(f, T), *extract_bounds(g, T),
                               *extract_bounds(h, T))
@@ -708,4 +678,4 @@ def generate_weight(seed: int, T: float) -> FunctionSpec:
     else:
         expr = Product(_increasing_atom(rng, T, True),
                        _increasing_atom(rng, T, True))
-    return function_spec(expr, T)
+    return function_spec(expr)

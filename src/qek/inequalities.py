@@ -11,10 +11,12 @@ Every eight-product sum is one ``_pair_sum`` over a table of
 (q1-subset, q2-subset) pairs; it adds the products left to right, so
 reports are the same bytes on every supported Python.
 
-Nonnegativity, the T3/T4 bounds and the T5/T6 Lipschitz constants come
-from the interval enclosure of :mod:`qek.functions` on the interval each
-check reads, and one it cannot certify is rejected even if true. Only the
-synchrony of a T1/T2 pair with no certified direction is a 12-point scan.
+Every hypothesis is decided from the expressions on [0, t], where every
+operator node lies: nonnegativity, the T3/T4 bounds and the T5/T6
+Lipschitz constants by the interval enclosure of :mod:`qek.functions`,
+and the T1/T2 synchrony by the monotone directions it certifies. Nothing
+is sampled, and a hypothesis that cannot be certified is rejected even if
+it is true.
 
 Margins are oriented so that margin >= 0 means the inequality holds as
 printed; a verdict is "inconclusive" whenever |margin| is within
@@ -177,31 +179,29 @@ _KERNEL_MINUS = (("gh", "f"), ("fh", "g"), ("fg", "h"), ("", "fgh"))
 
 
 def _require_nonnegative(spec: FunctionSpec, t: float, name: str) -> None:
-    T = max(t, spec.domain_hint)
-    if not nonnegative_on(spec.expr, T):
+    if not nonnegative_on(spec.expr, t):
         raise HypothesisViolatedError(
             f"{name} must map [0,inf) into [0,inf); the interval enclosure"
-            f" cannot certify it on [0, {T}]")
+            f" cannot certify it on [0, {t}]")
 
 
 def _require_chebyshev(case: TheoremCase, expect_reversed: bool) -> None:
     """T1/T2: f, g, h pairwise synchronous, or f, g asynchronous when the
     reversed inequality is expected; h >= 0 either way."""
-    grid = [case.t * k / 12 for k in range(1, 13)]
     if expect_reversed:
-        kind, witness = check_synchronous(case.f, case.g, grid)
-        if kind != "asynchronous":
-            raise HypothesisViolatedError(
-                f"reversal case needs f, g asynchronous; scan says {kind}"
-                f" (witness {witness})")
+        want, pairs = "asynchronous", (("f", "g"),)
     else:
-        for a, b, na, nb in ((case.f, case.g, "f", "g"),
-                             (case.f, case.h, "f", "h"),
-                             (case.g, case.h, "g", "h")):
-            kind, witness = check_synchronous(a, b, grid)
-            if kind != "synchronous":
-                raise HypothesisViolatedError(
-                    f"{na} and {nb} are not synchronous (witness {witness})")
+        want, pairs = "synchronous", (("f", "g"), ("f", "h"), ("g", "h"))
+    for na, nb in pairs:
+        kind = check_synchronous(getattr(case, na), getattr(case, nb), case.t)
+        if kind == "none":
+            raise HypothesisViolatedError(
+                f"{na} and {nb} must be {want}; the monotone direction of"
+                f" {na} or {nb} cannot be certified on [0, {case.t}]")
+        if kind != want:
+            raise HypothesisViolatedError(
+                f"{na} and {nb} must be {want}; on [0, {case.t}] they are"
+                f" {kind}")
     _require_nonnegative(case.h, case.t, "h")
 
 

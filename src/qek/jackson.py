@@ -125,6 +125,7 @@ def jackson_integral_ab(f, a: float, b: float, q: DeformationParam | float,
     integrals from 0; tails of both halves add."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError("limits must be positive")
+    q = as_deformation(q)
     if a == b:
         return SeriesResult(0.0, 0, 0.0, True)
     # a > b handled by antisymmetry (plumbing convenience).

@@ -180,7 +180,7 @@ def test_criterion_08_reduction_chain():
 
 def test_criterion_09_equality_at_constants():
     started = time.perf_counter()
-    const = parse_function_spec("(const 2)", 2.0)
+    const = parse_function_spec("(const 2)")
     u = generate_weight(900, 2.0)
     v = generate_weight(901, 2.0)
     flat_bounds = BoundsTriple(2.0, 2.0, 2.0, 2.0, 2.0, 2.0)

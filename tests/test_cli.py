@@ -199,6 +199,14 @@ class TestVerify:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_unknown_grid_key_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "campaign.cfg"
+        cfg.write_text("theorem = T1\ncases = 2\ngrid.bogus = 1\n")
+        code, out, err = run(["verify", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "unknown config key 'grid.bogus'" in err
+
     def test_config_file_io_keys(self, capsys, tmp_path):
         out_path = tmp_path / "from_config.csv"
         cfg = tmp_path / "campaign.cfg"
@@ -478,7 +486,7 @@ class TestPinnedOutputs:
         done = subprocess.run([sys.executable, str(script)],
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stdout + done.stderr
-        assert "4 of 4 pinned outputs match" in done.stdout
+        assert "5 of 5 pinned outputs match" in done.stdout
 
 
 class TestReportSerialization:

@@ -47,10 +47,10 @@ def power_closed_form(sigma, t, eta, mu, beta, q):
 
 
 SHAPES = [
-    parse_function_spec("(const 1)", 2.0),
-    parse_function_spec("(power 1)", 2.0),
-    parse_function_spec("(power 2)", 2.0),
-    function_spec(PiecewiseLinear(((0.0, 0.0), (0.5, 0.3), (1.0, 0.5), (2.0, 1.2))), 2.0),
+    parse_function_spec("(const 1)"),
+    parse_function_spec("(power 1)"),
+    parse_function_spec("(power 2)"),
+    function_spec(PiecewiseLinear(((0.0, 0.0), (0.5, 0.3), (1.0, 0.5), (2.0, 1.2)))),
 ]
 
 

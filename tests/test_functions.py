@@ -28,38 +28,35 @@ from qek.functions import (
     function_spec,
     generate_family,
     generate_weight,
+    monotonicity_on,
     nonnegative_on,
     parse_expr,
     parse_function_spec,
 )
 
 
-def spec(expr, T=1.0):
-    return function_spec(expr, T)
-
-
 class TestEvaluation:
     def test_power(self):
-        assert spec(Power(2.0))(3.0) == 9.0
+        assert function_spec(Power(2.0))(3.0) == 9.0
 
     def test_product(self):
-        assert spec(Product(Power(1.0), Const(2.0)))(4.0) == 8.0
+        assert function_spec(Product(Power(1.0), Const(2.0)))(4.0) == 8.0
 
     def test_piecewise_interpolation(self):
         pwl = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 1.5)))
-        assert spec(pwl, 2.0)(1.5) == pytest.approx(1.25, rel=1e-15)
+        assert function_spec(pwl)(1.5) == pytest.approx(1.25, rel=1e-15)
 
     def test_piecewise_clamps_beyond_last_knot(self):
         pwl = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0)))
-        assert spec(pwl)(5.0) == 1.0
+        assert function_spec(pwl)(5.0) == 1.0
 
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
-            spec(Power(2.0))(-0.5)
+            function_spec(Power(2.0))(-0.5)
 
     def test_sum_scale_affine(self):
         e = Sum(Scale(2.0, Affine(1.0, 0.0)), Const(1.0))
-        assert spec(e)(3.0) == 7.0
+        assert function_spec(e)(3.0) == 7.0
 
     def test_piecewise_validation(self):
         with pytest.raises(ValueError):
@@ -75,7 +72,7 @@ class TestCompiledSpec:
                PiecewiseLinear(((0.0, 0.0), (1.0, 2.0), (2.0, 2.5))))
 
     def test_pickle_round_trip(self):
-        s = spec(self.EXPR, 2.0)
+        s = function_spec(self.EXPR)
         back = pickle.loads(pickle.dumps(s))
         assert back == s
         assert hash(back) == hash(s)
@@ -83,15 +80,14 @@ class TestCompiledSpec:
         assert back.fn(0.25) == s.fn(0.25)
 
     def test_closure_left_out_of_eq_and_repr(self):
-        s = spec(self.EXPR, 2.0)
-        twin = FunctionSpec(s.expr, s.monotonicity, s.c_lambda_exponent,
-                            s.domain_hint)
+        s = function_spec(self.EXPR)
+        twin = FunctionSpec(s.expr, s.c_lambda_exponent)
         assert twin == s and hash(twin) == hash(s)
         assert "fn=" not in repr(s)
         assert "<function" not in repr(s)
 
     def test_calls_do_not_recompile(self):
-        s = spec(self.EXPR, 2.0)
+        s = function_spec(self.EXPR)
         before = compile_expr.cache_info()
         values = [s(0.1 * k) for k in range(50)]
         after = compile_expr.cache_info()
@@ -102,7 +98,7 @@ class TestCompiledSpec:
         info = compile_expr.cache_info()
         assert info.maxsize is not None
         for k in range(info.maxsize + 10):
-            spec(Affine(1.0, float(k)))
+            function_spec(Affine(1.0, float(k)))
         assert compile_expr.cache_info().currsize == info.maxsize
 
 
@@ -122,7 +118,7 @@ class TestMetadata:
         ],
     )
     def test_monotonicity_certification(self, expr, direction):
-        assert spec(expr, 2.0).monotonicity == direction
+        assert monotonicity_on(expr, 2.0) == direction
 
     @pytest.mark.parametrize(
         "expr,p",
@@ -138,7 +134,7 @@ class TestMetadata:
         ],
     )
     def test_c_lambda_exponent(self, expr, p):
-        assert spec(expr).c_lambda_exponent == p
+        assert function_spec(expr).c_lambda_exponent == p
 
     @pytest.mark.parametrize(
         "expr",
@@ -151,7 +147,7 @@ class TestMetadata:
     )
     def test_exponent_consistency_by_sampling(self, expr):
         # t^(-p) * f(t) must stay bounded near 0
-        s = spec(expr)
+        s = function_spec(expr)
         p = s.c_lambda_exponent
         samples = [abs(s(10.0 ** -k) / 10.0 ** (-k * p)) for k in range(1, 9)]
         assert max(samples) < 1e6
@@ -192,8 +188,8 @@ class TestSerialization:
             parse_expr(bad)
 
     def test_parse_function_spec_carries_metadata(self):
-        s = parse_function_spec("(affine -1 5)", 2.0)
-        assert s.monotonicity == "decreasing"
+        s = parse_function_spec("(affine -1 5)")
+        assert s.c_lambda_exponent == 0.0
         assert s(1.0) == 4.0
 
 
@@ -247,7 +243,7 @@ class TestBoundsProperty:
     @given(expr=_exprs, T=st.floats(0.1, 4.0))
     @settings(max_examples=300)
     def test_enclosure_sound_and_exact_when_certified(self, expr, T):
-        s = spec(expr, T)
+        s = function_spec(expr)
         lo, hi = extract_bounds(s, T)
         xs = [T * k / 64 for k in range(65)]
         xs += [x for x in _knot_abscissae(expr) if x <= T]
@@ -259,87 +255,88 @@ class TestBoundsProperty:
         assert all(lo - slack <= v <= hi + slack for v in values)
         if nonnegative_on(expr, T):
             assert min(values) >= 0.0
-        if s.monotonicity != "none":
+        if monotonicity_on(expr, T) != "none":
             ends = (s(0.0), s(T))
             assert (lo, hi) == (min(ends), max(ends))
+
+    @given(expr=_exprs, T=st.floats(0.1, 4.0))
+    @settings(max_examples=300)
+    def test_certified_direction_is_monotone(self, expr, T):
+        direction = monotonicity_on(expr, T)
+        if direction == "none":
+            return
+        s = function_spec(expr)
+        lo, hi = extract_bounds(s, T)
+        xs = sorted([T * k / 64 for k in range(65)]
+                    + [x for x in _knot_abscissae(expr) if x <= T])
+        values = [s(x) for x in xs]
+        if direction == "decreasing":
+            values = [-v for v in values]
+        # the same rounding slack as the enclosure property above
+        slack = 1e-12 * (1.0 + abs(lo) + abs(hi))
+        assert all(b >= a - slack for a, b in zip(values, values[1:]))
 
 
 class TestSynchronicity:
     def test_pair_with_itself(self):
-        f = spec(Power(1.0))
-        kind, witness = check_synchronous(f, f, [0.1, 0.5, 1.0])
-        assert kind == "synchronous"
-        assert witness is None
+        f = function_spec(Power(1.0))
+        assert check_synchronous(f, f, 1.0) == "synchronous"
 
     def test_opposite_monotone(self):
-        f = spec(Power(1.0))
-        g = spec(Affine(-1.0, 5.0))
-        kind, _ = check_synchronous(f, g, [0.1, 0.5, 1.0])
-        assert kind == "asynchronous"
+        f = function_spec(Power(1.0))
+        g = function_spec(Affine(-1.0, 5.0))
+        assert check_synchronous(f, g, 1.0) == "asynchronous"
 
     def test_hat_function_is_neither(self):
-        import dataclasses
-
-        f = spec(Power(2.0), 2.0)
-        hat = spec(PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))), 2.0)
-        # force the scan: strip the (certified) direction of f
-        f_scan = dataclasses.replace(f, monotonicity="none")
-        grid = [0.1 * k for k in range(1, 21)]
-        kind, witness = check_synchronous(f_scan, hat, grid)
-        assert kind == "neither"
-        assert witness is not None
-        x, y = witness
-        assert (f(x) - f(y)) * (hat(x) - hat(y)) < 0.0
+        f = function_spec(Power(2.0))
+        hat = function_spec(PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))))
+        assert check_synchronous(f, hat, 2.0) == "none"
+        assert check_synchronous(hat, f, 2.0) == "none"
 
     def test_certified_shortcut_matches_scan(self):
-        import dataclasses
-
+        # every pair the directions certify is synchronous on a fine scan
         rng = random.Random(7)
-        grid = [0.05 * k for k in range(1, 41)]
+        grid = [0.05 * k for k in range(41)]
         for seed in range(20):
             fam = generate_family("synchronous_triple", seed, 2.0)
-            pair = rng.sample([fam.f, fam.g, fam.h], 2)
-            certified, _ = check_synchronous(pair[0], pair[1], grid)
-            scanned, _ = check_synchronous(
-                dataclasses.replace(pair[0], monotonicity="none"),
-                dataclasses.replace(pair[1], monotonicity="none"),
-                grid,
-            )
-            assert certified == "synchronous"
-            assert scanned == "synchronous"
+            f, g = rng.sample([fam.f, fam.g, fam.h], 2)
+            assert check_synchronous(f, g, 2.0) == "synchronous"
+            assert all((f(x) - f(y)) * (g(x) - g(y)) >= 0.0
+                       for x in grid for y in grid)
 
-    def test_empty_grid_rejected_when_scan_needed(self):
-        import dataclasses
-
-        f = dataclasses.replace(spec(Power(1.0)), monotonicity="none")
-        with pytest.raises(ValueError):
-            check_synchronous(f, f, [])
+    def test_direction_read_on_the_given_interval(self):
+        # (1 - t)^2 falls on [0, 1] but not on [0, 2], where it rises again
+        f = parse_function_spec("(product (affine -1 1) (affine -1 1))")
+        g = parse_function_spec("(affine -1 3)")
+        assert check_synchronous(f, g, 1.0) == "synchronous"
+        assert check_synchronous(f, g, 2.0) == "none"
+        assert f(2.0) > f(1.0)
 
 
 class TestBounds:
     def test_monotone_endpoints(self):
-        assert extract_bounds(spec(Power(2.0), 2.0), 2.0) == (0.0, 4.0)
+        assert extract_bounds(function_spec(Power(2.0)), 2.0) == (0.0, 4.0)
 
     def test_constant(self):
-        assert extract_bounds(spec(Const(3.0), 5.0), 5.0) == (3.0, 3.0)
+        assert extract_bounds(function_spec(Const(3.0)), 5.0) == (3.0, 3.0)
 
     def test_decreasing_affine(self):
-        assert extract_bounds(spec(Affine(-2.0, 10.0), 3.0), 3.0) == (4.0, 10.0)
+        assert extract_bounds(function_spec(Affine(-2.0, 10.0)), 3.0) == (4.0, 10.0)
 
     def test_hat_knot_evaluation(self):
-        hat = spec(PiecewiseLinear(((0.0, 0.2), (1.0, 1.5), (2.0, 0.1))), 2.0)
+        hat = function_spec(PiecewiseLinear(((0.0, 0.2), (1.0, 1.5), (2.0, 0.1))))
         lo, hi = extract_bounds(hat, 2.0)
         assert (lo, hi) == (0.1, 1.5)
 
     def test_bounds_attained_for_monotone(self):
-        s = spec(Sum(Power(2.0), Affine(1.0, 0.3)), 2.0)
+        s = function_spec(Sum(Power(2.0), Affine(1.0, 0.3)))
         lo, hi = extract_bounds(s, 2.0)
         assert abs(lo - s(0.0)) < 1e-12
         assert abs(hi - s(2.0)) < 1e-12
 
     def test_enclosure_contains_samples(self):
-        s = spec(Product(Affine(1.0, 0.0), Affine(-1.0, 2.0)), 2.0)
-        assert s.monotonicity == "none"
+        s = function_spec(Product(Affine(1.0, 0.0), Affine(-1.0, 2.0)))
+        assert monotonicity_on(s.expr, 2.0) == "none"
         lo, hi = extract_bounds(s, 2.0)
         for k in range(101):
             val = s(2.0 * k / 100)
@@ -347,7 +344,7 @@ class TestBounds:
 
     def test_enclosure_covers_interior_maximum(self):
         # the maximum f(0.15) = 0.0225 falls between the points of a k/1024 grid
-        s = parse_function_spec("(product (affine 1 0) (affine -1 0.3))", 1.0)
+        s = parse_function_spec("(product (affine 1 0) (affine -1 0.3))")
         assert s(0.15) == pytest.approx(0.0225, rel=1e-15)
         assert extract_bounds(s, 1.0)[1] >= 0.0225
 
@@ -359,27 +356,27 @@ class TestBounds:
 
 class TestLipschitz:
     def test_affine(self):
-        assert extract_lipschitz(spec(Affine(3.0, 1.0)), 1.0) == 3.0
+        assert extract_lipschitz(function_spec(Affine(3.0, 1.0)), 1.0) == 3.0
 
     def test_power_two(self):
-        assert extract_lipschitz(spec(Power(2.0), 2.0), 2.0) == 4.0
+        assert extract_lipschitz(function_spec(Power(2.0)), 2.0) == 4.0
 
     def test_fractional_power_rejected(self):
         with pytest.raises(NotLipschitzError):
-            extract_lipschitz(spec(Power(0.5)), 1.0)
+            extract_lipschitz(function_spec(Power(0.5)), 1.0)
 
     def test_piecewise_max_slope(self):
-        pwl = spec(PiecewiseLinear(((0.0, 0.0), (0.5, 2.0), (2.0, 2.5))), 2.0)
+        pwl = function_spec(PiecewiseLinear(((0.0, 0.0), (0.5, 2.0), (2.0, 2.5))))
         assert extract_lipschitz(pwl, 2.0) == 4.0
 
     @pytest.mark.parametrize("T, const", [(1.0, 1.0), (1.5, 4.0)])
     def test_piecewise_reads_pieces_below_T(self, T, const):
         # the slope-4 piece starts at 1, so it does not meet [0, 1)
-        pwl = spec(PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 5.0))), 2.0)
+        pwl = function_spec(PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 5.0))))
         assert extract_lipschitz(pwl, T) == const
 
     def test_constant_rate_zero(self):
-        assert extract_lipschitz(spec(Const(9.0)), 3.0) == 0.0
+        assert extract_lipschitz(function_spec(Const(9.0)), 3.0) == 0.0
 
     @pytest.mark.parametrize("seed", [1, 5, 9])
     def test_composite_constant_validates_on_pairs(self, seed):
@@ -415,14 +412,12 @@ class TestFamilies:
         assert a != b
 
     def test_synchronous_triple_pairwise(self):
-        grid = [0.05 * k for k in range(1, 21)]
         for seed in range(25):
             fam = generate_family("synchronous_triple", seed, 1.0)
             for x, y in ((fam.f, fam.g), (fam.f, fam.h), (fam.g, fam.h)):
-                kind, _ = check_synchronous(x, y, grid)
-                assert kind == "synchronous"
+                assert check_synchronous(x, y, 1.0) == "synchronous"
             for s in fam.specs:
-                assert s.monotonicity == "increasing"
+                assert monotonicity_on(s.expr, 1.0) == "increasing"
 
     def test_bounded_triple_bounds_cover_samples(self):
         fam = generate_family("bounded_triple", 2, 1.0)
@@ -447,8 +442,7 @@ class TestFamilies:
         grid = [0.05 * k for k in range(1, 21)]
         for seed in range(10):
             fam = generate_family("asynchronous_pair_plus_nonneg", seed, 1.0)
-            kind, _ = check_synchronous(fam.f, fam.g, grid)
-            assert kind == "asynchronous"
+            assert check_synchronous(fam.f, fam.g, 1.0) == "asynchronous"
             assert min(fam.h(x) for x in grid) >= 0.0
 
     def test_unknown_kind_rejected(self):

@@ -32,10 +32,10 @@ from qek.inequalities import (
 )
 from qek.qcore import DeformationParam, TruncationPolicy
 
-U1 = parse_function_spec("(const 1)", 2.0)
-IDENT = parse_function_spec("(power 1)", 2.0)
-CONST2 = parse_function_spec("(const 2)", 2.0)
-DEC = parse_function_spec("(affine -1 2)", 2.0)
+U1 = parse_function_spec("(const 1)")
+IDENT = parse_function_spec("(power 1)")
+CONST2 = parse_function_spec("(const 2)")
+DEC = parse_function_spec("(affine -1 2)")
 
 
 def make_case(theorem_id, f, g, h, u=U1, v=None, t=1.0, q1=0.5, q2=0.5,
@@ -132,7 +132,7 @@ class TestTheoremOne:
         # f = g = h synchronous but negative on [0, t]: without the h >= 0
         # check this case reported margin -4.42, "violated"
         case = derive_case(CampaignConfig(theorems=("T1",), seed=1), "T1", 0)
-        neg = parse_function_spec("(affine 1 -5)", case.t)
+        neg = parse_function_spec("(affine 1 -5)")
         bad = dataclasses.replace(case, f=neg, g=neg, h=neg)
         with pytest.raises(HypothesisViolatedError, match="h must map"):
             theorem1(bad)
@@ -143,7 +143,7 @@ class TestTheoremOne:
             theorem1(case, expect_reversed=True)
 
     def test_negative_weight_rejected(self):
-        bad_u = parse_function_spec("(affine 1 -0.5)", 2.0)
+        bad_u = parse_function_spec("(affine 1 -0.5)")
         case = make_case("T1", IDENT, IDENT, IDENT, u=bad_u)
         with pytest.raises(HypothesisViolatedError):
             theorem1(case)
@@ -157,10 +157,10 @@ class TestTheoremOne:
 
     def test_scale_covariance(self):
         base = make_case("T1", IDENT, IDENT, IDENT,
-                         u=parse_function_spec("(affine 1 0.5)", 2.0),
+                         u=parse_function_spec("(affine 1 0.5)"),
                          q2=0.7, p2=(0.5, 1.5, 2.0))
         scaled = dataclasses.replace(
-            base, u=parse_function_spec("(scale 3 (affine 1 0.5))", 2.0))
+            base, u=parse_function_spec("(scale 3 (affine 1 0.5))"))
         rep1 = theorem1(base)
         rep9 = theorem1(scaled)
         assert rep9.margin == pytest.approx(9.0 * rep1.margin, rel=1e-12)
@@ -190,7 +190,7 @@ class TestTheoremTwo:
     def test_distinct_weights_hold(self):
         fam = generate_family("synchronous_triple", 8, 1.0)
         case = make_case("T2", fam.f, fam.g, fam.h, u=U1,
-                         v=parse_function_spec("(power 1)", 2.0))
+                         v=parse_function_spec("(power 1)"))
         rep = theorem2(case)
         assert rep.margin >= -SAFETY_FACTOR * rep.worst_tail
         assert rep.verdict != "violated"
@@ -238,7 +238,7 @@ class TestTheoremFour:
     def test_two_weight_case_holds(self):
         fam = generate_family("bounded_triple", 11, 1.0)
         case = make_case("T4", fam.f, fam.g, fam.h, bounds=fam.bounds,
-                         v=parse_function_spec("(power 2)", 2.0))
+                         v=parse_function_spec("(power 2)"))
         rep = theorem4(case)
         assert rep.margin >= 0.0
 
@@ -293,7 +293,7 @@ class TestTheoremSix:
 
     def test_two_weight_case_runs_and_flags_consistently(self):
         fam = generate_family("lipschitz_triple", 17, 1.0)
-        v = parse_function_spec("(affine 1 1)", 2.0)
+        v = parse_function_spec("(affine 1 1)")
         case = make_case("T6", fam.f, fam.g, fam.h, v=v,
                          lipschitz=fam.lipschitz, q1=0.5, q2=0.6,
                          p1=(0.0, 1.0, 1.0), p2=(0.5, 0.7, 2.0))
@@ -341,6 +341,31 @@ class TestCertifiedHypotheses:
         assert false_at(case)
         with pytest.raises(HypothesisViolatedError, match="cannot certify"):
             evaluate_case(case)
+
+    # f and g have no certified common (or opposite) direction on [0, t];
+    # each witness is a pair of points where the hypothesis fails
+    @pytest.mark.parametrize("f, g, h, t, reverse, broken", [
+        # t (0.05 - t) rises on [0, 0.025] while g falls
+        ("(product (affine 1 0) (affine -1 0.05))", "(affine -1 1)",
+         "(affine -1 1)", 1.0, False,
+         lambda f, g: (f(0.02) - f(0.0)) * (g(0.02) - g(0.0)) < 0.0),
+        # f and g both rise on [0, 0.025], so they are not asynchronous
+        ("(product (affine 1 0) (affine -1 0.05))", "(power 1)",
+         "(const 1)", 1.0, True,
+         lambda f, g: (f(0.02) - f(0.0)) * (g(0.02) - g(0.0)) > 0.0),
+        # (1 - t)^2 falls on [0, 1] and rises on [1, 2] while g falls
+        ("(product (affine -1 1) (affine -1 1))", "(affine -1 3)",
+         "(affine -1 3)", 2.0, False,
+         lambda f, g: (f(2.0) - f(1.0)) * (g(2.0) - g(1.0)) < 0.0),
+    ], ids=["T1-rising-then-falling-f", "T1-reversed-rising-pair",
+            "T1-square-past-its-minimum"])
+    def test_uncertified_synchrony_rejected(self, f, g, h, t, reverse, broken):
+        case = make_case("T1", parse_function_spec(f), parse_function_spec(g),
+                         parse_function_spec(h), t=t)
+        assert broken(case.f, case.g)
+        with pytest.raises(HypothesisViolatedError,
+                           match="f and g must be .* cannot be certified"):
+            theorem1(case, expect_reversed=reverse)
 
     def test_true_but_uncertified_bound_rejected(self):
         # Psi = 0.0225 is the true maximum, but the enclosure of the product

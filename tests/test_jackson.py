@@ -148,6 +148,10 @@ class TestJacksonIntegralAB:
         res = jackson_integral_ab(lambda t: t, 1.5, 1.5, 0.5)
         assert res.value == 0.0
 
+    def test_equal_limits_still_validate_q(self):
+        with pytest.raises(ValueError, match="q must lie in"):
+            jackson_integral_ab(lambda t: 1.0, 1.0, 1.0, 5.0)
+
     def test_antisymmetry(self):
         fwd = jackson_integral_ab(lambda t: t * t, 1.0, 2.0, 0.6)
         rev = jackson_integral_ab(lambda t: t * t, 2.0, 1.0, 0.6)

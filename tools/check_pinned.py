@@ -1,8 +1,10 @@
 """Check that seeded campaign reports and the reduce-check line are unchanged.
 
-Runs ``qek verify`` on three pinned campaigns and ``qek reduce-check`` in
-this process, then compares the SHA-256 of each campaign's report bytes
-and the reduce-check line against the values pinned below. Exits 0 when
+Runs ``qek verify`` on three pinned campaigns, the first of them again
+in a two-process pool (``--jobs 2``, which must give the same bytes), and
+``qek reduce-check`` in this process, then compares the SHA-256 of each
+campaign's report bytes and the reduce-check line against the values
+pinned below. Exits 0 when
 all match and 1 on any mismatch. Stdlib only, so it runs where pytest is
 not installed:
 
@@ -30,6 +32,11 @@ PINNED = (
      ["verify", "--theorem", "T1", "--theorem", "T2", "--theorem", "T3",
       "--theorem", "T4", "--theorem", "T5", "--theorem", "T6",
       "--cases", "200", "--seed", "1", "--no-timestamp"],
+     "sha256 0c92dc0d0cb76d8b14e9ca3af76fc9611916e45aa3227fa285927e8d7a665e0a"),
+    ("T1-T6 --cases 200 --seed 1 --jobs 2",
+     ["verify", "--theorem", "T1", "--theorem", "T2", "--theorem", "T3",
+      "--theorem", "T4", "--theorem", "T5", "--theorem", "T6",
+      "--cases", "200", "--seed", "1", "--no-timestamp", "--jobs", "2"],
      "sha256 0c92dc0d0cb76d8b14e9ca3af76fc9611916e45aa3227fa285927e8d7a665e0a"),
     ("T1,T5 --cases 30 --seed 3 at q in 0.97,0.99",
      ["verify", "--theorem", "T1", "--theorem", "T5", "--cases", "30",
