@@ -14,9 +14,15 @@ equivalent representations:
 
 The series is a quadrature rule: weights times integrand values at the
 geometric nodes t q^(k/beta). ``OperatorRule`` holds the nodes, weights
-and factor values of one (t, p, q) and sums any product of its factors
-under one stop rule; ``ek_series`` is its one-factor case. The Kober
-operator is the beta = 1 member of the integral form.
+and factor values of one (t, p, q) and sums any product of its factors;
+``ek_series`` is its one-factor case. A product of DSL expressions
+(:class:`qek.functions.FunctionSpec`) is a monomial sum below its first
+knot x_b, so its series is the fsum over the few nodes >= x_b plus a
+closed-form tail from the q-binomial theorem, with nothing truncated but
+the q-products of that closed form; at q = 0.99 that is tens to hundreds
+of nodes instead of thousands of terms. Any other callable is summed
+term by term under the policy's stop rule. The Kober operator is the
+beta = 1 member of the integral form.
 
 ``ek_integral`` evaluates the integral form on the same nodes but by its
 own route: at node j the kernel is t^(beta(mu-1)) (q^(j+1); q)_inf /
@@ -26,22 +32,23 @@ is normalised by GammaQ(mu). It never uses the series weight recurrence
 or its (1-q)^(mu-1) prefactor, so it checks them; the table makes the
 cost O(nodes + factors) instead of two infinite products per node.
 
-All series weights are positive for mu > 0, so each retained term keeps
-the sign of f at its node; results report the smallest scaled term so
-nonnegativity of the operator can be checked term by term.
+All series weights are positive for mu > 0, so each term keeps the sign
+of f at its node; results report the smallest scaled term so
+nonnegativity of the operator can be checked term by term (for a closed-
+form tail, by the interval enclosure of the integrand below x_b).
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from itertools import accumulate, chain, repeat, takewhile, tee
-from math import exp, expm1, inf, log1p
-from operator import add, lt, mul, neg, sub
+from itertools import accumulate, chain, islice, repeat, takewhile, tee
+from math import ceil, exp, expm1, fsum, inf, log, log1p, prod
+from operator import add, lt, mul, neg, sub, truediv
 
 from .errors import DomainError, NotConvergedError
-from .functions import as_callable
+from .functions import FunctionSpec, _range, as_callable, first_piece, poly_product
 from .qcore import (
     DEFAULT_POLICY,
     DeformationParam,
@@ -56,6 +63,10 @@ from .qcore import (
 # Not called here; kept so tracing harnesses (qekbench/child.py) that wrap
 # qek.ekoperator.q_power_alpha by attribute still find it.
 from .qcore import q_power_alpha  # noqa: F401
+
+# unit roundoff of IEEE double precision
+_U = 2.0 ** -53
+_LN2 = log(2.0)
 
 __all__ = [
     "OperatorParams",
@@ -91,11 +102,12 @@ class OperatorParams:
 
 @dataclass(frozen=True)
 class OperatorResult(SeriesResult):
-    """SeriesResult extended with the smallest retained (scaled) term.
+    """SeriesResult extended with the smallest (scaled) term.
 
     ``min_term`` >= 0 certifies that every term of the evaluation was
     nonnegative, which for nonnegative inputs is exact, not a tolerance
-    statement.
+    statement. A closed-form tail enters as the least value of its
+    integrand's interval enclosure below x_b, or 0 when that is >= 0.
     """
 
     min_term: float = 0.0
@@ -112,10 +124,24 @@ def _check_exponent(f, p: OperatorParams) -> None:
 class OperatorRule:
     """The series quadrature rule of one operator side at one (t, p, q).
 
-    Nodes x_k = t q^(k/beta), weights (q^mu;q)_k / (q;q)_k q^(k(eta+1))
-    and the value of every named factor of ``fns`` at every node are
-    generated on demand and kept, so each factor is evaluated once per
-    node however many products of factors are summed over the rule.
+    Nodes x_k = t q^(k/beta) and weights w_k = (q^mu;q)_k / (q;q)_k
+    q^(k(eta+1)). ``apply`` sums a product of named factors over them in
+    one of two ways, and either way each factor is evaluated once per node
+    however many products use it.
+
+    * Every factor a FunctionSpec: a head plus a closed-form tail. Below
+      its first knot x_b the product is a monomial sum sum_p c_p x^p
+      (``first_piece``), and by the q-binomial theorem
+      sum_k w_k x_k^p = t^p S(q^(eta+1+p/beta)) with
+      S(z) = (q^mu z; q)_inf / (z; q)_inf = 1 / (z; q)_mu. So the K nodes
+      >= x_b are summed with ``math.fsum`` and the rest is
+      sum_p c_p (t^p S(z_p) - sum_(k<K) w_k x_k^p). S is a finite product
+      for integer mu; otherwise one log-space product pair per class of
+      p/beta mod 1 gives one S, and the finite ratio
+      S(zq) = S(z) (1 - z) / (1 - q^mu z) gives the rest of its class.
+      The weights use (1 - q^a) = -expm1(a log q), so none cancels.
+    * Any other callable: the nodes are generated one at a time and summed
+      under the policy's stop rule (``qcore.truncated_sum``).
     """
 
     def __init__(self, t: float, p: OperatorParams,
@@ -136,6 +162,48 @@ class OperatorRule:
                            * (1.0 - qv) ** (p.mu - 1.0))
         # (x_k, w_k, q^k, q^(mu+k)) of the next node to generate
         self._next = (t, 1.0, 1.0, qv ** p.mu)
+        # the head-plus-tail path of the factors with an expression; its
+        # prefactor forms 1 - q^(1/beta) by expm1, which does not cancel
+        self._t, self._p, self._lq = t, p, log(qv)
+        self._head_prefactor = (p.beta * -expm1(self._lq / p.beta)
+                                * (1.0 - qv) ** (p.mu - 1.0))
+        self._exprs = {name: fn.expr for name, fn in fns.items()
+                       if isinstance(fn, FunctionSpec)}
+        self._pieces = {name: first_piece(expr)
+                        for name, expr in self._exprs.items()}
+        self._ranges: dict[tuple, tuple[float, float]] = {}
+        self._products: dict[tuple, tuple] = {}
+        self._head_nodes = array("d", (t,))
+        self._head_weights = array("d", (1.0,))
+        self._head_values = {name: array("d") for name in self._pieces}
+        self._head_moments: dict[tuple, float] = {}
+        self._sums: dict[float, tuple] = {}
+        self._full_moments: dict[float, tuple] = {}
+        self._powers = array("d")  # q^k for the log-space products
+
+    def apply(self, names, moment: int = 0) -> OperatorResult:
+        """Operator applied to s^moment times the product of the named
+        factors: as a head plus a closed-form tail when every factor has
+        an expression, under the policy's stop rule otherwise."""
+        if moment < 0:
+            raise ValueError(f"moment must be >= 0, got {moment}")
+        if all(name in self._pieces for name in names):
+            return self._head_and_tail(names, moment)
+        total, used, last, smallest, stopped = truncated_sum(
+            self._terms(names, moment), self.policy)
+        pre = self._prefactor
+        if not stopped:
+            raise NotConvergedError(
+                _unstopped("operator series", used, self.policy),
+                partial=OperatorResult(pre * total, used, pre * abs(total),
+                                       False, pre * smallest),
+            )
+        ratio_eta = self._ratio_eta
+        tail = abs(last) * ratio_eta / (1.0 - ratio_eta)
+        return OperatorResult(pre * total, used, pre * tail, True,
+                              pre * smallest)
+
+    # -- stop-rule path -----------------------------------------------------
 
     def _terms(self, names, moment: int):
         """Iterator over w_k * (x_k^moment * v_1(x_k) * v_2(x_k) * ...),
@@ -171,24 +239,259 @@ class OperatorRule:
                 term *= val
             yield coef * term
 
-    def apply(self, names, moment: int = 0) -> OperatorResult:
-        """Operator applied to s^moment times the product of the named
-        factors, summed under the policy's stop rule."""
-        if moment < 0:
-            raise ValueError(f"moment must be >= 0, got {moment}")
-        total, used, last, smallest, stopped = truncated_sum(
-            self._terms(names, moment), self.policy)
-        pre = self._prefactor
-        if not stopped:
+    # -- head-plus-tail path ------------------------------------------------
+
+    def _head_and_tail(self, names, moment: int) -> OperatorResult:
+        """The rule's sum of s^moment times the named factors as
+        fsum over the nodes >= x_b plus sum_p c_p (t^p S_p - head_p).
+
+        ``tail_estimate`` bounds S's truncation plus, to first order in the
+        unit roundoff u, the rounding of the nodes, the weight recurrence,
+        the log sums and the cancellation in t^p S_p - head_p. It takes each
+        factor's value at a computed node as exact up to a few u of its
+        largest |value| on [0, t], and ``first_piece``'s coefficients as
+        exact up to a few u each.
+        """
+        p, t, lq = self._p, self._t, self._lq
+        names = tuple(names)
+        x_b, poly, lo, hi = self._product(moment, names, t)
+        size = self._head_length(x_b)
+        used = min(size, self.policy.max_terms)
+        terms = islice(self._head_weights, used)
+        for name in names:
+            terms = map(mul, terms, self._column(name, used))
+        if moment:
+            terms = map(mul, terms,
+                        map(pow, self._head_nodes, repeat(float(moment))))
+        terms = array("d", terms)
+        head = fsum(terms)
+        pre = self._head_prefactor
+        if size > used:  # more nodes above x_b than max_terms: the nodes read
             raise NotConvergedError(
                 _unstopped("operator series", used, self.policy),
-                partial=OperatorResult(pre * total, used, pre * abs(total),
-                                       False, pre * smallest),
-            )
-        ratio_eta = self._ratio_eta
-        tail = abs(last) * ratio_eta / (1.0 - ratio_eta)
-        return OperatorResult(pre * total, used, pre * tail, True,
-                              pre * smallest)
+                partial=OperatorResult(pre * head, used, pre * abs(head),
+                                       False, pre * min(terms)))
+
+        # relative errors in units of u: a head node t exp(k log(q)/beta),
+        # and a weight after k steps of w_(k+1) = w_k r_k
+        node_err = 3.0 * used * -lq / p.beta + 2.0
+        weight_err = used * (12.0 + 2.0 * (p.eta + 1.0) * -lq)
+        width = len(names) + 1
+        parts = []
+        err = 0.0
+        done = True
+        sums = set()
+        full_moments, head_moments = self._full_moments, self._head_moments
+        for power, coef in poly.items():
+            full, full_rel, keys, s_done = (full_moments.get(power)
+                                            or self._full_moment(power))
+            done = done and s_done
+            sums.update(keys)
+            part = head_moments.get((power, used))
+            if part is None:
+                part = self._head_moment(power, used)
+            parts.append(coef * (full - part))
+            err += abs(coef) * (full * (full_rel + 4.0 * width * _U)
+                                + part * (weight_err + power * node_err + 3.0)
+                                * _U)
+        tail = fsum(parts)
+        err += ((weight_err + 6.0 * width + moment * node_err)
+                * max(-lo, hi) * self._head_moment(0.0, used)
+                + 2.0 * (abs(head) + abs(tail))) * _U
+        # every tail node lies below min(x_b, t), where the enclosure gives
+        # the tail's sign
+        if lo < 0.0 and x_b < t:
+            lo = self._product(moment, names, x_b)[2]
+
+        value = pre * (head + tail)
+        estimate = pre * err + abs(value) * (10.0 + abs(p.mu - 1.0)) * _U
+        smallest = pre * min(min(terms, default=inf), lo, 0.0)
+        factors = used + sum(self._sums[c][2] for c in sums)
+        if not done:  # the value with its q-products cut at max_terms
+            raise NotConvergedError(
+                f"operator series: no convergence within "
+                f"{self.policy.max_terms} product factors",
+                partial=OperatorResult(value, factors, abs(value), False,
+                                       smallest))
+        return OperatorResult(value, factors, estimate, True, smallest)
+
+    def _product(self, moment: int, names: tuple, end: float) -> tuple:
+        """``(x_b, {p: c}, lo, hi)`` of s^moment times the named factors:
+        ``first_piece`` of the product and its interval enclosure on
+        [0, end], built on the cached entry of ``names[:-1]``."""
+        key = (moment, end, *names)
+        hit = self._products.get(key)
+        if hit is None:
+            if names:
+                x_b, poly, lo, hi = self._product(moment, names[:-1], end)
+                name = names[-1]
+                knot, piece = self._pieces[name]
+                bounds = self._ranges.get((name, end))
+                if bounds is None:
+                    bounds = self._ranges[name, end] = _range(self._exprs[name], end)
+                a, b = bounds
+                ends = (lo * a, lo * b, hi * a, hi * b)
+                hit = (min(x_b, knot), poly_product(poly, piece),
+                       min(ends), max(ends))
+            elif moment:
+                hit = (inf, {float(moment): 1.0}, 0.0, end ** moment)
+            else:
+                hit = (inf, {0.0: 1.0}, 1.0, 1.0)
+            self._products[key] = hit
+        return hit
+
+    def _head_length(self, x_b: float) -> int:
+        """The number K of nodes >= x_b, with nodes and weights filled to
+        K + 1 (to ``max_terms`` when K exceeds it)."""
+        t = self._t
+        if not x_b <= t:
+            return 0
+        size = int(self._p.beta * log(x_b / t) / self._lq) + 1
+        if size > self.policy.max_terms:
+            self._extend_head(self.policy.max_terms)
+            return size
+        self._extend_head(size + 1)
+        nodes = self._head_nodes
+        while size > 0 and nodes[size - 1] < x_b:
+            size -= 1
+        while nodes[size] >= x_b:
+            size += 1
+            self._extend_head(size + 1)
+        return size
+
+    def _extend_head(self, size: int) -> None:
+        """Fill the head nodes and weights to ``size``. Node k is
+        t exp(k log(q) / beta); weight k+1 is weight k times
+        q^(eta+1) (1 - q^(mu+k)) / (1 - q^(k+1)), each 1 - q^a formed as
+        -expm1(a log q)."""
+        nodes, weights = self._head_nodes, self._head_weights
+        have = len(nodes)
+        if have >= size:
+            return
+        lq, mu = self._lq, self._p.mu
+        nodes.extend(map(mul, repeat(self._t),
+                         map(exp, map(mul, repeat(lq / self._p.beta),
+                                      range(have, size)))))
+        nums = map(expm1, map(mul, repeat(lq),
+                              map(add, repeat(mu), range(have - 1, size - 1))))
+        dens = map(expm1, map(mul, repeat(lq), range(have, size)))
+        ratios = map(mul, map(truediv, nums, dens), repeat(self._ratio_eta))
+        weights.extend(islice(accumulate(ratios, mul, initial=weights[-1]),
+                              1, None))
+
+    def _column(self, name: str, size: int) -> array:
+        """The named factor at the first ``size`` head nodes (or more)."""
+        col = self._head_values[name]
+        if len(col) < size:
+            col.extend(map(self._fns[name], self._head_nodes[len(col):size]))
+        return col
+
+    def _head_moment(self, power: float, size: int) -> float:
+        """fsum of w_k x_k^power over the first ``size`` head nodes."""
+        key = (power, size)
+        hit = self._head_moments.get(key)
+        if hit is None:
+            vals = islice(self._head_weights, size)
+            if power:
+                vals = map(mul, vals, map(pow, self._head_nodes, repeat(power)))
+            hit = self._head_moments[key] = fsum(vals)
+        return hit
+
+    def _full_moment(self, power: float) -> tuple:
+        """``(t^power S(q^c), relative error bound, keys, converged)`` with
+        c = eta + 1 + power/beta: the sum of w_k x_k^power over every node
+        (q-binomial theorem). ``keys`` are the c of the S records it
+        reads."""
+        p = self._p
+        c = p.eta + 1.0 + power / p.beta
+        s, s_rel, _, base, done = self._s(c)
+        hit = self._full_moments[power] = (
+            self._t ** power * s, s_rel + 8.0 * _U,
+            (c,) if base is None else (c, base), done)
+        return hit
+
+    def _s(self, c: float) -> tuple:
+        """``(S(q^c), relative error bound, factors, base, converged)``.
+
+        ``factors`` counts the factors of the products formed for this S
+        alone; ``base`` is the c whose S it was reached from, or None.
+        """
+        hit = self._sums.get(c)
+        if hit is not None:
+            return hit
+        p, lq = self._p, self._lq
+        mu = p.mu
+        # relative error of a factor 1 - q^(c + j), c carrying the
+        # rounding of eta + 1 + power / beta
+        factor_err = (5.0 + 3.0 * (c + mu + 2.0 * abs(p.eta)) * -lq) * _U
+        if float(mu).is_integer():
+            n = int(mu)
+            den = prod(map(neg, map(expm1, map(mul, repeat(lq),
+                                                map(add, repeat(c), range(n))))))
+            rec = (1.0 / den, n * (factor_err + _U) + _U, n, None, True)
+        else:
+            # one log-space pair per class c mod 1, at the class's member in
+            # [1, 2), so that no S depends on the order products ask for it
+            base = c % 1.0 + 1.0
+            if base == c:
+                rec = self._log_sum(c)
+            else:
+                s0, rel0, _, _, done = self._s(base)
+                n = round(c - base)
+                if n > 0:
+                    nums = [base + j for j in range(n)]
+                    dens = [base + mu + j for j in range(n)]
+                else:
+                    nums = [base + mu - j for j in range(1, 1 - n)]
+                    dens = [base - j for j in range(1, 1 - n)]
+                ratio = (prod(map(expm1, map(mul, repeat(lq), nums)))
+                         / prod(map(expm1, map(mul, repeat(lq), dens))))
+                steps = 2 * abs(n)
+                rec = (s0 * ratio, rel0 + steps * (factor_err + _U) + 2.0 * _U,
+                       steps, base, done)
+        self._sums[c] = rec
+        return rec
+
+    def _log_sum(self, c: float) -> tuple:
+        """S(q^c) as the exp of log (q^(c+mu); q)_inf - log (q^c; q)_inf."""
+        num, num_size, num_err, num_done = self._log_product(c + self._p.mu)
+        den, den_size, den_err, den_done = self._log_product(c)
+        log_s = num - den
+        err = num_err + den_err + abs(log_s) * _U
+        return (exp(log_s), expm1(err) + _U, num_size + den_size, None,
+                num_done and den_done)
+
+    def _log_product(self, e: float) -> tuple:
+        """``(log (q^e; q)_inf, factors, error bound, converged)``, with as
+        many factors as ``product_length`` asks, summed by ``math.fsum``.
+
+        A factor 1 - x_k, x_k = q^(e+k), is formed as -expm1((e+k) log q)
+        while x_k > 1/2, where 1 - x_k would cancel, and as 1 - q^e q^k
+        after that, from the rule's one column of q^k.
+        """
+        qv, lq = self._q, self._lq
+        size, log_tail, done = product_length(qv ** e, qv, self.policy)
+        near = min(size, max(0, ceil(_LN2 / -lq - e)))
+        powers = self._powers
+        if len(powers) < size:
+            powers.extend(map(pow, repeat(qv), range(len(powers), size)))
+        exponents = map(mul, repeat(lq), map(add, repeat(e), range(near)))
+        value = fsum(chain(
+            map(log, map(neg, map(expm1, exponents))),
+            map(log1p, map(mul, repeat(-(qv ** e)), islice(powers, near, size)))))
+        # Rounding, in log terms: e carries the rounding of
+        # eta + 1 + p/beta (+ mu), a relative shift of every x_k that moves
+        # log(1 - x_k) by shift x_k / (1 - x_k), and the sum of x_k / (1 - x_k)
+        # over k is at most x_0 / (1 - x_0) - log(1 - x_0) / |log q|; a
+        # factor formed by expm1 is off by 4u, one formed from q^e q^k by
+        # 5u x_k / (1 - x_k) <= 10u x_k; every log and the fsum add u|value|.
+        shift = 3.0 * (e + 2.0 * abs(self._p.eta)) * -lq * _U
+        gap = -expm1(e * lq)
+        spread = (1.0 - gap) / gap + log(gap) / lq
+        err = (shift * spread
+               + (4.0 * near + 5.0 * (1.0 + _LN2 / -lq) + 2.0 * abs(value)) * _U
+               + log_tail)
+        return value, size, err, done
 
 
 def ek_series(f, t: float, p: OperatorParams, q: DeformationParam | float,
@@ -234,7 +537,10 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     builds its weights by the forward ratio recurrence
     (1 - q^(mu+k)) / (1 - q^(k+1)) from 1 and scales by (1-q)^(mu-1); the
     two routes share no arithmetic beyond the nodes, so a fault in either
-    shows as a gap between them. Cost is O(nodes + factors).
+    shows as a gap between them. Cost is O(nodes + factors). The node sum
+    stops at terms below rel_tol (1 - q^(eta+1)) times its running total,
+    so that its geometric tail stays below rel_tol of the value and the
+    oracle is as close to the exact operator as the series of DSL inputs.
 
     A node loop or kernel table that needs more than ``max_terms`` raises
     this operator's NotConvergedError, whose partial result is the
@@ -270,7 +576,10 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     kernels = chain(map(exp, table), repeat(1.0))
     terms = map(mul, map(mul, map(mul, rjs, kernels),
                          map(pow, taus, repeat(tau_exp))), map(fn, taus_f))
-    total, used, last, _, stopped = truncated_sum(terms, policy)
+    # the terms fall by about q^(eta+1) a node, so stopping at terms below
+    # rel_tol (1 - q^(eta+1)) |total| leaves a tail below rel_tol |total|
+    node_policy = replace(policy, rel_tol=policy.rel_tol * (1.0 - ratio_eta))
+    total, used, last, _, stopped = truncated_sum(terms, node_policy)
     scale = front * (1.0 - root) * t
     value = scale * total
     if not (stopped and table_done):

@@ -21,6 +21,7 @@ import functools
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Optional
 
 from .errors import DomainError, NotLipschitzError
@@ -46,6 +47,7 @@ __all__ = [
     "check_synchronous",
     "extract_bounds",
     "extract_lipschitz",
+    "first_piece",
     "generate_family",
     "generate_weight",
     "monotonicity_on",
@@ -230,6 +232,52 @@ def _range(expr: Expr, T: float) -> tuple[float, float]:
     return min(ends), max(ends)
 
 
+def first_piece(expr: Expr) -> tuple[float, dict[float, float]]:
+    """``(x_b, {p: c})`` such that expr(x) = sum_p c x^p on [0, x_b).
+
+    One rule per node type, as in ``_range``: constants, powers and affine
+    maps are monomial sums everywhere (x_b = inf); a piecewise-linear node
+    is affine up to its first interior knot; sums, scalings and products
+    add, scale or multiply the monomial sums and keep the smallest x_b.
+    Zero coefficients are dropped.
+    """
+    if isinstance(expr, Const):
+        return inf, _nonzero({0.0: expr.value})
+    if isinstance(expr, Power):
+        return inf, {expr.exponent: 1.0}
+    if isinstance(expr, Affine):
+        return inf, _nonzero({0.0: expr.intercept, 1.0: expr.slope})
+    if isinstance(expr, PiecewiseLinear):
+        (_, y0), (x1, y1) = expr.knots[:2]
+        return x1, _nonzero({0.0: y0, 1.0: (y1 - y0) / x1})
+    if isinstance(expr, Scale):
+        x_b, poly = first_piece(expr.inner)
+        return x_b, _nonzero({p: expr.factor * c for p, c in poly.items()})
+    if isinstance(expr, (Sum, Product)):
+        (x_l, left), (x_r, right) = first_piece(expr.left), first_piece(expr.right)
+        if isinstance(expr, Product):
+            return min(x_l, x_r), poly_product(left, right)
+        poly = dict(left)
+        for p, c in right.items():
+            poly[p] = poly.get(p, 0.0) + c
+        return min(x_l, x_r), _nonzero(poly)
+    raise TypeError(f"unknown expression node {expr!r}")
+
+
+def poly_product(left: dict[float, float],
+                 right: dict[float, float]) -> dict[float, float]:
+    """Product of two monomial sums {p: c}."""
+    out: dict[float, float] = {}
+    for pl, cl in left.items():
+        for pr, cr in right.items():
+            out[pl + pr] = out.get(pl + pr, 0.0) + cl * cr
+    return out
+
+
+def _nonzero(poly: dict[float, float]) -> dict[float, float]:
+    return {p: c for p, c in poly.items() if c != 0.0}
+
+
 def nonnegative_on(expr: Expr, T: float) -> bool:
     """Whether the interval enclosure of expr over [0, T] is >= 0."""
     return _range(expr, T)[0] >= 0.0
@@ -241,9 +289,10 @@ _FLIP = {"increasing": "decreasing", "decreasing": "increasing", "none": "none"}
 def monotonicity_on(expr: Expr, T: float) -> str:
     """Certified monotone direction on [0, T].
 
-    Constants are classified as (weakly) increasing, which keeps every
-    downstream synchronicity certification sound since the defining
-    inequalities are non-strict. Returns "none" whenever the construction
+    Constants are classified as (weakly) increasing, which keeps the
+    direction of a sum or product with a constant sound since the defining
+    inequalities are non-strict; :func:`check_synchronous` reads a
+    constant as both directions. Returns "none" whenever the construction
     rules cannot certify a direction.
     """
     if isinstance(expr, Power) or _is_constant(expr):
@@ -466,8 +515,12 @@ def check_synchronous(f: FunctionSpec, g: FunctionSpec, T: float) -> str:
     """Classify a pair on [0, T] from the directions :func:`monotonicity_on`
     certifies for their expressions: "synchronous" for the same direction,
     "asynchronous" for opposite ones, and "none" when either has no
-    certified direction on [0, T]. Nothing is sampled.
+    certified direction on [0, T]. A constant makes every product
+    (f(x) - f(y))(g(x) - g(y)) zero, so a pair with a constant is "both"
+    synchronous and asynchronous. Nothing is sampled.
     """
+    if _is_constant(f.expr) or _is_constant(g.expr):
+        return "both"
     df, dg = monotonicity_on(f.expr, T), monotonicity_on(g.expr, T)
     if "none" in (df, dg):
         return "none"

@@ -20,11 +20,13 @@ it is true.
 
 Margins are oriented so that margin >= 0 means the inequality holds as
 printed; a verdict is "inconclusive" whenever |margin| is within
-SAFETY_FACTOR times the worst truncation tail of the contributing
-operator evaluations. That guards against truncation noise but does not
-rule it out: the tail is one operator's geometric estimate, which can
-undercount for mu > 1, and it is not propagated through the products or
-joined by a rounding term (ROADMAP item 3).
+SAFETY_FACTOR times the worst tail of the contributing operator
+evaluations. Every case factor is a DSL expression, so each evaluation is
+a head plus a closed-form tail whose tail estimate bounds the truncation
+of its q-products and, to first order, its rounding (see
+:class:`qek.ekoperator.OperatorRule`). That guards against numerical
+noise but does not rule it out: the worst single tail is not propagated
+through the products of the margin (ROADMAP item 3).
 
 Within one case the eight products per side reuse repeated operator
 evaluations through a case-local memo (e.g. the plain weight operator
@@ -137,12 +139,14 @@ class _CaseOps:
 
     Keys are (side, weight name, function subset, moment power); side 1
     evaluates on the rule at (q1, p1), side 2 on the rule at (q2, p2).
+    The rules get the FunctionSpecs, not their closures, so that they can
+    read each expression's first piece.
     """
 
     def __init__(self, case: TheoremCase, policy: TruncationPolicy):
-        fns = {"f": case.f.fn, "g": case.g.fn, "h": case.h.fn, "u": case.u.fn}
+        fns = {"f": case.f, "g": case.g, "h": case.h, "u": case.u}
         if case.v is not None:
-            fns["v"] = case.v.fn
+            fns["v"] = case.v
         self._rules = {
             1: OperatorRule(case.t, case.p1, case.q1, fns, policy),
             2: OperatorRule(case.t, case.p2, case.q2, fns, policy),
@@ -198,7 +202,7 @@ def _require_chebyshev(case: TheoremCase, expect_reversed: bool) -> None:
             raise HypothesisViolatedError(
                 f"{na} and {nb} must be {want}; the monotone direction of"
                 f" {na} or {nb} cannot be certified on [0, {case.t}]")
-        if kind != want:
+        if kind not in (want, "both"):
             raise HypothesisViolatedError(
                 f"{na} and {nb} must be {want}; on [0, {case.t}] they are"
                 f" {kind}")
@@ -283,12 +287,14 @@ def _lipschitz_sides(case: TheoremCase, ops: _CaseOps, weight2: str):
     # Moment bracket: double integral of u(tau) w(rho) (tau - rho)^3,
     # expanded into four moment products. The first product carries
     # weight u on the q2 side even in the two-weight version.
-    bracket = (ops.value(1, "", moment=3) * ops.value(2, "", "u")
-               + 3.0 * ops.value(1, "", moment=1)
-               * ops.value(2, "", weight2, moment=2)
-               - 3.0 * ops.value(1, "", moment=2)
-               * ops.value(2, "", weight2, moment=1)
-               - ops.value(1, "") * ops.value(2, "", weight2, moment=3))
+    # Grouped into the two antisymmetric differences, so that with equal
+    # sides each is exactly 0.
+    bracket = ((ops.value(1, "", moment=3) * ops.value(2, "", "u")
+                - ops.value(1, "") * ops.value(2, "", weight2, moment=3))
+               + 3.0 * (ops.value(1, "", moment=1)
+                        * ops.value(2, "", weight2, moment=2)
+                        - ops.value(1, "", moment=2)
+                        * ops.value(2, "", weight2, moment=1)))
     rhs = trip.L1 * trip.L2 * trip.L3 * bracket
     return lhs, rhs, rhs - lhs, {"bracket": bracket,
                                  "bracket_nonnegative": bracket >= 0.0,

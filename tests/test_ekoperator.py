@@ -21,7 +21,16 @@ from qek.ekoperator import (
     kober,
 )
 from qek.errors import DomainError, NotConvergedError
-from qek.functions import PiecewiseLinear, function_spec, parse_function_spec
+from qek.functions import (
+    Affine,
+    Const,
+    PiecewiseLinear,
+    Power,
+    Product,
+    Scale,
+    function_spec,
+    parse_function_spec,
+)
 from qek.qcore import (
     DEFAULT_POLICY,
     TruncationPolicy,
@@ -318,6 +327,181 @@ class TestIntegralOracle:
         assert partial.converged is False
         assert partial.terms_used == 10
         assert 0.0 < partial.value < full.value
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_qinf(q, e):
+    """(q^e; q)_inf in 40-digit mpmath: the factors 1 - x down to
+    x = q^(e+n) < 1/100 multiplied out, the rest as
+    exp(-sum_m x^m / (m (1 - q^m))) to 1e-45."""
+    import mpmath as mp
+
+    with mp.workdps(45):
+        Q = mp.mpf(q)
+        x, prod = Q ** mp.mpf(e), mp.mpf(1)
+        while x >= 0.01:
+            prod *= 1 - x
+            x *= Q
+        log_rest, power, m = mp.mpf(0), x, 1
+        while power > mp.mpf(10) ** -45:
+            log_rest += power / (m * (1 - Q ** m))
+            power *= x
+            m += 1
+        return prod * mp.exp(-log_rest)
+
+
+def _mp_eval(expr, x):
+    """expr at the mpmath number x, every operation in mpmath."""
+    import mpmath as mp
+
+    if isinstance(expr, Const):
+        return mp.mpf(expr.value)
+    if isinstance(expr, Power):
+        return x ** mp.mpf(expr.exponent)
+    if isinstance(expr, Affine):
+        return mp.mpf(expr.slope) * x + expr.intercept
+    if isinstance(expr, PiecewiseLinear):
+        for (x0, y0), (x1, y1) in zip(expr.knots, expr.knots[1:]):
+            if x < x1:
+                return y0 + (mp.mpf(y1) - y0) * (x - x0) / (mp.mpf(x1) - x0)
+        return mp.mpf(expr.knots[-1][1])
+    if isinstance(expr, Scale):
+        return expr.factor * _mp_eval(expr.inner, x)
+    left, right = _mp_eval(expr.left, x), _mp_eval(expr.right, x)
+    return left * right if isinstance(expr, Product) else left + right
+
+
+def _mp_first_piece(expr):
+    """(x_b, {p: c}) of expr with the coefficients in mpmath."""
+    import mpmath as mp
+
+    if isinstance(expr, Const):
+        return math.inf, {0.0: mp.mpf(expr.value)}
+    if isinstance(expr, Power):
+        return math.inf, {expr.exponent: mp.mpf(1)}
+    if isinstance(expr, Affine):
+        return math.inf, {0.0: mp.mpf(expr.intercept), 1.0: mp.mpf(expr.slope)}
+    if isinstance(expr, PiecewiseLinear):
+        (_, y0), (x1, y1) = expr.knots[:2]
+        return x1, {0.0: mp.mpf(y0), 1.0: (mp.mpf(y1) - y0) / x1}
+    if isinstance(expr, Scale):
+        x_b, poly = _mp_first_piece(expr.inner)
+        return x_b, {p: expr.factor * c for p, c in poly.items()}
+    (x_l, left), (x_r, right) = (_mp_first_piece(expr.left),
+                                 _mp_first_piece(expr.right))
+    out = {}
+    if isinstance(expr, Product):
+        for pl, cl in left.items():
+            for pr, cr in right.items():
+                out[pl + pr] = out.get(pl + pr, 0) + cl * cr
+    else:
+        for p, c in list(left.items()) + list(right.items()):
+            out[p] = out.get(p, 0) + c
+    return min(x_l, x_r), out
+
+
+def _mp_series(expr, t, eta, mu, beta, q):
+    """The series operator of expr at t in 40-digit mpmath: the nodes down
+    to the first knot x_b and five more summed one by one, the rest in
+    closed form from expr's first piece by the q-binomial theorem. Exact
+    for the dyadic parameters used here."""
+    import mpmath as mp
+
+    x_b, poly = _mp_first_piece(expr)
+    with mp.workdps(40):
+        Q, T, B = mp.mpf(q), mp.mpf(t), mp.mpf(beta)
+        root, ratio = Q ** (1 / B), Q ** (mp.mpf(eta) + 1)
+        total, weight, moments = mp.mpf(0), mp.mpf(1), dict.fromkeys(poly, 0)
+        x, q_k, q_mu_k = T, mp.mpf(1), Q ** mp.mpf(mu)  # node k, q^k, q^(mu+k)
+        k, end = 0, None
+        while end is None or k < end:
+            if end is None and not x >= x_b:
+                end = k + 5
+            total += weight * _mp_eval(expr, x)
+            for p in moments:
+                moments[p] += weight * x ** mp.mpf(p)
+            q_k *= Q
+            weight *= (1 - q_mu_k) / (1 - q_k) * ratio
+            x, q_mu_k, k = x * root, q_mu_k * Q, k + 1
+        for p, c in poly.items():
+            e = eta + 1.0 + p / beta
+            tail = T ** mp.mpf(p) * _mp_qinf(q, e + mu) / _mp_qinf(q, e)
+            total += c * (tail - moments[p])
+        return B * (1 - root) * (1 - Q) ** (mp.mpf(mu) - 1) * total
+
+
+# piecewise-linear, sum, product and a sign-changing shape
+HEAD_TAIL_SHAPES = [parse_function_spec(text) for text in (
+    "(piecewise_linear (0 0.2) (0.85 0.5) (0.95 1.1) (1 1.3))",
+    "(sum (piecewise_linear (0 0.1) (0.8 0.3) (1 1)) (power 1.5))",
+    "(product (affine 0.5 0.2) (piecewise_linear (0 0.3) (0.9 0.8) (1 0.9)))",
+    "(sum (piecewise_linear (0 -0.5) (0.8 0.4) (1 0.6)) (scale -0.3 (power 2)))",
+)]
+
+
+class TestHeadAndTail:
+    """DSL inputs: the nodes down to the first knot plus a closed-form
+    q-binomial tail, against 40-digit references."""
+
+    @pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("eta", [-0.5, 0.0, 1.0])
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_error_within_tail_estimate(self, q, eta, mu, beta):
+        p = OperatorParams(eta, mu, beta)
+        for shape in HEAD_TAIL_SHAPES:
+            res = ek_series(shape, 1.0, p, q)
+            ref = _mp_series(shape.expr, 1.0, eta, mu, beta, q)
+            assert abs(res.value - ref) <= res.tail_estimate
+            # and not a vacuous one: at q = 0.999 it is at most 1e-9 |ref|,
+            # for the sign-changing shape, whose terms cancel
+            assert res.tail_estimate <= 1e-8 * abs(ref)
+
+    @pytest.mark.parametrize("q", [0.3, 0.9, 0.99])
+    @pytest.mark.parametrize("mu", [1.0, 2.0, 3.0])
+    def test_integer_mu_agrees_with_its_neighbours(self, q, mu):
+        # integer mu takes the finite product 1/(z;q)_mu, its float
+        # neighbours the log-space product pair
+        for shape in HEAD_TAIL_SHAPES:
+            at = ek_series(shape, 1.0, OperatorParams(0.0, mu, 2.0), q)
+            for toward in (0.0, math.inf):
+                near = ek_series(shape, 1.0,
+                                 OperatorParams(0.0, math.nextafter(mu, toward), 2.0), q)
+                assert near.terms_used > at.terms_used
+                gap = abs(near.value - at.value)
+                assert gap <= near.tail_estimate + at.tail_estimate
+
+    def test_not_converged_carries_partial(self):
+        p = OperatorParams(0.0, 0.5, 1.0)
+        policy = TruncationPolicy(max_terms=100)
+        # 689 nodes lie at or above the first knot 0.001: the partial is
+        # the sum over the 100 nodes read
+        steep = parse_function_spec("(piecewise_linear (0 0) (0.001 1) (1 2))")
+        full = ek_series(steep, 1.0, p, 0.99)
+        with pytest.raises(NotConvergedError, match="within 100 terms") as info:
+            ek_series(steep, 1.0, p, 0.99, policy)
+        partial = info.value.partial
+        assert (partial.terms_used, partial.converged) == (100, False)
+        assert 0.0 < partial.value < full.value
+        # no knot, but the tail's q-products need more than 100 factors
+        affine = parse_function_spec("(affine 1 0.5)")
+        full = ek_series(affine, 1.0, p, 0.99)
+        with pytest.raises(NotConvergedError, match="product factors") as info:
+            ek_series(affine, 1.0, p, 0.99, policy)
+        partial = info.value.partial
+        assert partial.converged is False
+        assert partial.tail_estimate == abs(partial.value)
+        assert abs(partial.value - full.value) < 0.5 * full.value
+
+    def test_plain_callable_keeps_the_stop_rule(self):
+        shape = HEAD_TAIL_SHAPES[0]
+        p = OperatorParams(0.0, 0.5, 1.0)
+        plain = ek_series(shape.fn, 1.0, p, 0.9)
+        dsl = ek_series(shape, 1.0, p, 0.9)
+        rule = OperatorRule(1.0, p, 0.9, {"f": shape.fn})
+        assert rule.apply(("f",)) == plain
+        assert len(rule.nodes) == plain.terms_used
+        assert abs(plain.value - dsl.value) <= plain.tail_estimate + dsl.tail_estimate
 
 
 class TestKober:

@@ -1,6 +1,7 @@
 """Function DSL: evaluation, certified metadata, serialization round-trips,
 synchronicity classification, and seeded family generation."""
 
+import math
 import pickle
 import random
 
@@ -24,6 +25,7 @@ from qek.functions import (
     compile_expr,
     extract_bounds,
     extract_lipschitz,
+    first_piece,
     format_expr,
     function_spec,
     generate_family,
@@ -277,6 +279,47 @@ class TestBoundsProperty:
         assert all(b >= a - slack for a, b in zip(values, values[1:]))
 
 
+def _magnitude(expr, x):
+    """expr at x with every coefficient and knot value replaced by its
+    absolute value: a bound on the size of each intermediate result."""
+    if isinstance(expr, Const):
+        return abs(expr.value)
+    if isinstance(expr, Power):
+        return x ** expr.exponent
+    if isinstance(expr, Affine):
+        return abs(expr.slope) * x + abs(expr.intercept)
+    if isinstance(expr, PiecewiseLinear):
+        return max(abs(y) for _, y in expr.knots)
+    if isinstance(expr, Scale):
+        return abs(expr.factor) * _magnitude(expr.inner, x)
+    left, right = _magnitude(expr.left, x), _magnitude(expr.right, x)
+    return left * right if isinstance(expr, Product) else left + right
+
+
+class TestFirstPieceProperty:
+    @given(expr=_exprs)
+    @settings(max_examples=300)
+    def test_monomial_sum_matches_below_first_knot(self, expr):
+        x_b, poly = first_piece(expr)
+        # each piecewise-linear node's first interior knot is its least
+        # positive one
+        assert x_b == min((x for x in _knot_abscissae(expr) if x > 0.0),
+                          default=math.inf)
+        s = function_spec(expr)
+        end = min(x_b, 4.0)
+        for k in range(16):
+            x = end * k / 16
+            got = sum(c * x ** p for p, c in poly.items())
+            assert abs(got - s(x)) <= 1e-12 * (1.0 + _magnitude(expr, x))
+
+    def test_piecewise_first_piece(self):
+        expr = parse_expr("(piecewise_linear (0 1) (0.5 2) (1 0))")
+        assert first_piece(expr) == (0.5, {0.0: 1.0, 1.0: 2.0})
+        assert first_piece(Product(expr, Power(1.5))) == (
+            0.5, {1.5: 1.0, 2.5: 2.0})
+        assert first_piece(Sum(Const(-1.0), expr)) == (0.5, {1.0: 2.0})
+
+
 class TestSynchronicity:
     def test_pair_with_itself(self):
         f = function_spec(Power(1.0))
@@ -286,6 +329,14 @@ class TestSynchronicity:
         f = function_spec(Power(1.0))
         g = function_spec(Affine(-1.0, 5.0))
         assert check_synchronous(f, g, 1.0) == "asynchronous"
+
+    def test_constant_is_both(self):
+        # (f(x) - f(y)) (g(x) - g(y)) is 0 for a constant f, whatever g
+        const = parse_function_spec("(const 2)")
+        hat = function_spec(PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))))
+        for other in (parse_function_spec("(affine -1 2)"), const, hat):
+            assert check_synchronous(const, other, 2.0) == "both"
+            assert check_synchronous(other, const, 2.0) == "both"
 
     def test_hat_function_is_neither(self):
         f = function_spec(Power(2.0))

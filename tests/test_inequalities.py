@@ -9,7 +9,7 @@ import pytest
 
 from qek import inequalities
 from qek.cli import CampaignConfig, derive_case
-from qek.ekoperator import OperatorParams, ek_series
+from qek.ekoperator import OperatorParams, OperatorRule, ek_series
 from qek.errors import HypothesisViolatedError
 from qek.functions import (
     BoundsTriple,
@@ -148,8 +148,18 @@ class TestTheoremOne:
         with pytest.raises(HypothesisViolatedError):
             theorem1(case)
 
+    def test_constant_f_is_synchronous_and_asynchronous(self):
+        # a constant f is synchronous and asynchronous with a decreasing g;
+        # the exact margin is 0
+        case = make_case("T1", CONST2, DEC, DEC)
+        for reversed_ in (False, True):
+            rep = theorem1(case, expect_reversed=reversed_)
+            assert rep.verdict == "inconclusive"
+            assert abs(rep.margin) <= rep.worst_tail
+
     def test_not_converged_goes_inconclusive(self):
-        case = make_case("T1", IDENT, IDENT, IDENT, q1=0.9)
+        # at mu = 1.5 the tail's log-space product needs more than 5 factors
+        case = make_case("T1", IDENT, IDENT, IDENT, q1=0.9, p1=(0.0, 1.5, 1.0))
         rep = theorem1(case, TruncationPolicy(max_terms=5))
         assert rep.verdict == "inconclusive"
         assert rep.notes
@@ -417,9 +427,10 @@ def _composed(factors, moment):
 
 
 class TestCaseRuleEquivalence:
-    """Every operator value a case requests from its per-side rules equals
-    ek_series of the composed integrand, bit for bit, and worst_tail is
-    the largest tail among those evaluations."""
+    """Every operator value a case requests from its per-side rules agrees
+    with ek_series of the composed integrand, a plain callable summed under
+    the stop rule, within the two reported tails, and worst_tail is the
+    largest tail among the case's evaluations."""
 
     @pytest.mark.parametrize("grid,cases", [((0.3, 0.6, 0.9), 4),
                                             ((0.97, 0.99), 1)])
@@ -428,15 +439,27 @@ class TestCaseRuleEquivalence:
                                           cases):
         requests = []
         ops_seen = []
-        original = inequalities._CaseOps.value
+        applied = []
+        original_value = inequalities._CaseOps.value
+        original_apply = OperatorRule.apply
+
+        def recording_apply(self, names, moment=0):
+            res = original_apply(self, names, moment)
+            applied.append(res)
+            return res
 
         def recording(self, side, subset, weight="u", moment=0):
             if not ops_seen or ops_seen[-1] is not self:
                 ops_seen.append(self)
-            val = original(self, side, subset, weight, moment)
-            requests.append((side, subset, weight, moment, val))
+            before = len(applied)
+            val = original_value(self, side, subset, weight, moment)
+            if len(applied) > before:  # a memo miss: one rule evaluation
+                assert len(applied) == before + 1
+                assert val == applied[-1].value
+                requests.append((side, subset, weight, moment, applied[-1]))
             return val
 
+        monkeypatch.setattr(OperatorRule, "apply", recording_apply)
         monkeypatch.setattr(inequalities._CaseOps, "value", recording)
         config = CampaignConfig(theorems=(theorem,), seed=1,
                                 q1_grid=grid, q2_grid=grid)
@@ -448,14 +471,13 @@ class TestCaseRuleEquivalence:
             assert requests and len(ops_seen) == 1
             names = {"f": case.f, "g": case.g, "h": case.h, "u": case.u,
                      "v": case.v}
-            tails = []
-            for side, subset, weight, moment, val in requests:
+            for side, subset, weight, moment, res in requests:
                 q, p = ((case.q1, case.p1) if side == 1
                         else (case.q2, case.p2))
-                factors = [names[n] for n in (weight, *subset)]
+                factors = [names[n].fn for n in (weight, *subset)]
                 ref = ek_series(_composed(factors, moment), case.t, p, q,
                                 config.policy)
-                assert val == ref.value
-                tails.append(ref.tail_estimate)
-            assert rep.worst_tail == max(tails)
-            assert rep.operator_evals == len({r[:4] for r in requests})
+                gap = abs(res.value - ref.value)
+                assert gap <= res.tail_estimate + ref.tail_estimate
+            assert rep.worst_tail == max(r[4].tail_estimate for r in requests)
+            assert rep.operator_evals == len(requests)

@@ -32,25 +32,25 @@ PINNED = (
      ["verify", "--theorem", "T1", "--theorem", "T2", "--theorem", "T3",
       "--theorem", "T4", "--theorem", "T5", "--theorem", "T6",
       "--cases", "200", "--seed", "1", "--no-timestamp"],
-     "sha256 0c92dc0d0cb76d8b14e9ca3af76fc9611916e45aa3227fa285927e8d7a665e0a"),
+     "sha256 7cfacca933274fc55e3807c0d468353966dc400a5c2d368503b502edf3b1b75c"),
     ("T1-T6 --cases 200 --seed 1 --jobs 2",
      ["verify", "--theorem", "T1", "--theorem", "T2", "--theorem", "T3",
       "--theorem", "T4", "--theorem", "T5", "--theorem", "T6",
       "--cases", "200", "--seed", "1", "--no-timestamp", "--jobs", "2"],
-     "sha256 0c92dc0d0cb76d8b14e9ca3af76fc9611916e45aa3227fa285927e8d7a665e0a"),
+     "sha256 7cfacca933274fc55e3807c0d468353966dc400a5c2d368503b502edf3b1b75c"),
     ("T1,T5 --cases 30 --seed 3 at q in 0.97,0.99",
      ["verify", "--theorem", "T1", "--theorem", "T5", "--cases", "30",
       "--seed", "3", "--grid-q1", "0.97,0.99", "--grid-q2", "0.97,0.99",
       "--no-timestamp"],
-     "sha256 05ad3ea7ee4cc2f4a480e17c18cebd4c8596ec93912dc285b8e2ee7dffce59ba"),
+     "sha256 10371bf9efdc7537ed9508b1c1dd7288c2ebc42d6dc250749013b2a395450432"),
     ("T1,T2 --cases 200 --seed 1 asynchronous, expect reversed",
      ["verify", "--theorem", "T1", "--theorem", "T2", "--cases", "200",
       "--seed", "1", "--family", "asynchronous", "--expect", "reversed",
       "--no-timestamp"],
-     "sha256 61ae114e410cbdfb55a6b56eeec94c2ae8e3b24dca0bac65f78da6c670f1dfb7"),
+     "sha256 0b11445bbcfe237c54f4864c52206980bdbffdf0e4410ab573484369820058bf"),
     ("reduce-check",
      ["reduce-check"],
-     "max relative gap 1.316e-14 at (q, eta, mu, shape)=(0.9, -0.5, 0.5, 0)"),
+     "max relative gap 9.326e-15 at (q, eta, mu, shape)=(0.9, 0.0, 0.5, 1)"),
 )
 
 
