@@ -26,11 +26,12 @@ beta = 1 member of the integral form.
 
 ``ek_integral`` evaluates the integral form on the same nodes but by its
 own route: at node j the kernel is t^(beta(mu-1)) (q^(j+1); q)_inf /
-(q^(j+mu); q)_inf, read from one table of suffix sums of log factors
-log1p(-q^(k+1)) - log1p(-q^(k+mu)) built once per call, and the result
-is normalised by GammaQ(mu). It never uses the series weight recurrence
-or its (1-q)^(mu-1) prefactor, so it checks them; the table makes the
-cost O(nodes + factors) instead of two infinite products per node.
+(q^(j+mu); q)_inf, read from one table of log kernels built once per
+call: a ``qcore.log_q_product`` pair at its last entry, and the log
+factors log(1 - q^(k+1)) - log(1 - q^(k+mu)) added to it backward. The
+result is normalised by GammaQ(mu). It never uses the series weight
+recurrence or its (1-q)^(mu-1) prefactor, so it checks them; the table
+makes the cost O(nodes) instead of two infinite products per node.
 
 All series weights are positive for mu > 0, so each term keeps the sign
 of f at its node; results report the smallest scaled term so
@@ -56,7 +57,7 @@ from .qcore import (
     TruncationPolicy,
     _unstopped,
     as_deformation,
-    product_length,
+    log_q_product,
     q_gamma,
     truncated_sum,
 )
@@ -136,8 +137,8 @@ class OperatorRule:
       S(z) = (q^mu z; q)_inf / (z; q)_inf = 1 / (z; q)_mu. So the K nodes
       >= x_b are summed with ``math.fsum`` and the rest is
       sum_p c_p (t^p S(z_p) - sum_(k<K) w_k x_k^p). S is a finite product
-      for integer mu; otherwise one log-space product pair per class of
-      p/beta mod 1 gives one S, and the finite ratio
+      for integer mu; otherwise one pair of ``qcore.log_q_product`` values
+      per class of p/beta mod 1 gives one S, and the finite ratio
       S(zq) = S(z) (1 - z) / (1 - q^mu z) gives the rest of its class.
       The weights use (1 - q^a) = -expm1(a log q), so none cancels.
     * Any other callable: the nodes are generated one at a time and summed
@@ -179,7 +180,6 @@ class OperatorRule:
         self._head_moments: dict[tuple, float] = {}
         self._sums: dict[float, tuple] = {}
         self._full_moments: dict[float, tuple] = {}
-        self._powers = array("d")  # q^k for the log-space products
 
     def apply(self, names, moment: int = 0) -> OperatorResult:
         """Operator applied to s^moment times the product of the named
@@ -462,36 +462,20 @@ class OperatorRule:
                 num_done and den_done)
 
     def _log_product(self, e: float) -> tuple:
-        """``(log (q^e; q)_inf, factors, error bound, converged)``, with as
-        many factors as ``product_length`` asks, summed by ``math.fsum``.
+        """``(log (q^e; q)_inf, terms, error bound, converged)`` by
+        ``log_q_product``, whose bound takes e as exact.
 
-        A factor 1 - x_k, x_k = q^(e+k), is formed as -expm1((e+k) log q)
-        while x_k > 1/2, where 1 - x_k would cancel, and as 1 - q^e q^k
-        after that, from the rule's one column of q^k.
+        Here e carries the rounding of eta + 1 + p/beta (+ mu): a relative
+        shift of every x_k = q^(e+k) that moves log(1 - x_k) by
+        shift x_k / (1 - x_k), and the sum of x_k / (1 - x_k) over k is at
+        most x_0 / (1 - x_0) - log(1 - x_0) / |log q|.
         """
-        qv, lq = self._q, self._lq
-        size, log_tail, done = product_length(qv ** e, qv, self.policy)
-        near = min(size, max(0, ceil(_LN2 / -lq - e)))
-        powers = self._powers
-        if len(powers) < size:
-            powers.extend(map(pow, repeat(qv), range(len(powers), size)))
-        exponents = map(mul, repeat(lq), map(add, repeat(e), range(near)))
-        value = fsum(chain(
-            map(log, map(neg, map(expm1, exponents))),
-            map(log1p, map(mul, repeat(-(qv ** e)), islice(powers, near, size)))))
-        # Rounding, in log terms: e carries the rounding of
-        # eta + 1 + p/beta (+ mu), a relative shift of every x_k that moves
-        # log(1 - x_k) by shift x_k / (1 - x_k), and the sum of x_k / (1 - x_k)
-        # over k is at most x_0 / (1 - x_0) - log(1 - x_0) / |log q|; a
-        # factor formed by expm1 is off by 4u, one formed from q^e q^k by
-        # 5u x_k / (1 - x_k) <= 10u x_k; every log and the fsum add u|value|.
+        lq = self._lq
+        value, _, used, err, done = log_q_product(None, self._q, self.policy, e)
         shift = 3.0 * (e + 2.0 * abs(self._p.eta)) * -lq * _U
         gap = -expm1(e * lq)
         spread = (1.0 - gap) / gap + log(gap) / lq
-        err = (shift * spread
-               + (4.0 * near + 5.0 * (1.0 + _LN2 / -lq) + 2.0 * abs(value)) * _U
-               + log_tail)
-        return value, size, err, done
+        return value, used, err + shift * spread, done
 
 
 def ek_series(f, t: float, p: OperatorParams, q: DeformationParam | float,
@@ -506,23 +490,37 @@ def _log_kernel_table(qv: float, mu: float, policy: TruncationPolicy):
     """Log kernel factors of the integral form at base q and order mu.
 
     Returns ``(table, log_tail, converged)`` with
-    table[j] = sum_{k>=j} [log1p(-q^(k+1)) - log1p(-q^(k+mu))]
-    = log((q^(j+1); q)_inf / (q^(j+mu); q)_inf), truncated at the first
-    ``len(table)`` factors: the longer of the two products' lengths under
-    ``product_length``. ``log_tail`` bounds |log-factor sum dropped| for
-    every j, including j >= len(table), whose truncated table entry is 0.
-    The suffix sums are accumulated from the small end.
+    table[j] = log((q^(j+1); q)_inf / (q^(j+mu); q)_inf) for j below the
+    first index where q^(j + min(1, mu)) < rel_tol, or below ``max_terms``
+    when that comes first (``converged`` False). The last entry is one
+    pair of ``log_q_product`` values; the others add the factors
+    log(1 - q^(j+1)) - log(1 - q^(j+mu)) to it backward, toward j = 0, so
+    that the cost is O(entries). A factor 1 - q^c is formed by log1p while
+    q^c <= 1/2 and by expm1(c log q) above that, where it would cancel.
+    ``log_tail`` bounds |table[j]| for every j >= len(table), whose entry
+    the integral takes as 0:
+    |q^(j+1) - q^(j+mu)| / ((1 - q) (1 - max(q^(j+1), q^(j+mu)))).
     """
-    size_num, tail_num, num_done = product_length(qv, qv, policy)
-    size_den, tail_den, den_done = product_length(qv ** mu, qv, policy)
-    size = max(size_num, size_den)
-    # factors k = size-1, ..., 0: suffix sums accumulate from the small end
-    nums = map(pow, repeat(qv), range(size, 0, -1))
-    dens = map(pow, repeat(qv), map(add, range(size - 1, -1, -1), repeat(mu)))
-    factors = map(sub, map(log1p, map(neg, nums)), map(log1p, map(neg, dens)))
-    table = array("d", accumulate(factors))
+    lq = log(qv)
+    want = max(1, ceil(log(policy.rel_tol) / lq - min(1.0, mu)))
+    size = min(want, policy.max_terms)
+    last = (log_q_product(None, qv, policy, size).value
+            - log_q_product(None, qv, policy, size - 1.0 + mu).value)
+    # factors j = size-2, ..., near by log1p, then j = near-1, ..., 0
+    near = min(size - 1, max(0, ceil(_LN2 / -lq - min(1.0, mu))))
+    ones = map(pow, repeat(qv), range(size - 1, near, -1))
+    mus = map(pow, repeat(qv), map(add, repeat(mu), range(size - 2, near - 1, -1)))
+    far = map(sub, map(log1p, map(neg, ones)), map(log1p, map(neg, mus)))
+    ones = map(mul, repeat(lq), range(near, 0, -1))
+    mus = map(mul, repeat(lq), map(add, repeat(mu), range(near - 1, -1, -1)))
+    close = map(sub, map(log, map(neg, map(expm1, ones))),
+                map(log, map(neg, map(expm1, mus))))
+    table = array("d", accumulate(far, initial=last))
+    table.extend(islice(accumulate(close, initial=table[-1]), 1, None))
     table.reverse()
-    return table, tail_num + tail_den, num_done and den_done
+    x_one, x_mu = exp((size + 1.0) * lq), exp((size + mu) * lq)
+    log_tail = abs(x_one - x_mu) / (-expm1(lq) * (1.0 - max(x_one, x_mu)))
+    return table, log_tail, want <= policy.max_terms
 
 
 def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
@@ -532,19 +530,20 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     The Jackson node tau_j = t q^(j/beta) carries the kernel
     (t^beta - tau_j^beta q)_(mu-1)
     = t^(beta(mu-1)) (q^(j+1); q)_inf / (q^(j+mu); q)_inf, read from one
-    table of log factors summed from the small end (``_log_kernel_table``),
-    and the result is normalised by q_gamma(mu). The series form instead
-    builds its weights by the forward ratio recurrence
-    (1 - q^(mu+k)) / (1 - q^(k+1)) from 1 and scales by (1-q)^(mu-1); the
-    two routes share no arithmetic beyond the nodes, so a fault in either
-    shows as a gap between them. Cost is O(nodes + factors). The node sum
-    stops at terms below rel_tol (1 - q^(eta+1)) times its running total,
-    so that its geometric tail stays below rel_tol of the value and the
-    oracle is as close to the exact operator as the series of DSL inputs.
+    table of log kernels built backward from its last entry
+    (``_log_kernel_table``), and the result is normalised by q_gamma(mu).
+    The series form instead builds its weights by the forward ratio
+    recurrence (1 - q^(mu+k)) / (1 - q^(k+1)) from 1 and scales by
+    (1-q)^(mu-1); the two routes share no arithmetic beyond the nodes, so
+    a fault in either shows as a gap between them. Cost is O(nodes). The
+    node sum stops at terms below rel_tol (1 - q^(eta+1)) times its running
+    total, so that its geometric tail stays below rel_tol of the value and
+    the oracle is as close to the exact operator as the series of DSL
+    inputs.
 
-    A node loop or kernel table that needs more than ``max_terms`` raises
-    this operator's NotConvergedError, whose partial result is the
-    truncated integral (``converged=False``).
+    A node loop, kernel table or q_gamma(mu) that needs more than
+    ``max_terms`` raises this operator's NotConvergedError, whose partial
+    result is the truncated integral (``converged=False``).
     """
     if not t > 0.0:
         raise ValueError(f"evaluation point must be positive, got {t}")
@@ -555,12 +554,11 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
 
     root = qv ** (1.0 / beta)
     table, log_tail, table_done = _log_kernel_table(qv, mu, policy)
-    if table_done:
+    try:
         gam = q_gamma(mu, qv, policy)
-    else:
-        # q_gamma truncates its two products under the table's stop rule,
-        # so it would raise its own error; the partial result is normalised
-        # by the truncated table's (q;q)_inf/(q^mu;q)_inf (1-q)^(1-mu).
+    except NotConvergedError:
+        # the partial result is normalised by the table's own
+        # (q;q)_inf/(q^mu;q)_inf (1-q)^(1-mu), which is GammaQ(mu) too
         gam = SeriesResult(exp(table[0]) * (1.0 - qv) ** (1.0 - mu),
                            len(table), inf, False)
     # t^(-beta(eta+mu)) times the kernel's t^(beta(mu-1))
@@ -582,7 +580,7 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     total, used, last, _, stopped = truncated_sum(terms, node_policy)
     scale = front * (1.0 - root) * t
     value = scale * total
-    if not (stopped and table_done):
+    if not (stopped and table_done and gam.converged):
         if stopped:
             why = (f"operator integral: no convergence within "
                    f"{policy.max_terms} kernel factors")

@@ -140,7 +140,9 @@ class _CaseOps:
     Keys are (side, weight name, function subset, moment power); side 1
     evaluates on the rule at (q1, p1), side 2 on the rule at (q2, p2).
     The rules get the FunctionSpecs, not their closures, so that they can
-    read each expression's first piece.
+    read each expression's first piece. An evaluation that does not
+    converge counts in ``evals`` too, and raises NotConvergedError naming
+    its key, its partial value and its terms.
     """
 
     def __init__(self, case: TheoremCase, policy: TruncationPolicy):
@@ -161,8 +163,15 @@ class _CaseOps:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        res = self._rules[side].apply((weight, *subset), moment)
         self.evals += 1
+        try:
+            res = self._rules[side].apply((weight, *subset), moment)
+        except NotConvergedError as exc:
+            part = exc.partial
+            raise NotConvergedError(
+                f"side {side} operator of {weight}*{subset or '1'}"
+                f" (moment {moment}): partial value {part.value!r} from"
+                f" {part.terms_used} terms; {exc}", partial=part) from exc
         if res.tail_estimate > self.worst_tail:
             self.worst_tail = res.tail_estimate
         self._memo[key] = res.value

@@ -2,20 +2,22 @@
 
 All infinite sums and products are truncated under an explicit
 :class:`TruncationPolicy` and return a :class:`SeriesResult` carrying the
-value together with a tail estimate under a geometric-tail assumption
-(not yet a certified bound; see ROADMAP item 3).
+value together with a tail estimate.
 
-The policy's stop rule is written out twice, here and nowhere else:
-
-* sums, :func:`truncated_sum`: stop after ``consecutive_small`` terms in a
+* Sums, :func:`truncated_sum`: stop after ``consecutive_small`` terms in a
   row below ``rel_tol * |running total| + abs_tol``, reading at most
-  ``max_terms`` terms;
-* products, :func:`product_length`: a factor 1 - x_k with |x_k| <= dev q^k
-  is negligible once dev q^k < rel_tol. Those deviations only fall, so the
-  streak never resets and the number of factors kept is the first such k
-  plus ``consecutive_small``, computed directly instead of factor by factor.
+  ``max_terms`` terms. The tail estimate assumes a geometric tail.
+* Infinite products (a; q)_inf, :func:`log_q_product`, the one routine
+  behind (a; q)_inf, (a; q)_alpha, q-Gamma and the operators' q-products:
+  the few leading factors with |a q^k| > 1/2 in log space, then Euler's
+  series log (x; q)_inf = -sum_(n>=1) x^n / (n (1 - q^n)), |x| <= 1/2,
+  until its certified tail falls below ``rel_tol``. Factors plus series
+  terms are at most ``max_terms``; the error bound covers the tail and
+  the rounding.
+* Geometric node samples, :func:`product_length`: the first k with
+  q^k < rel_tol, plus ``consecutive_small`` (``jackson.QGridSample``).
 
-Either rule converges only if it stops short of ``max_terms``.
+Each rule converges only if it stops short of ``max_terms``.
 
 Conventions: the deformation base q always lies strictly inside (0, 1);
 all parameters are real.
@@ -24,9 +26,11 @@ all parameters are real.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
-from operator import mul
+from operator import add, mul, neg, sub, truediv
+from typing import NamedTuple
 
 from .errors import NotConvergedError, PoleError
 
@@ -38,6 +42,8 @@ __all__ = [
     "as_deformation",
     "truncated_sum",
     "product_length",
+    "LogQProduct",
+    "log_q_product",
     "q_pochhammer_n",
     "q_pochhammer_inf",
     "q_pochhammer_alpha",
@@ -49,6 +55,9 @@ __all__ = [
 
 # |a - round(a)| below this counts as "a is that integer" for pole detection
 _POLE_TOL = 1e-12
+# unit roundoff of IEEE double precision
+_U = 2.0 ** -53
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -104,10 +113,11 @@ DEFAULT_POLICY = TruncationPolicy()
 class SeriesResult:
     """Value of a truncated series/product plus truncation bookkeeping.
 
-    ``tail_estimate`` is an upper bound on the absolute truncation error
-    under the geometric-tail assumption recorded by the producing
-    operation; ``converged`` is False only on results recovered from a
-    :class:`NotConvergedError`.
+    ``tail_estimate`` is an upper bound on the absolute error: for a
+    stop-rule sum, of its truncation under the geometric-tail assumption
+    recorded by the producing operation; for a q-product, of its series
+    tail and rounding. ``converged`` is False only on results recovered
+    from a :class:`NotConvergedError`.
     """
 
     value: float
@@ -177,14 +187,16 @@ def sum_series(terms, policy: TruncationPolicy, tail_ratio: float,
 
 def product_length(dev: float, q: float,
                    policy: TruncationPolicy) -> tuple[int, float, bool]:
-    """Stop rule for an infinite product prod_k (1 - x_k), |x_k| <= dev q^k.
+    """Stop rule for a sequence dev q^k, k = 0, 1, ...: the node count of
+    ``jackson.QGridSample`` (dev = 1), which keeps nodes until q^k < rel_tol.
 
-    Returns ``(kept, log_tail, converged)``. Factor k is negligible once
-    dev q^k < rel_tol; the deviations only fall, so from the first such k
-    on every factor is negligible and the product keeps that k plus
-    ``consecutive_small`` factors. That count comes from a log estimate
-    and a short correcting loop. ``log_tail`` bounds the log of the dropped
-    factors by sum_{k>=K} d q^(k-K+1) / (1 - min(d, 1/2)), d the last kept
+    Returns ``(kept, log_tail, converged)``. Entry k is negligible once
+    dev q^k < rel_tol; the entries only fall, so from the first such k on
+    every entry is negligible and the rule keeps that k plus
+    ``consecutive_small`` entries. That count comes from a log estimate
+    and a short correcting loop. ``log_tail`` bounds the log of the
+    dropped factors of prod_k (1 - x_k), |x_k| <= dev q^k, by
+    sum_{k>=K} d q^(k-K+1) / (1 - min(d, 1/2)), d the last kept
     deviation. Without convergence, kept is ``max_terms`` and the tail inf.
     """
     rel_tol = policy.rel_tol
@@ -236,40 +248,143 @@ def q_pochhammer_n(a: float, q: DeformationParam | float, n: int) -> float:
     return 1.0 / denom
 
 
-def _pochhammer_inf_parts(a: float, qv: float,
-                          policy: TruncationPolicy) -> tuple[float, int, int, float]:
-    """(log|value|, sign, factors used, log-space tail bound) of (a;q)_inf.
+class LogQProduct(NamedTuple):
+    """log|(a; q)_inf| with its sign, the factors plus series terms read,
+    an absolute error bound on the log and whether it converged."""
+
+    value: float
+    sign: int
+    terms_used: int
+    error: float
+    converged: bool
+
+
+def log_q_product(a: float | None, q: float,
+                  policy: TruncationPolicy = DEFAULT_POLICY,
+                  e: float | None = None) -> LogQProduct:
+    """log|(a; q)_inf| as a few leading factors plus Euler's log series.
+
+    With ``e`` given the product is (q^e; q)_inf and ``a`` is not read.
+    The N leading factors 1 - x_k, x_k = a q^k, with |x_k| > 1/2 are
+    summed in log space: a factor with x_k >= 1 flips the sign, one with
+    x_k = 1 makes the product exactly 0 (log -inf), and for a = q^e each
+    factor is formed as -expm1((e + k) log q), which does not cancel as
+    x_k -> 1. The rest is
+    log (x; q)_inf = -sum_(n>=1) x^n / (n (1 - q^n)), x = x_N, |x| <= 1/2
+    (Euler; Gasper & Rahman, *Basic Hypergeometric Series*, ch. 1). Its
+    terms shrink by more than |x| each, so after term n the tail is at
+    most |term_n| |x| / (1 - |x|), and the series stops at the first n
+    where that is at most ``rel_tol``, a relative error of the product:
+    about 50 terms at |x| = 1/2.
+
+    ``terms_used`` counts the factors plus the series terms, at most
+    ``max_terms``; when that budget runs out first, ``converged`` is False
+    and ``value`` is the log of the factors and terms read. ``error``
+    bounds the series tail plus, to first order in the unit roundoff u,
+    the rounding of every factor, term and sum, taking a, e and q as
+    exact.
+    """
+    lq = math.log(q)
+    if e is None:
+        size = abs(a)
+        lead = math.ceil((math.log(size) + _LN2) / -lq) if size > 0.5 else 0
+    else:
+        lead = max(0, math.ceil(_LN2 / -lq - e))
+    cut = min(lead, policy.max_terms)
+    if e is None:
+        xs = list(map(mul, repeat(a), map(pow, repeat(q), range(cut))))
+        # exact for 1/2 <= x_k <= 2 (Sterbenz), and no cancellation beyond
+        gaps = list(map(sub, repeat(1.0), xs))
+        x = a * q ** cut
+        x_err = 3.0 * _U
+    else:
+        args = list(map(mul, repeat(lq), map(add, repeat(e), range(cut))))
+        gaps = list(map(neg, map(math.expm1, args)))  # 1 - q^(e+k)
+        x = math.exp((e + cut) * lq)
+        x_err = (3.0 * abs((e + cut) * lq) + 1.0) * _U
+    flips = 0
+    while flips < cut and gaps[flips] <= 0.0:
+        flips += 1
+    if flips and gaps[flips - 1] == 0.0:
+        return LogQProduct(-math.inf, 1, flips, 0.0, True)
+    logs = list(map(math.log, map(abs, gaps) if flips else gaps))
+    if e is None:
+        # each x_k is off by 3u relative, which moves log|1 - x_k| by
+        # 3u |x_k / (1 - x_k)|
+        moved = 3.0 * math.fsum(map(abs, map(truediv, xs, gaps)))
+    else:
+        # each (e + k) log q is off by 3u relative, which moves
+        # log|1 - x_k| by 3u |(e + k) log q| x_k / |1 - x_k|: at most 3u
+        # once x_k < 1, and 3u |arg| / (1 - exp(-arg)) before that
+        moved = 3.0 * (cut - flips + math.fsum(
+            map(truediv, args[:flips],
+                map(neg, map(math.expm1, map(neg, args[:flips]))))))
+    sign = -1 if flips % 2 else 1
+    lead_sum = math.fsum(logs)
+    if cut < lead:
+        return LogQProduct(lead_sum, sign, cut, math.inf, False)
+    # the logs after the sign flips share one sign
+    spread = (math.fsum(map(abs, logs[:flips])) + abs(math.fsum(logs[flips:]))
+              if flips else abs(lead_sum))
+
+    ax = abs(x)
+    ratio = ax / (1.0 - ax)
+    gap = -math.expm1(lq)  # 1 - q
+    # |term_n| <= |x|^n / (1 - q), so the n with |x|^n ratio / (1 - q) <=
+    # rel_tol is enough terms
+    limit = policy.rel_tol / ratio if ratio else math.inf
+    need = (math.ceil(math.log(limit * gap) / math.log(ax))
+            if limit * gap < 1.0 else 1)
+    count = max(1, min(need, policy.max_terms - cut))
+    ns = range(1, count + 1)
+    # term_n = x^n / (n (1 - q^n)), kept as -term_n = x^n / (n expm1(n log q))
+    terms = list(map(truediv, accumulate(repeat(x, count), mul),
+                     map(mul, ns, map(math.expm1, map(mul, repeat(lq), ns)))))
+    # their sizes fall, so bisection finds the first n with
+    # |term_n| ratio <= rel_tol
+    count = bisect_left(terms, -limit, key=_minus_abs) + 1
+    if count > len(terms):
+        return LogQProduct(lead_sum + math.fsum(terms), sign, cut + len(terms),
+                           math.inf, False)
+    del terms[count:]
+    series = math.fsum(terms)
+    value = lead_sum + series
+    tail = abs(terms[-1]) * ratio
+    # a factor's 1 - x_k and its log round by u + 2u |log|; term n
+    # is off by (n + 5)u relative and |term_n| <= |term_1| |x|^(n-1), so
+    # their sum is off by at most 8u |term_1| / (1 - |x|) for |x| <= 1/2;
+    # an x off by x_err relative moves the series by
+    # x_err |x| / ((1 - q) (1 - |x|))
+    first = ax / (gap * (1.0 - ax))
+    err = ((moved + cut + 2.0 * spread + 8.0 * first
+            + abs(series) + abs(value)) * _U
+           + x_err * first + tail)
+    return LogQProduct(value, sign, cut + count, err, True)
+
+
+def _minus_abs(x: float) -> float:
+    return -abs(x)
+
+
+def _pochhammer_inf_parts(a: float | None, qv: float, policy: TruncationPolicy,
+                          e: float | None = None) -> LogQProduct:
+    """``log_q_product(a, qv, policy, e)``, raising NotConvergedError with
+    the partial product when it does not converge.
 
     Working with log magnitude plus sign keeps products well defined far
     outside the double-precision range, which matters for ratios like the
-    q-Gamma function near q -> 1 where both products underflow. A factor
-    that is exactly zero yields log|value| = -inf.
-
-    ``product_length(|a|, q)`` sets the number of factors. The few leading
-    factors with a q^k >= 1 set the sign; the rest add log1p(-a q^k).
+    q-Gamma function near q -> 1 where both products underflow.
     """
-    kept, log_tail, converged = product_length(abs(a), qv, policy)
-    qks = accumulate(repeat(qv, kept - 1), mul, initial=1.0)  # q^k, k < kept
-    log_abs = 0.0
-    sign = 1
-    for used, qk in enumerate(qks, 1):
-        x = a * qk
-        if x < 1.0:
-            log_abs += math.log1p(-x)
-            break
-        if x == 1.0:
-            return (-math.inf, 1, used, 0.0)
-        sign = -sign
-        log_abs += math.log(x - 1.0)
-    for qk in qks:  # left to right; sum() compensates rounding from 3.12 on
-        log_abs += math.log1p(-a * qk)
-    if not converged:
+    parts = log_q_product(a, qv, policy, e)
+    if not parts.converged:
+        what = f"a={a}" if e is None else f"a=q^{e}"
         raise NotConvergedError(
-            f"(a;q)_inf: no convergence within {policy.max_terms} factors "
-            f"(a={a}, q={qv})",
-            partial=SeriesResult(sign * _safe_exp(log_abs), kept, math.inf, False),
+            f"(a;q)_inf: no convergence within {policy.max_terms} terms "
+            f"({what}, q={qv})",
+            partial=SeriesResult(parts.sign * _safe_exp(parts.value),
+                                 parts.terms_used, math.inf, False),
         )
-    return (log_abs, sign, kept, log_tail)
+    return parts
 
 
 def _safe_exp(log_abs: float) -> float:
@@ -283,9 +398,9 @@ def q_pochhammer_inf(a: float, q: DeformationParam | float,
                      policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """Infinite q-shifted factorial (a; q)_inf = prod_{k>=0} (1 - a q^k)."""
     qv = as_deformation(q).q
-    log_abs, sign, used, log_tail = _pochhammer_inf_parts(a, qv, policy)
+    log_abs, sign, used, err, _ = _pochhammer_inf_parts(a, qv, policy)
     value = sign * _safe_exp(log_abs)
-    tail = abs(value) * math.expm1(log_tail) if math.isfinite(value) else math.inf
+    tail = abs(value) * math.expm1(err + _U) if math.isfinite(value) else math.inf
     return SeriesResult(value, used, tail, True)
 
 
@@ -303,15 +418,18 @@ def q_pochhammer_alpha(a: float, q: DeformationParam | float, alpha: float,
     return _combine_parts(num, den, 0.0, f"(a;q)_alpha a={a} alpha={alpha}")
 
 
-def _combine_parts(num, den, log_scale: float, what: str) -> SeriesResult:
-    log_num, sign_num, used_num, tail_num = num
-    log_den, sign_den, used_den, tail_den = den
-    if log_den == -math.inf:
+def _combine_parts(num: LogQProduct, den: LogQProduct, log_scale: float,
+                   what: str) -> SeriesResult:
+    """num / den times exp(log_scale); the tail adds both products' log
+    errors and the rounding of the log difference and of its exp."""
+    if den.value == -math.inf:
         raise ZeroDivisionError(f"{what}: denominator product vanishes")
-    value = sign_num * sign_den * _safe_exp(log_num - log_den + log_scale)
-    rel = math.expm1(tail_num) + math.expm1(tail_den)
-    tail = abs(value) * rel if math.isfinite(value) else math.inf
-    return SeriesResult(value, used_num + used_den, tail, True)
+    log_value = num.value - den.value + log_scale
+    value = num.sign * den.sign * _safe_exp(log_value)
+    err = (num.error + den.error
+           + (abs(num.value) + abs(den.value) + 2.0 * abs(log_scale)) * _U)
+    tail = abs(value) * math.expm1(err + _U) if math.isfinite(value) else math.inf
+    return SeriesResult(value, num.terms_used + den.terms_used, tail, True)
 
 
 def q_gamma(a: float, q: DeformationParam | float,
@@ -326,8 +444,8 @@ def q_gamma(a: float, q: DeformationParam | float,
     ra = round(a)
     if abs(a - ra) < _POLE_TOL and ra <= 0:
         raise PoleError(f"q_gamma pole at nonpositive integer a={a}")
-    num = _pochhammer_inf_parts(qv, qv, policy)
-    den = _pochhammer_inf_parts(qv ** a, qv, policy)
+    num = _pochhammer_inf_parts(None, qv, policy, 1.0)
+    den = _pochhammer_inf_parts(None, qv, policy, a)
     return _combine_parts(num, den, (1.0 - a) * math.log1p(-qv), f"q_gamma({a})")
 
 

@@ -10,7 +10,7 @@ import pytest
 from qek import inequalities
 from qek.cli import CampaignConfig, derive_case
 from qek.ekoperator import OperatorParams, OperatorRule, ek_series
-from qek.errors import HypothesisViolatedError
+from qek.errors import HypothesisViolatedError, NotConvergedError
 from qek.functions import (
     BoundsTriple,
     LipschitzTriple,
@@ -164,6 +164,21 @@ class TestTheoremOne:
         assert rep.verdict == "inconclusive"
         assert rep.notes
         assert math.isnan(rep.margin)
+
+    def test_not_converged_note_names_the_operator(self):
+        # the first operator read, side 1's u alone, is the one that fails
+        policy = TruncationPolicy(max_terms=5)
+        case = make_case("T1", IDENT, IDENT, IDENT, q1=0.9, p1=(0.0, 1.5, 1.0))
+        rep = theorem1(case, policy)
+        rule = OperatorRule(case.t, case.p1, case.q1, {"u": case.u}, policy)
+        with pytest.raises(NotConvergedError) as info:
+            rule.apply(("u",))
+        partial = info.value.partial
+        (note,) = rep.notes
+        assert note.startswith("not converged: side 1 operator of u*1 (moment 0):"
+                               f" partial value {partial.value!r} from"
+                               f" {partial.terms_used} terms;")
+        assert rep.operator_evals == 1
 
     def test_scale_covariance(self):
         base = make_case("T1", IDENT, IDENT, IDENT,

@@ -1,6 +1,7 @@
 """Core q-arithmetic: values frozen from hand expansions and brute-force
 partial products; identities as property tests."""
 
+import functools
 import math
 from itertools import chain, repeat
 
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 from qek.errors import NotConvergedError, PoleError
 from qek.qcore import (
+    DEFAULT_POLICY,
     DeformationParam,
     TruncationPolicy,
+    log_q_product,
     product_length,
     q_factorial,
     q_gamma,
@@ -161,12 +164,99 @@ class TestStopRules:
             dev, q, policy)
 
     def test_product_rule_on_pochhammer(self):
+        # 9 leading factors 1 - 3.7 (0.8)^k with 3.7 (0.8)^k > 1/2, then
+        # the log series; max_terms bounds their sum
         a, q = 3.7, 0.8
-        policy = TruncationPolicy(max_terms=500)
-        kept = streak_product_length(a, q, policy)[0]
-        assert q_pochhammer_inf(a, q, policy).terms_used == kept
-        assert q_pochhammer_inf(a, q, policy).value == pytest.approx(
-            brute_pochhammer(a, q, kept), rel=1e-13)
+        res = q_pochhammer_inf(a, q, TruncationPolicy(max_terms=500))
+        leading = sum(1 for k in range(100) if a * q ** k > 0.5)
+        assert leading == 9
+        assert leading < res.terms_used <= leading + 60
+        oracle = brute_pochhammer(a, q, 500)
+        assert res.value == pytest.approx(oracle, rel=1e-14)
+        assert abs(res.value - oracle) <= res.tail_estimate + 4e-16 * abs(oracle)
+        exact = TruncationPolicy(max_terms=res.terms_used)
+        assert q_pochhammer_inf(a, q, exact) == res
+        # one term fewer leaves a series tail above rel_tol
+        with pytest.raises(NotConvergedError) as info:
+            q_pochhammer_inf(a, q, TruncationPolicy(max_terms=res.terms_used - 1))
+        assert info.value.partial.terms_used == res.terms_used - 1
+        assert info.value.partial.value == pytest.approx(oracle, rel=1e-3)
+
+
+@functools.lru_cache(maxsize=None)
+def mp_log_q_product(a, q, e=None):
+    """(log|(a; q)_inf|, sign) in 30-digit mpmath: a direct log sum of the
+    factors down to |a q^k| < 1/100, then Euler's series to 1e-35. a, q
+    and e are taken at their exact binary values."""
+    with mpmath.workdps(30):
+        Q = mpmath.mpf(q)
+        x = Q ** mpmath.mpf(e) if e is not None else mpmath.mpf(a)
+        log_abs, sign = mpmath.mpf(0), 1
+        while abs(x) >= mpmath.mpf(1) / 100:
+            if x == 1:
+                return -math.inf, 1
+            if x > 1:
+                sign = -sign
+            log_abs += mpmath.log(abs(1 - x))
+            x *= Q
+        n, term = 1, mpmath.mpf(1)
+        while abs(term) > mpmath.mpf(10) ** -35:
+            term = x ** n / (n * (1 - Q ** n))
+            log_abs -= term
+            n += 1
+        return float(log_abs), sign
+
+
+class TestLogQProduct:
+    """log (a; q)_inf as leading factors plus Euler's log series, against a
+    30-digit direct log sum."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.9, 0.99, 0.999, 0.9999])
+    @pytest.mark.parametrize("e", [0.5, 1.5, 2.75])
+    def test_power_matches_direct_log_sum(self, q, e):
+        res = log_q_product(None, q, DEFAULT_POLICY, e)
+        ref, sign = mp_log_q_product(None, q, e)
+        assert res.converged and res.sign == sign == 1
+        assert abs(res.value - ref) <= res.error
+        # the bound is not vacuous: it grows like u / (1 - q), as the
+        # product's sensitivity to rounding does
+        assert res.error <= 1e-14 / (1.0 - q)
+        leading = max(0.0, math.log(2.0) / -math.log(q) - e)
+        assert leading < res.terms_used <= leading + 60
+
+    @pytest.mark.parametrize("a, q", [(-0.9, 0.6), (-5.0, 0.99), (0.5, 0.5),
+                                      (1.7, 0.99), (3.7, 0.8), (0.7 / 0.9 ** 3, 0.9)])
+    def test_general_a_matches_direct_log_sum(self, a, q):
+        # negative a, and a > 1 with one to four sign-flipping factors
+        res = log_q_product(a, q)
+        ref, sign = mp_log_q_product(a, q)
+        assert res.converged and res.sign == sign
+        assert abs(res.value - ref) <= res.error
+        assert res.error <= 1e-14 / (1.0 - q)
+
+    @pytest.mark.parametrize("e", [-0.5, -1.5, -2.25])
+    @pytest.mark.parametrize("q", [0.5, 0.99])
+    def test_power_below_zero_flips_the_sign(self, e, q):
+        # 1 - q^(e+k) < 0 for k < -e: one sign flip per such factor
+        res = log_q_product(None, q, DEFAULT_POLICY, e)
+        ref, sign = mp_log_q_product(None, q, e)
+        assert res.sign == sign == (-1) ** math.ceil(-e)
+        assert abs(res.value - ref) <= res.error
+
+    @pytest.mark.parametrize("a, e, q", [(2.0, None, 0.5), (None, -2.0, 0.5),
+                                         (None, 0.0, 0.9)])
+    def test_zero_factor_gives_minus_inf(self, a, e, q):
+        res = log_q_product(a, q, DEFAULT_POLICY, e)
+        assert (res.value, res.converged) == (-math.inf, True)
+        assert res.terms_used == (2 if a else 1 - e)
+
+    def test_budget_counts_factors_plus_series_terms(self):
+        full = log_q_product(None, 0.99, DEFAULT_POLICY, 0.5)
+        for budget in (10, full.terms_used - 1):
+            cut = log_q_product(None, 0.99, TruncationPolicy(max_terms=budget), 0.5)
+            assert (cut.terms_used, cut.converged, cut.error) == (budget, False, math.inf)
+        exact = log_q_product(None, 0.99, TruncationPolicy(max_terms=full.terms_used), 0.5)
+        assert exact == full
 
 
 class TestPochhammerFinite:
@@ -230,12 +320,18 @@ class TestPochhammerInfinite:
         assert res.value == pytest.approx(oracle, rel=1e-12)
 
     def test_terms_grow_like_log_tol_over_log_q(self):
+        # log(2)/|log q| leading factors, then a log series whose length
+        # depends on rel_tol, not on q
         slow = q_pochhammer_inf(0.9, 0.9)
         fast = q_pochhammer_inf(0.5, 0.5)
         assert slow.terms_used > fast.terms_used
-        # the stop index scales with log(tol)/log(q)
-        expected = math.log(1e-14) / math.log(0.9)
-        assert slow.terms_used == pytest.approx(expected, rel=0.2)
+        for q in (0.99, 0.999, 0.9999):
+            leading = math.log(2.0 * q) / -math.log(q)
+            res = q_pochhammer_inf(q, q)
+            assert res.converged
+            assert leading < res.terms_used <= leading + 60
+        loose = q_pochhammer_inf(0.9, 0.9, TruncationPolicy(rel_tol=1e-7))
+        assert slow.terms_used - loose.terms_used >= 20
 
     def test_negative_a_all_factors_positive(self):
         res = q_pochhammer_inf(-0.9, 0.6)
@@ -299,12 +395,14 @@ class TestQGamma:
     def test_classical_limit_of_factorial(self):
         # q -> 1- recovers 4! = 24; direct finite product as oracle
         q = 0.9999
-        policy = TruncationPolicy(rel_tol=1e-12, max_terms=400_000)
-        res = q_gamma(5.0, q, policy)
+        res = q_gamma(5.0, q)
         oracle = 1.0
         for k in range(1, 5):
-            oracle *= (1.0 - q ** k) / (1.0 - q)
-        assert res.value == pytest.approx(oracle, rel=1e-7)
+            oracle *= -math.expm1(k * math.log(q)) / -math.expm1(math.log(q))
+        # the two log products of about -16449 cancel to log(24 (1-q)^4):
+        # the ratio is off by 2.3e-12
+        assert res.value == pytest.approx(oracle, rel=1e-11)
+        assert abs(res.value - oracle) <= res.tail_estimate
         assert abs(res.value - 24.0) < 2e-2
 
     @pytest.mark.parametrize("a", [0.0, -1.0, -2.0, -3.0 + 1e-13])
@@ -332,6 +430,15 @@ class TestQGamma:
             res = q_gamma(a, q)
             ref = float(mpmath.qgamma(a, q))
             assert res.value == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [0.3, 0.9, 0.97, 0.99])
+    @pytest.mark.parametrize("a", [0.25, 1.5, 3.75, -0.5, -2.5])
+    def test_within_tail_estimate_of_mpmath(self, a, q):
+        res = q_gamma(a, q)
+        with mpmath.workdps(30):
+            ref = float(mpmath.qgamma(a, q, maxterms=10**6))
+        assert abs(res.value - ref) <= res.tail_estimate
+        assert res.tail_estimate <= 2e-14 / (1.0 - q) * abs(ref)
 
 
 class TestQFactorial:

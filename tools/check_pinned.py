@@ -32,25 +32,25 @@ PINNED = (
      ["verify", "--theorem", "T1", "--theorem", "T2", "--theorem", "T3",
       "--theorem", "T4", "--theorem", "T5", "--theorem", "T6",
       "--cases", "200", "--seed", "1", "--no-timestamp"],
-     "sha256 7cfacca933274fc55e3807c0d468353966dc400a5c2d368503b502edf3b1b75c"),
+     "sha256 23742dd0c420f2aa3031eab4197bede03a5d63e56db9486c87e7799daae21870"),
     ("T1-T6 --cases 200 --seed 1 --jobs 2",
      ["verify", "--theorem", "T1", "--theorem", "T2", "--theorem", "T3",
       "--theorem", "T4", "--theorem", "T5", "--theorem", "T6",
       "--cases", "200", "--seed", "1", "--no-timestamp", "--jobs", "2"],
-     "sha256 7cfacca933274fc55e3807c0d468353966dc400a5c2d368503b502edf3b1b75c"),
+     "sha256 23742dd0c420f2aa3031eab4197bede03a5d63e56db9486c87e7799daae21870"),
     ("T1,T5 --cases 30 --seed 3 at q in 0.97,0.99",
      ["verify", "--theorem", "T1", "--theorem", "T5", "--cases", "30",
       "--seed", "3", "--grid-q1", "0.97,0.99", "--grid-q2", "0.97,0.99",
       "--no-timestamp"],
-     "sha256 10371bf9efdc7537ed9508b1c1dd7288c2ebc42d6dc250749013b2a395450432"),
+     "sha256 5f9e26c88457a325fdf2b2e5183d89cd88747c41196bc907123ff9053052dae0"),
     ("T1,T2 --cases 200 --seed 1 asynchronous, expect reversed",
      ["verify", "--theorem", "T1", "--theorem", "T2", "--cases", "200",
       "--seed", "1", "--family", "asynchronous", "--expect", "reversed",
       "--no-timestamp"],
-     "sha256 0b11445bbcfe237c54f4864c52206980bdbffdf0e4410ab573484369820058bf"),
+     "sha256 aac9c9e6c531f49004b86b6e171d2b2d71e089f25782efb66d9099420a5a57e4"),
     ("reduce-check",
      ["reduce-check"],
-     "max relative gap 9.326e-15 at (q, eta, mu, shape)=(0.9, 0.0, 0.5, 1)"),
+     "max relative gap 1.418e-14 at (q, eta, mu, shape)=(0.9, -0.5, 0.5, 0)"),
 )
 
 
