@@ -25,6 +25,7 @@ all parameters are real.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -336,10 +337,9 @@ def log_q_product(a: float | None, q: float,
     need = (math.ceil(math.log(limit * gap) / math.log(ax))
             if limit * gap < 1.0 else 1)
     count = max(1, min(need, policy.max_terms - cut))
-    ns = range(1, count + 1)
     # term_n = x^n / (n (1 - q^n)), kept as -term_n = x^n / (n expm1(n log q))
     terms = list(map(truediv, accumulate(repeat(x, count), mul),
-                     map(mul, ns, map(math.expm1, map(mul, repeat(lq), ns)))))
+                     _series_denominators(lq, -(-count // 16) * 16)))
     # their sizes fall, so bisection finds the first n with
     # |term_n| ratio <= rel_tol
     count = bisect_left(terms, -limit, key=_minus_abs) + 1
@@ -360,6 +360,14 @@ def log_q_product(a: float | None, q: float,
             + abs(series) + abs(value)) * _U
            + x_err * first + tail)
     return LogQProduct(value, sign, cut + count, err, True)
+
+
+@functools.lru_cache(maxsize=128)
+def _series_denominators(lq: float, size: int) -> tuple[float, ...]:
+    """n expm1(n log q), n = 1..size: Euler's series denominators, shared
+    by every q-product at one q."""
+    ns = range(1, size + 1)
+    return tuple(map(mul, ns, map(math.expm1, map(mul, repeat(lq), ns))))
 
 
 def _minus_abs(x: float) -> float:
@@ -424,6 +432,8 @@ def _combine_parts(num: LogQProduct, den: LogQProduct, log_scale: float,
     errors and the rounding of the log difference and of its exp."""
     if den.value == -math.inf:
         raise ZeroDivisionError(f"{what}: denominator product vanishes")
+    if num.value == -math.inf:  # a factor of the numerator is exactly 0
+        return SeriesResult(0.0, num.terms_used + den.terms_used, 0.0, True)
     log_value = num.value - den.value + log_scale
     value = num.sign * den.sign * _safe_exp(log_value)
     err = (num.error + den.error

@@ -377,6 +377,11 @@ class TestPochhammerAlpha:
     def test_alpha_zero_is_one(self):
         assert q_pochhammer_alpha(0.3, 0.5, 0.0).value == 1.0
 
+    def test_vanishing_numerator_is_exact_zero(self):
+        # (2; 1/2)_inf has the factor 1 - 2 (1/2) = 0
+        res = q_pochhammer_alpha(2.0, 0.5, 1.5)
+        assert (res.value, res.tail_estimate, res.converged) == (0.0, 0.0, True)
+
     def test_fractional_alpha_two_product_oracle(self):
         res = q_pochhammer_alpha(0.3, 0.5, 1.5)
         oracle = brute_pochhammer(0.3, 0.5, 200) / brute_pochhammer(
