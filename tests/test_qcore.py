@@ -227,7 +227,7 @@ class TestLogQProduct:
     @pytest.mark.parametrize("a, q", [(-0.9, 0.6), (-5.0, 0.99), (0.5, 0.5),
                                       (1.7, 0.99), (3.7, 0.8), (0.7 / 0.9 ** 3, 0.9)])
     def test_general_a_matches_direct_log_sum(self, a, q):
-        # negative a, and a > 1 with one to four sign-flipping factors
+        # negative a, a just below 1, and a > 1 with 53 and 6 sign flips
         res = log_q_product(a, q)
         ref, sign = mp_log_q_product(a, q)
         assert res.converged and res.sign == sign
