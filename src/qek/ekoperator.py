@@ -506,15 +506,16 @@ def _log_kernel_table(qv: float, mu: float, policy: TruncationPolicy):
     size = min(want, policy.max_terms)
     last = (log_q_product(None, qv, policy, size).value
             - log_q_product(None, qv, policy, size - 1.0 + mu).value)
-    # factors j = size-2, ..., near by log1p, then j = near-1, ..., 0
+    # factors j = size-2, ..., near by log1p, then j = near-1, ..., 0,
+    # where q^(j + min(1, mu)) > 1/2, by expm1
     near = min(size - 1, max(0, ceil(_LN2 / -lq - min(1.0, mu))))
-    ones = map(pow, repeat(qv), range(size - 1, near, -1))
-    mus = map(pow, repeat(qv), map(add, repeat(mu), range(size - 2, near - 1, -1)))
-    far = map(sub, map(log1p, map(neg, ones)), map(log1p, map(neg, mus)))
-    ones = map(mul, repeat(lq), range(near, 0, -1))
-    mus = map(mul, repeat(lq), map(add, repeat(mu), range(near - 1, -1, -1)))
-    close = map(sub, map(log, map(neg, map(expm1, ones))),
-                map(log, map(neg, map(expm1, mus))))
+    xs_one = map(pow, repeat(qv), range(size - 1, near, -1))
+    xs_mu = map(pow, repeat(qv), map(add, repeat(mu), range(size - 2, near - 1, -1)))
+    far = map(sub, map(log1p, map(neg, xs_one)), map(log1p, map(neg, xs_mu)))
+    args_one = map(mul, repeat(lq), range(near, 0, -1))
+    args_mu = map(mul, repeat(lq), map(add, repeat(mu), range(near - 1, -1, -1)))
+    close = map(sub, map(log, map(neg, map(expm1, args_one))),
+                map(log, map(neg, map(expm1, args_mu))))
     table = array("d", accumulate(far, initial=last))
     table.extend(islice(accumulate(close, initial=table[-1]), 1, None))
     table.reverse()
