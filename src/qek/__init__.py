@@ -3,7 +3,8 @@
 Layers, bottom up:
 
 * :mod:`qek.qcore` -- q-shifted factorials, q-Gamma, q-powers, all under an
-  explicit truncation policy with (geometric-assumption) tail estimates.
+  explicit truncation policy: q-products carry a certified error bound,
+  node sums a tail estimate that assumes a geometric tail.
 * :mod:`qek.jackson` -- q-derivative and Jackson q-integration.
 * :mod:`qek.functions` -- a closed function DSL whose monotone directions,
   bounds, nonnegativity and Lipschitz constants are certified on any

@@ -15,14 +15,13 @@ equivalent representations:
 The series is a quadrature rule: weights times integrand values at the
 geometric nodes t q^(k/beta). ``OperatorRule`` holds the nodes, weights
 and factor values of one (t, p, q) and sums any product of its factors;
-``ek_series`` is its one-factor case. A product of DSL expressions
-(:class:`qek.functions.FunctionSpec`) is a monomial sum below its first
-knot x_b, so its series is the fsum over the few nodes >= x_b plus a
-closed-form tail from the q-binomial theorem, with nothing truncated but
-the q-products of that closed form; at q = 0.99 that is tens to hundreds
-of nodes instead of thousands of terms. Any other callable is summed
-term by term under the policy's stop rule. The Kober operator is the
-beta = 1 member of the integral form.
+``ek_series`` is its one-factor case. Both take DSL expressions
+(:class:`qek.functions.FunctionSpec`) only. A product of them is a
+monomial sum below its first knot x_b, so its series is the fsum over the
+few nodes >= x_b plus a closed-form tail from the q-binomial theorem,
+with nothing truncated but the q-products of that closed form; at
+q = 0.99 that is tens to hundreds of nodes. The integral form and the
+Kober operator, its beta = 1 member, take any callable.
 
 ``ek_integral`` evaluates the integral form on the same nodes but by its
 own route: at node j the kernel is t^(beta(mu-1)) (q^(j+1); q)_inf /
@@ -126,124 +125,54 @@ class OperatorRule:
     """The series quadrature rule of one operator side at one (t, p, q).
 
     Nodes x_k = t q^(k/beta) and weights w_k = (q^mu;q)_k / (q;q)_k
-    q^(k(eta+1)). ``apply`` sums a product of named factors over them in
-    one of two ways, and either way each factor is evaluated once per node
-    however many products use it.
-
-    * Every factor a FunctionSpec: a head plus a closed-form tail. Below
-      its first knot x_b the product is a monomial sum sum_p c_p x^p
-      (``first_piece``), and by the q-binomial theorem
-      sum_k w_k x_k^p = t^p S(q^(eta+1+p/beta)) with
-      S(z) = (q^mu z; q)_inf / (z; q)_inf = 1 / (z; q)_mu. So the K nodes
-      >= x_b are summed with ``math.fsum`` and the rest is
-      sum_p c_p (t^p S(z_p) - sum_(k<K) w_k x_k^p). S is a finite product
-      for integer mu; otherwise one pair of ``qcore.log_q_product`` values
-      per class of p/beta mod 1 gives one S, and the finite ratio
-      S(zq) = S(z) (1 - z) / (1 - q^mu z) gives the rest of its class.
-      The weights use (1 - q^a) = -expm1(a log q), so none cancels.
-    * Any other callable: the nodes are generated one at a time and summed
-      under the policy's stop rule (``qcore.truncated_sum``).
+    q^(k(eta+1)). The factors are FunctionSpecs, and ``apply`` sums a
+    product of them as a head plus a closed-form tail: below its first
+    knot x_b the product is a monomial sum sum_p c_p x^p
+    (``first_piece``), and by the q-binomial theorem
+    sum_k w_k x_k^p = t^p S(q^(eta+1+p/beta)) with
+    S(z) = (q^mu z; q)_inf / (z; q)_inf = 1 / (z; q)_mu. So the K nodes
+    >= x_b are summed with ``math.fsum`` and the rest is
+    sum_p c_p (t^p S(z_p) - sum_(k<K) w_k x_k^p). S is a finite product
+    for integer mu; otherwise one pair of ``qcore.log_q_product`` values
+    per class of p/beta mod 1 gives one S, and the finite ratio
+    S(zq) = S(z) (1 - z) / (1 - q^mu z) gives the rest of its class.
+    The weights use (1 - q^a) = -expm1(a log q), so none cancels. Each
+    factor is evaluated once per head node however many products use it.
     """
 
     def __init__(self, t: float, p: OperatorParams,
-                 q: DeformationParam | float, fns: dict,
+                 q: DeformationParam | float, specs: dict,
                  policy: TruncationPolicy = DEFAULT_POLICY):
         if not t > 0.0:
             raise ValueError(f"evaluation point must be positive, got {t}")
+        for name, spec in specs.items():
+            if not isinstance(spec, FunctionSpec):
+                raise TypeError(
+                    f"factor {name!r} is {spec!r}, not a FunctionSpec; build"
+                    f" one with qek.functions.parse_function_spec")
         qv = as_deformation(q).q
         self.policy = policy
-        self.nodes = array("d")
-        self.weights = array("d")
-        self.values = {name: array("d") for name in fns}
-        self._fns = {name: as_callable(fn) for name, fn in fns.items()}
+        self._specs = dict(specs)
         self._q = qv
-        self._root = qv ** (1.0 / p.beta)
         self._ratio_eta = qv ** (p.eta + 1.0)
-        self._prefactor = (p.beta * (1.0 - self._root)
-                           * (1.0 - qv) ** (p.mu - 1.0))
-        # (x_k, w_k, q^k, q^(mu+k)) of the next node to generate
-        self._next = (t, 1.0, 1.0, qv ** p.mu)
-        # the head-plus-tail path of the factors with an expression; its
-        # prefactor forms 1 - q^(1/beta) by expm1, which does not cancel
         self._t, self._p, self._lq = t, p, log(qv)
-        self._head_prefactor = (p.beta * -expm1(self._lq / p.beta)
-                                * (1.0 - qv) ** (p.mu - 1.0))
-        self._exprs = {name: fn.expr for name, fn in fns.items()
-                       if isinstance(fn, FunctionSpec)}
-        self._pieces = {name: first_piece(expr)
-                        for name, expr in self._exprs.items()}
+        # 1 - q^(1/beta) formed by expm1, which does not cancel
+        self._prefactor = (p.beta * -expm1(self._lq / p.beta)
+                           * (1.0 - qv) ** (p.mu - 1.0))
+        self._pieces = {name: first_piece(spec.expr)
+                        for name, spec in specs.items()}
         self._ranges: dict[tuple, tuple[float, float]] = {}
         self._products: dict[tuple, tuple] = {}
         self._head_nodes = array("d", (t,))
         self._head_weights = array("d", (1.0,))
-        self._head_values = {name: array("d") for name in self._pieces}
+        self._head_values = {name: array("d") for name in specs}
         self._head_moments: dict[tuple, float] = {}
         self._sums: dict[float, tuple] = {}
         self._full_moments: dict[float, tuple] = {}
 
     def apply(self, names, moment: int = 0) -> OperatorResult:
         """Operator applied to s^moment times the product of the named
-        factors: as a head plus a closed-form tail when every factor has
-        an expression, under the policy's stop rule otherwise."""
-        if moment < 0:
-            raise ValueError(f"moment must be >= 0, got {moment}")
-        if all(name in self._pieces for name in names):
-            return self._head_and_tail(names, moment)
-        total, used, last, smallest, stopped = truncated_sum(
-            self._terms(names, moment), self.policy)
-        pre = self._prefactor
-        if not stopped:
-            raise NotConvergedError(
-                _unstopped("operator series", used, self.policy),
-                partial=OperatorResult(pre * total, used, pre * abs(total),
-                                       False, pre * smallest),
-            )
-        ratio_eta = self._ratio_eta
-        tail = abs(last) * ratio_eta / (1.0 - ratio_eta)
-        return OperatorResult(pre * total, used, pre * tail, True,
-                              pre * smallest)
-
-    # -- stop-rule path -----------------------------------------------------
-
-    def _terms(self, names, moment: int):
-        """Iterator over w_k * (x_k^moment * v_1(x_k) * v_2(x_k) * ...),
-        k = 0, 1, ...: stored nodes first, then one new node per term."""
-        nodes = self.nodes
-        cols = [self.values[name] for name in names]
-        fns = [self._fns[name] for name in names]
-        for col, fn in zip(cols, fns):
-            col.extend(map(fn, nodes[len(col):]))
-        products = map(pow, nodes, repeat(moment))
-        for col in cols:
-            products = map(mul, products, col)
-        stored = map(mul, self.weights, products)
-        return chain(stored, self._fresh_terms(cols, fns, moment))
-
-    def _fresh_terms(self, cols, fns, moment: int):
-        nodes, weights = self.nodes, self.weights
-        qv, root, ratio_eta = self._q, self._root, self._ratio_eta
-        pairs = list(zip(cols, fns))
-        while True:
-            node, coef, qk, qmu_k = self._next
-            if not node > 0.0:  # underflow ends the node stream
-                return
-            nodes.append(node)
-            weights.append(coef)
-            self._next = (node * root,
-                          coef * ((1.0 - qmu_k) / (1.0 - qk * qv) * ratio_eta),
-                          qk * qv, qmu_k * qv)
-            term = node ** moment
-            for col, fn in pairs:
-                val = fn(node)
-                col.append(val)
-                term *= val
-            yield coef * term
-
-    # -- head-plus-tail path ------------------------------------------------
-
-    def _head_and_tail(self, names, moment: int) -> OperatorResult:
-        """The rule's sum of s^moment times the named factors as
-        fsum over the nodes >= x_b plus sum_p c_p (t^p S_p - head_p).
+        factors: fsum over the nodes >= x_b plus sum_p c_p (t^p S_p - head_p).
 
         ``tail_estimate`` bounds S's truncation plus, to first order in the
         unit roundoff u, the rounding of the nodes, the weight recurrence,
@@ -252,6 +181,8 @@ class OperatorRule:
         largest |value| on [0, t], and ``first_piece``'s coefficients as
         exact up to a few u each.
         """
+        if moment < 0:
+            raise ValueError(f"moment must be >= 0, got {moment}")
         p, t, lq = self._p, self._t, self._lq
         names = tuple(names)
         x_b, poly, lo, hi = self._product(moment, names, t)
@@ -265,7 +196,7 @@ class OperatorRule:
                         map(pow, self._head_nodes, repeat(float(moment))))
         terms = array("d", terms)
         head = fsum(terms)
-        pre = self._head_prefactor
+        pre = self._prefactor
         if size > used:  # more nodes above x_b than max_terms: the nodes read
             raise NotConvergedError(
                 _unstopped("operator series", used, self.policy),
@@ -328,7 +259,8 @@ class OperatorRule:
                 knot, piece = self._pieces[name]
                 bounds = self._ranges.get((name, end))
                 if bounds is None:
-                    bounds = self._ranges[name, end] = _range(self._exprs[name], end)
+                    bounds = self._ranges[name, end] = _range(
+                        self._specs[name].expr, end)
                 a, b = bounds
                 ends = (lo * a, lo * b, hi * a, hi * b)
                 hit = (min(x_b, knot), poly_product(poly, piece),
@@ -383,7 +315,8 @@ class OperatorRule:
         """The named factor at the first ``size`` head nodes (or more)."""
         col = self._head_values[name]
         if len(col) < size:
-            col.extend(map(self._fns[name], self._head_nodes[len(col):size]))
+            col.extend(map(self._specs[name].fn,
+                           self._head_nodes[len(col):size]))
         return col
 
     def _head_moment(self, power: float, size: int) -> float:
@@ -480,7 +413,8 @@ class OperatorRule:
 
 def ek_series(f, t: float, p: OperatorParams, q: DeformationParam | float,
               policy: TruncationPolicy = DEFAULT_POLICY) -> OperatorResult:
-    """Series representation of the generalized Erdelyi-Kober q-operator."""
+    """Series representation of the generalized Erdelyi-Kober q-operator
+    of the FunctionSpec f; any other f raises TypeError."""
     rule = OperatorRule(t, p, q, {"f": f}, policy)
     _check_exponent(f, p)
     return rule.apply(("f",))

@@ -24,6 +24,7 @@ from qek.errors import DomainError, NotConvergedError
 from qek.functions import (
     Affine,
     Const,
+    FunctionSpec,
     PiecewiseLinear,
     Power,
     Product,
@@ -38,6 +39,10 @@ from qek.qcore import (
     q_pochhammer_n,
     q_power_alpha,
 )
+
+
+def power(sigma):
+    return parse_function_spec(f"(power {sigma:g})")
 
 
 def brute_series(f, t, eta, mu, beta, q, terms=900):
@@ -55,8 +60,10 @@ def power_closed_form(sigma, t, eta, mu, beta, q):
     return beta * (1.0 - q ** (1.0 / beta)) / (1.0 - q) * ratio * t ** sigma
 
 
+ONE = parse_function_spec("(const 1)")
+
 SHAPES = [
-    parse_function_spec("(const 1)"),
+    ONE,
     parse_function_spec("(power 1)"),
     parse_function_spec("(power 2)"),
     function_spec(PiecewiseLinear(((0.0, 0.0), (0.5, 0.3), (1.0, 0.5), (2.0, 1.2)))),
@@ -80,12 +87,13 @@ class TestOperatorParams:
 
 class TestSeriesForm:
     def test_unit_function_unit_order(self):
-        res = ek_series(lambda t: 1.0, 1.0, OperatorParams(0.0, 1.0, 1.0), 0.5)
+        res = ek_series(ONE, 1.0, OperatorParams(0.0, 1.0, 1.0), 0.5)
         assert res.value == pytest.approx(1.0, rel=1e-13)
         assert isinstance(res, OperatorResult)
 
     def test_zero_function(self):
-        res = ek_series(lambda t: 0.0, 1.0, OperatorParams(0.5, 0.7, 2.0), 0.5)
+        zero = parse_function_spec("(const 0)")
+        res = ek_series(zero, 1.0, OperatorParams(0.5, 0.7, 2.0), 0.5)
         assert res.value == 0.0
         assert res.min_term == 0.0
 
@@ -98,8 +106,9 @@ class TestSeriesForm:
     def test_power_function_closed_form(self, sigma, eta, mu, beta, q):
         t = 1.7
         p = OperatorParams(eta, mu, beta)
-        res = ek_series(lambda s: s ** sigma, t, p, q)
-        oracle = brute_series(lambda s: s ** sigma, t, eta, mu, beta, q)
+        f = power(sigma)
+        res = ek_series(f, t, p, q)
+        oracle = brute_series(f.fn, t, eta, mu, beta, q)
         closed = power_closed_form(sigma, t, eta, mu, beta, q)
         # brute force confirms the closed form, then both check the evaluator
         assert oracle == pytest.approx(closed, rel=1e-11)
@@ -114,7 +123,7 @@ class TestSeriesForm:
 
     def test_sign_tag_sees_negative_terms(self):
         p = OperatorParams(0.0, 1.0, 1.0)
-        res = ek_series(lambda s: s - 0.5, 1.0, p, 0.5)
+        res = ek_series(parse_function_spec("(affine 1 -0.5)"), 1.0, p, 0.5)
         assert res.min_term < 0.0
 
     def test_linearity(self):
@@ -122,14 +131,15 @@ class TestSeriesForm:
         q = 0.6
         f = SHAPES[1]
         g = SHAPES[2]
-        lhs = ek_series(lambda s: 2.0 * f(s) + 0.7 * g(s), 1.3, p, q).value
+        both = parse_function_spec("(sum (scale 2 (power 1)) (scale 0.7 (power 2)))")
+        lhs = ek_series(both, 1.3, p, q).value
         rhs = 2.0 * ek_series(f, 1.3, p, q).value + 0.7 * ek_series(g, 1.3, p, q).value
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
     def test_monotone_in_argument(self):
         p = OperatorParams(0.0, 0.8, 1.0)
-        small = ek_series(lambda s: s, 1.0, p, 0.7).value
-        large = ek_series(lambda s: s + 0.25, 1.0, p, 0.7).value
+        small = ek_series(power(1), 1.0, p, 0.7).value
+        large = ek_series(parse_function_spec("(affine 1 0.25)"), 1.0, p, 0.7).value
         assert small <= large + 1e-12
 
     def test_order_zero_limit(self):
@@ -139,7 +149,7 @@ class TestSeriesForm:
         gaps = []
         for mu in (0.1, 0.01, 0.001):
             p = OperatorParams(eta, mu, beta)
-            val = ek_series(lambda s: s ** sigma, t, p, q).value
+            val = ek_series(power(sigma), t, p, q).value
             gaps.append(abs(val - limit))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-2 * max(1.0, limit)
@@ -157,48 +167,35 @@ class TestSeriesForm:
             ref = float(beta * (1 - mp.mpf(q) ** (mp.mpf(1) / beta)) / (1 - q)
                         * mp.qgamma(c, q) / mp.qgamma(c + mu, q)
                         * mp.mpf(t) ** sigma)
-        val = ek_series(lambda s: s ** sigma, t,
-                        OperatorParams(eta, mu, beta), q).value
+        val = ek_series(power(sigma), t, OperatorParams(eta, mu, beta), q).value
         assert val == pytest.approx(ref, rel=1e-12)
 
     def test_not_converged(self):
+        # at mu = 1.5 the tail's log-space product needs more than 5 factors
         with pytest.raises(NotConvergedError):
-            ek_series(lambda s: 1.0, 1.0, OperatorParams(0.0, 1.0, 1.0), 0.9,
+            ek_series(ONE, 1.0, OperatorParams(0.0, 1.5, 1.0), 0.9,
                       TruncationPolicy(max_terms=5))
 
-    def test_underflowed_node_ends_the_sum(self):
-        # at q = 1e-120 the fourth node t q^3 underflows to 0.0
-        seen = []
-        with pytest.raises(NotConvergedError, match="underflow") as info:
-            ek_series(lambda s: seen.append(s) or 1.0, 1.0,
-                      OperatorParams(-0.5, 1.0, 1.0), 1e-120)
-        assert min(seen) > 0.0
-        assert info.value.partial.terms_used == 3
-        assert info.value.partial.converged is False
-
     def test_rejects_non_summable_exponent(self):
-        def f(s):
-            return s ** -0.9
-
-        f.c_lambda_exponent = -0.9
-        with pytest.raises(DomainError):
+        f = FunctionSpec(parse_function_spec("(power 1)").expr, -0.9)
+        with pytest.raises(DomainError, match="= -0.4"):
             ek_series(f, 1.0, OperatorParams(-0.5, 1.0, 1.0), 0.5)
 
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
-            ek_series(lambda s: 1.0, 0.0, OperatorParams(0.0, 1.0, 1.0), 0.5)
+            ek_series(ONE, 0.0, OperatorParams(0.0, 1.0, 1.0), 0.5)
 
 
 class TestIntegralForm:
     def test_unit_case_matches_series(self):
         p = OperatorParams(0.0, 1.0, 1.0)
-        s = ek_series(lambda t: 1.0, 1.0, p, 0.5)
+        s = ek_series(ONE, 1.0, p, 0.5)
         i = ek_integral(lambda t: 1.0, 1.0, p, 0.5)
         assert i.value == pytest.approx(s.value, rel=1e-12)
 
     def test_cross_representation_case(self):
         p = OperatorParams(0.5, 0.7, 2.0)
-        s = ek_series(lambda t: t, 2.0, p, 0.3)
+        s = ek_series(power(1), 2.0, p, 0.3)
         i = ek_integral(lambda t: t, 2.0, p, 0.3)
         assert abs(s.value - i.value) <= 1e-8 * max(1.0, abs(s.value))
 
@@ -509,16 +506,6 @@ class TestHeadAndTail:
         assert partial.tail_estimate == abs(partial.value)
         assert abs(partial.value - full.value) < 0.5 * full.value
 
-    def test_plain_callable_keeps_the_stop_rule(self):
-        shape = HEAD_TAIL_SHAPES[0]
-        p = OperatorParams(0.0, 0.5, 1.0)
-        plain = ek_series(shape.fn, 1.0, p, 0.9)
-        dsl = ek_series(shape, 1.0, p, 0.9)
-        rule = OperatorRule(1.0, p, 0.9, {"f": shape.fn})
-        assert rule.apply(("f",)) == plain
-        assert len(rule.nodes) == plain.terms_used
-        assert abs(plain.value - dsl.value) <= plain.tail_estimate + dsl.tail_estimate
-
 
 class TestKober:
     def test_unit_case(self):
@@ -567,9 +554,8 @@ class TestOperatorRule:
         p = OperatorParams(0.2, 1.1, 1.0)
         u = SHAPES[2]
         direct = ek_series(u, 1.0, p, 0.5)
-        rule = OperatorRule(1.0, p, 0.5, {"one": lambda s: 1.0, "u": u})
+        rule = OperatorRule(1.0, p, 0.5, {"one": ONE, "u": u})
         assert rule.apply(("u",)) == direct
-        # a plain callable takes the stop rule, the spec alone head plus tail
         mixed = rule.apply(("one", "u"))
         assert abs(mixed.value - direct.value) <= (mixed.tail_estimate
                                                    + direct.tail_estimate)
@@ -577,7 +563,7 @@ class TestOperatorRule:
     def test_cubic_moment_matches_power_closed_form(self):
         p = OperatorParams(0.0, 1.0, 1.0)
         q = 0.5
-        rule = OperatorRule(1.0, p, q, {"one": lambda s: 1.0})
+        rule = OperatorRule(1.0, p, q, {"one": ONE})
         res = rule.apply(("one",), moment=3)
         assert res.value == pytest.approx(power_closed_form(3.0, 1.0, 0.0, 1.0, 1.0, q),
                                           rel=1e-11)
@@ -585,40 +571,47 @@ class TestOperatorRule:
     def test_moment_association(self):
         p = OperatorParams(0.4, 0.9, 1.5)
         q = 0.6
-        rule = OperatorRule(1.0, p, q, {"one": lambda s: 1.0, "s": lambda s: s})
+        rule = OperatorRule(1.0, p, q, {"one": ONE, "s": power(1)})
         a = rule.apply(("s",), moment=1)
         b = rule.apply(("one",), moment=2)
         assert a.value == pytest.approx(b.value, rel=1e-13)
 
     def test_rejects_negative_moment(self):
-        rule = OperatorRule(1.0, OperatorParams(0.0, 1.0, 1.0), 0.5,
-                            {"one": lambda s: 1.0})
+        rule = OperatorRule(1.0, OperatorParams(0.0, 1.0, 1.0), 0.5, {"one": ONE})
         with pytest.raises(ValueError):
             rule.apply(("one",), moment=-1)
 
     def test_each_factor_evaluated_once_per_node(self):
-        calls = {"a": 0, "b": 0}
+        # first knots 0.83 and 0.88; at q = 0.9, beta = 2 the head nodes
+        # 0.9^(k/2) >= 0.83 are k = 0..3, none of them near either knot
+        t, q, beta = 1.0, 0.9, 2.0
+        seen = {}
 
-        def counted(name, fn):
-            def wrapped(s):
-                calls[name] += 1
-                return fn(s)
-            return wrapped
+        def counted(name, text):
+            spec = parse_function_spec(text)
+            fn = spec.fn
+            seen[name] = []
+            object.__setattr__(spec, "fn",
+                               lambda s: seen[name].append(s) or fn(s))
+            return spec
 
-        fns = {"a": counted("a", lambda s: 1.0 + s),
-               "b": counted("b", lambda s: s * s)}
-        rule = OperatorRule(1.3, OperatorParams(0.5, 1.5, 2.0), 0.9, fns)
-        results = [rule.apply(names, m) for names, m in
-                   ((("a",), 0), (("a", "b"), 0), (("b",), 2), (("b", "a"), 1))]
-        assert calls["a"] == len(rule.values["a"]) <= len(rule.nodes)
-        assert calls["b"] == len(rule.values["b"]) <= len(rule.nodes)
-        assert len(rule.nodes) == max(r.terms_used for r in results)
+        specs = {"a": counted("a", "(piecewise_linear (0 0.2) (0.83 0.5) (1 1.3))"),
+                 "b": counted("b", "(product (affine 0.5 0.2)"
+                                   " (piecewise_linear (0 0.3) (0.88 0.8) (1 0.9)))")}
+        rule = OperatorRule(t, OperatorParams(0.5, 1.5, beta), q, specs)
+        products = ((("a",), 0), (("a", "b"), 0), (("b",), 2), (("b", "a"), 1))
+        first = [rule.apply(names, m) for names, m in products]
+        assert [rule.apply(names, m) for names, m in products] == first
+        heads = [t * q ** (k / beta) for k in range(4)]
+        for name in ("a", "b"):
+            assert seen[name] == pytest.approx(heads, rel=1e-15)
 
-    def test_not_converged_carries_partial(self):
-        rule = OperatorRule(1.0, OperatorParams(0.0, 1.0, 1.0), 0.9,
-                            {"one": lambda s: 1.0},
-                            TruncationPolicy(max_terms=10))
-        with pytest.raises(NotConvergedError) as info:
-            rule.apply(("one",))
-        assert info.value.partial.terms_used == 10
-        assert len(rule.nodes) == 10
+    def test_plain_callable_is_rejected(self):
+        p = OperatorParams(0.0, 1.0, 1.0)
+        with pytest.raises(TypeError, match="'f'.*parse_function_spec"):
+            ek_series(lambda s: 1.0, 1.0, p, 0.5)
+        with pytest.raises(TypeError, match="'u'.*parse_function_spec"):
+            OperatorRule(1.0, p, 0.5, {"one": ONE, "u": lambda s: s})
+        # the integral forms, the independent oracle, take any callable
+        assert ek_integral(lambda s: 1.0, 1.0, p, 0.5).value == pytest.approx(1.0)
+        assert kober(lambda s: 1.0, 1.0, 0.0, 1.0, 0.5).value == pytest.approx(1.0)

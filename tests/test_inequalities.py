@@ -9,7 +9,7 @@ import pytest
 
 from qek import inequalities
 from qek.cli import CampaignConfig, derive_case
-from qek.ekoperator import OperatorParams, OperatorRule, ek_series
+from qek.ekoperator import OperatorParams, OperatorRule, ek_integral
 from qek.errors import HypothesisViolatedError, NotConvergedError
 from qek.functions import (
     BoundsTriple,
@@ -328,7 +328,7 @@ class TestTheoremSix:
         def op(params, q, w, names):
             fns = {"f": case.f, "g": case.g, "h": case.h}
             prod = lambda s: w(s) * math.prod(fns[n](s) for n in names)  # noqa: E731
-            return ek_series(prod, case.t, params, q).value
+            return ek_integral(prod, case.t, params, q).value
 
         pairs = [("fgh", ""), ("h", "fg"), ("g", "fh"), ("f", "gh"),
                  ("gh", "f"), ("fh", "g"), ("fg", "h"), ("", "fgh")]
@@ -431,8 +431,8 @@ class TestVerdictSemantics:
 
 
 def _composed(factors, moment):
-    """s^moment * w(s) * a(s) * ... as one function, multiplied left to
-    right: the integrand the case memo would hand to ek_series."""
+    """s^moment * w(s) * a(s) * ... as one plain function, multiplied left
+    to right: the integrand of one operator value a case requests."""
     def fn(s):
         acc = s ** moment
         for factor in factors:
@@ -443,9 +443,10 @@ def _composed(factors, moment):
 
 class TestCaseRuleEquivalence:
     """Every operator value a case requests from its per-side rules agrees
-    with ek_series of the composed integrand, a plain callable summed under
-    the stop rule, within the two reported tails, and worst_tail is the
-    largest tail among the case's evaluations."""
+    with ek_integral of the composed integrand, which shares no arithmetic
+    with the rule's head and closed-form tail, within the two reported
+    tails, and worst_tail is the largest tail among the case's
+    evaluations."""
 
     @pytest.mark.parametrize("grid,cases", [((0.3, 0.6, 0.9), 4),
                                             ((0.97, 0.99), 1)])
@@ -490,8 +491,8 @@ class TestCaseRuleEquivalence:
                 q, p = ((case.q1, case.p1) if side == 1
                         else (case.q2, case.p2))
                 factors = [names[n].fn for n in (weight, *subset)]
-                ref = ek_series(_composed(factors, moment), case.t, p, q,
-                                config.policy)
+                ref = ek_integral(_composed(factors, moment), case.t, p, q,
+                                  config.policy)
                 gap = abs(res.value - ref.value)
                 assert gap <= res.tail_estimate + ref.tail_estimate
             assert rep.worst_tail == max(r[4].tail_estimate for r in requests)

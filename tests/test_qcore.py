@@ -74,7 +74,7 @@ class TestTruncationPolicy:
 
 def streak_sum(terms, policy):
     """Reference for truncated_sum: the term-by-term streak loop that
-    sum_series, OperatorRule.apply and ek_integral each used to hold."""
+    sum_series and ek_integral each used to hold."""
     total = 0.0
     streak = 0
     used = 0

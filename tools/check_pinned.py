@@ -1,11 +1,12 @@
-"""Check that seeded campaign reports and the reduce-check line are unchanged.
+"""Check that seeded campaign reports, a sweep and the reduce-check line are
+unchanged.
 
 Runs ``qek verify`` on three pinned campaigns, the first of them again
-in a two-process pool (``--jobs 2``, which must give the same bytes), and
-``qek reduce-check`` in this process, then compares the SHA-256 of each
-campaign's report bytes and the reduce-check line against the values
-pinned below. Exits 0 when
-all match and 1 on any mismatch. Stdlib only, so it runs where pytest is
+in a two-process pool (``--jobs 2``, which must give the same bytes), one
+``qek sweep`` and ``qek reduce-check`` in this process, then compares the
+SHA-256 of each campaign's report bytes and of the sweep's CSV, and the
+reduce-check line, against the values pinned below. Exits 0 when all
+match and 1 on any mismatch. Stdlib only, so it runs where pytest is
 not installed:
 
     python tools/check_pinned.py
@@ -48,6 +49,11 @@ PINNED = (
       "--seed", "1", "--family", "asynchronous", "--expect", "reversed",
       "--no-timestamp"],
      "sha256 aac9c9e6c531f49004b86b6e171d2b2d71e089f25782efb66d9099420a5a57e4"),
+    ("sweep over q in [0.5, 0.99], piecewise-linear plus power",
+     ["sweep", "--axis", "q", "--start", "0.5", "--stop", "0.99", "--steps",
+      "8", "--eta", "-0.5", "--mu", "1.5", "--beta", "2", "--t", "1.3",
+      "--f", "(sum (piecewise_linear (0 0.1) (0.8 0.3) (1 1)) (power 1.5))"],
+     "sha256 8096e76e375aac55ab21474b43ce9ebd87ae05e782aa034f4e16551dace3812d"),
     ("reduce-check",
      ["reduce-check"],
      "max relative gap 1.418e-14 at (q, eta, mu, shape)=(0.9, -0.5, 0.5, 0)"),
@@ -55,13 +61,14 @@ PINNED = (
 
 
 def observed(argv: list[str]) -> str:
-    """A verify run's report hash, or the one line reduce-check prints."""
+    """A verify or sweep run's output hash, or the one line reduce-check
+    prints."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         main(argv)
     text = out.getvalue()
-    if argv[0] == "verify":
+    if argv[0] in ("verify", "sweep"):
         return "sha256 " + hashlib.sha256(text.encode("utf-8")).hexdigest()
     return text.strip()
 
