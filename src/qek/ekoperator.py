@@ -18,10 +18,11 @@ and factor values of one (t, p, q) and sums any product of its factors;
 ``ek_series`` is its one-factor case. Both take DSL expressions
 (:class:`qek.functions.FunctionSpec`) only. A product of them is a
 monomial sum below its first knot x_b, so its series is the fsum over the
-few nodes >= x_b plus a closed-form tail from the q-binomial theorem,
-with nothing truncated but the q-products of that closed form; at
-q = 0.99 that is tens to hundreds of nodes. The integral form and the
-Kober operator, its beta = 1 member, take any callable.
+side's head, the few nodes >= the smallest first knot among the rule's
+factors, plus a closed-form tail from the q-binomial theorem, with
+nothing truncated but the q-products of that closed form; at q = 0.99
+that is tens to hundreds of nodes. The integral form and the Kober
+operator, its beta = 1 member, take any callable.
 
 ``ek_integral`` evaluates the integral form on the same nodes but by its
 own route: at node j the kernel is t^(beta(mu-1)) (q^(j+1); q)_inf /
@@ -43,9 +44,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import accumulate, chain, islice, repeat, takewhile, tee
+from itertools import accumulate, chain, count, islice, repeat, takewhile, tee
 from math import ceil, exp, expm1, fsum, inf, log, log1p, prod
-from operator import add, lt, mul, neg, sub, truediv
+from operator import add, le, lt, mul, neg, sub, truediv
 
 from .errors import DomainError, NotConvergedError
 from .functions import FunctionSpec, _range, as_callable, first_piece, poly_product
@@ -130,14 +131,18 @@ class OperatorRule:
     knot x_b the product is a monomial sum sum_p c_p x^p
     (``first_piece``), and by the q-binomial theorem
     sum_k w_k x_k^p = t^p S(q^(eta+1+p/beta)) with
-    S(z) = (q^mu z; q)_inf / (z; q)_inf = 1 / (z; q)_mu. So the K nodes
-    >= x_b are summed with ``math.fsum`` and the rest is
-    sum_p c_p (t^p S(z_p) - sum_(k<K) w_k x_k^p). S is a finite product
-    for integer mu; otherwise one pair of ``qcore.log_q_product`` values
-    per class of p/beta mod 1 gives one S, and the finite ratio
-    S(zq) = S(z) (1 - z) / (1 - q^mu z) gives the rest of its class.
-    The weights use (1 - q^a) = -expm1(a log q), so none cancels. Each
-    factor is evaluated once per head node however many products use it.
+    S(z) = (q^mu z; q)_inf / (z; q)_inf = 1 / (z; q)_mu. The side's head
+    is the K nodes >= the smallest first knot among its factors; a
+    product with x_b <= t sums them with ``math.fsum`` and adds
+    sum_p c_p (t^p S(z_p) - sum_(k<K) w_k x_k^p), which is exact because
+    the head nodes below x_b lie where the product equals its first
+    piece. A product with no knot in [0, t] is the closed form alone. S
+    is a finite product for integer mu; otherwise one pair of
+    ``qcore.log_q_product`` values per class of p/beta mod 1 gives one S,
+    and the finite ratio S(zq) = S(z) (1 - z) / (1 - q^mu z) gives the
+    rest of its class. The weights use (1 - q^a) = -expm1(a log q), so
+    none cancels. Each factor is evaluated once per head node however
+    many products use it.
     """
 
     def __init__(self, t: float, p: OperatorParams,
@@ -151,11 +156,11 @@ class OperatorRule:
                     f"factor {name!r} is {spec!r}, not a FunctionSpec; build"
                     f" one with qek.functions.parse_function_spec")
         qv = as_deformation(q).q
+        lq, mu = log(qv), p.mu
         self.policy = policy
         self._specs = dict(specs)
         self._q = qv
-        self._ratio_eta = qv ** (p.eta + 1.0)
-        self._t, self._p, self._lq = t, p, log(qv)
+        self._t, self._p, self._lq = t, p, lq
         # 1 - q^(1/beta) formed by expm1, which does not cancel
         self._prefactor = (p.beta * -expm1(self._lq / p.beta)
                            * (1.0 - qv) ** (p.mu - 1.0))
@@ -163,16 +168,36 @@ class OperatorRule:
                         for name, spec in specs.items()}
         self._ranges: dict[tuple, tuple[float, float]] = {}
         self._products: dict[tuple, tuple] = {}
-        self._head_nodes = array("d", (t,))
-        self._head_weights = array("d", (1.0,))
-        self._head_values = {name: array("d") for name in specs}
-        self._head_moments: dict[tuple, float] = {}
+        # the head: node k is t exp(k log(q) / beta), down to the smallest
+        # first knot, read to max_terms + 1 nodes so that an overrun shows
+        x_min = min((knot for knot, _ in self._pieces.values()), default=inf)
+        nodes = map(mul, repeat(t), map(exp, map(mul, repeat(lq / p.beta),
+                                                 count())))
+        nodes = array("d", islice(takewhile(partial(le, x_min), nodes),
+                                  policy.max_terms + 1))
+        self._overrun = len(nodes) > policy.max_terms
+        del nodes[policy.max_terms:]
+        # weight k+1 is weight k times q^(eta+1) (1 - q^(mu+k)) / (1 - q^(k+1)),
+        # each 1 - q^a formed as -expm1(a log q)
+        size = len(nodes)
+        nums = map(expm1, map(mul, repeat(lq),
+                              map(add, repeat(mu), range(size - 1))))
+        dens = map(expm1, map(mul, repeat(lq), range(1, size)))
+        ratios = map(mul, map(truediv, nums, dens),
+                     repeat(qv ** (p.eta + 1.0)))
+        self._head_nodes = nodes
+        self._head_weights = array(
+            "d", islice(accumulate(ratios, mul, initial=1.0), size))
+        self._head_values: dict[str, array] = {}
+        self._head_moments: dict[float, float] = {}
         self._sums: dict[float, tuple] = {}
         self._full_moments: dict[float, tuple] = {}
 
     def apply(self, names, moment: int = 0) -> OperatorResult:
         """Operator applied to s^moment times the product of the named
-        factors: fsum over the nodes >= x_b plus sum_p c_p (t^p S_p - head_p).
+        factors: fsum over the side's head plus
+        sum_p c_p (t^p S_p - head_p), or the closed form alone for a
+        product with no knot in [0, t].
 
         ``tail_estimate`` bounds S's truncation plus, to first order in the
         unit roundoff u, the rounding of the nodes, the weight recurrence,
@@ -186,20 +211,22 @@ class OperatorRule:
         p, t, lq = self._p, self._t, self._lq
         names = tuple(names)
         x_b, poly, lo, hi = self._product(moment, names, t)
-        size = self._head_length(x_b)
-        used = min(size, self.policy.max_terms)
-        terms = islice(self._head_weights, used)
-        for name in names:
-            terms = map(mul, terms, self._column(name, used))
-        if moment:
-            terms = map(mul, terms,
-                        map(pow, self._head_nodes, repeat(float(moment))))
-        terms = array("d", terms)
+        terms = array("d")
+        if x_b <= t:
+            terms = self._head_weights
+            for name in names:
+                terms = map(mul, terms, self._column(name))
+            if moment:
+                terms = map(mul, terms,
+                            map(pow, self._head_nodes, repeat(float(moment))))
+            terms = array("d", terms)
+        used = len(terms)
         head = fsum(terms)
         pre = self._prefactor
-        if size > used:  # more nodes above x_b than max_terms: the nodes read
+        if used and self._overrun:  # more head nodes than max_terms
             raise NotConvergedError(
-                _unstopped("operator series", used, self.policy),
+                f"operator series: no convergence within "
+                f"{self.policy.max_terms} terms",
                 partial=OperatorResult(pre * head, used, pre * abs(head),
                                        False, pre * min(terms)))
 
@@ -212,25 +239,24 @@ class OperatorRule:
         err = 0.0
         done = True
         sums = set()
-        full_moments, head_moments = self._full_moments, self._head_moments
+        full_moments = self._full_moments
         for power, coef in poly.items():
             full, full_rel, keys, s_done = (full_moments.get(power)
                                             or self._full_moment(power))
             done = done and s_done
             sums.update(keys)
-            part = head_moments.get((power, used))
-            if part is None:
-                part = self._head_moment(power, used)
+            part = self._head_moment(power) if used else 0.0
             parts.append(coef * (full - part))
             err += abs(coef) * (full * (full_rel + 4.0 * width * _U)
                                 + part * (weight_err + power * node_err + 3.0)
                                 * _U)
         tail = fsum(parts)
+        mass = self._head_moment(0.0) if used else 0.0
         err += ((weight_err + 6.0 * width + moment * node_err)
-                * max(-lo, hi) * self._head_moment(0.0, used)
+                * max(-lo, hi) * mass
                 + 2.0 * (abs(head) + abs(tail))) * _U
-        # every tail node lies below min(x_b, t), where the enclosure gives
-        # the tail's sign
+        # every tail node lies below the head, so below min(x_b, t), where
+        # the enclosure gives the tail's sign
         if lo < 0.0 and x_b < t:
             lo = self._product(moment, names, x_b)[2]
 
@@ -272,62 +298,22 @@ class OperatorRule:
             self._products[key] = hit
         return hit
 
-    def _head_length(self, x_b: float) -> int:
-        """The number K of nodes >= x_b, with nodes and weights filled to
-        K + 1 (to ``max_terms`` when K exceeds it)."""
-        t = self._t
-        if not x_b <= t:
-            return 0
-        size = int(self._p.beta * log(x_b / t) / self._lq) + 1
-        if size > self.policy.max_terms:
-            self._extend_head(self.policy.max_terms)
-            return size
-        self._extend_head(size + 1)
-        nodes = self._head_nodes
-        while size > 0 and nodes[size - 1] < x_b:
-            size -= 1
-        while nodes[size] >= x_b:
-            size += 1
-            self._extend_head(size + 1)
-        return size
-
-    def _extend_head(self, size: int) -> None:
-        """Fill the head nodes and weights to ``size``. Node k is
-        t exp(k log(q) / beta); weight k+1 is weight k times
-        q^(eta+1) (1 - q^(mu+k)) / (1 - q^(k+1)), each 1 - q^a formed as
-        -expm1(a log q)."""
-        nodes, weights = self._head_nodes, self._head_weights
-        have = len(nodes)
-        if have >= size:
-            return
-        lq, mu = self._lq, self._p.mu
-        nodes.extend(map(mul, repeat(self._t),
-                         map(exp, map(mul, repeat(lq / self._p.beta),
-                                      range(have, size)))))
-        nums = map(expm1, map(mul, repeat(lq),
-                              map(add, repeat(mu), range(have - 1, size - 1))))
-        dens = map(expm1, map(mul, repeat(lq), range(have, size)))
-        ratios = map(mul, map(truediv, nums, dens), repeat(self._ratio_eta))
-        weights.extend(islice(accumulate(ratios, mul, initial=weights[-1]),
-                              1, None))
-
-    def _column(self, name: str, size: int) -> array:
-        """The named factor at the first ``size`` head nodes (or more)."""
-        col = self._head_values[name]
-        if len(col) < size:
-            col.extend(map(self._specs[name].fn,
-                           self._head_nodes[len(col):size]))
+    def _column(self, name: str) -> array:
+        """The named factor at every head node, evaluated once."""
+        col = self._head_values.get(name)
+        if col is None:
+            col = self._head_values[name] = array(
+                "d", map(self._specs[name].fn, self._head_nodes))
         return col
 
-    def _head_moment(self, power: float, size: int) -> float:
-        """fsum of w_k x_k^power over the first ``size`` head nodes."""
-        key = (power, size)
-        hit = self._head_moments.get(key)
+    def _head_moment(self, power: float) -> float:
+        """fsum of w_k x_k^power over the head nodes."""
+        hit = self._head_moments.get(power)
         if hit is None:
-            vals = islice(self._head_weights, size)
+            vals = self._head_weights
             if power:
                 vals = map(mul, vals, map(pow, self._head_nodes, repeat(power)))
-            hit = self._head_moments[key] = fsum(vals)
+            hit = self._head_moments[power] = fsum(vals)
         return hit
 
     def _full_moment(self, power: float) -> tuple:

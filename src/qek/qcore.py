@@ -460,14 +460,17 @@ def q_gamma(a: float, q: DeformationParam | float,
 
 
 def q_factorial(n: int, q: DeformationParam | float) -> float:
-    """q-factorial: product of q-integers (1-q^k)/(1-q), k = 1..n."""
-    qv = as_deformation(q).q
+    """q-factorial: product of q-integers (1-q^k)/(1-q), k = 1..n, each
+    formed as expm1(k log q) / expm1(log q), which does not cancel near
+    q = 1."""
+    lq = math.log(as_deformation(q).q)
     n = int(n)
     if n < 0:
         raise ValueError(f"q_factorial requires n >= 0, got {n}")
+    den = math.expm1(lq)
     prod = 1.0
     for k in range(1, n + 1):
-        prod *= (1.0 - qv ** k) / (1.0 - qv)
+        prod *= math.expm1(k * lq) / den
     return prod
 
 

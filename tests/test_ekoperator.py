@@ -437,6 +437,9 @@ HEAD_TAIL_SHAPES = [parse_function_spec(text) for text in (
     "(sum (piecewise_linear (0 -0.5) (0.8 0.4) (1 0.6)) (scale -0.3 (power 2)))",
 )]
 
+STEEP = parse_function_spec("(piecewise_linear (0 0) (0.01 1) (1 2))")
+LIN = parse_function_spec("(affine 1 0.5)")
+
 
 class TestHeadAndTail:
     """DSL inputs: the nodes down to the first knot plus a closed-form
@@ -505,6 +508,47 @@ class TestHeadAndTail:
         assert partial.converged is False
         assert partial.tail_estimate == abs(partial.value)
         assert abs(partial.value - full.value) < 0.5 * full.value
+
+    @pytest.mark.parametrize("q", [0.9, 0.99])
+    @pytest.mark.parametrize("eta, mu, beta", [(-0.5, 0.5, 1.0), (0.0, 1.5, 2.0)])
+    def test_shared_head_is_exact(self, q, eta, mu, beta):
+        # the steep factor's knot 0.01 pulls the side's head below every
+        # shape's own first knot; the extra head nodes lie where the shape
+        # equals its first piece, so the value is unchanged
+        p = OperatorParams(eta, mu, beta)
+        for shape in HEAD_TAIL_SHAPES:
+            rule = OperatorRule(1.0, p, q, {"a": shape, "steep": STEEP,
+                                            "lin": LIN})
+            res = rule.apply(("a",))
+            assert res.terms_used > ek_series(shape, 1.0, p, q).terms_used
+            ref = _mp_series(shape.expr, 1.0, eta, mu, beta, q)
+            assert abs(res.value - ref) <= res.tail_estimate
+            # a knot-free product sums no head node
+            assert (rule.apply(("lin",)).terms_used
+                    == ek_series(LIN, 1.0, p, q).terms_used)
+
+    def test_side_head_overrun(self):
+        # 0.9^k >= 0.01 for k = 0..43: the side's head has 44 nodes, the
+        # shape's own head 2; with max_terms = 20 every product with a knot
+        # in [0, t] overruns, with a partial over the 20 nodes read. Integer
+        # mu keeps the q-products out of the budget.
+        p = OperatorParams(0.0, 1.0, 1.0)
+        policy = TruncationPolicy(max_terms=20)
+        shape = HEAD_TAIL_SHAPES[0]
+        specs = {"a": shape, "steep": STEEP, "lin": LIN}
+        full = OperatorRule(1.0, p, 0.9, specs).apply(("a",))
+        rule = OperatorRule(1.0, p, 0.9, specs, policy)
+        with pytest.raises(NotConvergedError, match="within 20 terms") as info:
+            rule.apply(("a",))
+        partial = info.value.partial
+        assert (partial.terms_used, partial.converged) == (20, False)
+        assert 0.0 < partial.value < full.value
+        alone = ek_series(shape, 1.0, p, 0.9, policy)
+        assert alone.converged
+        assert alone.value == pytest.approx(full.value, rel=1e-14)
+        lin = rule.apply(("lin",))
+        assert lin.converged
+        assert lin == ek_series(LIN, 1.0, p, 0.9)
 
 
 class TestKober:

@@ -429,6 +429,20 @@ class TestVerdictSemantics:
             else:
                 assert rep.verdict in ("holds", "violated")
 
+    @pytest.mark.parametrize("grid", [(0.3, 0.6, 0.9), (0.97, 0.99)])
+    @pytest.mark.parametrize("theorem", ["T1", "T2"])
+    def test_equality_set_is_inconclusive(self, theorem, grid):
+        # a constant f makes both sides equal, so the exact margin is 0:
+        # neither "holds" nor "violated" may come out
+        config = CampaignConfig(theorems=(theorem,), seed=1,
+                                q1_grid=grid, q2_grid=grid)
+        flat = parse_function_spec("(const 1.7)")
+        for index in range(50):
+            case = dataclasses.replace(derive_case(config, theorem, index),
+                                       f=flat)
+            rep = evaluate_case(case, config.policy)
+            assert rep.verdict == "inconclusive", (index, rep.margin)
+
 
 def _composed(factors, moment):
     """s^moment * w(s) * a(s) * ... as one plain function, multiplied left

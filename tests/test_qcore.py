@@ -467,6 +467,16 @@ class TestQFactorial:
             gam = q_gamma(n + 1.0, q)
             assert q_factorial(n, q) == pytest.approx(gam.value, rel=1e-12)
 
+    @pytest.mark.parametrize("q", [0.99, 0.9999])
+    @pytest.mark.parametrize("n", [5, 20, 50])
+    def test_near_one_against_mpmath(self, n, q):
+        # each q-integer (1 - q^k)/(1 - q) cancels near q = 1 unless formed
+        # by expm1
+        with mpmath.workdps(40):
+            Q = mpmath.mpf(q)
+            ref = mpmath.fprod((1 - Q ** k) / (1 - Q) for k in range(1, n + 1))
+            assert abs(q_factorial(n, q) - ref) <= 1e-14 * ref
+
 
 class TestQPower:
     def test_empty(self):

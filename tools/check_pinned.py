@@ -33,22 +33,22 @@ PINNED = (
      ["verify", "--theorem", "T1", "--theorem", "T2", "--theorem", "T3",
       "--theorem", "T4", "--theorem", "T5", "--theorem", "T6",
       "--cases", "200", "--seed", "1", "--no-timestamp"],
-     "sha256 23742dd0c420f2aa3031eab4197bede03a5d63e56db9486c87e7799daae21870"),
+     "sha256 f93d6f8a439188125002f14d3860c248a18bdacddf8b419f507269ba98de2ee4"),
     ("T1-T6 --cases 200 --seed 1 --jobs 2",
      ["verify", "--theorem", "T1", "--theorem", "T2", "--theorem", "T3",
       "--theorem", "T4", "--theorem", "T5", "--theorem", "T6",
       "--cases", "200", "--seed", "1", "--no-timestamp", "--jobs", "2"],
-     "sha256 23742dd0c420f2aa3031eab4197bede03a5d63e56db9486c87e7799daae21870"),
+     "sha256 f93d6f8a439188125002f14d3860c248a18bdacddf8b419f507269ba98de2ee4"),
     ("T1,T5 --cases 30 --seed 3 at q in 0.97,0.99",
      ["verify", "--theorem", "T1", "--theorem", "T5", "--cases", "30",
       "--seed", "3", "--grid-q1", "0.97,0.99", "--grid-q2", "0.97,0.99",
       "--no-timestamp"],
-     "sha256 5f9e26c88457a325fdf2b2e5183d89cd88747c41196bc907123ff9053052dae0"),
+     "sha256 61e6721c070c680d6474606b8573f3025545561a5c518332dbac3d99004f2504"),
     ("T1,T2 --cases 200 --seed 1 asynchronous, expect reversed",
      ["verify", "--theorem", "T1", "--theorem", "T2", "--cases", "200",
       "--seed", "1", "--family", "asynchronous", "--expect", "reversed",
       "--no-timestamp"],
-     "sha256 aac9c9e6c531f49004b86b6e171d2b2d71e089f25782efb66d9099420a5a57e4"),
+     "sha256 bc1d7ed8a883eef696c73e4691c936c0c843ab35dcd962cfa104b90ef7b9504d"),
     ("sweep over q in [0.5, 0.99], piecewise-linear plus power",
      ["sweep", "--axis", "q", "--start", "0.5", "--stop", "0.99", "--steps",
       "8", "--eta", "-0.5", "--mu", "1.5", "--beta", "2", "--t", "1.3",
