@@ -55,11 +55,10 @@ from .qcore import (
     DeformationParam,
     SeriesResult,
     TruncationPolicy,
-    _unstopped,
     as_deformation,
     log_q_product,
     q_gamma,
-    truncated_sum,
+    sum_series,
 )
 # Not called here; kept so tracing harnesses (qekbench/child.py) that wrap
 # qek.ekoperator.q_power_alpha by attribute still find it.
@@ -114,12 +113,15 @@ class OperatorResult(SeriesResult):
     min_term: float = 0.0
 
 
-def _check_exponent(f, p: OperatorParams) -> None:
-    pf = getattr(f, "c_lambda_exponent", None)
-    if pf is not None and p.eta + 1.0 + pf / p.beta <= 0.0:
+def _check_exponent(f, p: OperatorParams) -> float:
+    """eta + 1 + min(pf, 0)/beta, pf the ``c_lambda_exponent`` of f (0
+    without it): the exponent of q in the eventual ratio of the terms."""
+    pf = getattr(f, "c_lambda_exponent", 0.0)
+    if p.eta + 1.0 + pf / p.beta <= 0.0:
         raise DomainError(
             f"series not summable: eta+1+p/beta = {p.eta + 1.0 + pf / p.beta}"
         )
+    return p.eta + 1.0 + min(pf, 0.0) / p.beta
 
 
 class OperatorRule:
@@ -457,19 +459,20 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     recurrence (1 - q^(mu+k)) / (1 - q^(k+1)) from 1 and scales by
     (1-q)^(mu-1); the two routes share no arithmetic beyond the nodes, so
     a fault in either shows as a gap between them. Cost is O(nodes). The
-    node sum stops at terms below rel_tol (1 - q^(eta+1)) times its running
-    total, so that its geometric tail stays below rel_tol of the value and
-    the oracle is as close to the exact operator as the series of DSL
-    inputs.
+    terms fall by about r = q^(eta+1+min(pf,0)/beta) a node, pf the
+    ``c_lambda_exponent`` of f, and the node sum (``qcore.sum_series``)
+    stops at terms below rel_tol (1 - r) times its running total, so that
+    its geometric tail stays below rel_tol of the value and the oracle is
+    as close to the exact operator as the series of DSL inputs.
 
-    A node loop, kernel table or q_gamma(mu) that needs more than
+    A node sum, kernel table or q_gamma(mu) that needs more than
     ``max_terms`` raises this operator's NotConvergedError, whose partial
     result is the truncated integral (``converged=False``).
     """
     if not t > 0.0:
         raise ValueError(f"evaluation point must be positive, got {t}")
     qv = as_deformation(q).q
-    _check_exponent(f, p)
+    ratio = qv ** _check_exponent(f, p)
     fn = as_callable(f)
     beta, eta, mu = p.beta, p.eta, p.mu
 
@@ -485,7 +488,6 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     # t^(-beta(eta+mu)) times the kernel's t^(beta(mu-1))
     front = beta * t ** (-beta * (eta + 1.0)) / gam.value
     tau_exp = beta * (eta + 1.0) - 1.0
-    ratio_eta = qv ** (eta + 1.0)
 
     # term j = root^j * kernel_j * tau_j^tau_exp * f(tau_j), tau_j = t root^j;
     # the nodes end at the first one that underflows to 0
@@ -495,24 +497,16 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     kernels = chain(map(exp, table), repeat(1.0))
     terms = map(mul, map(mul, map(mul, rjs, kernels),
                          map(pow, taus, repeat(tau_exp))), map(fn, taus_f))
-    # the terms fall by about q^(eta+1) a node, so stopping at terms below
-    # rel_tol (1 - q^(eta+1)) |total| leaves a tail below rel_tol |total|
-    node_policy = replace(policy, rel_tol=policy.rel_tol * (1.0 - ratio_eta))
-    total, used, last, _, stopped = truncated_sum(terms, node_policy)
-    scale = front * (1.0 - root) * t
-    value = scale * total
-    if not (stopped and table_done and gam.converged):
-        if stopped:
-            why = (f"operator integral: no convergence within "
-                   f"{policy.max_terms} kernel factors")
-        else:
-            why = _unstopped("operator integral", used, policy, "nodes")
+    node_policy = replace(policy, rel_tol=policy.rel_tol * (1.0 - ratio))
+    res = sum_series(terms, node_policy, ratio, "operator integral",
+                     front * (1.0 - root) * t)
+    if not (table_done and gam.converged):
         raise NotConvergedError(
-            why, partial=SeriesResult(value, used, abs(value), False))
-    sum_tail = abs(last) * ratio_eta / (1.0 - ratio_eta)
-    gam_rel = gam.tail_estimate / abs(gam.value)
-    tail = abs(scale) * sum_tail + abs(value) * (gam_rel + expm1(log_tail))
-    return SeriesResult(value, used, tail, True)
+            f"operator integral: no convergence within {policy.max_terms} "
+            f"kernel factors",
+            partial=replace(res, tail_estimate=abs(res.value), converged=False))
+    rel = gam.tail_estimate / abs(gam.value) + expm1(log_tail)
+    return replace(res, tail_estimate=res.tail_estimate + abs(res.value) * rel)
 
 
 def kober(f, t: float, eta: float, mu: float, q: DeformationParam | float,

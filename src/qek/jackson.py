@@ -4,15 +4,17 @@ Integrands may be plain callables or :class:`~qek.functions.FunctionSpec`
 objects (which are callable). Functions are never evaluated at 0: every
 node set {b * q^j} stays strictly positive, so integrands only need to be
 defined on (0, b]. Convergence of the node series requires the integrand
-to behave like t^p near 0 with p > -1; specs carrying a
-``c_lambda_exponent`` attribute are checked against that bound.
+to behave like t^p near 0 with p > -1; integrands carrying a
+``c_lambda_exponent`` attribute p are checked against that bound, and
+those without it are taken as bounded near 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import mul
+from functools import partial
+from itertools import accumulate, repeat, takewhile
+from operator import le, mul
 
 from .errors import DomainError, NotConvergedError
 from .functions import as_callable
@@ -21,8 +23,8 @@ from .qcore import (
     DeformationParam,
     SeriesResult,
     TruncationPolicy,
+    _STREAK,
     as_deformation,
-    product_length,
     sum_series,
 )
 
@@ -59,28 +61,34 @@ class QGridSample:
     @classmethod
     def sample(cls, f, base_point: float, base: DeformationParam | float,
                policy: TruncationPolicy = DEFAULT_POLICY) -> "QGridSample":
-        """Sample f on {base^j * base_point}, j < n, with n from the
-        policy's stop rule for products (the first j with base^j < rel_tol,
-        plus ``consecutive_small``). Raises NotConvergedError carrying the
-        ``max_terms``-node sample when that rule does not stop."""
+        """Sample f on {base^j * base_point}, j < n, with n the first j
+        with base^j < rel_tol plus 3, the streak of the stop rule for
+        sums. Raises NotConvergedError carrying the ``max_terms``-node
+        sample when n does not stay below ``max_terms``."""
         b = as_deformation(base)
-        count, _, converged = product_length(1.0, b.q, policy)
-        scales = accumulate(repeat(b.q, count - 1), mul, initial=1.0)
+        large = takewhile(partial(le, policy.rel_tol), accumulate(
+            repeat(b.q, policy.max_terms - 1), mul, initial=1.0))
+        count = sum(1 for _ in large) + _STREAK
+        scales = accumulate(repeat(b.q, min(count, policy.max_terms) - 1),
+                            mul, initial=1.0)
         nodes = [base_point * scale for scale in scales]
         sample = cls(float(base_point), b, tuple((x, f(x)) for x in nodes))
-        if not converged:
+        if count >= policy.max_terms:
             raise NotConvergedError(
-                f"QGridSample: no convergence within {count} nodes",
+                f"QGridSample: no convergence within {policy.max_terms} nodes",
                 partial=sample)
         return sample
 
 
-def _check_integrable(f) -> None:
-    p = getattr(f, "c_lambda_exponent", None)
-    if p is not None and p <= -1.0:
+def _check_integrable(f) -> float:
+    """1 + min(p, 0), p the integrand's ``c_lambda_exponent`` (0 without
+    it): the exponent of q in the ratio of the terms q^j f(q^j b)."""
+    p = getattr(f, "c_lambda_exponent", 0.0)
+    if p <= -1.0:
         raise DomainError(
             f"integrand decays like t^{p} near 0; need exponent > -1"
         )
+    return 1.0 + min(p, 0.0)
 
 
 def q_derivative(f, t: float, q: DeformationParam | float) -> float:
@@ -103,7 +111,7 @@ def jackson_integral(f, b: float, q: DeformationParam | float,
     if not b > 0.0:
         raise ValueError(f"upper limit must be positive, got {b}")
     qv = as_deformation(q).q
-    _check_integrable(f)
+    ratio = qv ** _check_integrable(f)
     fn = as_callable(f)
 
     def terms():
@@ -115,7 +123,7 @@ def jackson_integral(f, b: float, q: DeformationParam | float,
             yield qj * fn(node)
             qj *= qv
 
-    return sum_series(terms(), policy, qv, what=f"jackson_integral(b={b})",
+    return sum_series(terms(), policy, ratio, what=f"jackson_integral(b={b})",
                       scale=(1.0 - qv) * b)
 
 
@@ -147,7 +155,8 @@ def jackson_stieltjes(f, g, b: float, q: DeformationParam | float,
                       policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """Stieltjes-form Jackson integral sum_j f(q^j b)(g(q^j b) - g(q^(j+1) b)).
 
-    Reduces to the plain Jackson integral when g is the identity.
+    Reduces to the plain Jackson integral when g is the identity. The
+    tail estimate takes the terms' ratio as q, whatever g and f are.
     """
     if not b > 0.0:
         raise ValueError(f"upper limit must be positive, got {b}")

@@ -2,11 +2,12 @@
 
 All infinite sums and products are truncated under an explicit
 :class:`TruncationPolicy` and return a :class:`SeriesResult` carrying the
-value together with a tail estimate.
+value together with a tail estimate. There are two stop rules, each
+written once:
 
-* Sums, :func:`truncated_sum`: stop after ``consecutive_small`` terms in a
-  row below ``rel_tol * |running total| + abs_tol``, reading at most
-  ``max_terms`` terms. The tail estimate assumes a geometric tail.
+* Sums, :func:`sum_series`: stop after 3 terms in a row below
+  ``rel_tol * |running total| + 1e-300``, reading at most ``max_terms``
+  terms. The tail estimate assumes a geometric tail.
 * Infinite products (a; q)_inf, :func:`log_q_product`, the one routine
   behind (a; q)_inf, (a; q)_alpha, q-Gamma and the operators' q-products:
   the few leading factors with |a q^k| > 1/2 in log space, then Euler's
@@ -14,8 +15,6 @@ value together with a tail estimate.
   until its certified tail falls below ``rel_tol``. Factors plus series
   terms are at most ``max_terms``; the error bound covers the tail and
   the rounding.
-* Geometric node samples, :func:`product_length`: the first k with
-  q^k < rel_tol, plus ``consecutive_small`` (``jackson.QGridSample``).
 
 Each rule converges only if it stops short of ``max_terms``.
 
@@ -41,8 +40,6 @@ __all__ = [
     "SeriesResult",
     "DEFAULT_POLICY",
     "as_deformation",
-    "truncated_sum",
-    "product_length",
     "LogQProduct",
     "log_q_product",
     "q_pochhammer_n",
@@ -59,6 +56,10 @@ _POLE_TOL = 1e-12
 # unit roundoff of IEEE double precision
 _U = 2.0 ** -53
 _LN2 = math.log(2.0)
+# the stop rule for sums: _STREAK terms in a row below
+# rel_tol * |total| + _ABS_TOL, the constant a guard for tiny totals
+_ABS_TOL = 1e-300
+_STREAK = 3
 
 
 @dataclass(frozen=True)
@@ -83,28 +84,22 @@ def as_deformation(q: DeformationParam | float) -> DeformationParam:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Stop rule and budget for every truncated infinite sum or product.
+    """Tolerance and budget for every truncated infinite sum or product.
 
-    A term (or factor deviation) is negligible when it falls below
-    ``rel_tol`` relative to the running value plus the ``abs_tol``
-    underflow guard; truncation happens only after ``consecutive_small``
-    negligible terms in a row, which guards against accidental small
-    terms in sign-alternating regimes.
+    ``rel_tol`` is the relative size below which a sum's term or a
+    product's series tail is negligible; ``max_terms`` bounds the terms,
+    factors or nodes one sum or product reads.
     """
 
     rel_tol: float = 1e-14
-    abs_tol: float = 1e-300
     max_terms: int = 100_000
-    consecutive_small: int = 3
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
-        if self.max_terms <= 0 or self.consecutive_small <= 0:
-            raise ValueError("term counts must be positive")
-        if self.max_terms <= self.consecutive_small:
-            # a sum or product stops only with a full streak short of max_terms
-            raise ValueError("max_terms must exceed consecutive_small")
+        if not self.rel_tol > 0:
+            raise ValueError("rel_tol must be strictly positive")
+        if self.max_terms <= _STREAK:
+            # a sum stops only with a full streak short of max_terms
+            raise ValueError(f"max_terms must exceed {_STREAK}")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -127,95 +122,40 @@ class SeriesResult:
     converged: bool
 
 
-def truncated_sum(terms, policy: TruncationPolicy):
-    """Sum ``terms`` under the policy's stop rule for sums.
+def sum_series(terms, policy: TruncationPolicy, tail_ratio: float,
+               what: str = "series", scale: float = 1.0) -> SeriesResult:
+    """``scale`` times an infinite sum of ``terms`` under the stop rule for
+    sums, which every node sum in the package uses.
 
-    Reads at most ``max_terms`` terms and returns ``(total, used, last,
-    smallest, stopped)``: the running total, the number of terms read, the
-    last and the smallest of them, and whether the rule stopped the sum
-    (False when ``max_terms`` ran out first, or when ``terms`` ended first:
-    a node sum ends its stream at the first node that underflows to 0).
+    ``tail_ratio`` in (0, 1) is the eventual geometric ratio of the
+    summand; the tail estimate is |scale| * |last term| * r / (1 - r). A
+    sum that does not stop short of ``max_terms``, or whose node stream
+    ends first at a node that underflows to 0, raises NotConvergedError
+    with its scaled partial result, whose tail is its own |value|: a sum
+    cut short has no geometric tail estimate.
     """
     rel_tol = policy.rel_tol
-    abs_tol = policy.abs_tol
-    needed = policy.consecutive_small
     max_terms = policy.max_terms
     total = 0.0
     streak = 0
     used = 0
-    term = 0.0
-    smallest = math.inf
     for used, term in enumerate(islice(terms, max_terms), 1):
         total += term
-        if term < smallest:
-            smallest = term
-        if abs(term) < rel_tol * abs(total) + abs_tol:
+        if abs(term) < rel_tol * abs(total) + _ABS_TOL:
             streak += 1
-            if streak >= needed and used < max_terms:
-                return total, used, term, smallest, True
+            if streak >= _STREAK and used < max_terms:
+                tail = abs(term) * tail_ratio / (1.0 - tail_ratio)
+                return SeriesResult(total * scale, used, tail * abs(scale),
+                                    True)
         else:
             streak = 0
-    return total, used, term, smallest, False
-
-
-def _unstopped(what: str, used: int, policy: TruncationPolicy,
-               unit: str = "terms") -> str:
-    """Why a node sum's stop rule did not fire after ``used`` terms: its
-    nodes underflowed to 0 first, or ``max_terms`` ran out."""
-    if used < policy.max_terms:
-        return f"{what}: nodes underflow to 0 after {used} terms"
-    return f"{what}: no convergence within {policy.max_terms} {unit}"
-
-
-def sum_series(terms, policy: TruncationPolicy, tail_ratio: float,
-               what: str = "series", scale: float = 1.0) -> SeriesResult:
-    """``scale`` times an infinite sum of terms under the policy's stop rule.
-
-    ``tail_ratio`` in (0, 1) is the eventual geometric ratio of the
-    summand; the tail estimate is scale * |last term| * r / (1 - r). The
-    partial result of a sum that does not converge is scaled too, and its
-    tail is its own |value|, as for the operator sums: a sum cut short has
-    no geometric tail estimate.
-    """
-    total, used, last, _, stopped = truncated_sum(terms, policy)
     value = total * scale
-    if not stopped:
-        partial = SeriesResult(value, used, abs(value), False)
-        raise NotConvergedError(_unstopped(what, used, policy), partial=partial)
-    tail = abs(last) * tail_ratio / (1.0 - tail_ratio)
-    return SeriesResult(value, used, tail * scale, True)
-
-
-def product_length(dev: float, q: float,
-                   policy: TruncationPolicy) -> tuple[int, float, bool]:
-    """Stop rule for a sequence dev q^k, k = 0, 1, ...: the node count of
-    ``jackson.QGridSample`` (dev = 1), which keeps nodes until q^k < rel_tol.
-
-    Returns ``(kept, log_tail, converged)``. Entry k is negligible once
-    dev q^k < rel_tol; the entries only fall, so from the first such k on
-    every entry is negligible and the rule keeps that k plus
-    ``consecutive_small`` entries. That count comes from a log estimate
-    and a short correcting loop. ``log_tail`` bounds the log of the
-    dropped factors of prod_k (1 - x_k), |x_k| <= dev q^k, by
-    sum_{k>=K} d q^(k-K+1) / (1 - min(d, 1/2)), d the last kept
-    deviation. Without convergence, kept is ``max_terms`` and the tail inf.
-    """
-    rel_tol = policy.rel_tol
-    limit = policy.max_terms - policy.consecutive_small
-    first = 0
-    if not dev < rel_tol:
-        # an inf or nan deviation estimates to inf or nan and never converges
-        estimate = (math.log(rel_tol) - math.log(dev)) / math.log(q)
-        first = math.ceil(estimate) if estimate < limit else limit
-        while first > 0 and dev * q ** (first - 1) < rel_tol:
-            first -= 1
-        while first < limit and not dev * q ** first < rel_tol:
-            first += 1
-    if first >= limit:
-        return policy.max_terms, math.inf, False
-    kept = first + policy.consecutive_small
-    last = dev * q ** (kept - 1)
-    return kept, last * q / ((1.0 - q) * (1.0 - min(last, 0.5))), True
+    if used < max_terms:
+        why = f"{what}: nodes underflow to 0 after {used} terms"
+    else:
+        why = f"{what}: no convergence within {max_terms} terms"
+    raise NotConvergedError(why, partial=SeriesResult(value, used, abs(value),
+                                                      False))
 
 
 def q_pochhammer_n(a: float, q: DeformationParam | float, n: int) -> float:
@@ -447,13 +387,19 @@ def q_gamma(a: float, q: DeformationParam | float,
     """q-Gamma function (q; q)_inf / (q^a; q)_inf * (1-q)^(1-a).
 
     Satisfies the functional equation G(x+1) = (1-q^x)/(1-q) * G(x) and
-    tends to the classical Gamma function as q -> 1-.
+    tends to the classical Gamma function as q -> 1-. At an integer
+    n <= ``max_terms`` it is the q-factorial [n-1]_q!, exact where the
+    products' ratio loses digits near q = 1; its tail bounds the rounding
+    to first order, at most 8u for each of the n - 1 factors.
     """
     dq = as_deformation(q)
     qv = dq.q
     ra = round(a)
     if abs(a - ra) < _POLE_TOL and ra <= 0:
         raise PoleError(f"q_gamma pole at nonpositive integer a={a}")
+    if a == ra and ra <= policy.max_terms:
+        value = q_factorial(ra - 1, qv)
+        return SeriesResult(value, ra - 1, 8.0 * (ra - 1) * _U * value, True)
     num = _pochhammer_inf_parts(None, qv, policy, 1.0)
     den = _pochhammer_inf_parts(None, qv, policy, a)
     return _combine_parts(num, den, (1.0 - a) * math.log1p(-qv), f"q_gamma({a})")

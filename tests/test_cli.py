@@ -483,7 +483,7 @@ class TestPinnedOutputs:
         done = subprocess.run([sys.executable, str(script)],
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stdout + done.stderr
-        assert "6 of 6 pinned outputs match" in done.stdout
+        assert "7 of 7 pinned outputs match" in done.stdout
 
 
 class TestReportSerialization:

@@ -32,6 +32,7 @@ from qek.functions import (
     function_spec,
     parse_function_spec,
 )
+from qek.jackson import jackson_integral
 from qek.qcore import (
     DEFAULT_POLICY,
     TruncationPolicy,
@@ -300,6 +301,29 @@ class TestIntegralOracle:
                 assert abs(res.value - exact) <= res.tail_estimate + rounding
                 # measured: at most 2.7e-14 |exact|, at q = 0.99
                 assert abs(res.value - exact) <= 5e-14 * abs(exact)
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    @pytest.mark.parametrize("sigma", [-0.5, -0.9])
+    def test_singular_integrand_within_tail_estimate(self, q, sigma):
+        # t^sigma, sigma < 0, decays like q^(1+sigma) a node in the Jackson
+        # integral and like q^(eta+1+sigma/beta) in the integral form: a
+        # tail taken at ratio q or q^(eta+1) undercounts the error
+        import mpmath as mp
+
+        def f(s):
+            return s ** sigma
+
+        f.c_lambda_exponent = sigma
+        res = jackson_integral(f, 1.0, q)
+        with mp.workdps(40):
+            Q = mp.mpf(q)
+            exact = float((1 - Q) / (1 - Q ** (1 + mp.mpf(sigma))))
+        rounding = 2 * res.terms_used * 2.0 ** -53 * abs(exact)
+        assert abs(res.value - exact) <= res.tail_estimate + rounding
+        for eta, beta in ((0.0, 1.0), (-0.5, 2.0)):
+            res = ek_integral(f, 1.0, OperatorParams(eta, 1.5, beta), q)
+            exact = _q_binomial_exact(sigma, 1.0, eta, 1.5, beta, q)
+            assert abs(res.value - exact) <= res.tail_estimate
 
     def test_not_converged_carries_partial(self):
         # q_gamma and the kernel table fit in 300 factors, the nodes do not

@@ -19,6 +19,15 @@ def monomial_integral(k, b, q):
     return b ** (k + 1) * (1.0 - q) / (1.0 - q ** (k + 1))
 
 
+def first_small_node(q, rel_tol):
+    """(j, q^j) for the first j with q^j < rel_tol, q^j formed by the same
+    running product as QGridSample's nodes."""
+    j, scale = 0, 1.0
+    while not scale < rel_tol:
+        j, scale = j + 1, scale * q
+    return j, scale
+
+
 class TestQDerivative:
     def test_identity(self):
         assert q_derivative(lambda t: t, 3.0, 0.5) == pytest.approx(1.0, rel=1e-15)
@@ -225,6 +234,26 @@ class TestQGridSample:
         fine = QGridSample.sample(lambda t: t, 1.0, 0.5,
                                   TruncationPolicy(rel_tol=1e-12))
         assert len(fine.values) > len(coarse.values)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-14])
+    def test_sample_count_is_first_small_node_plus_three(self, q, rel_tol):
+        first, scale = first_small_node(q, rel_tol)
+        grid = QGridSample.sample(lambda t: t, 1.0, q,
+                                  TruncationPolicy(rel_tol=rel_tol))
+        assert len(grid.values) == first + 3
+        assert grid.values[first][0] == scale
+
+    def test_sample_at_its_budget_raises(self):
+        # 23 nodes (0.5^20 < 1e-6 <= 0.5^19) converge only below max_terms
+        first, _ = first_small_node(0.5, 1e-6)
+        assert first + 3 == 23
+        grid = QGridSample.sample(lambda t: t, 1.0, 0.5,
+                                  TruncationPolicy(rel_tol=1e-6, max_terms=24))
+        with pytest.raises(NotConvergedError) as info:
+            QGridSample.sample(lambda t: t, 1.0, 0.5,
+                               TruncationPolicy(rel_tol=1e-6, max_terms=23))
+        assert info.value.partial == grid
 
     def test_unconverged_sample_raises_with_partial(self):
         # q^j stays above rel_tol for all 10 allowed nodes (q^9 = 0.9991)

@@ -14,9 +14,9 @@ from qek.errors import NotConvergedError, PoleError
 from qek.qcore import (
     DEFAULT_POLICY,
     DeformationParam,
+    SeriesResult,
     TruncationPolicy,
     log_q_product,
-    product_length,
     q_factorial,
     q_gamma,
     q_pochhammer_alpha,
@@ -24,7 +24,7 @@ from qek.qcore import (
     q_pochhammer_n,
     q_power,
     q_power_alpha,
-    truncated_sum,
+    sum_series,
 )
 
 
@@ -54,17 +54,17 @@ class TestTruncationPolicy:
         pol = TruncationPolicy()
         assert pol.rel_tol == 1e-14
         assert pol.max_terms == 100_000
-        assert pol.consecutive_small == 3
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"rel_tol": 0.0},
-            {"abs_tol": -1.0},
+            {"rel_tol": -1.0},
+            {"rel_tol": float("nan")},
             {"max_terms": 0},
-            {"consecutive_small": 0},
-            {"max_terms": 2, "consecutive_small": 3},
-            {"max_terms": 3, "consecutive_small": 3},
+            {"max_terms": 2},
+            # a sum stops only after 3 small terms, short of max_terms
+            {"max_terms": 3},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -73,13 +73,13 @@ class TestTruncationPolicy:
 
 
 def streak_sum(terms, policy):
-    """Reference for truncated_sum: the term-by-term streak loop that
-    sum_series and ek_integral each used to hold."""
+    """Reference for sum_series: the term-by-term streak loop that
+    sum_series and ek_integral each used to hold, with its fixed streak
+    of 3 and underflow guard 1e-300; returns (total, used, last, stopped)."""
     total = 0.0
     streak = 0
     used = 0
     last = 0.0
-    smallest = math.inf
     stopped = False
     for term in terms:
         if used >= policy.max_terms:
@@ -87,35 +87,14 @@ def streak_sum(terms, policy):
         total += term
         used += 1
         last = term
-        if term < smallest:
-            smallest = term
-        if abs(term) < policy.rel_tol * abs(total) + policy.abs_tol:
+        if abs(term) < policy.rel_tol * abs(total) + 1e-300:
             streak += 1
-            if streak >= policy.consecutive_small and used < policy.max_terms:
+            if streak >= 3 and used < policy.max_terms:
                 stopped = True
                 break
         else:
             streak = 0
-    return total, used, last, smallest, stopped
-
-
-def streak_product_length(dev, q, policy):
-    """Reference for product_length: the factor-by-factor streak loop that
-    (a;q)_inf and the integral form's kernel table used to run;
-    returns (factors kept, converged)."""
-    qk = 1.0
-    streak = 0
-    used = 0
-    while used < policy.max_terms:
-        used += 1
-        if dev * qk < policy.rel_tol:
-            streak += 1
-            if streak >= policy.consecutive_small and used < policy.max_terms:
-                return used, True
-        else:
-            streak = 0
-        qk *= q
-    return used, False
+    return total, used, last, stopped
 
 
 class TestStopRules:
@@ -124,44 +103,29 @@ class TestStopRules:
         max_size=30,
     )
 
-    @given(head=_terms, needed=st.integers(1, 4),
-           rel_tol=st.sampled_from([1e-14, 1e-6, 1e-2]),
-           offset=st.sampled_from([-1, 0, 1]))
+    @given(head=_terms, rel_tol=st.sampled_from([1e-14, 1e-6, 1e-2]),
+           offset=st.sampled_from([-1, 0, 1]),
+           ratio=st.sampled_from([0.5, 0.9]), scale=st.sampled_from([1.0, 2.5]))
     @settings(max_examples=300)
-    def test_sum_matches_streak_loop(self, head, needed, rel_tol, offset):
+    def test_sum_matches_streak_loop(self, head, rel_tol, offset, ratio, scale):
         # head then zeros: infinite like every caller's terms, and it stops
-        unlimited = TruncationPolicy(rel_tol=rel_tol, consecutive_small=needed)
+        unlimited = TruncationPolicy(rel_tol=rel_tol)
         stop = streak_sum(chain(head, repeat(0.0)), unlimited)[1]
-        policy = TruncationPolicy(rel_tol=rel_tol, consecutive_small=needed,
-                                  max_terms=max(needed + 1, stop + offset))
+        policy = TruncationPolicy(rel_tol=rel_tol, max_terms=max(4, stop + offset))
+        total, used, last, stopped = streak_sum(chain(head, repeat(0.0)), policy)
         read = []
         terms = (read.append(x) or x for x in chain(head, repeat(0.0)))
-        got = truncated_sum(terms, policy)
-        assert got == streak_sum(chain(head, repeat(0.0)), policy)
-        assert len(read) == got[1] <= policy.max_terms
-
-    @given(dev=st.floats(1e-20, 10.0), q=st.floats(0.05, 0.9999),
-           needed=st.integers(1, 4), rel_tol=st.sampled_from([1e-14, 1e-8]),
-           offset=st.sampled_from([-1, 0, 1]))
-    @settings(max_examples=200, deadline=None)
-    def test_product_matches_streak_loop(self, dev, q, needed, rel_tol, offset):
-        unlimited = TruncationPolicy(rel_tol=rel_tol, consecutive_small=needed,
-                                     max_terms=10**6)
-        stop = product_length(dev, q, unlimited)[0]
-        policy = TruncationPolicy(rel_tol=rel_tol, consecutive_small=needed,
-                                  max_terms=max(needed + 1, stop + offset))
-        kept, log_tail, converged = product_length(dev, q, policy)
-        assert (kept, converged) == streak_product_length(dev, q, policy)
-        assert converged == (stop < policy.max_terms)
-        assert 0.0 < log_tail < math.inf if converged else log_tail == math.inf
-
-    # dev q^k lands on rel_tol: the log estimate overshoots by one factor
-    @pytest.mark.parametrize("dev, q", [(0.0006871947673599999, 0.5),
-                                        (3.8893845486632106e-08, 0.64)])
-    def test_product_at_estimate_boundary(self, dev, q):
-        policy = TruncationPolicy()
-        assert product_length(dev, q, policy)[::2] == streak_product_length(
-            dev, q, policy)
+        if stopped:
+            got = sum_series(terms, policy, ratio, scale=scale)
+            tail = abs(last) * ratio / (1.0 - ratio) * scale
+            assert got == SeriesResult(total * scale, used, tail, True)
+        else:
+            with pytest.raises(NotConvergedError, match="within") as info:
+                sum_series(terms, policy, ratio, scale=scale)
+            got = info.value.partial
+            value = total * scale
+            assert got == SeriesResult(value, used, abs(value), False)
+        assert len(read) == used <= policy.max_terms
 
     def test_product_rule_on_pochhammer(self):
         # 9 leading factors 1 - 3.7 (0.8)^k with 3.7 (0.8)^k > 1/2, then
@@ -404,8 +368,7 @@ class TestQGamma:
         oracle = 1.0
         for k in range(1, 5):
             oracle *= -math.expm1(k * math.log(q)) / -math.expm1(math.log(q))
-        # the two log products of about -16449 cancel to log(24 (1-q)^4):
-        # the ratio is off by 2.3e-12
+        # at an integer q_gamma forms this product itself
         assert res.value == pytest.approx(oracle, rel=1e-11)
         assert abs(res.value - oracle) <= res.tail_estimate
         assert abs(res.value - 24.0) < 2e-2
@@ -429,6 +392,19 @@ class TestQGamma:
                 assert q_gamma(mu, q).value > 0.0
                 for k in range(0, 8):
                     assert q_pochhammer_n(q ** mu, q, k) > 0.0
+
+    @pytest.mark.parametrize("q", [0.99, 0.9999])
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_exact_at_positive_integers(self, n, q):
+        # Gamma_q(n) = [n-1]_q!; the ratio of two q-products of about
+        # -16449 at q = 0.9999 would lose 12 digits
+        res = q_gamma(float(n), q)
+        with mpmath.workdps(40):
+            Q = mpmath.mpf(q)
+            ref = mpmath.fprod((1 - Q ** k) / (1 - Q) for k in range(1, n))
+            err = abs(res.value - ref)
+            assert err <= 1e-14 * ref
+            assert err <= res.tail_estimate
 
     def test_cross_check_mpmath(self):
         for a, q in [(2.5, 0.5), (4.0, 0.75), (0.7, 0.9)]:

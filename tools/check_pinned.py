@@ -1,11 +1,13 @@
-"""Check that seeded campaign reports, a sweep and the reduce-check line are
-unchanged.
+"""Check that seeded campaign reports, a sweep, an eval and the reduce-check
+line are unchanged.
 
 Runs ``qek verify`` on three pinned campaigns, the first of them again
 in a two-process pool (``--jobs 2``, which must give the same bytes), one
-``qek sweep`` and ``qek reduce-check`` in this process, then compares the
-SHA-256 of each campaign's report bytes and of the sweep's CSV, and the
-reduce-check line, against the values pinned below. Exits 0 when all
+``qek sweep``, one ``qek eval --form both`` (the only pinned output that
+prints the integral form's node count and tail estimate) and ``qek
+reduce-check`` in this process, then compares the SHA-256 of each
+campaign's report bytes, of the sweep's CSV and of the eval's lines, and
+the reduce-check line, against the values pinned below. Exits 0 when all
 match and 1 on any mismatch. Stdlib only, so it runs where pytest is
 not installed:
 
@@ -54,6 +56,12 @@ PINNED = (
       "8", "--eta", "-0.5", "--mu", "1.5", "--beta", "2", "--t", "1.3",
       "--f", "(sum (piecewise_linear (0 0.1) (0.8 0.3) (1 1)) (power 1.5))"],
      "sha256 8096e76e375aac55ab21474b43ce9ebd87ae05e782aa034f4e16551dace3812d"),
+    ("eval of both forms at q = 0.99, piecewise-linear plus power",
+     ["eval", "--q", "0.99", "--eta", "-0.5", "--mu", "1.5", "--beta", "2",
+      "--t", "1.3", "--f",
+      "(sum (piecewise_linear (0 0.1) (0.8 0.3) (1 1)) (power 1.5))",
+      "--form", "both"],
+     "sha256 8d7491b038e85bf6a3096398394c9d107a6e27791f9479ac076a33a5a77c8b01"),
     ("reduce-check",
      ["reduce-check"],
      "max relative gap 1.418e-14 at (q, eta, mu, shape)=(0.9, -0.5, 0.5, 0)"),
@@ -61,14 +69,14 @@ PINNED = (
 
 
 def observed(argv: list[str]) -> str:
-    """A verify or sweep run's output hash, or the one line reduce-check
-    prints."""
+    """A verify, sweep or eval run's output hash, or the one line
+    reduce-check prints."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         main(argv)
     text = out.getvalue()
-    if argv[0] in ("verify", "sweep"):
+    if argv[0] in ("verify", "sweep", "eval"):
         return "sha256 " + hashlib.sha256(text.encode("utf-8")).hexdigest()
     return text.strip()
 
