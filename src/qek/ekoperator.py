@@ -21,7 +21,11 @@ monomial sum below its first knot x_b, so its series is the fsum over the
 side's head, the few nodes >= the smallest first knot among the rule's
 factors, plus a closed-form tail from the q-binomial theorem, with
 nothing truncated but the q-products of that closed form; at q = 0.99
-that is tens to hundreds of nodes. The integral form and the Kober
+that is tens to hundreds of nodes. Two caches serve the closed form:
+one bounded table of its values S per process, keyed by (q, eta, mu, c,
+policy), and one factor table (first pieces, interval enclosures,
+product polynomials) per set of factors and t, which ``OperatorRule.at``
+shares with the rule at another (p, q). The integral form and the Kober
 operator, its beta = 1 member, take any callable.
 
 ``ek_integral`` evaluates the integral form on the same nodes but by its
@@ -42,8 +46,9 @@ form tail, by the interval enclosure of the integrand below x_b).
 from __future__ import annotations
 
 from array import array
+from copy import copy
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, chain, count, islice, repeat, takewhile, tee
 from math import ceil, exp, expm1, fsum, inf, log, log1p, prod
 from operator import add, le, lt, mul, neg, sub, truediv
@@ -142,9 +147,12 @@ class OperatorRule:
     is a finite product for integer mu; otherwise one pair of
     ``qcore.log_q_product`` values per class of p/beta mod 1 gives one S,
     and the finite ratio S(zq) = S(z) (1 - z) / (1 - q^mu z) gives the
-    rest of its class. The weights use (1 - q^a) = -expm1(a log q), so
-    none cancels. Each factor is evaluated once per head node however
-    many products use it.
+    rest of its class. Every rule of the process reads S from one bounded
+    table (``_s_record``). The weights use (1 - q^a) = -expm1(a log q),
+    so none cancels. Each factor is evaluated once per head node however
+    many products use it, and ``at`` gives the rule of the same factors
+    at another (p, q), sharing the factor table that depends on the
+    factors and t only.
     """
 
     def __init__(self, t: float, p: OperatorParams,
@@ -157,19 +165,37 @@ class OperatorRule:
                 raise TypeError(
                     f"factor {name!r} is {spec!r}, not a FunctionSpec; build"
                     f" one with qek.functions.parse_function_spec")
-        qv = as_deformation(q).q
-        lq, mu = log(qv), p.mu
         self.policy = policy
         self._specs = dict(specs)
-        self._q = qv
-        self._t, self._p, self._lq = t, p, lq
-        # 1 - q^(1/beta) formed by expm1, which does not cancel
-        self._prefactor = (p.beta * -expm1(self._lq / p.beta)
-                           * (1.0 - qv) ** (p.mu - 1.0))
+        self._t = t
+        # the factor table: it depends on the factors and t only
         self._pieces = {name: first_piece(spec.expr)
                         for name, spec in specs.items()}
         self._ranges: dict[tuple, tuple[float, float]] = {}
         self._products: dict[tuple, tuple] = {}
+        self._quadrature(p, q)
+
+    def at(self, p: OperatorParams,
+           q: DeformationParam | float) -> OperatorRule:
+        """The rule of the same factors, t and policy at (p, q). It builds
+        its own nodes, weights and columns and shares this rule's factor
+        table: first pieces, interval enclosures and product polynomials."""
+        rule = copy(self)
+        rule._quadrature(p, q)
+        return rule
+
+    def _quadrature(self, p: OperatorParams,
+                    q: DeformationParam | float) -> None:
+        """Set the prefactor, the head nodes and weights at (p, q), and
+        empty the caches that depend on them."""
+        t, policy = self._t, self.policy
+        qv = as_deformation(q).q
+        lq, mu = log(qv), p.mu
+        self._q = qv
+        self._p, self._lq = p, lq
+        # 1 - q^(1/beta) formed by expm1, which does not cancel
+        self._prefactor = (p.beta * -expm1(self._lq / p.beta)
+                           * (1.0 - qv) ** (p.mu - 1.0))
         # the head: node k is t exp(k log(q) / beta), down to the smallest
         # first knot, read to max_terms + 1 nodes so that an overrun shows
         x_min = min((knot for knot, _ in self._pieces.values()), default=inf)
@@ -192,7 +218,6 @@ class OperatorRule:
             "d", islice(accumulate(ratios, mul, initial=1.0), size))
         self._head_values: dict[str, array] = {}
         self._head_moments: dict[float, float] = {}
-        self._sums: dict[float, tuple] = {}
         self._full_moments: dict[float, tuple] = {}
 
     def apply(self, names, moment: int = 0) -> OperatorResult:
@@ -240,13 +265,13 @@ class OperatorRule:
         parts = []
         err = 0.0
         done = True
-        sums = set()
+        sums = {}
         full_moments = self._full_moments
         for power, coef in poly.items():
-            full, full_rel, keys, s_done = (full_moments.get(power)
-                                            or self._full_moment(power))
+            full, full_rel, counts, s_done = (full_moments.get(power)
+                                              or self._full_moment(power))
             done = done and s_done
-            sums.update(keys)
+            sums.update(counts)
             part = self._head_moment(power) if used else 0.0
             parts.append(coef * (full - part))
             err += abs(coef) * (full * (full_rel + 4.0 * width * _U)
@@ -265,7 +290,7 @@ class OperatorRule:
         value = pre * (head + tail)
         estimate = pre * err + abs(value) * (10.0 + abs(p.mu - 1.0)) * _U
         smallest = pre * min(min(terms, default=inf), lo, 0.0)
-        factors = used + sum(self._sums[c][2] for c in sums)
+        factors = used + sum(sums.values())
         if not done:  # the value with its q-products cut at max_terms
             raise NotConvergedError(
                 f"operator series: no convergence within "
@@ -319,84 +344,80 @@ class OperatorRule:
         return hit
 
     def _full_moment(self, power: float) -> tuple:
-        """``(t^power S(q^c), relative error bound, keys, converged)`` with
-        c = eta + 1 + power/beta: the sum of w_k x_k^power over every node
-        (q-binomial theorem). ``keys`` are the c of the S records it
-        reads."""
-        p = self._p
+        """``(t^power S(q^c), relative error bound, counts, converged)``
+        with c = eta + 1 + power/beta: the sum of w_k x_k^power over every
+        node (q-binomial theorem). ``counts`` maps the c of each S record
+        it reads to the factors formed for that record alone."""
+        p, qv = self._p, self._q
         c = p.eta + 1.0 + power / p.beta
-        s, s_rel, _, base, done = self._s(c)
+        s, s_rel, factors, base, done = _s_record(qv, p.eta, p.mu, c,
+                                                  self.policy)
+        counts = {c: factors}
+        if base is not None:
+            counts[base] = _s_record(qv, p.eta, p.mu, base, self.policy)[2]
         hit = self._full_moments[power] = (
-            self._t ** power * s, s_rel + 8.0 * _U,
-            (c,) if base is None else (c, base), done)
+            self._t ** power * s, s_rel + 8.0 * _U, counts, done)
         return hit
 
-    def _s(self, c: float) -> tuple:
-        """``(S(q^c), relative error bound, factors, base, converged)``.
 
-        ``factors`` counts the factors of the products formed for this S
-        alone; ``base`` is the c whose S it was reached from, or None.
-        """
-        hit = self._sums.get(c)
-        if hit is not None:
-            return hit
-        p, lq = self._p, self._lq
-        mu = p.mu
-        # relative error of a factor 1 - q^(c + j), c carrying the
-        # rounding of eta + 1 + power / beta
-        factor_err = (5.0 + 3.0 * (c + mu + 2.0 * abs(p.eta)) * -lq) * _U
-        if float(mu).is_integer():
-            n = int(mu)
-            den = prod(map(neg, map(expm1, map(mul, repeat(lq),
-                                                map(add, repeat(c), range(n))))))
-            rec = (1.0 / den, n * (factor_err + _U) + _U, n, None, True)
-        else:
-            # one log-space pair per class c mod 1, at the class's member in
-            # [1, 2), so that no S depends on the order products ask for it
-            base = c % 1.0 + 1.0
-            if base == c:
-                rec = self._log_sum(c)
-            else:
-                s0, rel0, _, _, done = self._s(base)
-                n = round(c - base)
-                if n > 0:
-                    nums = [base + j for j in range(n)]
-                    dens = [base + mu + j for j in range(n)]
-                else:
-                    nums = [base + mu - j for j in range(1, 1 - n)]
-                    dens = [base - j for j in range(1, 1 - n)]
-                ratio = (prod(map(expm1, map(mul, repeat(lq), nums)))
-                         / prod(map(expm1, map(mul, repeat(lq), dens))))
-                steps = 2 * abs(n)
-                rec = (s0 * ratio, rel0 + steps * (factor_err + _U) + 2.0 * _U,
-                       steps, base, done)
-        self._sums[c] = rec
-        return rec
+# Bounded like compile_expr: a sweep over q meets new keys at every step.
+# T1-T6 on the default grid meet about 770 keys in 1200 cases and under
+# 1000 in 6000.
+@lru_cache(maxsize=2048)
+def _s_record(q: float, eta: float, mu: float, c: float,
+              policy: TruncationPolicy) -> tuple:
+    """``(S(q^c), relative error bound, factors, base, converged)`` with
+    S(z) = 1/(z; q)_mu, for the rules at (q, eta, mu) under ``policy``.
 
-    def _log_sum(self, c: float) -> tuple:
-        """S(q^c) as the exp of log (q^(c+mu); q)_inf - log (q^c; q)_inf."""
-        num, num_size, num_err, num_done = self._log_product(c + self._p.mu)
-        den, den_size, den_err, den_done = self._log_product(c)
-        log_s = num - den
-        err = num_err + den_err + abs(log_s) * _U
-        return (exp(log_s), expm1(err) + _U, num_size + den_size, None,
-                num_done and den_done)
-
-    def _log_product(self, e: float) -> tuple:
-        """``(log (q^e; q)_inf, terms, error bound, converged)`` by
-        ``log_q_product``, whose bound takes e as exact.
-
-        Here e carries the rounding of eta + 1 + p/beta (+ mu): a relative
-        shift of every x_k = q^(e+k) that moves log(1 - x_k) by
-        shift x_k / (1 - x_k), and the sum of x_k / (1 - x_k) over k is at
-        most x_0 / (1 - x_0) - log(1 - x_0) / |log q|.
-        """
-        lq = self._lq
-        value, _, used, err, done = log_q_product(None, self._q, self.policy, e)
-        shift = 3.0 * (e + 2.0 * abs(self._p.eta)) * -lq * _U
-        gap = -expm1(e * lq)
-        spread = (1.0 - gap) / gap + log(gap) / lq
-        return value, used, err + shift * spread, done
+    ``factors`` counts the factors of the products formed for this S
+    alone; ``base`` is the c whose S it was reached from, or None. S is
+    a finite product for integer mu. Otherwise it is one log-space pair
+    of ``log_q_product`` values per class c mod 1, at the class's member
+    in [1, 2), and the finite ratio S(zq) = S(z) (1 - z) / (1 - q^mu z)
+    from there; so no record depends on the order it is asked for in,
+    and one table serves every rule of the process.
+    """
+    lq = log(q)
+    # relative error of a factor 1 - q^(c + j), c carrying the rounding
+    # of eta + 1 + power / beta
+    factor_err = (5.0 + 3.0 * (c + mu + 2.0 * abs(eta)) * -lq) * _U
+    if float(mu).is_integer():
+        n = int(mu)
+        den = prod(map(neg, map(expm1, map(mul, repeat(lq),
+                                            map(add, repeat(c), range(n))))))
+        return 1.0 / den, n * (factor_err + _U) + _U, n, None, True
+    base = c % 1.0 + 1.0
+    if base == c:
+        # exp of log (q^(c+mu); q)_inf - log (q^c; q)_inf. Each bound of
+        # log_q_product takes its e as exact, but e carries the rounding
+        # of eta + 1 + p/beta (+ mu): a relative shift of every
+        # x_k = q^(e+k) that moves log(1 - x_k) by shift x_k / (1 - x_k),
+        # and the sum of x_k / (1 - x_k) over k is at most
+        # x_0 / (1 - x_0) - log(1 - x_0) / |log q|.
+        num, den = (log_q_product(None, q, policy, e) for e in (c + mu, c))
+        log_s = num.value - den.value
+        err = 0.0
+        for e, part in ((c + mu, num), (c, den)):
+            gap = -expm1(e * lq)
+            err += part.error + (3.0 * (e + 2.0 * abs(eta)) * -lq * _U
+                                 * ((1.0 - gap) / gap + log(gap) / lq))
+        err += abs(log_s) * _U
+        return (exp(log_s), expm1(err) + _U,
+                num.terms_used + den.terms_used, None,
+                num.converged and den.converged)
+    s0, rel0, _, _, done = _s_record(q, eta, mu, base, policy)
+    n = round(c - base)
+    if n > 0:
+        nums = [base + j for j in range(n)]
+        dens = [base + mu + j for j in range(n)]
+    else:
+        nums = [base + mu - j for j in range(1, 1 - n)]
+        dens = [base - j for j in range(1, 1 - n)]
+    ratio = (prod(map(expm1, map(mul, repeat(lq), nums)))
+             / prod(map(expm1, map(mul, repeat(lq), dens))))
+    steps = 2 * abs(n)
+    return (s0 * ratio, rel0 + steps * (factor_err + _U) + 2.0 * _U,
+            steps, base, done)
 
 
 def ek_series(f, t: float, p: OperatorParams, q: DeformationParam | float,

@@ -32,7 +32,9 @@ Within one case the eight products per side reuse repeated operator
 evaluations through a case-local memo (e.g. the plain weight operator
 appears in several products), and all operators of one side share one
 quadrature rule, so each of f, g, h, u and v is evaluated once per node
-and side however many products use it.
+and side however many products use it. The two sides share one factor
+table (``OperatorRule.at``): each factor's first piece, each interval
+enclosure and each product polynomial is built once per case.
 """
 
 from __future__ import annotations
@@ -138,7 +140,8 @@ class _CaseOps:
     """Case-local memo over operator evaluations.
 
     Keys are (side, weight name, function subset, moment power); side 1
-    evaluates on the rule at (q1, p1), side 2 on the rule at (q2, p2).
+    evaluates on the rule at (q1, p1), side 2 on the same factors' rule
+    at (q2, p2).
     The rules get the FunctionSpecs, not their closures, so that they can
     read each expression's first piece. An evaluation that does not
     converge counts in ``evals`` too, and raises NotConvergedError naming
@@ -149,10 +152,8 @@ class _CaseOps:
         fns = {"f": case.f, "g": case.g, "h": case.h, "u": case.u}
         if case.v is not None:
             fns["v"] = case.v
-        self._rules = {
-            1: OperatorRule(case.t, case.p1, case.q1, fns, policy),
-            2: OperatorRule(case.t, case.p2, case.q2, fns, policy),
-        }
+        rule = OperatorRule(case.t, case.p1, case.q1, fns, policy)
+        self._rules = {1: rule, 2: rule.at(case.p2, case.q2)}
         self._memo: dict[tuple, float] = {}
         self.worst_tail = 0.0
         self.evals = 0

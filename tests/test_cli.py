@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import importlib.util
 import json
 import math
 import pickle
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from qek import cli, inequalities
+from qek.ekoperator import _s_record
 from qek.errors import QekError
 from qek.functions import compile_expr
 from qek.cli import (
@@ -436,6 +438,21 @@ class TestSweep:
             leading = math.log(2.0) / -math.log(float(row[0])) + 1.0
             assert used <= 2.0 * (leading + 60.0)
 
+    def test_closed_form_table_stays_bounded(self, capsys):
+        # every q step meets two new S records, (power 1) at mu = 0.5
+        # reading c = 2 and its anchor c = 1; the table keeps the newest
+        steps = _s_record.cache_info().maxsize
+        _s_record.cache_clear()
+        code, _, _ = run(
+            ["sweep", "--axis", "q", "--start", "0.2", "--stop", "0.3",
+             "--steps", str(steps), "--mu", "0.5"],
+            capsys,
+        )
+        assert code == 0
+        info = _s_record.cache_info()
+        assert info.misses == 2 * steps
+        assert info.currsize == info.maxsize
+
     def test_empty_range_exits_two(self, capsys):
         code, _, _ = run(
             ["sweep", "--axis", "q", "--start", "0.9", "--stop", "0.1",
@@ -484,6 +501,21 @@ class TestPinnedOutputs:
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stdout + done.stderr
         assert "7 of 7 pinned outputs match" in done.stdout
+
+    def test_warm_closed_form_table_keeps_the_pin(self):
+        # the S records outlive a campaign: run one near q = 1 on another
+        # seed first, then the pinned campaign in the same process
+        path = Path(__file__).resolve().parent.parent / "tools" / "check_pinned.py"
+        spec = importlib.util.spec_from_file_location("check_pinned", path)
+        pinned = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(pinned)
+        pinned.observed(["verify", *_theorem_flags(ALL_THEOREMS), "--cases", "20",
+                         "--seed", "5", "--grid-q1", "0.97,0.99",
+                         "--grid-q2", "0.97,0.99", "--no-timestamp"])
+        assert _s_record.cache_info().currsize > 0
+        name, argv, expected = pinned.PINNED[0]
+        assert name == "T1-T6 --cases 200 --seed 1"
+        assert pinned.observed(argv) == expected
 
 
 class TestReportSerialization:

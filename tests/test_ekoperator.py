@@ -6,6 +6,7 @@ evaluator's recurrence) before being relied on; the integral form serves
 as the cross-representation oracle for the series form.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -16,6 +17,7 @@ from qek.ekoperator import (
     OperatorResult,
     OperatorRule,
     _log_kernel_table,
+    _s_record,
     ek_integral,
     ek_series,
     kober,
@@ -683,3 +685,74 @@ class TestOperatorRule:
         # the integral forms, the independent oracle, take any callable
         assert ek_integral(lambda s: 1.0, 1.0, p, 0.5).value == pytest.approx(1.0)
         assert kober(lambda s: 1.0, 1.0, 0.0, 1.0, 0.5).value == pytest.approx(1.0)
+
+
+def _bits(res):
+    """Every field of a result, floats by their exact hex digits."""
+    return tuple(x.hex() if isinstance(x, float) else x
+                 for x in dataclasses.astuple(res))
+
+
+CACHE_SPECS = {name: parse_function_spec(text) for name, text in (
+    ("u", "(affine 0.5 1)"),
+    ("f", "(piecewise_linear (0 0.2) (0.6 0.5) (1 1.3))"),
+    ("g", "(power 1.5)"),
+    ("h", "(sum (const 0.3) (power 0.5))"),
+)}
+# powers 0 to 6 at beta = 2: c = eta + 1 + power/2 runs below, inside and
+# above each class's anchor in [1, 2)
+CACHE_PRODUCTS = ((("u",), 0), (("u", "f"), 0), (("u", "g", "h"), 0),
+                  (("u", "f", "g"), 1), (("u",), 3), (("u", "g", "h"), 3),
+                  (("h",), 2))
+
+
+class TestClosedFormTable:
+    """The S records are shared by every rule of the process."""
+
+    @pytest.mark.parametrize("mu", [0.7, 2.0])
+    @pytest.mark.parametrize("q", [0.6, 0.97])
+    def test_records_do_not_depend_on_what_came_before(self, q, mu):
+        p = OperatorParams(-0.3, mu, 2.0)
+        _s_record.cache_clear()
+        rule = OperatorRule(1.3, p, q, CACHE_SPECS)
+        cold = [_bits(rule.apply(names, m)) for names, m in CACHE_PRODUCTS]
+
+        _s_record.cache_clear()
+        # other (q, eta, mu) keys, then this rule's keys in reversed order
+        # from a rule at another t, which asks for the same c
+        for other in (OperatorParams(-0.3, mu + 0.25, 2.0),
+                      OperatorParams(0.4, mu, 2.0)):
+            for shape in (ONE, power(1.5), power(3)):
+                ek_series(shape, 0.8, other, q)
+        ek_series(power(2), 1.0, p, 0.5)
+        other_t = OperatorRule(0.8, p, q, CACHE_SPECS)
+        for names, m in reversed(CACHE_PRODUCTS):
+            other_t.apply(names, m)
+        hits = _s_record.cache_info().hits
+        rule = OperatorRule(1.3, p, q, CACHE_SPECS)
+        warm = [_bits(rule.apply(names, m))
+                for names, m in reversed(CACHE_PRODUCTS)]
+        assert _s_record.cache_info().hits > hits
+        assert warm[::-1] == cold
+
+    def test_policy_is_part_of_the_key(self):
+        p, q = OperatorParams(0.0, 1.5, 1.0), 0.9
+        _s_record.cache_clear()
+        fresh = _bits(ek_series(ONE, 1.0, p, q))
+        _s_record.cache_clear()
+        with pytest.raises(NotConvergedError):
+            ek_series(ONE, 1.0, p, q, TruncationPolicy(max_terms=5))
+        res = ek_series(ONE, 1.0, p, q)
+        assert res.converged and _bits(res) == fresh
+
+    def test_table_is_bounded(self):
+        bound = _s_record.cache_info().maxsize
+        assert bound is not None
+        _s_record.cache_clear()
+        # (const 1) at eta = 0 reads the one record c = 1 per (q, mu)
+        for k in range(bound + 50):
+            p = OperatorParams(0.0, 0.25 + k / (4.0 * bound), 1.0)
+            ek_series(ONE, 1.0, p, 0.3 + k / (10.0 * bound))
+        info = _s_record.cache_info()
+        assert info.misses >= bound + 50
+        assert info.currsize == info.maxsize == bound

@@ -4,10 +4,11 @@ reduction chains, hypothesis enforcement, and verdict semantics."""
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from qek import inequalities
+from qek import ekoperator, inequalities
 from qek.cli import CampaignConfig, derive_case
 from qek.ekoperator import OperatorParams, OperatorRule, ek_integral
 from qek.errors import HypothesisViolatedError, NotConvergedError
@@ -511,3 +512,70 @@ class TestCaseRuleEquivalence:
                 assert gap <= res.tail_estimate + ref.tail_estimate
             assert rep.worst_tail == max(r[4].tail_estimate for r in requests)
             assert rep.operator_evals == len(requests)
+
+
+def _bits(res):
+    """Every field of a result, floats by their exact hex digits."""
+    return tuple(x.hex() if isinstance(x, float) else x
+                 for x in dataclasses.astuple(res))
+
+
+class TestSharedFactorTable:
+    """The two sides of a case share one factor table (first pieces,
+    interval enclosures, product polynomials), which depends on the
+    factors and t only; side 2 builds its own nodes, weights and
+    columns."""
+
+    @pytest.mark.parametrize("grid", [(0.3, 0.6, 0.9), (0.97, 0.99)])
+    @pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "T4", "T5", "T6"])
+    def test_side_two_matches_an_independent_rule(self, monkeypatch, theorem,
+                                                  grid):
+        pieces, ranges, side_two, applied = [], [], [], []
+        first_piece, enclosure = ekoperator.first_piece, ekoperator._range
+        at, apply = OperatorRule.at, OperatorRule.apply
+
+        def counted_piece(expr):
+            pieces.append(expr)
+            return first_piece(expr)
+
+        def counted_range(expr, end):
+            ranges.append((expr, end))
+            return enclosure(expr, end)
+
+        def recording_at(self, p, q):
+            rule = at(self, p, q)
+            side_two.append(rule)
+            return rule
+
+        def recording_apply(self, names, moment=0):
+            res = apply(self, names, moment)
+            applied.append((self, names, moment, res))
+            return res
+
+        monkeypatch.setattr(ekoperator, "first_piece", counted_piece)
+        monkeypatch.setattr(ekoperator, "_range", counted_range)
+        monkeypatch.setattr(OperatorRule, "at", recording_at)
+        monkeypatch.setattr(OperatorRule, "apply", recording_apply)
+        config = CampaignConfig(theorems=(theorem,), seed=1,
+                                q1_grid=grid, q2_grid=grid)
+        for index in range(8):
+            case = derive_case(config, theorem, index)
+            for log in (pieces, ranges, side_two, applied):
+                log.clear()
+            evaluate_case(case, config.policy)
+            fns = {"f": case.f, "g": case.g, "h": case.h, "u": case.u}
+            if case.v is not None:
+                fns["v"] = case.v
+            # one first piece per factor, one enclosure per factor and end
+            assert len(pieces) == len(fns)
+            carriers = Counter(spec.expr for spec in fns.values())
+            assert all(n <= carriers[expr]
+                       for (expr, _), n in Counter(ranges).items())
+            [rule] = side_two
+            requests = [(names, moment, res)
+                        for owner, names, moment, res in applied
+                        if owner is rule]
+            assert requests
+            fresh = OperatorRule(case.t, case.p2, case.q2, fns, config.policy)
+            for names, moment, res in requests:
+                assert _bits(fresh.apply(names, moment)) == _bits(res)
