@@ -13,20 +13,22 @@ equivalent representations:
   unique base whose node set t q^(k/beta) matches the series.
 
 The series is a quadrature rule: weights times integrand values at the
-geometric nodes t q^(k/beta). ``OperatorRule`` holds the nodes, weights
-and factor values of one (t, p, q) and sums any product of its factors;
-``ek_series`` is its one-factor case. Both take DSL expressions
-(:class:`qek.functions.FunctionSpec`) only. A product of them is a
-monomial sum below its first knot x_b, so its series is the fsum over the
-side's head, the few nodes >= the smallest first knot among the rule's
-factors, plus a closed-form tail from the q-binomial theorem, with
-nothing truncated but the q-products of that closed form; at q = 0.99
-that is tens to hundreds of nodes. Two caches serve the closed form:
-one bounded table of its values S per process, keyed by (q, eta, mu, c,
-policy), and one factor table (first pieces, interval enclosures,
-product polynomials) per set of factors and t, which ``OperatorRule.at``
-shares with the rule at another (p, q). The integral form and the Kober
-operator, its beta = 1 member, take any callable.
+geometric nodes t q^(k/beta). ``OperatorRule`` holds the rule of one
+(t, p, q) and sums any product of its factors; ``ek_series`` is its
+one-factor case. Both take DSL expressions
+(:class:`qek.functions.FunctionSpec`) only, and neither calls one: every
+DSL expression is piecewise a monomial sum (``functions.pieces``), so the
+series of a product is a sum over its pieces of closed forms from the
+q-binomial theorem and its difference equation, with nothing truncated
+but q-products and geometrically falling series. Its cost and error do
+not grow like 1/(1 - q): a boundary reads at most about
+sqrt(log(rel_tol) / log q) terms, and a knot well below t a few. Two
+caches serve the closed forms: one bounded table of the values S per
+process, keyed by (q, eta, mu, c, policy), and one factor table (the
+factors' pieces and the pieces of their products) per set of factors and
+t, which ``OperatorRule.at`` shares with the rule at another (p, q). The
+integral form and the Kober operator, its beta = 1 member, take any
+callable.
 
 ``ek_integral`` evaluates the integral form on the same nodes but by its
 own route: at node j the kernel is t^(beta(mu-1)) (q^(j+1); q)_inf /
@@ -38,23 +40,24 @@ recurrence or its (1-q)^(mu-1) prefactor, so it checks them; the table
 makes the cost O(nodes) instead of two infinite products per node.
 
 All series weights are positive for mu > 0, so each term keeps the sign
-of f at its node; results report the smallest scaled term so
-nonnegativity of the operator can be checked term by term (for a closed-
-form tail, by the interval enclosure of the integrand below x_b).
+of f at its node; results report the smallest scaled term, a node's or
+the lower end of a summed piece's interval enclosure, so that
+nonnegativity of the operator can be checked.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from copy import copy
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import accumulate, chain, count, islice, repeat, takewhile, tee
-from math import ceil, exp, expm1, fsum, inf, log, log1p, prod
-from operator import add, le, lt, mul, neg, sub, truediv
+from itertools import accumulate, chain, islice, repeat, takewhile, tee
+from math import ceil, exp, expm1, floor, fsum, inf, log, log1p, prod, sqrt
+from operator import add, lt, mul, neg, sub, truediv
 
 from .errors import DomainError, NotConvergedError
-from .functions import FunctionSpec, _range, as_callable, first_piece, poly_product
+from .functions import FunctionSpec, Piece, as_callable, piece_product, pieces
 from .qcore import (
     DEFAULT_POLICY,
     DeformationParam,
@@ -132,27 +135,37 @@ def _check_exponent(f, p: OperatorParams) -> float:
 class OperatorRule:
     """The series quadrature rule of one operator side at one (t, p, q).
 
-    Nodes x_k = t q^(k/beta) and weights w_k = (q^mu;q)_k / (q;q)_k
-    q^(k(eta+1)). The factors are FunctionSpecs, and ``apply`` sums a
-    product of them as a head plus a closed-form tail: below its first
-    knot x_b the product is a monomial sum sum_p c_p x^p
-    (``first_piece``), and by the q-binomial theorem
-    sum_k w_k x_k^p = t^p S(q^(eta+1+p/beta)) with
-    S(z) = (q^mu z; q)_inf / (z; q)_inf = 1 / (z; q)_mu. The side's head
-    is the K nodes >= the smallest first knot among its factors; a
-    product with x_b <= t sums them with ``math.fsum`` and adds
-    sum_p c_p (t^p S(z_p) - sum_(k<K) w_k x_k^p), which is exact because
-    the head nodes below x_b lie where the product equals its first
-    piece. A product with no knot in [0, t] is the closed form alone. S
-    is a finite product for integer mu; otherwise one pair of
-    ``qcore.log_q_product`` values per class of p/beta mod 1 gives one S,
-    and the finite ratio S(zq) = S(z) (1 - z) / (1 - q^mu z) gives the
-    rest of its class. Every rule of the process reads S from one bounded
-    table (``_s_record``). The weights use (1 - q^a) = -expm1(a log q),
-    so none cancels. Each factor is evaluated once per head node however
-    many products use it, and ``at`` gives the rule of the same factors
-    at another (p, q), sharing the factor table that depends on the
-    factors and t only.
+    Nodes x_k = t q^(k/beta) and weights W_k = w_k q^(k(eta+1)),
+    w_k = (q^mu;q)_k / (q;q)_k. The factors are FunctionSpecs, and every
+    DSL expression is piecewise a monomial sum sum_p c x^p
+    (``functions.pieces``), so ``apply`` sums a product of them piece by
+    piece and calls no factor. A piece holds the nodes K_lo <= k < K_hi,
+    K(b) the first node below its breakpoint b, and sum_k W_k x_k^p over
+    them is t^p (G(K_lo, c) - G(K_hi, c)) with c = eta + 1 + p/beta and
+    G(K, c) = sum_(k>=K) w_k q^(kc).
+
+    * G(0, c) is S(q^c), S(z) = (q^mu z; q)_inf / (z; q)_inf = 1/(z; q)_mu
+      by the q-binomial theorem: a finite product for integer mu, else one
+      ``_log_ratio`` per class of p/beta mod 1 and the finite ratio
+      S(zq) = S(z) (1 - z) / (1 - q^mu z) for the rest of the class. Every
+      rule of the process reads S from one bounded table (``_s_record``).
+    * The breakpoints take, from the top, the route with fewer terms
+      (``_quadrature``). Down to the deepest direct one the nodes are
+      summed one by one, each factor's value read from its piece's
+      polynomial (``_column``), and G(K, c) there is S minus the fsum of
+      the first K terms. Below it, G(K, c) is the tail series of the
+      q-binomial difference equation (Gasper and Rahman, Basic
+      Hypergeometric Series, 1.3): with z = q^c and a = q^mu,
+      G(K) = w_K (1 - q^K) z^K sum_n q^(nK) prod_(i<n) (1 - a z q^i)
+      / prod_(i<=n) (1 - z q^i), whose terms are positive and fall by
+      about q^K a term, so it needs about log(rel_tol) / (K log q) of them
+      (``_series``). w_K is (1 - q^mu) S(q) exp(-D_K), D_K =
+      log (q^(K+mu); q)_inf / (q^(K+1); q)_inf by ``_log_ratio``, which
+      cancels the two products' common factors and converges as fast.
+
+    The weights use (1 - q^a) = -expm1(a log q), so none cancels. ``at``
+    gives the rule of the same factors at another (p, q), sharing the
+    factor table that depends on the factors and t only.
     """
 
     def __init__(self, t: float, p: OperatorParams,
@@ -166,197 +179,425 @@ class OperatorRule:
                     f"factor {name!r} is {spec!r}, not a FunctionSpec; build"
                     f" one with qek.functions.parse_function_spec")
         self.policy = policy
-        self._specs = dict(specs)
         self._t = t
-        # the factor table: it depends on the factors and t only
-        self._pieces = {name: first_piece(spec.expr)
-                        for name, spec in specs.items()}
-        self._ranges: dict[tuple, tuple[float, float]] = {}
-        self._products: dict[tuple, tuple] = {}
+        # the factor table: it depends on the factors and t only. A factor
+        # has its pieces, their ends, its breakpoints below t and the
+        # ``_column`` rules of its pieces, made when first used
+        self._pieces, self._ends, self._inner, self._evaluations = {}, {}, {}, {}
+        for name, spec in specs.items():
+            row = self._pieces[name] = pieces(spec.expr, t)
+            ends = self._ends[name] = [pc.end for pc in row]
+            self._inner[name] = ends[:-1]
+            self._evaluations[name] = [None] * len(row)
+        self._breakpoints = sorted(set().union(*self._inner.values()))
+        self._products: dict[tuple, Piece] = {}
         self._quadrature(p, q)
 
     def at(self, p: OperatorParams,
            q: DeformationParam | float) -> OperatorRule:
         """The rule of the same factors, t and policy at (p, q). It builds
-        its own nodes, weights and columns and shares this rule's factor
-        table: first pieces, interval enclosures and product polynomials."""
+        its own node indices, weights and sums and shares this rule's
+        factor table."""
         rule = copy(self)
         rule._quadrature(p, q)
         return rule
 
     def _quadrature(self, p: OperatorParams,
                     q: DeformationParam | float) -> None:
-        """Set the prefactor, the head nodes and weights at (p, q), and
-        empty the caches that depend on them."""
+        """Set the prefactor, the node index of every breakpoint and the
+        direct nodes and weights at (p, q), and empty the caches that
+        depend on them."""
         t, policy = self._t, self.policy
         qv = as_deformation(q).q
-        lq, mu = log(qv), p.mu
-        self._q = qv
-        self._p, self._lq = p, lq
+        lq = log(qv)
+        self._q, self._p, self._lq = qv, p, lq
         # 1 - q^(1/beta) formed by expm1, which does not cancel
-        self._prefactor = (p.beta * -expm1(self._lq / p.beta)
+        self._prefactor = (p.beta * -expm1(lq / p.beta)
                            * (1.0 - qv) ** (p.mu - 1.0))
-        # the head: node k is t exp(k log(q) / beta), down to the smallest
-        # first knot, read to max_terms + 1 nodes so that an overrun shows
-        x_min = min((knot for knot, _ in self._pieces.values()), default=inf)
-        nodes = map(mul, repeat(t), map(exp, map(mul, repeat(lq / p.beta),
-                                                 count())))
-        nodes = array("d", islice(takewhile(partial(le, x_min), nodes),
-                                  policy.max_terms + 1))
-        self._overrun = len(nodes) > policy.max_terms
-        del nodes[policy.max_terms:]
+        # node k is t exp(k log(q) / beta); K(b) is the first node below b
+        step = lq / p.beta
+        index = {}
+        for b in self._breakpoints:
+            k = floor(log(b / t) / step) + 1
+            if t * exp(step * k) >= b:
+                k += 1
+            elif k > 1 and t * exp(step * (k - 1)) < b:
+                k -= 1
+            index[b] = k
+        self._index = index
+        # the boundaries from the top take the route with fewer terms: the
+        # k - size nodes a boundary adds to the direct ones above it, or
+        # its tail series and the series of its weight w_k, about
+        # log(rel_tol) / (k log q) terms each; the rest are deep
+        size = 0
+        for b in reversed(self._breakpoints):
+            k = index[b]
+            if (k > policy.max_terms
+                    or k - size > 2.0 * log(policy.rel_tol) / (k * lq)):
+                break
+            size = k
+        self._direct = size
+        self._deep_breaks = {}
+        if index and size < index[self._breakpoints[0]]:
+            for name, ends in self._ends.items():
+                self._deep_breaks[name] = [b for b in ends[:-1]
+                                           if index[b] > size]
+        self._nodes = array("d", map(mul, repeat(t), map(
+            exp, map(mul, repeat(step), range(size)))))
         # weight k+1 is weight k times q^(eta+1) (1 - q^(mu+k)) / (1 - q^(k+1)),
         # each 1 - q^a formed as -expm1(a log q)
-        size = len(nodes)
         nums = map(expm1, map(mul, repeat(lq),
-                              map(add, repeat(mu), range(size - 1))))
+                              map(add, repeat(p.mu), range(size - 1))))
         dens = map(expm1, map(mul, repeat(lq), range(1, size)))
         ratios = map(mul, map(truediv, nums, dens),
                      repeat(qv ** (p.eta + 1.0)))
-        self._head_nodes = nodes
-        self._head_weights = array(
+        self._weights = array(
             "d", islice(accumulate(ratios, mul, initial=1.0), size))
-        self._head_values: dict[str, array] = {}
-        self._head_moments: dict[float, float] = {}
-        self._full_moments: dict[float, tuple] = {}
+        # a weight's relative error gains at most step_rel u a step; their
+        # sum, with a bound on its rounding
+        self._step_rel = 12.0 + 2.0 * (p.eta + 1.0) * -lq
+        # and a node k, t exp(k log(q) / beta), node_step u relative a step
+        self._node_step = 3.0 * -step
+        self._mass = fsum(self._weights) * (1.0 + size * self._step_rel * _U)
+        self._columns: dict = {}
+        self._tails: dict[int, dict] = {0: {}}
+        self._deep: dict[int, tuple] = {}
+        self._ratio_rows: dict[float, array] = {}
+        self._q_powers: dict[int, array] = {}
 
     def apply(self, names, moment: int = 0) -> OperatorResult:
         """Operator applied to s^moment times the product of the named
-        factors: fsum over the side's head plus
-        sum_p c_p (t^p S_p - head_p), or the closed form alone for a
-        product with no knot in [0, t].
+        factors.
 
-        ``tail_estimate`` bounds S's truncation plus, to first order in the
-        unit roundoff u, the rounding of the nodes, the weight recurrence,
-        the log sums and the cancellation in t^p S_p - head_p. It takes each
-        factor's value at a computed node as exact up to a few u of its
-        largest |value| on [0, t], and ``first_piece``'s coefficients as
-        exact up to a few u each.
+        A product with a knot in [0, t] sums the side's direct nodes one
+        by one, each factor's value read from its piece's polynomial
+        (``_column``); every piece of it below them adds
+        sum_p c_p (G(K_lo, c_p) - G(K_hi, c_p)). ``tail_estimate`` bounds
+        the truncation of every series and q-product read plus, to first
+        order in the unit roundoff u, the rounding: of the pieces'
+        coefficients (their ``err``, which keeps any cancellation among
+        them), of the node sums, of the differences G(K_lo) - G(K_hi), of
+        w_K at a deep K, and of the sum over pieces and powers.
+        ``min_term`` is the least node term or lower end of a summed
+        piece's enclosure, or 0. ``terms_used`` counts the nodes, factors
+        and series terms of every sum the value reads.
         """
         if moment < 0:
             raise ValueError(f"moment must be >= 0, got {moment}")
-        p, t, lq = self._p, self._t, self._lq
         names = tuple(names)
-        x_b, poly, lo, hi = self._product(moment, names, t)
-        terms = array("d")
-        if x_b <= t:
-            terms = self._head_weights
-            for name in names:
-                terms = map(mul, terms, self._column(name))
-            if moment:
-                terms = map(mul, terms,
-                            map(pow, self._head_nodes, repeat(float(moment))))
-            terms = array("d", terms)
-        used = len(terms)
-        head = fsum(terms)
-        pre = self._prefactor
-        if used and self._overrun:  # more head nodes than max_terms
-            raise NotConvergedError(
-                f"operator series: no convergence within "
-                f"{self.policy.max_terms} terms",
-                partial=OperatorResult(pre * head, used, pre * abs(head),
-                                       False, pre * min(terms)))
-
-        # relative errors in units of u: a head node t exp(k log(q)/beta),
-        # and a weight after k steps of w_(k+1) = w_k r_k
-        node_err = 3.0 * used * -lq / p.beta + 2.0
-        weight_err = used * (12.0 + 2.0 * (p.eta + 1.0) * -lq)
-        width = len(names) + 1
+        # a product with a knot in [0, t] sums the direct nodes one by one:
+        # those below one of its knots lie where it equals the piece that
+        # holds them
+        direct = (self._direct if any(map(self._inner.__getitem__, names))
+                  else 0)
+        deep = ()
+        if self._deep_breaks:
+            deep = sorted({b for n in names for b in self._deep_breaks.get(n, ())})
         parts = []
-        err = 0.0
-        done = True
-        sums = {}
-        full_moments = self._full_moments
-        for power, coef in poly.items():
-            full, full_rel, counts, s_done = (full_moments.get(power)
-                                              or self._full_moment(power))
-            done = done and s_done
-            sums.update(counts)
-            part = self._head_moment(power) if used else 0.0
-            parts.append(coef * (full - part))
-            err += abs(coef) * (full * (full_rel + 4.0 * width * _U)
-                                + part * (weight_err + power * node_err + 3.0)
-                                * _U)
-        tail = fsum(parts)
-        mass = self._head_moment(0.0) if used else 0.0
-        err += ((weight_err + 6.0 * width + moment * node_err)
-                * max(-lo, hi) * mass
-                + 2.0 * (abs(head) + abs(tail))) * _U
-        # every tail node lies below the head, so below min(x_b, t), where
-        # the enclosure gives the tail's sign
-        if lo < 0.0 and x_b < t:
-            lo = self._product(moment, names, x_b)[2]
-
-        value = pre * (head + tail)
-        estimate = pre * err + abs(value) * (10.0 + abs(p.mu - 1.0)) * _U
-        smallest = pre * min(min(terms, default=inf), lo, 0.0)
-        factors = used + sum(sums.values())
-        if not done:  # the value with its q-products cut at max_terms
+        err = smallest = 0.0
+        factors = 0
+        why = ""
+        if direct:
+            terms = self._weights[:direct]
+            # sum_f E_f prod_(g != f) M_g and prod_f M_g, E_f (in units of
+            # u) and M_f bounding each column's rounding and size
+            lead, size = 0.0, 1.0
+            columns = self._columns
+            for name in (*names, moment) if moment else names:
+                column, col_err, col_mag = (columns.get(name)
+                                            or self._column(name))
+                terms = map(mul, terms, column)
+                lead, size = lead * col_mag + size * col_err, size * col_mag
+            terms = array("d", terms)
+            parts.append(fsum(terms))
+            smallest = min(terms)
+            err += (self._mass * _U * (lead + size * (
+                direct * self._step_rel + len(names) + 3.0)))
+            factors = direct
+        # the pieces below the direct nodes, from the bottom one: each
+        # starts at 0 or at a deep knot, and holds the nodes from K at the
+        # next knot above, or the direct limit, to K at its start
+        tails = self._tails
+        bounds = (inf, *map(self._index.__getitem__, deep), direct)
+        for j, start in enumerate((0.0, *deep)):
+            k_lo, k_hi = bounds[j + 1], bounds[j]
+            if k_lo == k_hi:
+                continue
+            piece = self._piece(moment, names, start)
+            if piece.lo < smallest:
+                smallest = piece.lo
+            lows = tails.get(k_lo)
+            if lows is None:
+                lows = tails[k_lo] = {}
+            highs = None
+            if k_hi != inf:
+                highs = tails.get(k_hi)
+                if highs is None:
+                    highs = tails[k_hi] = {}
+            if piece.err:
+                # the coefficients' rounding, sum_p |dc| b^p <= err u, times
+                # sum W_k x_k^p <= b^p sum W_k over the piece
+                mass = (lows.get(0.0) or self._tail(0.0, k_lo, lows))[:2]
+                if highs is not None:
+                    high = highs.get(0.0) or self._tail(0.0, k_hi, highs)
+                    mass = (mass[0] - high[0], mass[1] + high[1])
+                err += piece.err * (mass[0] + 2.0 * mass[1]) * _U
+            for power, coef in piece.poly.items():
+                value, value_err, terms_read, fail = (
+                    lows.get(power) or self._tail(power, k_lo, lows))
+                if highs is not None:
+                    high, high_err, more, fail_hi = (
+                        highs.get(power) or self._tail(power, k_hi, highs))
+                    value -= high
+                    value_err += high_err + abs(value) * _U
+                    terms_read += more
+                    fail = fail or fail_hi
+                factors += terms_read
+                why = why or fail
+                parts.append(coef * value)
+                err += abs(coef) * value_err
+        total = fsum(parts)
+        pre = self._prefactor
+        value = pre * total
+        smallest *= pre
+        if why:  # the value with a q-product or series cut at max_terms
             raise NotConvergedError(
                 f"operator series: no convergence within "
-                f"{self.policy.max_terms} product factors",
+                f"{self.policy.max_terms} {why}",
                 partial=OperatorResult(value, factors, abs(value), False,
                                        smallest))
+        # each part rounds once, and so does their sum
+        err += (2.0 * sum(map(abs, parts)) + abs(total)) * _U
+        estimate = (pre * err
+                    + abs(value) * (10.0 + abs(self._p.mu - 1.0)) * _U)
         return OperatorResult(value, factors, estimate, True, smallest)
 
-    def _product(self, moment: int, names: tuple, end: float) -> tuple:
-        """``(x_b, {p: c}, lo, hi)`` of s^moment times the named factors:
-        ``first_piece`` of the product and its interval enclosure on
-        [0, end], built on the cached entry of ``names[:-1]``."""
-        key = (moment, end, *names)
+    def _piece(self, moment: int, names: tuple, point: float) -> Piece:
+        """The piece of s^moment times the named factors that holds
+        ``point``, built on the cached piece of ``names[:-1]`` there."""
+        key = (moment, names, point)
         hit = self._products.get(key)
         if hit is None:
             if names:
-                x_b, poly, lo, hi = self._product(moment, names[:-1], end)
                 name = names[-1]
-                knot, piece = self._pieces[name]
-                bounds = self._ranges.get((name, end))
-                if bounds is None:
-                    bounds = self._ranges[name, end] = _range(
-                        self._specs[name].expr, end)
-                a, b = bounds
-                ends = (lo * a, lo * b, hi * a, hi * b)
-                hit = (min(x_b, knot), poly_product(poly, piece),
-                       min(ends), max(ends))
+                hit = piece_product(
+                    self._piece(moment, names[:-1], point),
+                    self._pieces[name][bisect_right(self._ends[name], point)])
             elif moment:
-                hit = (inf, {float(moment): 1.0}, 0.0, end ** moment)
+                top = self._t ** moment
+                hit = Piece(inf, {float(moment): 1.0}, 0.0, top, top, 0.0)
             else:
-                hit = (inf, {0.0: 1.0}, 1.0, 1.0)
+                hit = Piece(inf, {0.0: 1.0}, 1.0, 1.0, 1.0, 0.0)
             self._products[key] = hit
         return hit
 
-    def _column(self, name: str) -> array:
-        """The named factor at every head node, evaluated once."""
-        col = self._head_values.get(name)
-        if col is None:
-            col = self._head_values[name] = array(
-                "d", map(self._specs[name].fn, self._head_nodes))
-        return col
+    def _column(self, name) -> tuple:
+        """``(values, error, size)``: the named factor, or s^name for an
+        integer name, at every direct node, each value read from the
+        polynomial of the factor's piece that holds the node. ``error``
+        (in units of u) and ``size`` bound each value's rounding, its
+        coefficients' included, and its magnitude."""
+        nodes = self._nodes
+        count = len(nodes)
+        # a node t exp(k log(q) / beta) is off by node_rel u relative
+        node_rel = count * self._node_step + 2.0
+        if isinstance(name, int):
+            size = self._t ** name
+            hit = (list(map(pow, nodes, repeat(float(name)))),
+                   size * (name * node_rel + 1.0), size)
+        else:
+            index = self._index
+            ends = self._ends[name]
+            rules = self._evaluations[name]
+            column = []
+            error = size = 0.0
+            k_top = 0
+            j = len(ends) - 1
+            while k_top < count:  # the factor's pieces from the top down
+                k_bottom = index[ends[j - 1]] if j else count
+                if k_bottom > k_top:
+                    rule = rules[j] or self._evaluation(name, j)
+                    row = nodes[k_top:k_bottom]
+                    kind, coefs, fixed, power_err, mag = rule
+                    if kind == 2:
+                        c0, c1 = coefs
+                        column += [c0 + c1 * x for x in row]
+                    elif kind == 1:
+                        power, coef = coefs
+                        column += ([coef * x ** power for x in row] if power
+                                   else [coef] * len(row))
+                    else:
+                        column += [sum([c * x ** e for e, c in coefs])
+                                   for x in row]
+                    error = max(error, fixed + power_err * node_rel)
+                    size = max(size, mag)
+                    k_top = k_bottom
+                j -= 1
+            hit = (column, error, size)
+        self._columns[name] = hit
+        return hit
 
-    def _head_moment(self, power: float) -> float:
-        """fsum of w_k x_k^power over the head nodes."""
-        hit = self._head_moments.get(power)
-        if hit is None:
-            vals = self._head_weights
+    def _evaluation(self, name: str, j: int) -> tuple:
+        """How ``_column`` evaluates piece j of the named factor:
+        ``(kind, coefficients, fixed, power_err, mag)``, kind 2 for
+        c0 + c1 x, 1 for c x^p and 0 otherwise, with the bound
+        fixed + power_err node_rel (in units of u) on a value's rounding
+        and mag on its size."""
+        piece = self._pieces[name][j]
+        poly = piece.poly
+        if len(poly) == 2 and 0.0 in poly and 1.0 in poly:
+            rule = (2, (poly[0.0], poly[1.0]))
+        elif len(poly) == 1:
+            rule = (1, next(iter(poly.items())))
+        else:
+            rule = (0, tuple(poly.items()))
+        rule += (piece.err + piece.mag * (len(poly) + 2.0),
+                 piece.mag * max(poly, default=0.0), piece.mag)
+        self._evaluations[name][j] = rule
+        return rule
+
+    def _tail(self, power: float, k: int, row: dict) -> tuple:
+        """``(G, error bound, terms, failure)`` for the sum of
+        W_j x_j^power over every node j >= k, k finite: t^power S for k = 0
+        (``_full_moment``), t^power S minus the fsum of the first k terms
+        when k is a direct boundary, else the tail series. ``terms`` counts
+        the factors and series terms of the records and series it reads;
+        ``failure`` names what did not converge, or is empty. Kept in
+        ``row``, the ``_tails`` entry of k."""
+        if not k:
+            return self._full_moment(power)
+        if k <= self._direct:
+            value, value_err, terms, why = (self._tails[0].get(power)
+                                            or self._full_moment(power))
+            moments = self._weights
             if power:
-                vals = map(mul, vals, map(pow, self._head_nodes, repeat(power)))
-            hit = self._head_moments[power] = fsum(vals)
+                moments = map(mul, moments, map(pow, self._nodes, repeat(power)))
+            prefix = fsum(islice(moments, k))
+            value -= prefix
+            # a term after k steps of the weight recurrence and of the node:
+            # relative error at most k (step_rel + power node_step) + 2 power
+            # + 3 units of u
+            rel = k * (self._step_rel + power * self._node_step) + 2.0 * power + 3.0
+            hit = (value, value_err + (prefix * rel + abs(value)) * _U, terms, why)
+        else:
+            hit = self._series(power, k)
+        row[power] = hit
+        return hit
+
+    def _series(self, power: float, k: int) -> tuple:
+        """G at a deep boundary k by its tail series (class docstring):
+        term n is term n-1 times q^k (1 - q^(mu+c+n-1)) / (1 - q^(c+n)),
+        that is q^(kn) P(j+n) / P(j) times the first term, with P the
+        products of those ratios over q^k along the class of c
+        (``_ratio_products``) and c = base + j. For mu >= 1 the ratios fall
+        toward q^k, for mu < 1 they rise to it, so the larger of q^k and the
+        last ratio bounds every later one."""
+        p, lq, policy = self._p, self._lq, self.policy
+        c = p.eta + 1.0 + power / p.beta
+        weight, weight_rel, read, why = self._deep_weight(k)
+        q_k = exp(k * lq)
+        base = c % 1.0
+        skip = int(c - base)
+        # terms fall by about q^k, times about n^(mu-1) while n (1 - q) is
+        # small: start from the count that takes them below rel_tol (1 - q^k)
+        # and double it until the last term bounds the rest below rel_tol
+        # of the sum
+        size = (log(policy.rel_tol) + log(-expm1(k * lq))) / (k * lq)
+        size = ceil(size + max(0.0, p.mu - 1.0) * log(size + c + p.mu)
+                    / (k * -lq)) + 2
+        while True:
+            size = min(size, policy.max_terms - 1)
+            products = self._ratio_products(base, skip + size)
+            powers = self._powers(k, size)
+            total = fsum(map(mul, islice(powers, size + 1),
+                             islice(products, skip, skip + size + 1)))
+            # the last term and ratio, over the first term
+            last = products[skip + size]
+            term = powers[size] * last
+            rho = max(q_k, q_k * last / products[skip + size - 1])
+            n = size
+            if rho < 1.0 and term * rho <= policy.rel_tol * (1.0 - rho) * total:
+                break
+            if size == policy.max_terms - 1:
+                why = why or "terms"
+                rho = 0.0
+                break
+            size *= 2
+        first = -1.0 / expm1(c * lq) / products[skip]
+        lead = (first * weight * -expm1(k * lq) * exp(c * k * lq)
+                * self._t ** power)
+        # a ratio: two factors 1 - q^e, e carrying the rounding of
+        # eta + 1 + power/beta, and two operations; the products of up to
+        # skip + n of them, q^(kn) by n products, and the sum; the lead:
+        # w_k, 1 - q^c, 1 - q^k, q^(ck) and t^power
+        spread = c + 2.0 * abs(p.eta) + 1.0
+        factor = 5.0 + 3.0 * (c + p.mu + n + 2.0 * abs(p.eta)) * -lq
+        rel = (weight_rel + (16.0 + 5.0 * spread * k * -lq
+                             + (skip + n) * (2.0 * factor + 2.0)
+                             + n * (k * -lq + 3.0)) * _U)
+        value = lead * total
+        trunc = lead * term * rho / (1.0 - rho) if rho else 0.0
+        return value, value * rel + trunc, read + n, why
+
+    def _ratio_products(self, base: float, size: int) -> array:
+        """P(m), m = 0..size at least: the products of the ratios
+        (1 - q^(mu+base+i-1)) / (1 - q^(base+i)), i = 1..m, base in [0, 1),
+        shared by every c = base + j of the class at every deep k."""
+        row = self._ratio_rows.get(base)
+        if row is None:
+            row = self._ratio_rows[base] = array("d", [1.0])
+        if len(row) <= size:
+            lq, mu = self._lq, self._p.mu
+            ms = range(len(row), max(size, 2 * len(row)) + 1)
+            row.extend(islice(accumulate(map(truediv, map(expm1, map(
+                mul, repeat(lq), map(add, repeat(mu + base - 1.0), ms))), map(
+                expm1, map(mul, repeat(lq), map(add, repeat(base), ms)))),
+                mul, initial=row[-1]), 1, None))
+        return row
+
+    def _powers(self, k: int, size: int) -> array:
+        """q^(kn), n = 0..size at least, by products of q^k."""
+        row = self._q_powers.get(k)
+        if row is None or len(row) <= size:
+            q_k = exp(k * self._lq)
+            row = self._q_powers[k] = array("d", accumulate(
+                repeat(q_k, max(size, 2 * len(row) if row else 0)), mul,
+                initial=1.0))
+        return row
+
+    def _deep_weight(self, k: int) -> tuple:
+        """``(w_k, relative error bound, terms, failure)`` for a deep k:
+        (1 - q^mu) S(q) exp(-D_k), S(q) = (q^(mu+1); q)_inf / (q; q)_inf the
+        closed-form record at c = 1 and D_k = log (q^(k+mu); q)_inf /
+        (q^(k+1); q)_inf by ``_log_ratio``."""
+        hit = self._deep.get(k)
+        if hit is None:
+            p, lq, qv, policy = self._p, self._lq, self._q, self.policy
+            s1, s_rel, factors, _, done = _s_record(qv, p.eta, p.mu, 1.0,
+                                                    policy)
+            log_ratio, log_err, terms, series_done = _log_ratio(
+                qv, k + 1.0, p.mu - 1.0, policy)
+            weight = -expm1(p.mu * lq) * s1 * exp(-log_ratio)
+            rel = s_rel + expm1(log_err + abs(log_ratio) * _U) + 4.0 * _U
+            why = ("" if series_done else "terms") if done else "product factors"
+            hit = self._deep[k] = (weight, rel, factors + terms, why)
         return hit
 
     def _full_moment(self, power: float) -> tuple:
-        """``(t^power S(q^c), relative error bound, counts, converged)``
-        with c = eta + 1 + power/beta: the sum of w_k x_k^power over every
-        node (q-binomial theorem). ``counts`` maps the c of each S record
-        it reads to the factors formed for that record alone."""
+        """The ``_tail`` entry of k = 0: the sum of W_k x_k^power over
+        every node, t^power S(q^c) with c = eta + 1 + power/beta
+        (q-binomial theorem). Its terms are the factors of the S record and
+        of the record its class is reached from."""
         p, qv = self._p, self._q
         c = p.eta + 1.0 + power / p.beta
         s, s_rel, factors, base, done = _s_record(qv, p.eta, p.mu, c,
                                                   self.policy)
-        counts = {c: factors}
         if base is not None:
-            counts[base] = _s_record(qv, p.eta, p.mu, base, self.policy)[2]
-        hit = self._full_moments[power] = (
-            self._t ** power * s, s_rel + 8.0 * _U, counts, done)
+            factors += _s_record(qv, p.eta, p.mu, base, self.policy)[2]
+        value = self._t ** power * s
+        hit = self._tails[0][power] = (value, value * (s_rel + 8.0 * _U),
+                                       factors,
+                                       "" if done else "product factors")
         return hit
 
 
@@ -388,23 +629,19 @@ def _s_record(q: float, eta: float, mu: float, c: float,
         return 1.0 / den, n * (factor_err + _U) + _U, n, None, True
     base = c % 1.0 + 1.0
     if base == c:
-        # exp of log (q^(c+mu); q)_inf - log (q^c; q)_inf. Each bound of
-        # log_q_product takes its e as exact, but e carries the rounding
-        # of eta + 1 + p/beta (+ mu): a relative shift of every
-        # x_k = q^(e+k) that moves log(1 - x_k) by shift x_k / (1 - x_k),
-        # and the sum of x_k / (1 - x_k) over k is at most
+        # exp of log (q^(c+mu); q)_inf / (q^c; q)_inf. ``_log_ratio`` takes
+        # c as exact, but c carries the rounding of eta + 1 + p/beta: a
+        # relative shift of every x_k = q^(e+k), e = c + mu or c, that moves
+        # log(1 - x_k) by shift x_k / (1 - x_k), and the sum of
+        # x_k / (1 - x_k) over k is at most
         # x_0 / (1 - x_0) - log(1 - x_0) / |log q|.
-        num, den = (log_q_product(None, q, policy, e) for e in (c + mu, c))
-        log_s = num.value - den.value
-        err = 0.0
-        for e, part in ((c + mu, num), (c, den)):
+        log_s, err, terms, done = _log_ratio(q, c, mu, policy)
+        for e in (c + mu, c):
             gap = -expm1(e * lq)
-            err += part.error + (3.0 * (e + 2.0 * abs(eta)) * -lq * _U
-                                 * ((1.0 - gap) / gap + log(gap) / lq))
+            err += (3.0 * (e + 2.0 * abs(eta)) * -lq * _U
+                    * ((1.0 - gap) / gap + log(gap) / lq))
         err += abs(log_s) * _U
-        return (exp(log_s), expm1(err) + _U,
-                num.terms_used + den.terms_used, None,
-                num.converged and den.converged)
+        return exp(log_s), expm1(err) + _U, terms, None, done
     s0, rel0, _, _, done = _s_record(q, eta, mu, base, policy)
     n = round(c - base)
     if n > 0:
@@ -418,6 +655,63 @@ def _s_record(q: float, eta: float, mu: float, c: float,
     steps = 2 * abs(n)
     return (s0 * ratio, rel0 + steps * (factor_err + _U) + 2.0 * _U,
             steps, base, done)
+
+
+@lru_cache(maxsize=2048)
+def _log_ratio(q: float, e: float, d: float,
+               policy: TruncationPolicy) -> tuple:
+    """``(L, error bound, terms, converged)`` with
+    L = log (q^(e+d); q)_inf / (q^e; q)_inf, e > 0 and e + d > 0, summed
+    with the two products' common factors cancelled, so that its rounding
+    does not grow like 1/(1 - q) as a log q-product's does.
+
+    The leading factors while q^(e+i) > 1/2, if that is fewer terms than
+    the series alone, are log1p(r_i), r_i = q^(e+i) (1 - q^d) / (1 - q^(e+i))
+    the ratio of the factors minus 1, whose rounding is relative to r_i.
+    The rest is Euler's series of the difference at x = q^(e+L):
+    sum_n x^n (1 - q^(dn)) / (n (1 - q^n)), a term at most
+    max(1, |d|) m^n / n with m = x q^min(0, d) < 1, which bounds the rest.
+    """
+    if d == 0.0:
+        return 0.0, 0.0, 0, True
+    lq = log(q)
+    low = e + min(0.0, d)
+    lead = max(0, ceil(_LN2 / -lq - e))
+    if lead and lead + log(policy.rel_tol) / -_LN2 > log(policy.rel_tol) / (low * lq):
+        lead = 0
+    lead = min(lead, policy.max_terms)
+    g_d = expm1(d * lq)
+    args = [(e + i) * lq for i in range(lead)]
+    ratios = list(map(mul, map(exp, args),
+                      map(truediv, repeat(g_d), map(expm1, args))))
+    logs = list(map(log1p, ratios))
+    # r_i off by (11 + 3 |a_i|) u relative moves log1p(r_i) by at most that
+    # times |log1p(r_i)| / min(1, 1 + r_i)
+    err = fsum(map(truediv,
+                   map(mul, map(abs, logs), map(add, repeat(12.0),
+                                                map(mul, repeat(-3.0), args))),
+                   map(min, repeat(1.0), map(add, repeat(1.0), ratios))))
+    total = fsum(logs)
+    arg = (e + lead) * lq
+    m = exp((low + lead) * lq)
+    gap = -expm1((low + lead) * lq)
+    scale = max(1.0, abs(d))
+    # a term is at most scale m^n / n, so the rest after n terms is at
+    # most scale m^(n+1) / ((n+1) (1 - m)): stop where that is <= rel_tol
+    want = ceil(log(policy.rel_tol * gap / scale) / log(m)) - 1 if m else 1
+    n = max(1, min(want, policy.max_terms - lead))
+    ns = range(1, n + 1)
+    terms = list(map(truediv, map(mul, map(exp, map(mul, repeat(arg), ns)),
+                                  map(expm1, map(mul, repeat(d * lq), ns))),
+                     map(mul, ns, map(expm1, map(mul, repeat(lq), ns)))))
+    series = fsum(terms)
+    size = fsum(map(abs, terms))
+    rest = scale * m ** (n + 1) / ((n + 1) * gap)
+    # x^n = exp(n arg) with n arg off by 4u relative, the two expm1 and
+    # the three operations of each term
+    err += size * (4.0 * n * -arg + 12.0) + abs(total + series)
+    return (total + series, err * _U + rest, lead + n,
+            rest <= policy.rel_tol)
 
 
 def ek_series(f, t: float, p: OperatorParams, q: DeformationParam | float,

@@ -22,7 +22,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, NotLipschitzError
 
@@ -47,11 +47,13 @@ __all__ = [
     "check_synchronous",
     "extract_bounds",
     "extract_lipschitz",
-    "first_piece",
+    "Piece",
     "generate_family",
     "generate_weight",
     "monotonicity_on",
     "nonnegative_on",
+    "piece_product",
+    "pieces",
 ]
 
 
@@ -232,36 +234,124 @@ def _range(expr: Expr, T: float) -> tuple[float, float]:
     return min(ends), max(ends)
 
 
-def first_piece(expr: Expr) -> tuple[float, dict[float, float]]:
-    """``(x_b, {p: c})`` such that expr(x) = sum_p c x^p on [0, x_b).
+class Piece(NamedTuple):
+    """One piece of an expression on [0, t]: expr(x) = sum_p c x^p
+    (``poly`` = {p: c}) for x in [start, end) within [0, t], where start
+    is the previous piece's end, or 0 for the first piece.
+
+    ``lo`` and ``hi`` enclose the values on the piece. With b = min(end, t)
+    the top of the piece, ``mag`` bounds sum_p |c| b^p through the
+    expression tree, and ``err`` bounds sum_p |dc| b^p in units of the
+    unit roundoff, dc the rounding the coefficients carry: a monomial sum
+    that cancels, like y0 - s x0 of a piecewise-linear piece, keeps the
+    rounding of its terms.
+    """
+
+    end: float
+    poly: dict
+    lo: float
+    hi: float
+    mag: float
+    err: float
+
+
+def pieces(expr: Expr, t: float) -> tuple[Piece, ...]:
+    """The pieces of expr on [0, t], in increasing x: every end but the
+    last is a breakpoint below t, and the last end is >= t.
 
     One rule per node type, as in ``_range``: constants, powers and affine
-    maps are monomial sums everywhere (x_b = inf); a piecewise-linear node
-    is affine up to its first interior knot; sums, scalings and products
-    add, scale or multiply the monomial sums and keep the smallest x_b.
-    Zero coefficients are dropped.
+    maps are one monomial sum everywhere (end = inf); a piecewise-linear
+    node is affine between consecutive knots and constant past the last;
+    scalings scale, and sums and products merge their operands'
+    breakpoints. Zero coefficients are dropped, except in products.
+    ``pieces(expr, t)[0]`` is the first piece, whose end is the first
+    knot whatever t is.
     """
     if isinstance(expr, Const):
-        return inf, _nonzero({0.0: expr.value})
+        c = expr.value
+        return (Piece(inf, _nonzero({0.0: c}), c, c, abs(c), 0.0),)
     if isinstance(expr, Power):
-        return inf, {expr.exponent: 1.0}
+        if expr.exponent == 0.0:
+            return (Piece(inf, {0.0: 1.0}, 1.0, 1.0, 1.0, 0.0),)
+        top = t ** expr.exponent
+        return (Piece(inf, {expr.exponent: 1.0}, 0.0, top, top, 0.0),)
     if isinstance(expr, Affine):
-        return inf, _nonzero({0.0: expr.intercept, 1.0: expr.slope})
+        a, b = expr.slope, expr.intercept
+        ends = (b, a * t + b)
+        return (Piece(inf, _nonzero({0.0: b, 1.0: a}), min(ends), max(ends),
+                      abs(b) + abs(a) * t, 0.0),)
     if isinstance(expr, PiecewiseLinear):
-        (_, y0), (x1, y1) = expr.knots[:2]
-        return x1, _nonzero({0.0: y0, 1.0: (y1 - y0) / x1})
+        out = []
+        new = tuple.__new__  # skips NamedTuple's Python-level __new__
+        knots = expr.knots
+        for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+            s = (y1 - y0) / (x1 - x0)
+            c0 = y0 - s * x0
+            poly = {0.0: c0, 1.0: s} if c0 and s else _nonzero({0.0: c0, 1.0: s})
+            if x1 <= t:
+                top, y_top = x1, y1
+            else:
+                top, y_top = t, y0 + s * (t - x0)
+            lo, hi = (y0, y_top) if y0 < y_top else (y_top, y0)
+            # s and c0 carry at most 3 and 5 roundings of |y0| + |s| (x0 + x)
+            out.append(new(Piece, (x1, poly, lo, hi, abs(c0) + abs(s) * top,
+                                   5.0 * (abs(y0) + abs(s) * (x0 + top)))))
+            if x1 >= t:
+                return tuple(out)
+        y = knots[-1][1]
+        out.append(Piece(inf, _nonzero({0.0: y}), y, y, abs(y), 0.0))
+        return tuple(out)
     if isinstance(expr, Scale):
-        x_b, poly = first_piece(expr.inner)
-        return x_b, _nonzero({p: expr.factor * c for p, c in poly.items()})
+        f = expr.factor
+        out = []
+        for pc in pieces(expr.inner, t):
+            poly = _nonzero({p: f * c for p, c in pc.poly.items()})
+            mag = abs(f) * pc.mag
+            out.append(Piece(pc.end, poly, min(f * pc.lo, f * pc.hi),
+                             max(f * pc.lo, f * pc.hi), mag,
+                             abs(f) * pc.err + mag))
+        return tuple(out)
     if isinstance(expr, (Sum, Product)):
-        (x_l, left), (x_r, right) = first_piece(expr.left), first_piece(expr.right)
-        if isinstance(expr, Product):
-            return min(x_l, x_r), poly_product(left, right)
-        poly = dict(left)
-        for p, c in right.items():
-            poly[p] = poly.get(p, 0.0) + c
-        return min(x_l, x_r), _nonzero(poly)
+        left, right = pieces(expr.left, t), pieces(expr.right, t)
+        combine = piece_product if isinstance(expr, Product) else _piece_sum
+        out, i, j = [], 0, 0
+        while True:
+            pc = combine(left[i], right[j])
+            out.append(pc)
+            if pc.end >= t:  # both operands are at their last piece
+                return tuple(out)
+            i += left[i].end == pc.end
+            j += right[j].end == pc.end
     raise TypeError(f"unknown expression node {expr!r}")
+
+
+def _piece_sum(left: Piece, right: Piece) -> Piece:
+    """The sum of two pieces on their common part."""
+    poly = dict(left.poly)
+    for p, c in right.poly.items():
+        poly[p] = poly.get(p, 0.0) + c
+    mag = left.mag + right.mag
+    return Piece(min(left.end, right.end), _nonzero(poly), left.lo + right.lo,
+                 left.hi + right.hi, mag, left.err + right.err + mag)
+
+
+def piece_product(left: Piece, right: Piece) -> Piece:
+    """The product of two pieces on their common part. A coefficient of
+    the product sums at most min(len) products of coefficients, each
+    rounded, so len + len bounds their roundings in units of mag u."""
+    end_l, poly_l, lo_l, hi_l, mag_l, err_l = left
+    end_r, poly_r, lo_r, hi_r, mag_r, err_r = right
+    if lo_l >= 0.0 and lo_r >= 0.0:
+        lo, hi = lo_l * lo_r, hi_l * hi_r
+    else:
+        ends = (lo_l * lo_r, lo_l * hi_r, hi_l * lo_r, hi_l * hi_r)
+        lo, hi = min(ends), max(ends)
+    mag = mag_l * mag_r
+    # tuple.__new__ skips NamedTuple's Python-level __new__ on this hot path
+    return tuple.__new__(Piece, (
+        end_l if end_l < end_r else end_r, poly_product(poly_l, poly_r), lo,
+        hi, mag, err_l * mag_r + mag_l * err_r
+        + (len(poly_l) + len(poly_r)) * mag))
 
 
 def poly_product(left: dict[float, float],

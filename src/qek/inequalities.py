@@ -22,19 +22,21 @@ Margins are oriented so that margin >= 0 means the inequality holds as
 printed; a verdict is "inconclusive" whenever |margin| is within
 SAFETY_FACTOR times the worst tail of the contributing operator
 evaluations. Every case factor is a DSL expression, so each evaluation is
-a head plus a closed-form tail whose tail estimate bounds the truncation
-of its q-products and, to first order, its rounding (see
-:class:`qek.ekoperator.OperatorRule`). That guards against numerical
-noise but does not rule it out: the worst single tail is not propagated
-through the products of the margin (ROADMAP item 3).
+a sum of closed forms over the pieces of its product, and of a few nodes
+read from those pieces' polynomials, whose tail estimate bounds the
+truncation of its series and q-products and, to first order, its
+rounding (see :class:`qek.ekoperator.OperatorRule`). That guards against
+numerical noise but does not rule it out: the worst single tail is not
+propagated through the products of the margin (ROADMAP item 2).
 
 Within one case the eight products per side reuse repeated operator
 evaluations through a case-local memo (e.g. the plain weight operator
 appears in several products), and all operators of one side share one
-quadrature rule, so each of f, g, h, u and v is evaluated once per node
-and side however many products use it. The two sides share one factor
-table (``OperatorRule.at``): each factor's first piece, each interval
-enclosure and each product polynomial is built once per case.
+quadrature rule, so each closed form and each factor's values at the
+nodes summed one by one are formed once per side however many products
+use them; no factor's closure is called. The two sides share one factor
+table (``OperatorRule.at``): each factor's pieces and each piece of a
+product are built once per case.
 """
 
 from __future__ import annotations
@@ -142,8 +144,8 @@ class _CaseOps:
     Keys are (side, weight name, function subset, moment power); side 1
     evaluates on the rule at (q1, p1), side 2 on the same factors' rule
     at (q2, p2).
-    The rules get the FunctionSpecs, not their closures, so that they can
-    read each expression's first piece. An evaluation that does not
+    The rules get the FunctionSpecs, not their closures: they read each
+    expression's pieces and never call it. An evaluation that does not
     converge counts in ``evals`` too, and raises NotConvergedError naming
     its key, its partial value and its terms.
     """

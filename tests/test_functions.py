@@ -4,6 +4,7 @@ synchronicity classification, and seeded family generation."""
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,6 @@ from qek.functions import (
     compile_expr,
     extract_bounds,
     extract_lipschitz,
-    first_piece,
     format_expr,
     function_spec,
     generate_family,
@@ -34,6 +34,7 @@ from qek.functions import (
     nonnegative_on,
     parse_expr,
     parse_function_spec,
+    pieces,
 )
 
 
@@ -296,13 +297,42 @@ def _magnitude(expr, x):
     return left * right if isinstance(expr, Product) else left + right
 
 
-class TestFirstPieceProperty:
-    @given(expr=_exprs)
+def _exact_poly(expr, x):
+    """{p: c} of expr's piece that holds x, with exact rational
+    coefficients."""
+    if isinstance(expr, Const):
+        return {0.0: Fraction(expr.value)}
+    if isinstance(expr, Power):
+        return {expr.exponent: Fraction(1)}
+    if isinstance(expr, Affine):
+        return {0.0: Fraction(expr.intercept), 1.0: Fraction(expr.slope)}
+    if isinstance(expr, PiecewiseLinear):
+        for (x0, y0), (x1, y1) in zip(expr.knots, expr.knots[1:]):
+            if x < x1:
+                s = (Fraction(y1) - Fraction(y0)) / (Fraction(x1) - Fraction(x0))
+                return {0.0: Fraction(y0) - s * Fraction(x0), 1.0: s}
+        return {0.0: Fraction(expr.knots[-1][1])}
+    if isinstance(expr, Scale):
+        return {p: expr.factor * c for p, c in _exact_poly(expr.inner, x).items()}
+    left, right = _exact_poly(expr.left, x), _exact_poly(expr.right, x)
+    out = {}
+    if isinstance(expr, Product):
+        for pl, cl in left.items():
+            for pr, cr in right.items():
+                out[pl + pr] = out.get(pl + pr, 0) + cl * cr
+    else:
+        for p, c in [*left.items(), *right.items()]:
+            out[p] = out.get(p, 0) + c
+    return out
+
+
+class TestPiecesProperty:
+    @given(expr=_exprs, t=st.floats(0.1, 4.0))
     @settings(max_examples=300)
-    def test_monomial_sum_matches_below_first_knot(self, expr):
-        x_b, poly = first_piece(expr)
+    def test_monomial_sum_matches_below_first_knot(self, expr, t):
+        x_b, poly = pieces(expr, t)[0][:2]
         # each piecewise-linear node's first interior knot is its least
-        # positive one
+        # positive one, whatever t is
         assert x_b == min((x for x in _knot_abscissae(expr) if x > 0.0),
                           default=math.inf)
         s = function_spec(expr)
@@ -312,12 +342,50 @@ class TestFirstPieceProperty:
             got = sum(c * x ** p for p, c in poly.items())
             assert abs(got - s(x)) <= 1e-12 * (1.0 + _magnitude(expr, x))
 
+    @given(expr=_exprs, t=st.floats(0.1, 4.0))
+    @settings(max_examples=300)
+    def test_every_piece_on_its_interval(self, expr, t):
+        row = pieces(expr, t)
+        ends = [pc.end for pc in row]
+        # the breakpoints below t are the knots below t, and the last
+        # piece reaches t
+        assert ends[:-1] == sorted({x for x in _knot_abscissae(expr)
+                                    if 0.0 < x < t})
+        assert ends[-1] >= t
+        s = function_spec(expr)
+        for start, pc in zip([0.0, *ends], row):
+            top = min(pc.end, t)
+            for k in range(9):
+                x = start + (top - start) * k / 8
+                got = sum(c * x ** p for p, c in pc.poly.items())
+                assert abs(got - s(x)) <= 1e-12 * (1.0 + _magnitude(expr, x))
+                slack = 1e-12 * (1.0 + abs(pc.lo) + abs(pc.hi))
+                assert pc.lo - slack <= s(x) <= pc.hi + slack
+            assert (sum(abs(c) * top ** p for p, c in pc.poly.items())
+                    <= pc.mag * (1.0 + 1e-12) + 1e-300)
+            # err bounds the coefficients' rounding, cancellation included
+            exact = _exact_poly(expr, (start + top) / 2)
+            miss = sum(abs(Fraction(pc.poly.get(p, 0.0)) - exact.get(p, 0))
+                       * Fraction(top) ** int(p) if float(p).is_integer()
+                       else abs(pc.poly.get(p, 0.0) - float(exact.get(p, 0)))
+                       * top ** p
+                       for p in {*pc.poly, *exact})
+            assert miss <= pc.err * 2.0 ** -53 * (1.0 + 1e-9) + 1e-300
+
     def test_piecewise_first_piece(self):
         expr = parse_expr("(piecewise_linear (0 1) (0.5 2) (1 0))")
-        assert first_piece(expr) == (0.5, {0.0: 1.0, 1.0: 2.0})
-        assert first_piece(Product(expr, Power(1.5))) == (
+        assert pieces(expr, 1.0)[0][:2] == (0.5, {0.0: 1.0, 1.0: 2.0})
+        assert pieces(Product(expr, Power(1.5)), 1.0)[0][:2] == (
             0.5, {1.5: 1.0, 2.5: 2.0})
-        assert first_piece(Sum(Const(-1.0), expr)) == (0.5, {1.0: 2.0})
+        assert pieces(Sum(Const(-1.0), expr), 1.0)[0][:2] == (0.5, {1.0: 2.0})
+
+    def test_pieces_of_a_product_merge_the_breakpoints(self):
+        expr = parse_expr("(product (piecewise_linear (0 1) (0.5 2) (1 0))"
+                          " (piecewise_linear (0 0) (0.25 1) (0.75 2) (2 3)))")
+        assert [pc.end for pc in pieces(expr, 0.9)] == [0.25, 0.5, 0.75, 1.0]
+        assert [pc.end for pc in pieces(expr, 0.5)] == [0.25, 0.5]
+        last = pieces(expr, 3.0)[-1]
+        assert (last.end, last.poly) == (math.inf, {})
 
 
 class TestSynchronicity:

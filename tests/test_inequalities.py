@@ -521,26 +521,25 @@ def _bits(res):
 
 
 class TestSharedFactorTable:
-    """The two sides of a case share one factor table (first pieces,
-    interval enclosures, product polynomials), which depends on the
-    factors and t only; side 2 builds its own nodes, weights and
-    columns."""
+    """The two sides of a case share one factor table (the factors' pieces
+    and the pieces of their products), which depends on the factors and t
+    only; side 2 builds its own node indices, weights and sums."""
 
     @pytest.mark.parametrize("grid", [(0.3, 0.6, 0.9), (0.97, 0.99)])
     @pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "T4", "T5", "T6"])
     def test_side_two_matches_an_independent_rule(self, monkeypatch, theorem,
                                                   grid):
-        pieces, ranges, side_two, applied = [], [], [], []
-        first_piece, enclosure = ekoperator.first_piece, ekoperator._range
+        split, products, side_two, applied = [], [], [], []
+        pieces, piece_product = ekoperator.pieces, ekoperator.piece_product
         at, apply = OperatorRule.at, OperatorRule.apply
 
-        def counted_piece(expr):
-            pieces.append(expr)
-            return first_piece(expr)
+        def counted_pieces(expr, t):
+            split.append(expr)
+            return pieces(expr, t)
 
-        def counted_range(expr, end):
-            ranges.append((expr, end))
-            return enclosure(expr, end)
+        def counted_product(left, right):
+            products.append((left, right))
+            return piece_product(left, right)
 
         def recording_at(self, p, q):
             rule = at(self, p, q)
@@ -552,25 +551,25 @@ class TestSharedFactorTable:
             applied.append((self, names, moment, res))
             return res
 
-        monkeypatch.setattr(ekoperator, "first_piece", counted_piece)
-        monkeypatch.setattr(ekoperator, "_range", counted_range)
+        monkeypatch.setattr(ekoperator, "pieces", counted_pieces)
+        monkeypatch.setattr(ekoperator, "piece_product", counted_product)
         monkeypatch.setattr(OperatorRule, "at", recording_at)
         monkeypatch.setattr(OperatorRule, "apply", recording_apply)
         config = CampaignConfig(theorems=(theorem,), seed=1,
                                 q1_grid=grid, q2_grid=grid)
         for index in range(8):
             case = derive_case(config, theorem, index)
-            for log in (pieces, ranges, side_two, applied):
+            for log in (split, products, side_two, applied):
                 log.clear()
             evaluate_case(case, config.policy)
             fns = {"f": case.f, "g": case.g, "h": case.h, "u": case.u}
             if case.v is not None:
                 fns["v"] = case.v
-            # one first piece per factor, one enclosure per factor and end
-            assert len(pieces) == len(fns)
-            carriers = Counter(spec.expr for spec in fns.values())
-            assert all(n <= carriers[expr]
-                       for (expr, _), n in Counter(ranges).items())
+            # one split into pieces per factor, and each piece of a
+            # product formed once for both sides
+            assert len(split) == len(fns)
+            pairs = Counter((id(left), id(right)) for left, right in products)
+            assert products and max(pairs.values()) == 1
             [rule] = side_two
             requests = [(names, moment, res)
                         for owner, names, moment, res in applied

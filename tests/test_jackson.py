@@ -107,6 +107,21 @@ class TestJacksonIntegral:
         exact = monomial_integral(1, b, q)
         assert abs(res.value - exact) <= res.tail_estimate + 1e-16
 
+    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("q", [0.3, 0.6, 0.9])
+    def test_tail_estimate_bounds_truncation_on_the_grid(self, k, b, q):
+        # against the 40-digit closed form: the tail estimate bounds the
+        # truncation, and the rounding is a few units per term
+        import mpmath as mp
+
+        res = jackson_integral(lambda t: t ** k, b, q)
+        with mp.workdps(40):
+            Q = mp.mpf(q)
+            exact = float(mp.mpf(b) ** (k + 1) * (1 - Q) / (1 - Q ** (k + 1)))
+        rounding = 2 * res.terms_used * 2.0 ** -53 * abs(exact)
+        assert abs(res.value - exact) <= res.tail_estimate + rounding
+
     def test_not_converged(self):
         with pytest.raises(NotConvergedError) as info:
             jackson_integral(lambda t: 1.0, 1.0, 0.9,

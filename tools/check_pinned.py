@@ -35,36 +35,36 @@ PINNED = (
      ["verify", "--theorem", "T1", "--theorem", "T2", "--theorem", "T3",
       "--theorem", "T4", "--theorem", "T5", "--theorem", "T6",
       "--cases", "200", "--seed", "1", "--no-timestamp"],
-     "sha256 f93d6f8a439188125002f14d3860c248a18bdacddf8b419f507269ba98de2ee4"),
+     "sha256 12c62c2bcf1e216822a248f0a02dc77517e1d89775f5bfe5496049b614c0fb94"),
     ("T1-T6 --cases 200 --seed 1 --jobs 2",
      ["verify", "--theorem", "T1", "--theorem", "T2", "--theorem", "T3",
       "--theorem", "T4", "--theorem", "T5", "--theorem", "T6",
       "--cases", "200", "--seed", "1", "--no-timestamp", "--jobs", "2"],
-     "sha256 f93d6f8a439188125002f14d3860c248a18bdacddf8b419f507269ba98de2ee4"),
+     "sha256 12c62c2bcf1e216822a248f0a02dc77517e1d89775f5bfe5496049b614c0fb94"),
     ("T1,T5 --cases 30 --seed 3 at q in 0.97,0.99",
      ["verify", "--theorem", "T1", "--theorem", "T5", "--cases", "30",
       "--seed", "3", "--grid-q1", "0.97,0.99", "--grid-q2", "0.97,0.99",
       "--no-timestamp"],
-     "sha256 61e6721c070c680d6474606b8573f3025545561a5c518332dbac3d99004f2504"),
+     "sha256 568d441a2f600bc90466c4869d78e18f5c64dbe69a08444a184025902a80196a"),
     ("T1,T2 --cases 200 --seed 1 asynchronous, expect reversed",
      ["verify", "--theorem", "T1", "--theorem", "T2", "--cases", "200",
       "--seed", "1", "--family", "asynchronous", "--expect", "reversed",
       "--no-timestamp"],
-     "sha256 bc1d7ed8a883eef696c73e4691c936c0c843ab35dcd962cfa104b90ef7b9504d"),
+     "sha256 e096552c9c6b2dad069b1e8a5c47f3f03559007cb48963555a367890028e34f2"),
     ("sweep over q in [0.5, 0.99], piecewise-linear plus power",
      ["sweep", "--axis", "q", "--start", "0.5", "--stop", "0.99", "--steps",
       "8", "--eta", "-0.5", "--mu", "1.5", "--beta", "2", "--t", "1.3",
       "--f", "(sum (piecewise_linear (0 0.1) (0.8 0.3) (1 1)) (power 1.5))"],
-     "sha256 8096e76e375aac55ab21474b43ce9ebd87ae05e782aa034f4e16551dace3812d"),
+     "sha256 85c740d7581c6497e0b215285b660c6103bb0be5d3d8a1df556f4c0716d33125"),
     ("eval of both forms at q = 0.99, piecewise-linear plus power",
      ["eval", "--q", "0.99", "--eta", "-0.5", "--mu", "1.5", "--beta", "2",
       "--t", "1.3", "--f",
       "(sum (piecewise_linear (0 0.1) (0.8 0.3) (1 1)) (power 1.5))",
       "--form", "both"],
-     "sha256 8d7491b038e85bf6a3096398394c9d107a6e27791f9479ac076a33a5a77c8b01"),
+     "sha256 c5ae9a0e48ca2903ba331ee6dfda9cadb6970cb416d5b8fcb91bc948dbce07bc"),
     ("reduce-check",
      ["reduce-check"],
-     "max relative gap 1.418e-14 at (q, eta, mu, shape)=(0.9, -0.5, 0.5, 0)"),
+     "max relative gap 1.050e-14 at (q, eta, mu, shape)=(0.9, 0.0, 0.5, 0)"),
 )
 
 
