@@ -298,7 +298,7 @@ class OperatorRule:
         factors = 0
         why = ""
         if direct:
-            terms = self._weights[:direct]
+            terms = self._weights  # direct is its length
             # sum_f E_f prod_(g != f) M_g and prod_f M_g, E_f (in units of
             # u) and M_f bounding each column's rounding and size
             lead, size = 0.0, 1.0

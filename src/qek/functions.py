@@ -327,12 +327,15 @@ def pieces(expr: Expr, t: float) -> tuple[Piece, ...]:
 
 def _piece_sum(left: Piece, right: Piece) -> Piece:
     """The sum of two pieces on their common part."""
-    poly = dict(left.poly)
-    for p, c in right.poly.items():
+    end_l, poly_l, lo_l, hi_l, mag_l, err_l = left
+    end_r, poly_r, lo_r, hi_r, mag_r, err_r = right
+    poly = dict(poly_l)
+    for p, c in poly_r.items():
         poly[p] = poly.get(p, 0.0) + c
-    mag = left.mag + right.mag
-    return Piece(min(left.end, right.end), _nonzero(poly), left.lo + right.lo,
-                 left.hi + right.hi, mag, left.err + right.err + mag)
+    mag = mag_l + mag_r
+    return tuple.__new__(Piece, (end_l if end_l < end_r else end_r,
+                                 _nonzero(poly), lo_l + lo_r, hi_l + hi_r,
+                                 mag, err_l + err_r + mag))
 
 
 def piece_product(left: Piece, right: Piece) -> Piece:

@@ -489,18 +489,18 @@ class TestHeadAndTail:
             scale = 1e-12 if shape is HEAD_TAIL_SHAPES[-1] else 1e-14
             assert res.tail_estimate <= scale / (1.0 - q) * abs(ref)
 
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("eta, mu", [(-0.5, 0.5), (1.0, 1.5)])
-    def test_error_within_tail_estimate_near_one(self, eta, mu, beta):
+    def test_error_within_tail_estimate_near_one(self, eta, mu):
         # q = 0.9999: about 7000 leading factors per closed-form record
         q = 0.9999
-        p = OperatorParams(eta, mu, beta)
-        for shape in HEAD_TAIL_SHAPES:
-            res = ek_series(shape, 1.0, p, q)
-            ref = _mp_series(shape.expr, 1.0, eta, mu, beta, q)
-            assert abs(res.value - ref) <= res.tail_estimate
-            scale = 1e-12 if shape is HEAD_TAIL_SHAPES[-1] else 1e-14
-            assert res.tail_estimate <= scale / (1.0 - q) * abs(ref)
+        for beta in (0.5, 1.0, 2.0):
+            p = OperatorParams(eta, mu, beta)
+            for shape in HEAD_TAIL_SHAPES:
+                res = ek_series(shape, 1.0, p, q)
+                ref = _mp_series(shape.expr, 1.0, eta, mu, beta, q)
+                assert abs(res.value - ref) <= res.tail_estimate
+                scale = 1e-12 if shape is HEAD_TAIL_SHAPES[-1] else 1e-14
+                assert res.tail_estimate <= scale / (1.0 - q) * abs(ref)
 
     @pytest.mark.parametrize("q", [0.3, 0.9, 0.99])
     @pytest.mark.parametrize("mu", [1.0, 2.0, 3.0])
@@ -616,7 +616,7 @@ class TestClassicalLimit:
         p = OperatorParams(eta, mu, beta)
         ratios = [abs(ek_series(power(sigma), t, p, q).value - limit) / (1.0 - q)
                   for q in (0.99, 0.999, 0.9999)]
-        # measured 0.055-0.36, moving by under 1.5% from 0.999 to 0.9999
+        # measured 0.072-0.64, moving by under 0.2% from 0.999 to 0.9999
         assert max(ratios) < 1.0
         assert ratios[2] == pytest.approx(ratios[1], rel=0.02)
 

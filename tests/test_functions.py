@@ -326,7 +326,7 @@ def _exact_poly(expr, x):
     return out
 
 
-class TestPiecesProperty:
+class TestFirstPieceProperty:
     @given(expr=_exprs, t=st.floats(0.1, 4.0))
     @settings(max_examples=300)
     def test_monomial_sum_matches_below_first_knot(self, expr, t):
@@ -342,6 +342,15 @@ class TestPiecesProperty:
             got = sum(c * x ** p for p, c in poly.items())
             assert abs(got - s(x)) <= 1e-12 * (1.0 + _magnitude(expr, x))
 
+    def test_piecewise_first_piece(self):
+        expr = parse_expr("(piecewise_linear (0 1) (0.5 2) (1 0))")
+        assert pieces(expr, 1.0)[0][:2] == (0.5, {0.0: 1.0, 1.0: 2.0})
+        assert pieces(Product(expr, Power(1.5)), 1.0)[0][:2] == (
+            0.5, {1.5: 1.0, 2.5: 2.0})
+        assert pieces(Sum(Const(-1.0), expr), 1.0)[0][:2] == (0.5, {1.0: 2.0})
+
+
+class TestPiecesProperty:
     @given(expr=_exprs, t=st.floats(0.1, 4.0))
     @settings(max_examples=300)
     def test_every_piece_on_its_interval(self, expr, t):
@@ -371,13 +380,6 @@ class TestPiecesProperty:
                        * top ** p
                        for p in {*pc.poly, *exact})
             assert miss <= pc.err * 2.0 ** -53 * (1.0 + 1e-9) + 1e-300
-
-    def test_piecewise_first_piece(self):
-        expr = parse_expr("(piecewise_linear (0 1) (0.5 2) (1 0))")
-        assert pieces(expr, 1.0)[0][:2] == (0.5, {0.0: 1.0, 1.0: 2.0})
-        assert pieces(Product(expr, Power(1.5)), 1.0)[0][:2] == (
-            0.5, {1.5: 1.0, 2.5: 2.0})
-        assert pieces(Sum(Const(-1.0), expr), 1.0)[0][:2] == (0.5, {1.0: 2.0})
 
     def test_pieces_of_a_product_merge_the_breakpoints(self):
         expr = parse_expr("(product (piecewise_linear (0 1) (0.5 2) (1 0))"
