@@ -53,7 +53,7 @@ from copy import copy
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import accumulate, chain, islice, repeat, takewhile, tee
-from math import ceil, exp, expm1, floor, fsum, inf, log, log1p, prod, sqrt
+from math import ceil, exp, expm1, floor, fsum, inf, log, log1p, prod
 from operator import add, lt, mul, neg, sub, truediv
 
 from .errors import DomainError, NotConvergedError
