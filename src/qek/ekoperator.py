@@ -21,8 +21,8 @@ DSL expression is piecewise a monomial sum (``functions.pieces``), so the
 series of a product is a sum over its pieces of closed forms from the
 q-binomial theorem and its difference equation, with nothing truncated
 but q-products and geometrically falling series. Its cost and error do
-not grow like 1/(1 - q): a boundary reads at most about
-sqrt(log(rel_tol) / log q) terms, and a knot well below t a few. Two
+not grow like 1/(1 - q): a knot adds at most about
+sqrt(2 log(rel_tol) / log q) terms, and a knot well below t a few. Two
 caches serve the closed forms: one bounded table of the values S per
 process, keyed by (q, eta, mu, c, policy), and one factor table (the
 factors' pieces and the pieces of their products) per set of factors and

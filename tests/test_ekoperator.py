@@ -470,8 +470,9 @@ LIN = parse_function_spec("(affine 1 0.5)")
 
 
 class TestHeadAndTail:
-    """DSL inputs: the nodes down to the first knot plus a closed-form
-    q-binomial tail, against 40-digit references."""
+    """DSL inputs, summed piece by piece in closed form and over a few
+    nodes, against 40-digit references that sum the nodes down to the
+    first knot one by one."""
 
     @pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
     @pytest.mark.parametrize("eta", [-0.5, 0.0, 1.0])

@@ -459,7 +459,7 @@ def _composed(factors, moment):
 class TestCaseRuleEquivalence:
     """Every operator value a case requests from its per-side rules agrees
     with ek_integral of the composed integrand, which shares no arithmetic
-    with the rule's head and closed-form tail, within the two reported
+    with the rule's pieces and closed forms, within the two reported
     tails, and worst_tail is the largest tail among the case's
     evaluations."""
 
@@ -529,21 +529,17 @@ class TestSharedFactorTable:
     @pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "T4", "T5", "T6"])
     def test_side_two_matches_an_independent_rule(self, monkeypatch, theorem,
                                                   grid):
-        split, products, side_two, applied = [], [], [], []
-        pieces, piece_product = ekoperator.pieces, ekoperator.piece_product
+        split, side_two, applied = [], [], []
+        pieces = ekoperator.pieces
         at, apply = OperatorRule.at, OperatorRule.apply
 
         def counted_pieces(expr, t):
             split.append(expr)
             return pieces(expr, t)
 
-        def counted_product(left, right):
-            products.append((left, right))
-            return piece_product(left, right)
-
         def recording_at(self, p, q):
             rule = at(self, p, q)
-            side_two.append(rule)
+            side_two.append((self, rule))
             return rule
 
         def recording_apply(self, names, moment=0):
@@ -552,25 +548,24 @@ class TestSharedFactorTable:
             return res
 
         monkeypatch.setattr(ekoperator, "pieces", counted_pieces)
-        monkeypatch.setattr(ekoperator, "piece_product", counted_product)
         monkeypatch.setattr(OperatorRule, "at", recording_at)
         monkeypatch.setattr(OperatorRule, "apply", recording_apply)
         config = CampaignConfig(theorems=(theorem,), seed=1,
                                 q1_grid=grid, q2_grid=grid)
         for index in range(8):
             case = derive_case(config, theorem, index)
-            for log in (split, products, side_two, applied):
+            for log in (split, side_two, applied):
                 log.clear()
             evaluate_case(case, config.policy)
             fns = {"f": case.f, "g": case.g, "h": case.h, "u": case.u}
             if case.v is not None:
                 fns["v"] = case.v
-            # one split into pieces per factor, and each piece of a
-            # product formed once for both sides
+            # one split into pieces per factor, and one table of product
+            # pieces for both sides
             assert len(split) == len(fns)
-            pairs = Counter((id(left), id(right)) for left, right in products)
-            assert products and max(pairs.values()) == 1
-            [rule] = side_two
+            [(one, rule)] = side_two
+            assert rule._pieces is one._pieces
+            assert rule._products is one._products
             requests = [(names, moment, res)
                         for owner, names, moment, res in applied
                         if owner is rule]
