@@ -4,7 +4,6 @@ reduction chains, hypothesis enforcement, and verdict semantics."""
 import dataclasses
 import math
 import random
-from collections import Counter
 
 import pytest
 
