@@ -24,7 +24,7 @@ import random
 import sys
 from collections import Counter, defaultdict, deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from itertools import islice
@@ -90,7 +90,7 @@ def mix_seed(global_seed: int, case_index: int) -> int:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Reproducible campaign description; grids are validated up front."""
+    """Reproducible campaign description; every field is validated up front."""
 
     theorems: tuple[str, ...] = ("T1",)
     cases: int = 100
@@ -109,6 +109,7 @@ class CampaignConfig:
     rel_tol: float = 1e-14
     max_terms: int = 100_000
     jobs: int = 1
+    policy: TruncationPolicy = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for tid in self.theorems:
@@ -133,10 +134,8 @@ class CampaignConfig:
             raise ValueError(f"unknown expectation {self.expect!r}")
         if self.jobs <= 0:
             raise ValueError("jobs must be positive")
-
-    @property
-    def policy(self) -> TruncationPolicy:
-        return TruncationPolicy(rel_tol=self.rel_tol, max_terms=self.max_terms)
+        object.__setattr__(self, "policy", TruncationPolicy(
+            rel_tol=self.rel_tol, max_terms=self.max_terms))
 
 
 def derive_case(config: CampaignConfig, theorem: str,

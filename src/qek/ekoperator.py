@@ -33,7 +33,7 @@ callable.
 ``ek_integral`` evaluates the integral form on the same nodes but by its
 own route: at node j the kernel is t^(beta(mu-1)) (q^(j+1); q)_inf /
 (q^(j+mu); q)_inf, read from one table of log kernels built once per
-call: a ``qcore.log_q_product`` pair at its last entry, and the log
+call: one ``qcore.log_q_ratio`` at its last entry, and the log
 factors log(1 - q^(k+1)) - log(1 - q^(k+mu)) added to it backward. The
 result is normalised by GammaQ(mu). It never uses the series weight
 recurrence or its (1-q)^(mu-1) prefactor, so it checks them; the table
@@ -64,7 +64,7 @@ from .qcore import (
     SeriesResult,
     TruncationPolicy,
     as_deformation,
-    log_q_product,
+    log_q_ratio,
     q_gamma,
     sum_series,
 )
@@ -146,7 +146,7 @@ class OperatorRule:
 
     * G(0, c) is S(q^c), S(z) = (q^mu z; q)_inf / (z; q)_inf = 1/(z; q)_mu
       by the q-binomial theorem: a finite product for integer mu, else one
-      ``_log_ratio`` per class of p/beta mod 1 and the finite ratio
+      ``qcore.log_q_ratio`` per class of p/beta mod 1 and the finite ratio
       S(zq) = S(z) (1 - z) / (1 - q^mu z) for the rest of the class. Every
       rule of the process reads S from one bounded table (``_s_record``).
     * The breakpoints take, from the top, the route with fewer terms
@@ -160,8 +160,9 @@ class OperatorRule:
       / prod_(i<=n) (1 - z q^i), whose terms are positive and fall by
       about q^K a term, so it needs about log(rel_tol) / (K log q) of them
       (``_series``). w_K is (1 - q^mu) S(q) exp(-D_K), D_K =
-      log (q^(K+mu); q)_inf / (q^(K+1); q)_inf by ``_log_ratio``, which
-      cancels the two products' common factors and converges as fast.
+      log (q^(K+mu); q)_inf / (q^(K+1); q)_inf by ``qcore.log_q_ratio``,
+      which cancels the two products' common factors and converges as
+      fast.
 
     The weights use (1 - q^a) = -expm1(a log q), so none cancels. ``at``
     gives the rule of the same factors at another (p, q), sharing the
@@ -569,13 +570,13 @@ class OperatorRule:
         """``(w_k, relative error bound, terms, failure)`` for a deep k:
         (1 - q^mu) S(q) exp(-D_k), S(q) = (q^(mu+1); q)_inf / (q; q)_inf the
         closed-form record at c = 1 and D_k = log (q^(k+mu); q)_inf /
-        (q^(k+1); q)_inf by ``_log_ratio``."""
+        (q^(k+1); q)_inf by ``qcore.log_q_ratio``."""
         hit = self._deep.get(k)
         if hit is None:
             p, lq, qv, policy = self._p, self._lq, self._q, self.policy
             s1, s_rel, factors, _, done = _s_record(qv, p.eta, p.mu, 1.0,
                                                     policy)
-            log_ratio, log_err, terms, series_done = _log_ratio(
+            log_ratio, log_err, terms, series_done = log_q_ratio(
                 qv, k + 1.0, p.mu - 1.0, policy)
             weight = -expm1(p.mu * lq) * s1 * exp(-log_ratio)
             rel = s_rel + expm1(log_err + abs(log_ratio) * _U) + 4.0 * _U
@@ -612,9 +613,9 @@ def _s_record(q: float, eta: float, mu: float, c: float,
 
     ``factors`` counts the factors of the products formed for this S
     alone; ``base`` is the c whose S it was reached from, or None. S is
-    a finite product for integer mu. Otherwise it is one log-space pair
-    of ``log_q_product`` values per class c mod 1, at the class's member
-    in [1, 2), and the finite ratio S(zq) = S(z) (1 - z) / (1 - q^mu z)
+    a finite product for integer mu. Otherwise it is exp of one
+    ``qcore.log_q_ratio`` per class c mod 1, at the class's member in
+    [1, 2), and the finite ratio S(zq) = S(z) (1 - z) / (1 - q^mu z)
     from there; so no record depends on the order it is asked for in,
     and one table serves every rule of the process.
     """
@@ -629,13 +630,13 @@ def _s_record(q: float, eta: float, mu: float, c: float,
         return 1.0 / den, n * (factor_err + _U) + _U, n, None, True
     base = c % 1.0 + 1.0
     if base == c:
-        # exp of log (q^(c+mu); q)_inf / (q^c; q)_inf. ``_log_ratio`` takes
-        # c as exact, but c carries the rounding of eta + 1 + p/beta: a
+        # exp of log (q^(c+mu); q)_inf / (q^c; q)_inf. ``log_q_ratio``
+        # takes c as exact, but c carries the rounding of eta + 1 + p/beta: a
         # relative shift of every x_k = q^(e+k), e = c + mu or c, that moves
         # log(1 - x_k) by shift x_k / (1 - x_k), and the sum of
         # x_k / (1 - x_k) over k is at most
         # x_0 / (1 - x_0) - log(1 - x_0) / |log q|.
-        log_s, err, terms, done = _log_ratio(q, c, mu, policy)
+        log_s, err, terms, done = log_q_ratio(q, c, mu, policy)
         for e in (c + mu, c):
             gap = -expm1(e * lq)
             err += (3.0 * (e + 2.0 * abs(eta)) * -lq * _U
@@ -657,63 +658,6 @@ def _s_record(q: float, eta: float, mu: float, c: float,
             steps, base, done)
 
 
-@lru_cache(maxsize=2048)
-def _log_ratio(q: float, e: float, d: float,
-               policy: TruncationPolicy) -> tuple:
-    """``(L, error bound, terms, converged)`` with
-    L = log (q^(e+d); q)_inf / (q^e; q)_inf, e > 0 and e + d > 0, summed
-    with the two products' common factors cancelled, so that its rounding
-    does not grow like 1/(1 - q) as a log q-product's does.
-
-    The leading factors while q^(e+i) > 1/2, if that is fewer terms than
-    the series alone, are log1p(r_i), r_i = q^(e+i) (1 - q^d) / (1 - q^(e+i))
-    the ratio of the factors minus 1, whose rounding is relative to r_i.
-    The rest is Euler's series of the difference at x = q^(e+L):
-    sum_n x^n (1 - q^(dn)) / (n (1 - q^n)), a term at most
-    max(1, |d|) m^n / n with m = x q^min(0, d) < 1, which bounds the rest.
-    """
-    if d == 0.0:
-        return 0.0, 0.0, 0, True
-    lq = log(q)
-    low = e + min(0.0, d)
-    lead = max(0, ceil(_LN2 / -lq - e))
-    if lead and lead + log(policy.rel_tol) / -_LN2 > log(policy.rel_tol) / (low * lq):
-        lead = 0
-    lead = min(lead, policy.max_terms)
-    g_d = expm1(d * lq)
-    args = [(e + i) * lq for i in range(lead)]
-    ratios = list(map(mul, map(exp, args),
-                      map(truediv, repeat(g_d), map(expm1, args))))
-    logs = list(map(log1p, ratios))
-    # r_i off by (11 + 3 |a_i|) u relative moves log1p(r_i) by at most that
-    # times |log1p(r_i)| / min(1, 1 + r_i)
-    err = fsum(map(truediv,
-                   map(mul, map(abs, logs), map(add, repeat(12.0),
-                                                map(mul, repeat(-3.0), args))),
-                   map(min, repeat(1.0), map(add, repeat(1.0), ratios))))
-    total = fsum(logs)
-    arg = (e + lead) * lq
-    m = exp((low + lead) * lq)
-    gap = -expm1((low + lead) * lq)
-    scale = max(1.0, abs(d))
-    # a term is at most scale m^n / n, so the rest after n terms is at
-    # most scale m^(n+1) / ((n+1) (1 - m)): stop where that is <= rel_tol
-    want = ceil(log(policy.rel_tol * gap / scale) / log(m)) - 1 if m else 1
-    n = max(1, min(want, policy.max_terms - lead))
-    ns = range(1, n + 1)
-    terms = list(map(truediv, map(mul, map(exp, map(mul, repeat(arg), ns)),
-                                  map(expm1, map(mul, repeat(d * lq), ns))),
-                     map(mul, ns, map(expm1, map(mul, repeat(lq), ns)))))
-    series = fsum(terms)
-    size = fsum(map(abs, terms))
-    rest = scale * m ** (n + 1) / ((n + 1) * gap)
-    # x^n = exp(n arg) with n arg off by 4u relative, the two expm1 and
-    # the three operations of each term
-    err += size * (4.0 * n * -arg + 12.0) + abs(total + series)
-    return (total + series, err * _U + rest, lead + n,
-            rest <= policy.rel_tol)
-
-
 def ek_series(f, t: float, p: OperatorParams, q: DeformationParam | float,
               policy: TruncationPolicy = DEFAULT_POLICY) -> OperatorResult:
     """Series representation of the generalized Erdelyi-Kober q-operator
@@ -729,8 +673,9 @@ def _log_kernel_table(qv: float, mu: float, policy: TruncationPolicy):
     Returns ``(table, log_tail, converged)`` with
     table[j] = log((q^(j+1); q)_inf / (q^(j+mu); q)_inf) for j below the
     first index where q^(j + min(1, mu)) < rel_tol, or below ``max_terms``
-    when that comes first (``converged`` False). The last entry is one
-    pair of ``log_q_product`` values; the others add the factors
+    when that comes first (``converged`` False). The last entry is minus
+    one ``qcore.log_q_ratio`` with e = size and d = mu - 1, which cancels
+    the two products' common factors; the others add the factors
     log(1 - q^(j+1)) - log(1 - q^(j+mu)) to it backward, toward j = 0, so
     that the cost is O(entries). A factor 1 - q^c is formed by log1p while
     q^c <= 1/2 and by expm1(c log q) above that, where it would cancel.
@@ -741,8 +686,7 @@ def _log_kernel_table(qv: float, mu: float, policy: TruncationPolicy):
     lq = log(qv)
     want = max(1, ceil(log(policy.rel_tol) / lq - min(1.0, mu)))
     size = min(want, policy.max_terms)
-    last = (log_q_product(None, qv, policy, size).value
-            - log_q_product(None, qv, policy, size - 1.0 + mu).value)
+    last, _, _, last_done = log_q_ratio(qv, size, mu - 1.0, policy)
     # factors j = size-2, ..., near by log1p, then j = near-1, ..., 0,
     # where q^(j + min(1, mu)) > 1/2, by expm1
     near = min(size - 1, max(0, ceil(_LN2 / -lq - min(1.0, mu))))
@@ -753,12 +697,12 @@ def _log_kernel_table(qv: float, mu: float, policy: TruncationPolicy):
     args_mu = map(mul, repeat(lq), map(add, repeat(mu), range(near - 1, -1, -1)))
     close = map(sub, map(log, map(neg, map(expm1, args_one))),
                 map(log, map(neg, map(expm1, args_mu))))
-    table = array("d", accumulate(far, initial=last))
+    table = array("d", accumulate(far, initial=-last))
     table.extend(islice(accumulate(close, initial=table[-1]), 1, None))
     table.reverse()
     x_one, x_mu = exp((size + 1.0) * lq), exp((size + mu) * lq)
     log_tail = abs(x_one - x_mu) / (-expm1(lq) * (1.0 - max(x_one, x_mu)))
-    return table, log_tail, want <= policy.max_terms
+    return table, log_tail, want <= policy.max_terms and last_done
 
 
 def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
@@ -795,11 +739,8 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     table, log_tail, table_done = _log_kernel_table(qv, mu, policy)
     try:
         gam = q_gamma(mu, qv, policy)
-    except NotConvergedError:
-        # the partial result is normalised by the table's own
-        # (q;q)_inf/(q^mu;q)_inf (1-q)^(1-mu), which is GammaQ(mu) too
-        gam = SeriesResult(exp(table[0]) * (1.0 - qv) ** (1.0 - mu),
-                           len(table), inf, False)
+    except NotConvergedError as exc:  # its partial serves the partial result
+        gam = exc.partial
     # t^(-beta(eta+mu)) times the kernel's t^(beta(mu-1))
     front = beta * t ** (-beta * (eta + 1.0)) / gam.value
     tau_exp = beta * (eta + 1.0) - 1.0

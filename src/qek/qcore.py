@@ -2,21 +2,24 @@
 
 All infinite sums and products are truncated under an explicit
 :class:`TruncationPolicy` and return a :class:`SeriesResult` carrying the
-value together with a tail estimate. There are two stop rules, each
-written once:
+value together with a tail estimate. Each rule is written once:
 
 * Sums, :func:`sum_series`: stop after 3 terms in a row below
   ``rel_tol * |running total| + 1e-300``, reading at most ``max_terms``
   terms. The tail estimate assumes a geometric tail.
-* Infinite products (a; q)_inf, :func:`log_q_product`, the one routine
-  behind (a; q)_inf, (a; q)_alpha, q-Gamma and the operators' q-products:
-  the few leading factors with |a q^k| > 1/2 in log space, then Euler's
-  series log (x; q)_inf = -sum_(n>=1) x^n / (n (1 - q^n)), |x| <= 1/2,
-  until its certified tail falls below ``rel_tol``. Factors plus series
-  terms are at most ``max_terms``; the error bound covers the tail and
-  the rounding.
+* Infinite products (a; q)_inf of a general a, :func:`log_q_product`,
+  behind (a; q)_inf, (a; q)_alpha and the q-powers: the few leading
+  factors with |a q^k| > 1/2 in log space, then Euler's series
+  log (x; q)_inf = -sum_(n>=1) x^n / (n (1 - q^n)), |x| <= 1/2, until its
+  certified tail falls below ``rel_tol``.
+* Ratios (q^(e+d); q)_inf / (q^e; q)_inf, :func:`log_q_ratio`, behind
+  q-Gamma and the operators' closed forms, weights and kernel: the same
+  route with the two products' common factors cancelled, so that the
+  rounding does not grow like 1/(1 - q).
 
-Each rule converges only if it stops short of ``max_terms``.
+For both products, factors plus series terms are at most ``max_terms``
+and the error bound covers the tail and the rounding. Each rule
+converges only if it stops short of ``max_terms``.
 
 Conventions: the deformation base q always lies strictly inside (0, 1);
 all parameters are real.
@@ -29,7 +32,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
-from operator import add, mul, neg, sub, truediv
+from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
 from .errors import NotConvergedError, PoleError
@@ -42,6 +45,7 @@ __all__ = [
     "as_deformation",
     "LogQProduct",
     "log_q_product",
+    "log_q_ratio",
     "q_pochhammer_n",
     "q_pochhammer_inf",
     "q_pochhammer_alpha",
@@ -200,17 +204,13 @@ class LogQProduct(NamedTuple):
     converged: bool
 
 
-def log_q_product(a: float | None, q: float,
-                  policy: TruncationPolicy = DEFAULT_POLICY,
-                  e: float | None = None) -> LogQProduct:
+def log_q_product(a: float, q: float,
+                  policy: TruncationPolicy = DEFAULT_POLICY) -> LogQProduct:
     """log|(a; q)_inf| as a few leading factors plus Euler's log series.
 
-    With ``e`` given the product is (q^e; q)_inf and ``a`` is not read.
     The N leading factors 1 - x_k, x_k = a q^k, with |x_k| > 1/2 are
-    summed in log space: a factor with x_k >= 1 flips the sign, one with
-    x_k = 1 makes the product exactly 0 (log -inf), and for a = q^e each
-    factor is formed as -expm1((e + k) log q), which does not cancel as
-    x_k -> 1. The rest is
+    summed in log space: a factor with x_k >= 1 flips the sign, and one
+    with x_k = 1 makes the product exactly 0 (log -inf). The rest is
     log (x; q)_inf = -sum_(n>=1) x^n / (n (1 - q^n)), x = x_N, |x| <= 1/2
     (Euler; Gasper & Rahman, *Basic Hypergeometric Series*, ch. 1). Its
     terms shrink by more than |x| each, so after term n the tail is at
@@ -222,44 +222,25 @@ def log_q_product(a: float | None, q: float,
     ``max_terms``; when that budget runs out first, ``converged`` is False
     and ``value`` is the log of the factors and terms read. ``error``
     bounds the series tail plus, to first order in the unit roundoff u,
-    the rounding of every factor, term and sum, taking a, e and q as
-    exact.
+    the rounding of every factor, term and sum, taking a and q as exact.
     """
     lq = math.log(q)
-    if e is None:
-        size = abs(a)
-        lead = math.ceil((math.log(size) + _LN2) / -lq) if size > 0.5 else 0
-    else:
-        lead = max(0, math.ceil(_LN2 / -lq - e))
+    size = abs(a)
+    lead = math.ceil((math.log(size) + _LN2) / -lq) if size > 0.5 else 0
     cut = min(lead, policy.max_terms)
-    if e is None:
-        xs = list(map(mul, repeat(a), map(pow, repeat(q), range(cut))))
-        # exact for 1/2 <= x_k <= 2 (Sterbenz), and no cancellation beyond
-        gaps = list(map(sub, repeat(1.0), xs))
-        x = a * q ** cut
-        x_err = 3.0 * _U
-    else:
-        args = list(map(mul, repeat(lq), map(add, repeat(e), range(cut))))
-        gaps = list(map(neg, map(math.expm1, args)))  # 1 - q^(e+k)
-        x = math.exp((e + cut) * lq)
-        x_err = (3.0 * abs((e + cut) * lq) + 1.0) * _U
+    xs = list(map(mul, repeat(a), map(pow, repeat(q), range(cut))))
+    # exact for 1/2 <= x_k <= 2 (Sterbenz), and no cancellation beyond
+    gaps = list(map(sub, repeat(1.0), xs))
+    x = a * q ** cut
     flips = 0
     while flips < cut and gaps[flips] <= 0.0:
         flips += 1
     if flips and gaps[flips - 1] == 0.0:
         return LogQProduct(-math.inf, 1, flips, 0.0, True)
     logs = list(map(math.log, map(abs, gaps) if flips else gaps))
-    if e is None:
-        # each x_k is off by 3u relative, which moves log|1 - x_k| by
-        # 3u |x_k / (1 - x_k)|
-        moved = 3.0 * math.fsum(map(abs, map(truediv, xs, gaps)))
-    else:
-        # each (e + k) log q is off by 3u relative, which moves
-        # log|1 - x_k| by 3u |(e + k) log q| x_k / |1 - x_k|: at most 3u
-        # once x_k < 1, and 3u |arg| / (1 - exp(-arg)) before that
-        moved = 3.0 * (cut - flips + math.fsum(
-            map(truediv, args[:flips],
-                map(neg, map(math.expm1, map(neg, args[:flips]))))))
+    # each x_k is off by 3u relative, which moves log|1 - x_k| by
+    # 3u |x_k / (1 - x_k)|
+    moved = 3.0 * math.fsum(map(abs, map(truediv, xs, gaps)))
     sign = -1 if flips % 2 else 1
     lead_sum = math.fsum(logs)
     if cut < lead:
@@ -293,12 +274,11 @@ def log_q_product(a: float | None, q: float,
     # a factor's 1 - x_k and its log round by u + 2u |log|; term n
     # is off by (n + 5)u relative and |term_n| <= |term_1| |x|^(n-1), so
     # their sum is off by at most 8u |term_1| / (1 - |x|) for |x| <= 1/2;
-    # an x off by x_err relative moves the series by
-    # x_err |x| / ((1 - q) (1 - |x|))
+    # x = a q^N off by 3u relative moves the series by
+    # 3u |x| / ((1 - q) (1 - |x|))
     first = ax / (gap * (1.0 - ax))
-    err = ((moved + cut + 2.0 * spread + 8.0 * first
-            + abs(series) + abs(value)) * _U
-           + x_err * first + tail)
+    err = ((moved + cut + 2.0 * spread + 11.0 * first
+            + abs(series) + abs(value)) * _U + tail)
     return LogQProduct(value, sign, cut + count, err, True)
 
 
@@ -314,24 +294,91 @@ def _minus_abs(x: float) -> float:
     return -abs(x)
 
 
-def _pochhammer_inf_parts(a: float | None, qv: float, policy: TruncationPolicy,
-                          e: float | None = None) -> LogQProduct:
-    """``log_q_product(a, qv, policy, e)``, raising NotConvergedError with
-    the partial product when it does not converge.
+@functools.lru_cache(maxsize=2048)
+def log_q_ratio(q: float, e: float, d: float,
+                policy: TruncationPolicy = DEFAULT_POLICY) -> tuple:
+    """``(L, error bound, terms, converged)`` with
+    L = log (q^(e+d); q)_inf / (q^e; q)_inf, e > 0 and e + d > 0, summed
+    with the two products' common factors cancelled, so that its rounding
+    does not grow like 1/(1 - q) as a difference of two
+    :func:`log_q_product` values does.
 
-    Working with log magnitude plus sign keeps products well defined far
-    outside the double-precision range, which matters for ratios like the
-    q-Gamma function near q -> 1 where both products underflow.
+    The leading factors while q^(e+i) > 1/2, if that is fewer terms than
+    the series alone, are log1p(r_i), r_i = q^(e+i) (1 - q^d) / (1 - q^(e+i))
+    the ratio of the factors minus 1, whose rounding is relative to r_i;
+    while r_i < -1/2 (d < 0 and e + d near 0), where 1 + r_i cancels,
+    they are the logs of the factors' ratios themselves. The rest is
+    Euler's series of the difference at x = q^(e+L):
+    sum_n x^n (1 - q^(dn)) / (n (1 - q^n)), a term at most
+    max(1, |d|) m^n / n with m = x q^min(0, d) < 1, which bounds the rest.
+    ``error`` bounds that rest plus, to first order in the unit roundoff
+    u, the rounding, taking q, e and d as exact; ``converged`` is False
+    when the rest is above ``rel_tol`` after ``max_terms`` terms.
     """
-    parts = log_q_product(a, qv, policy, e)
+    if d == 0.0:
+        return 0.0, 0.0, 0, True
+    lq = math.log(q)
+    low = e + min(0.0, d)
+    lead = max(0, math.ceil(_LN2 / -lq - e))
+    log_tol = math.log(policy.rel_tol)
+    if lead and lead + log_tol / -_LN2 > log_tol / (low * lq):
+        lead = 0
+    lead = min(lead, policy.max_terms)
+    g_d = math.expm1(d * lq)
+    args = [(e + i) * lq for i in range(lead)]
+    ratios = list(map(mul, map(math.exp, args),
+                      map(truediv, repeat(g_d), map(math.expm1, args))))
+    # for d < 0 the ratios rise with i; while one is below -1/2, 1 + r_i
+    # would cancel, so the log is taken of the factors' ratio itself,
+    # expm1((e + d + i) log q) / expm1((e + i) log q), each off by 5u
+    # relative: 11u plus the log's rounding
+    close = bisect_left(ratios, -0.5)
+    logs = [math.log(math.expm1((e + d + i) * lq) / math.expm1(args[i]))
+            for i in range(close)]
+    err = math.fsum(map(abs, logs)) + 11.0 * close
+    del args[:close], ratios[:close]
+    logs += map(math.log1p, ratios)
+    # r_i off by (11 + 3 |a_i|) u relative moves log1p(r_i) by at most that
+    # times |log1p(r_i)| / min(1, 1 + r_i)
+    err += math.fsum(map(truediv,
+                         map(mul, map(abs, logs[close:]),
+                             map(add, repeat(12.0), map(mul, repeat(-3.0), args))),
+                         map(min, repeat(1.0), map(add, repeat(1.0), ratios))))
+    total = math.fsum(logs)
+    arg = (e + lead) * lq
+    m = math.exp((low + lead) * lq)
+    gap = -math.expm1((low + lead) * lq)
+    scale = max(1.0, abs(d))
+    # a term is at most scale m^n / n, so the rest after n terms is at
+    # most scale m^(n+1) / ((n+1) (1 - m)): stop where that is <= rel_tol
+    want = (math.ceil(math.log(policy.rel_tol * gap / scale) / math.log(m)) - 1
+            if m else 1)
+    n = max(1, min(want, policy.max_terms - lead))
+    ns = range(1, n + 1)
+    terms = list(map(truediv,
+                     map(mul, map(math.exp, map(mul, repeat(arg), ns)),
+                         map(math.expm1, map(mul, repeat(d * lq), ns))),
+                     map(mul, ns, map(math.expm1, map(mul, repeat(lq), ns)))))
+    series = math.fsum(terms)
+    size = math.fsum(map(abs, terms))
+    rest = scale * m ** (n + 1) / ((n + 1) * gap)
+    # x^n = exp(n arg) with n arg off by 4u relative, the two expm1 and
+    # the three operations of each term
+    err += size * (4.0 * n * -arg + 12.0) + abs(total + series)
+    return (total + series, err * _U + rest, lead + n,
+            rest <= policy.rel_tol)
+
+
+def _pochhammer_inf_parts(a: float, qv: float,
+                          policy: TruncationPolicy) -> LogQProduct:
+    """``log_q_product``, raising NotConvergedError with its partial."""
+    parts = log_q_product(a, qv, policy)
     if not parts.converged:
-        what = f"a={a}" if e is None else f"a=q^{e}"
         raise NotConvergedError(
             f"(a;q)_inf: no convergence within {policy.max_terms} terms "
-            f"({what}, q={qv})",
+            f"(a={a}, q={qv})",
             partial=SeriesResult(parts.sign * _safe_exp(parts.value),
-                                 parts.terms_used, math.inf, False),
-        )
+                                 parts.terms_used, math.inf, False))
     return parts
 
 
@@ -360,49 +407,63 @@ def q_pochhammer_alpha(a: float, q: DeformationParam | float, alpha: float,
     a pair of individually underflowing products still has a well-defined
     ratio. Agrees with q_pochhammer_n for integer alpha.
     """
-    dq = as_deformation(q)
-    num = _pochhammer_inf_parts(a, dq.q, policy)
-    den = _pochhammer_inf_parts(a * dq.q ** alpha, dq.q, policy)
-    return _combine_parts(num, den, 0.0, f"(a;q)_alpha a={a} alpha={alpha}")
-
-
-def _combine_parts(num: LogQProduct, den: LogQProduct, log_scale: float,
-                   what: str) -> SeriesResult:
-    """num / den times exp(log_scale); the tail adds both products' log
-    errors and the rounding of the log difference and of its exp."""
+    qv = as_deformation(q).q
+    num = _pochhammer_inf_parts(a, qv, policy)
+    den = _pochhammer_inf_parts(a * qv ** alpha, qv, policy)
+    used = num.terms_used + den.terms_used
     if den.value == -math.inf:
-        raise ZeroDivisionError(f"{what}: denominator product vanishes")
+        raise ZeroDivisionError(
+            f"(a;q)_alpha a={a} alpha={alpha}: denominator product vanishes")
     if num.value == -math.inf:  # a factor of the numerator is exactly 0
-        return SeriesResult(0.0, num.terms_used + den.terms_used, 0.0, True)
-    log_value = num.value - den.value + log_scale
-    value = num.sign * den.sign * _safe_exp(log_value)
-    err = (num.error + den.error
-           + (abs(num.value) + abs(den.value) + 2.0 * abs(log_scale)) * _U)
+        return SeriesResult(0.0, used, 0.0, True)
+    value = num.sign * den.sign * _safe_exp(num.value - den.value)
+    err = num.error + den.error + (abs(num.value) + abs(den.value)) * _U
     tail = abs(value) * math.expm1(err + _U) if math.isfinite(value) else math.inf
-    return SeriesResult(value, num.terms_used + den.terms_used, tail, True)
+    return SeriesResult(value, used, tail, True)
 
 
 def q_gamma(a: float, q: DeformationParam | float,
             policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """q-Gamma function (q; q)_inf / (q^a; q)_inf * (1-q)^(1-a).
 
-    Satisfies the functional equation G(x+1) = (1-q^x)/(1-q) * G(x) and
-    tends to the classical Gamma function as q -> 1-. At an integer
-    n <= ``max_terms`` it is the q-factorial [n-1]_q!, exact where the
-    products' ratio loses digits near q = 1; its tail bounds the rounding
-    to first order, at most 8u for each of the n - 1 factors.
+    Satisfies G(x+1) = [x]_q G(x), [x]_q = (1-q^x)/(1-q), and tends to the
+    classical Gamma function as q -> 1-. At an integer n <= ``max_terms``
+    it is the q-factorial [n-1]_q!, exact where the products' ratio loses
+    digits near q = 1; its tail bounds the rounding to first order, at
+    most 8u for each of the n - 1 factors. At any other b > 0 it is one
+    :func:`log_q_ratio` with e = b, d = 1 - b; a negative a is first
+    shifted to b = a + n in (0, 1) by G(a) = G(b) / prod_(k<n) [a + k]_q.
     """
-    dq = as_deformation(q)
-    qv = dq.q
+    qv = as_deformation(q).q
     ra = round(a)
     if abs(a - ra) < _POLE_TOL and ra <= 0:
         raise PoleError(f"q_gamma pole at nonpositive integer a={a}")
     if a == ra and ra <= policy.max_terms:
         value = q_factorial(ra - 1, qv)
         return SeriesResult(value, ra - 1, 8.0 * (ra - 1) * _U * value, True)
-    num = _pochhammer_inf_parts(None, qv, policy, 1.0)
-    den = _pochhammer_inf_parts(None, qv, policy, a)
-    return _combine_parts(num, den, (1.0 - a) * math.log1p(-qv), f"q_gamma({a})")
+    lq = math.log(qv)
+    shift = max(0, math.ceil(-a))
+    b = a + shift
+    # [a + k]_q with the arg (a + k) log q off by 3u relative: at most
+    # (10 + 3 |arg|) u relative each, with the power and the products
+    args = [(a + k) * lq for k in range(shift)]
+    integers = math.prod(map(math.expm1, args)) / math.expm1(lq) ** shift
+    rel = 10.0 * shift + 3.0 * math.fsum(map(abs, args))
+    log_ratio, log_err, terms, done = log_q_ratio(qv, b, 1.0 - b, policy)
+    log_scale = (1.0 - b) * math.log1p(-qv)
+    log_value = log_ratio + log_scale
+    value = _safe_exp(log_value) / integers
+    if not done:
+        raise NotConvergedError(
+            f"q_gamma({a}): no convergence within {policy.max_terms} terms",
+            partial=SeriesResult(value, terms, math.inf, False))
+    # b = a + n rounds only for -1/2 < a < 0, and 1 - b only for b < 1/2,
+    # by u/2 at most, which moves log G by less than (2 - log(1 - q)) u
+    err = log_err + (abs(log_ratio) + 3.0 * abs(log_scale) + abs(log_value)
+                     + 2.0 - math.log1p(-qv)) * _U
+    tail = (abs(value) * (math.expm1(err) + (rel + 2.0) * _U)
+            if math.isfinite(value) else math.inf)
+    return SeriesResult(value, terms + shift, tail, True)
 
 
 def q_factorial(n: int, q: DeformationParam | float) -> float:
@@ -413,11 +474,8 @@ def q_factorial(n: int, q: DeformationParam | float) -> float:
     n = int(n)
     if n < 0:
         raise ValueError(f"q_factorial requires n >= 0, got {n}")
-    den = math.expm1(lq)
-    prod = 1.0
-    for k in range(1, n + 1):
-        prod *= math.expm1(k * lq) / den
-    return prod
+    steps = map(math.expm1, map(mul, repeat(lq), range(1, n + 1)))
+    return math.prod(map(truediv, steps, repeat(math.expm1(lq))))
 
 
 def q_power(t: float, a: float, q: DeformationParam | float, n: int) -> float:

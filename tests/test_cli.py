@@ -181,6 +181,24 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("kwargs", [{"rel_tol": -1.0}, {"rel_tol": 0.0},
+                                        {"max_terms": 2}])
+    def test_invalid_policy_rejected_up_front(self, kwargs):
+        with pytest.raises(ValueError):
+            CampaignConfig(**kwargs)
+
+    @pytest.mark.parametrize("fmt", ["json-lines", "csv"])
+    def test_invalid_tolerance_leaves_output_untouched(self, capsys, tmp_path,
+                                                       fmt):
+        out_path = tmp_path / "report.txt"
+        out_path.write_text("earlier report\n")
+        code, out, err = run(
+            ["verify", "--theorem", "T1", "--cases", "2", "--tol", "0",
+             "--output", str(out_path), "--format", fmt], capsys)
+        assert code == 2
+        assert "rel_tol" in err
+        assert out_path.read_text() == "earlier report\n"
+
     def test_config_file_matches_flags(self, capsys, tmp_path):
         cfg = tmp_path / "campaign.cfg"
         cfg.write_text(

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from qek.errors import NotConvergedError, PoleError
 from qek.qcore import (
-    DEFAULT_POLICY,
     DeformationParam,
     SeriesResult,
     TruncationPolicy,
     log_q_product,
+    log_q_ratio,
     q_factorial,
     q_gamma,
     q_pochhammer_alpha,
@@ -148,13 +148,14 @@ class TestStopRules:
 
 
 @functools.lru_cache(maxsize=None)
-def mp_log_q_product(a, q, e=None):
-    """(log|(a; q)_inf|, sign) in 30-digit mpmath: a direct log sum of the
-    factors down to |a q^k| < 1/100, then Euler's series to 1e-35. a, q
-    and e are taken at their exact binary values."""
+def mp_log_q_product(a, q):
+    """(log|(a; q)_inf|, sign) in 30-digit mpmath, the log kept as an mpf:
+    a direct log sum of the factors down to |a q^k| < 1/100, then Euler's
+    series to 1e-35. a (a float or an mpf) and q are taken at their exact
+    binary values."""
     with mpmath.workdps(30):
         Q = mpmath.mpf(q)
-        x = Q ** mpmath.mpf(e) if e is not None else mpmath.mpf(a)
+        x = mpmath.mpf(a)
         log_abs, sign = mpmath.mpf(0), 1
         while abs(x) >= mpmath.mpf(1) / 100:
             if x == 1:
@@ -168,7 +169,20 @@ def mp_log_q_product(a, q, e=None):
             term = x ** n / (n * (1 - Q ** n))
             log_abs -= term
             n += 1
-        return float(log_abs), sign
+        return log_abs, sign
+
+
+def mp_q_power(q, e):
+    """q^e in 30-digit mpmath, q and e taken at their exact binary values."""
+    with mpmath.workdps(30):
+        return mpmath.mpf(q) ** mpmath.mpf(e)
+
+
+def mp_gap(x, ref):
+    """|x - ref| for a float x and a 30-digit mpf ref, formed at 30 digits
+    so that the difference does not round at the default precision."""
+    with mpmath.workdps(30):
+        return float(abs(mpmath.mpf(x) - ref))
 
 
 class TestLogQProduct:
@@ -178,10 +192,13 @@ class TestLogQProduct:
     @pytest.mark.parametrize("q", [0.3, 0.9, 0.99, 0.999, 0.9999])
     @pytest.mark.parametrize("e", [0.5, 1.5, 2.75])
     def test_power_matches_direct_log_sum(self, q, e):
-        res = log_q_product(None, q, DEFAULT_POLICY, e)
-        ref, sign = mp_log_q_product(None, q, e)
+        # a = q^e rounded: its leading factors 1 - a q^k cancel toward
+        # a = 1, and the bound carries that
+        a = q ** e
+        res = log_q_product(a, q)
+        ref, sign = mp_log_q_product(a, q)
         assert res.converged and res.sign == sign == 1
-        assert abs(res.value - ref) <= res.error
+        assert mp_gap(res.value, ref) <= res.error
         # the bound is not vacuous: it grows like u / (1 - q), as the
         # product's sensitivity to rounding does
         assert res.error <= 1e-14 / (1.0 - q)
@@ -195,32 +212,70 @@ class TestLogQProduct:
         res = log_q_product(a, q)
         ref, sign = mp_log_q_product(a, q)
         assert res.converged and res.sign == sign
-        assert abs(res.value - ref) <= res.error
+        assert mp_gap(res.value, ref) <= res.error
         assert res.error <= 1e-14 / (1.0 - q)
 
     @pytest.mark.parametrize("e", [-0.5, -1.5, -2.25])
     @pytest.mark.parametrize("q", [0.5, 0.99])
     def test_power_below_zero_flips_the_sign(self, e, q):
-        # 1 - q^(e+k) < 0 for k < -e: one sign flip per such factor
-        res = log_q_product(None, q, DEFAULT_POLICY, e)
-        ref, sign = mp_log_q_product(None, q, e)
+        # a = q^e > 1: 1 - a q^k < 0 for k < -e, one sign flip each
+        a = q ** e
+        res = log_q_product(a, q)
+        ref, sign = mp_log_q_product(a, q)
         assert res.sign == sign == (-1) ** math.ceil(-e)
-        assert abs(res.value - ref) <= res.error
+        assert mp_gap(res.value, ref) <= res.error
 
     @pytest.mark.parametrize("a, e, q", [(2.0, None, 0.5), (None, -2.0, 0.5),
                                          (None, 0.0, 0.9)])
     def test_zero_factor_gives_minus_inf(self, a, e, q):
-        res = log_q_product(a, q, DEFAULT_POLICY, e)
+        # a = q^e is exact for these e: 4 and 1
+        res = log_q_product(q ** e if a is None else a, q)
         assert (res.value, res.converged) == (-math.inf, True)
         assert res.terms_used == (2 if a else 1 - e)
 
     def test_budget_counts_factors_plus_series_terms(self):
-        full = log_q_product(None, 0.99, DEFAULT_POLICY, 0.5)
+        a = -3.7
+        full = log_q_product(a, 0.99)
         for budget in (10, full.terms_used - 1):
-            cut = log_q_product(None, 0.99, TruncationPolicy(max_terms=budget), 0.5)
+            cut = log_q_product(a, 0.99, TruncationPolicy(max_terms=budget))
             assert (cut.terms_used, cut.converged, cut.error) == (budget, False, math.inf)
-        exact = log_q_product(None, 0.99, TruncationPolicy(max_terms=full.terms_used), 0.5)
+        exact = log_q_product(a, 0.99, TruncationPolicy(max_terms=full.terms_used))
         assert exact == full
+
+
+def mp_log_q_ratio(q, e, d):
+    """log (q^(e+d); q)_inf / (q^e; q)_inf in 30-digit mpmath, as an mpf."""
+    with mpmath.workdps(30):
+        num = mp_log_q_product(mp_q_power(q, mpmath.mpf(e) + mpmath.mpf(d)), q)[0]
+        return num - mp_log_q_product(mp_q_power(q, e), q)[0]
+
+
+class TestLogQRatio:
+    """The one ratio of q-products at powers of q, with its common factors
+    cancelled, against a 30-digit difference of direct log sums."""
+
+    # d < 0, d > 0, e + d near 0, and the last entry of the integral
+    # form's kernel table (e = its size, about 3200 at q = 0.99)
+    @pytest.mark.parametrize("e, d", [(1.5, -0.5), (0.25, 0.75), (3.75, -2.75),
+                                      (0.501, -0.5), (3208.0, 0.5)])
+    @pytest.mark.parametrize("q", [0.3, 0.9, 0.99, 0.999])
+    def test_within_its_error_of_the_30_digit_ratio(self, q, e, d):
+        value, error, terms, converged = log_q_ratio(q, e, d)
+        ref = mp_log_q_ratio(q, e, d)
+        assert converged and terms > 0
+        assert mp_gap(value, ref) <= error
+        # and its rounding does not grow like u / (1 - q)
+        assert error <= 1e-13 * max(1.0, abs(value))
+
+    def test_equal_arguments_give_zero(self):
+        assert log_q_ratio(0.9, 1.5, 0.0) == (0.0, 0.0, 0, True)
+
+    def test_short_budget_is_not_converged(self):
+        value, error, terms, converged = log_q_ratio(
+            0.99, 0.5, 1.0, TruncationPolicy(max_terms=10))
+        assert not converged
+        assert terms <= 11
+        assert error > 1e-3
 
 
 class TestPochhammerFinite:
@@ -412,14 +467,20 @@ class TestQGamma:
             ref = float(mpmath.qgamma(a, q))
             assert res.value == pytest.approx(ref, rel=1e-12)
 
-    @pytest.mark.parametrize("q", [0.3, 0.9, 0.97, 0.99])
+    @pytest.mark.parametrize("q", [0.3, 0.9, 0.97, 0.99, 0.999])
     @pytest.mark.parametrize("a", [0.25, 1.5, 3.75, -0.5, -2.5])
     def test_within_tail_estimate_of_mpmath(self, a, q):
+        # (q; q)_inf / (q^a; q)_inf (1 - q)^(1 - a) from 30-digit direct
+        # log sums: mpmath.qgamma takes seconds a value at q = 0.999
         res = q_gamma(a, q)
+        num, _ = mp_log_q_product(q, q)
+        den, sign = mp_log_q_product(mp_q_power(q, a), q)
         with mpmath.workdps(30):
-            ref = float(mpmath.qgamma(a, q, maxterms=10**6))
-        assert abs(res.value - ref) <= res.tail_estimate
-        assert res.tail_estimate <= 2e-14 / (1.0 - q) * abs(ref)
+            ref = sign * mpmath.exp(num - den) * (1 - mpmath.mpf(q)) ** (1 - a)
+        assert mp_gap(res.value, ref) <= res.tail_estimate
+        # the ratio's common factors cancel, so the bound does not grow
+        # like u / (1 - q)
+        assert res.tail_estimate <= 1e-13 * abs(float(ref))
 
 
 class TestQFactorial:
