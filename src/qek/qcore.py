@@ -32,7 +32,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
-from operator import add, mul, sub, truediv
+from operator import add, mul, neg, sub, truediv
 from typing import NamedTuple
 
 from .errors import NotConvergedError, PoleError
@@ -303,14 +303,16 @@ def log_q_ratio(q: float, e: float, d: float,
     does not grow like 1/(1 - q) as a difference of two
     :func:`log_q_product` values does.
 
-    The leading factors while q^(e+i) > 1/2, if that is fewer terms than
-    the series alone, are log1p(r_i), r_i = q^(e+i) (1 - q^d) / (1 - q^(e+i))
-    the ratio of the factors minus 1, whose rounding is relative to r_i;
-    while r_i < -1/2 (d < 0 and e + d near 0), where 1 + r_i cancels,
-    they are the logs of the factors' ratios themselves. The rest is
-    Euler's series of the difference at x = q^(e+L):
-    sum_n x^n (1 - q^(dn)) / (n (1 - q^n)), a term at most
-    max(1, |d|) m^n / n with m = x q^min(0, d) < 1, which bounds the rest.
+    The leading factors while q^(e+i+min(0, d)) > 1/2, if that is fewer
+    terms than the series alone, are log1p(r_i),
+    r_i = q^(e+i) (1 - q^d) / (1 - q^(e+i)) the ratio of the factors
+    minus 1, whose rounding is relative to r_i; while r_i < -1/2 (d < 0),
+    where 1 + r_i cancels, they are the logs of the factors' ratios
+    themselves. The rest is Euler's series of the difference at
+    x = q^(e+L): sum_n x^n (1 - q^(dn)) / (n (1 - q^n)), a term at most
+    max(1, |d|) m^n / n with m = x q^min(0, d) < 1, which bounds the rest;
+    the leading factors bring m to 1/2, so for any e and d the terms read
+    stay about ln 2 / (1 - q) plus the series at m = 1/2.
     ``error`` bounds that rest plus, to first order in the unit roundoff
     u, the rounding, taking q, e and d as exact; ``converged`` is False
     when the rest is above ``rel_tol`` after ``max_terms`` terms.
@@ -319,7 +321,7 @@ def log_q_ratio(q: float, e: float, d: float,
         return 0.0, 0.0, 0, True
     lq = math.log(q)
     low = e + min(0.0, d)
-    lead = max(0, math.ceil(_LN2 / -lq - e))
+    lead = max(0, math.ceil(_LN2 / -lq - low))
     log_tol = math.log(policy.rel_tol)
     if lead and lead + log_tol / -_LN2 > log_tol / (low * lq):
         lead = 0
@@ -345,9 +347,9 @@ def log_q_ratio(q: float, e: float, d: float,
                              map(add, repeat(12.0), map(mul, repeat(-3.0), args))),
                          map(min, repeat(1.0), map(add, repeat(1.0), ratios))))
     total = math.fsum(logs)
-    arg = (e + lead) * lq
-    m = math.exp((low + lead) * lq)
-    gap = -math.expm1((low + lead) * lq)
+    arg = (low + lead) * lq
+    m = math.exp(arg)
+    gap = -math.expm1(arg)
     scale = max(1.0, abs(d))
     # a term is at most scale m^n / n, so the rest after n terms is at
     # most scale m^(n+1) / ((n+1) (1 - m)): stop where that is <= rel_tol
@@ -355,23 +357,32 @@ def log_q_ratio(q: float, e: float, d: float,
             if m else 1)
     n = max(1, min(want, policy.max_terms - lead))
     ns = range(1, n + 1)
+    # x^n (1 - q^(dn)) = sign(d) m^n (1 - q^(|d| n)), which does not
+    # overflow for a large -d
     terms = list(map(truediv,
                      map(mul, map(math.exp, map(mul, repeat(arg), ns)),
-                         map(math.expm1, map(mul, repeat(d * lq), ns))),
+                         map(math.expm1, map(mul, repeat(abs(d) * lq), ns))),
                      map(mul, ns, map(math.expm1, map(mul, repeat(lq), ns)))))
-    series = math.fsum(terms)
+    series = math.copysign(math.fsum(terms), d)
     size = math.fsum(map(abs, terms))
     rest = scale * m ** (n + 1) / ((n + 1) * gap)
-    # x^n = exp(n arg) with n arg off by 4u relative, the two expm1 and
-    # the three operations of each term
-    err += size * (4.0 * n * -arg + 12.0) + abs(total + series)
+    # m^n = exp(n arg), n arg off by at most 4u n (e + lead) |log q|,
+    # above 4u n |arg| for d < 0; the two expm1 and the three operations
+    # of each term
+    err += size * (4.0 * n * (e + lead) * -lq + 12.0) + abs(total + series)
     return (total + series, err * _U + rest, lead + n,
             rest <= policy.rel_tol)
 
 
 def _pochhammer_inf_parts(a: float, qv: float,
                           policy: TruncationPolicy) -> LogQProduct:
-    """``log_q_product``, raising NotConvergedError with its partial."""
+    """``log_q_product(a, qv, policy)``, raising NotConvergedError with
+    the partial product when it does not converge.
+
+    Working with log magnitude plus sign keeps products well defined far
+    outside the double-precision range, which matters for ratios like
+    (a; q)_alpha near q -> 1 where both products underflow.
+    """
     parts = log_q_product(a, qv, policy)
     if not parts.converged:
         raise NotConvergedError(
@@ -443,16 +454,27 @@ def q_gamma(a: float, q: DeformationParam | float,
         return SeriesResult(value, ra - 1, 8.0 * (ra - 1) * _U * value, True)
     lq = math.log(qv)
     shift = max(0, math.ceil(-a))
+    cut = min(shift, policy.max_terms)
+    # log |[a + k]_q| = y + log(1 - e^-y) - log(1 - q), y = (a + k) log q
+    # > 0, which neither cancels nor overflows; y off by 3u relative moves
+    # it by 3u y / (1 - e^-y) <= 3u (1 + y), so with the other roundings
+    # each is off by at most (6 + 4y) u plus 2u times its size
+    ys = [(a + k) * lq for k in range(cut)]
+    logs = list(map(add, ys, map(math.log, map(neg, map(math.expm1, map(neg, ys))))))
+    log_ints = math.fsum(logs) - cut * math.log1p(-qv)
+    sign = -1 if cut % 2 else 1
+    if cut < shift:
+        raise NotConvergedError(
+            f"q_gamma({a}): the shift into (0, 1) takes {shift} q-integers, "
+            f"more than {policy.max_terms}",
+            partial=SeriesResult(sign * _safe_exp(-log_ints), cut, math.inf, False))
+    rel = (6.0 * shift + 4.0 * math.fsum(ys) + 2.0 * math.fsum(map(abs, logs))
+           - 2.0 * shift * math.log1p(-qv) + abs(log_ints))
     b = a + shift
-    # [a + k]_q with the arg (a + k) log q off by 3u relative: at most
-    # (10 + 3 |arg|) u relative each, with the power and the products
-    args = [(a + k) * lq for k in range(shift)]
-    integers = math.prod(map(math.expm1, args)) / math.expm1(lq) ** shift
-    rel = 10.0 * shift + 3.0 * math.fsum(map(abs, args))
     log_ratio, log_err, terms, done = log_q_ratio(qv, b, 1.0 - b, policy)
     log_scale = (1.0 - b) * math.log1p(-qv)
-    log_value = log_ratio + log_scale
-    value = _safe_exp(log_value) / integers
+    log_value = log_ratio + log_scale - log_ints
+    value = sign * _safe_exp(log_value)
     if not done:
         raise NotConvergedError(
             f"q_gamma({a}): no convergence within {policy.max_terms} terms",
@@ -460,8 +482,8 @@ def q_gamma(a: float, q: DeformationParam | float,
     # b = a + n rounds only for -1/2 < a < 0, and 1 - b only for b < 1/2,
     # by u/2 at most, which moves log G by less than (2 - log(1 - q)) u
     err = log_err + (abs(log_ratio) + 3.0 * abs(log_scale) + abs(log_value)
-                     + 2.0 - math.log1p(-qv)) * _U
-    tail = (abs(value) * (math.expm1(err) + (rel + 2.0) * _U)
+                     + rel + 2.0 - math.log1p(-qv)) * _U
+    tail = (abs(value) * (math.expm1(err) + 2.0 * _U)
             if math.isfinite(value) else math.inf)
     return SeriesResult(value, terms + shift, tail, True)
 
@@ -474,8 +496,11 @@ def q_factorial(n: int, q: DeformationParam | float) -> float:
     n = int(n)
     if n < 0:
         raise ValueError(f"q_factorial requires n >= 0, got {n}")
-    steps = map(math.expm1, map(mul, repeat(lq), range(1, n + 1)))
-    return math.prod(map(truediv, steps, repeat(math.expm1(lq))))
+    den = math.expm1(lq)
+    prod = 1.0
+    for k in range(1, n + 1):
+        prod *= math.expm1(k * lq) / den
+    return prod
 
 
 def q_power(t: float, a: float, q: DeformationParam | float, n: int) -> float:

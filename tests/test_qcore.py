@@ -262,10 +262,23 @@ class TestLogQRatio:
     def test_within_its_error_of_the_30_digit_ratio(self, q, e, d):
         value, error, terms, converged = log_q_ratio(q, e, d)
         ref = mp_log_q_ratio(q, e, d)
-        assert converged and terms > 0
+        assert converged and 0 < terms <= math.log(2.0) / (1.0 - q) + 60
         assert mp_gap(value, ref) <= error
         # and its rounding does not grow like u / (1 - q)
         assert error <= 1e-13 * max(1.0, abs(value))
+
+    @pytest.mark.parametrize("q", [0.3, 0.9, 0.99, 0.999])
+    def test_far_below_zero_d_reads_few_terms(self, q):
+        # q_gamma at a = 100.5: the leading factors run while
+        # q^(e + d + i) > 1/2, and exp(n d log q) alone would overflow
+        # at q = 0.3
+        e, d = 100.5, -99.5
+        value, error, terms, converged = log_q_ratio(q, e, d)
+        assert converged and terms <= math.log(2.0) / (1.0 - q) + 60
+        assert mp_gap(value, mp_log_q_ratio(q, e, d)) <= error
+        # the rounding bound takes the exponent of x = q^(e + lead) for
+        # the terms' m^n, about e / (e + d) times too large here
+        assert error <= 1e-11 * max(1.0, abs(value))
 
     def test_equal_arguments_give_zero(self):
         assert log_q_ratio(0.9, 1.5, 0.0) == (0.0, 0.0, 0, True)
@@ -480,7 +493,32 @@ class TestQGamma:
         assert mp_gap(res.value, ref) <= res.tail_estimate
         # the ratio's common factors cancel, so the bound does not grow
         # like u / (1 - q)
-        assert res.tail_estimate <= 1e-13 * abs(float(ref))
+        assert res.tail_estimate <= min(2e-14 / (1.0 - q), 1e-13) * abs(float(ref))
+
+    def test_far_from_one_reads_few_terms(self):
+        # a much larger than ln 2 / (1 - q): the leading factors run until
+        # q^(1 + i) <= 1/2, so the series after them stays short
+        a, q = 100.5, 0.99
+        res = q_gamma(a, q)
+        num, _ = mp_log_q_product(q, q)
+        den, _ = mp_log_q_product(mp_q_power(q, a), q)
+        with mpmath.workdps(30):
+            ref = mpmath.exp(num - den) * (1 - mpmath.mpf(q)) ** (1 - a)
+        assert mp_gap(res.value, ref) <= res.tail_estimate
+        assert res.tail_estimate <= 2.5e-12 * abs(float(ref))
+        assert res.terms_used <= math.log(2.0) / (1.0 - q) + 60
+
+    def test_far_negative_argument(self):
+        # 331 q-integers of about q^-330 each: their product overflows in
+        # linear space; in log space G underflows to a signed zero
+        res = q_gamma(-330.5, 0.9)
+        assert res.converged and res.value == 0.0
+        assert math.copysign(1.0, res.value) == -1.0
+        # the shift reads one factor per unit of -a under the budget
+        with pytest.raises(NotConvergedError) as info:
+            q_gamma(-330.5, 0.9, TruncationPolicy(max_terms=100))
+        assert info.value.partial.terms_used == 100
+        assert not info.value.partial.converged
 
 
 class TestQFactorial:

@@ -55,7 +55,7 @@ PINNED = (
      ["sweep", "--axis", "q", "--start", "0.5", "--stop", "0.99", "--steps",
       "8", "--eta", "-0.5", "--mu", "1.5", "--beta", "2", "--t", "1.3",
       "--f", "(sum (piecewise_linear (0 0.1) (0.8 0.3) (1 1)) (power 1.5))"],
-     "sha256 b0b6eb03b07912f65dc787bda308c7c0bf326974dd1489b95559fdcc0c5abab1"),
+     "sha256 5b79095af14f5214853a4f4c82942197e62883b994e33bfbc09a2c12fc9add97"),
     ("eval of both forms at q = 0.99, piecewise-linear plus power",
      ["eval", "--q", "0.99", "--eta", "-0.5", "--mu", "1.5", "--beta", "2",
       "--t", "1.3", "--f",
