@@ -32,12 +32,15 @@ callable.
 
 ``ek_integral`` evaluates the integral form on the same nodes but by its
 own route: at node j the kernel is t^(beta(mu-1)) (q^(j+1); q)_inf /
-(q^(j+mu); q)_inf, read from one table of log kernels built once per
-call: one ``qcore.log_q_ratio`` at its last entry, and the log
-factors log(1 - q^(k+1)) - log(1 - q^(k+mu)) added to it backward. The
-result is normalised by GammaQ(mu). It never uses the series weight
-recurrence or its (1-q)^(mu-1) prefactor, so it checks them; the table
-makes the cost O(nodes) instead of two infinite products per node.
+(q^(j+mu); q)_inf, read from one table of kernels: their logs are one
+``qcore.log_q_ratio`` at the last entry and the log factors
+log(1 - q^(k+1)) - log(1 - q^(k+mu)) added to it backward. The result
+is normalised by GammaQ(mu). It never uses the series weight recurrence
+or its (1-q)^(mu-1) prefactor, so it checks them; the table makes the
+cost O(nodes) instead of two infinite products per node. The kernels
+and GammaQ(mu) depend on (q, mu) only, so they are built once per
+(q, mu, policy) per process and kept in a bounded table of records
+(``_kernel_record``) that every ``ek_integral`` and ``kober`` call reads.
 
 All series weights are positive for mu > 0, so each term keeps the sign
 of f at its node; results report the smallest scaled term, a node's or
@@ -51,7 +54,7 @@ from array import array
 from bisect import bisect_right
 from copy import copy
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, islice, repeat, takewhile, tee
 from math import ceil, exp, expm1, floor, fsum, inf, log, log1p, prod
 from operator import add, lt, mul, neg, sub, truediv
@@ -367,8 +370,9 @@ class OperatorRule:
                 f"{self.policy.max_terms} {why}",
                 partial=OperatorResult(value, factors, abs(value), False,
                                        smallest))
-        # each part rounds once, and so does their sum
-        err += (2.0 * sum(map(abs, parts)) + abs(total)) * _U
+        # each part rounds once, and so does their sum; the parts' sizes
+        # are added left to right, as the builtin sum() does not from 3.12 on
+        err += (2.0 * reduce(add, map(abs, parts), 0.0) + abs(total)) * _U
         estimate = (pre * err
                     + abs(value) * (10.0 + abs(self._p.mu - 1.0)) * _U)
         return OperatorResult(value, factors, estimate, True, smallest)
@@ -427,9 +431,9 @@ class OperatorRule:
                         power, coef = coefs
                         column += ([coef * x ** power for x in row] if power
                                    else [coef] * len(row))
-                    else:
-                        column += [sum([c * x ** e for e, c in coefs])
-                                   for x in row]
+                    else:  # added left to right, not by the builtin sum()
+                        column += [reduce(add, [c * x ** e for e, c in coefs],
+                                          0.0) for x in row]
                     error = max(error, fixed + power_err * node_rel)
                     size = max(size, mag)
                     k_top = k_bottom
@@ -667,21 +671,32 @@ def ek_series(f, t: float, p: OperatorParams, q: DeformationParam | float,
     return rule.apply(("f",))
 
 
-def _log_kernel_table(qv: float, mu: float, policy: TruncationPolicy):
-    """Log kernel factors of the integral form at base q and order mu.
+# One record per (q, mu, policy): the integral form's kernels and
+# GammaQ(mu) do not depend on f, t, eta or beta. A record holds
+# min(log(rel_tol) / log q, max_terms) doubles, about 3.2e3 at q = 0.99 and
+# at most 1e5 (0.8 MB) under the default policy, so 16 records stay under
+# 13 MB; the oracle workload meets 13 keys a run.
+@lru_cache(maxsize=16)
+def _kernel_record(qv: float, mu: float, policy: TruncationPolicy) -> tuple:
+    """Kernel factors of the integral form at base q and order mu.
 
-    Returns ``(table, log_tail, converged)`` with
-    table[j] = log((q^(j+1); q)_inf / (q^(j+mu); q)_inf) for j below the
+    Returns ``(kernels, log_tail, gamma, converged)`` with
+    kernels[j] = (q^(j+1); q)_inf / (q^(j+mu); q)_inf for j below the
     first index where q^(j + min(1, mu)) < rel_tol, or below ``max_terms``
-    when that comes first (``converged`` False). The last entry is minus
-    one ``qcore.log_q_ratio`` with e = size and d = mu - 1, which cancels
-    the two products' common factors; the others add the factors
-    log(1 - q^(j+1)) - log(1 - q^(j+mu)) to it backward, toward j = 0, so
-    that the cost is O(entries). A factor 1 - q^c is formed by log1p while
-    q^c <= 1/2 and by expm1(c log q) above that, where it would cancel.
-    ``log_tail`` bounds |table[j]| for every j >= len(table), whose entry
-    the integral takes as 0:
+    when that comes first, in a read-only view of an array, since every
+    caller shares the record. The logs of the kernels are built backward:
+    the last is minus one ``qcore.log_q_ratio`` with e = size and
+    d = mu - 1, which cancels the two products' common factors, and the
+    factors log(1 - q^(j+1)) - log(1 - q^(j+mu)) are added to it toward
+    j = 0, so that the cost is O(entries). A factor 1 - q^c is formed by
+    log1p while q^c <= 1/2 and by expm1(c log q) above that, where it
+    would cancel.
+    ``log_tail`` bounds the log of every kernel j >= len(kernels), which
+    the integral takes as 1:
     |q^(j+1) - q^(j+mu)| / ((1 - q) (1 - max(q^(j+1), q^(j+mu)))).
+    ``gamma`` is ``q_gamma(mu)``, or its NotConvergedError's partial, and
+    ``converged`` is False when the kernels, their last ratio or GammaQ(mu)
+    needed more than ``max_terms``.
     """
     lq = log(qv)
     want = max(1, ceil(log(policy.rel_tol) / lq - min(1.0, mu)))
@@ -702,7 +717,13 @@ def _log_kernel_table(qv: float, mu: float, policy: TruncationPolicy):
     table.reverse()
     x_one, x_mu = exp((size + 1.0) * lq), exp((size + mu) * lq)
     log_tail = abs(x_one - x_mu) / (-expm1(lq) * (1.0 - max(x_one, x_mu)))
-    return table, log_tail, want <= policy.max_terms and last_done
+    try:
+        gam = q_gamma(mu, qv, policy)
+    except NotConvergedError as exc:  # its partial serves the partial result
+        gam = exc.partial
+    kernels = memoryview(array("d", map(exp, table))).toreadonly()
+    return (kernels, log_tail, gam,
+            want <= policy.max_terms and last_done and gam.converged)
 
 
 def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
@@ -712,8 +733,10 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     The Jackson node tau_j = t q^(j/beta) carries the kernel
     (t^beta - tau_j^beta q)_(mu-1)
     = t^(beta(mu-1)) (q^(j+1); q)_inf / (q^(j+mu); q)_inf, read from one
-    table of log kernels built backward from its last entry
-    (``_log_kernel_table``), and the result is normalised by q_gamma(mu).
+    table of kernels built backward from its last entry, and the result
+    is normalised by q_gamma(mu). Both are built once per (q, mu, policy)
+    per process (``_kernel_record``), so a call at a (q, mu) met before
+    only walks its nodes.
     The series form instead builds its weights by the forward ratio
     recurrence (1 - q^(mu+k)) / (1 - q^(k+1)) from 1 and scales by
     (1-q)^(mu-1); the two routes share no arithmetic beyond the nodes, so
@@ -736,11 +759,7 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     beta, eta, mu = p.beta, p.eta, p.mu
 
     root = qv ** (1.0 / beta)
-    table, log_tail, table_done = _log_kernel_table(qv, mu, policy)
-    try:
-        gam = q_gamma(mu, qv, policy)
-    except NotConvergedError as exc:  # its partial serves the partial result
-        gam = exc.partial
+    kernels, log_tail, gam, done = _kernel_record(qv, mu, policy)
     # t^(-beta(eta+mu)) times the kernel's t^(beta(mu-1))
     front = beta * t ** (-beta * (eta + 1.0)) / gam.value
     tau_exp = beta * (eta + 1.0) - 1.0
@@ -750,13 +769,12 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     rjs, rjs_tau = tee(accumulate(repeat(root), mul, initial=1.0))
     positive = partial(lt, 0.0)
     taus, taus_f = tee(takewhile(positive, map(mul, repeat(t), rjs_tau)))
-    kernels = chain(map(exp, table), repeat(1.0))
-    terms = map(mul, map(mul, map(mul, rjs, kernels),
+    terms = map(mul, map(mul, map(mul, rjs, chain(kernels, repeat(1.0))),
                          map(pow, taus, repeat(tau_exp))), map(fn, taus_f))
     node_policy = replace(policy, rel_tol=policy.rel_tol * (1.0 - ratio))
     res = sum_series(terms, node_policy, ratio, "operator integral",
                      front * (1.0 - root) * t)
-    if not (table_done and gam.converged):
+    if not done:
         raise NotConvergedError(
             f"operator integral: no convergence within {policy.max_terms} "
             f"kernel factors",

@@ -518,7 +518,7 @@ class TestPinnedOutputs:
         done = subprocess.run([sys.executable, str(script)],
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stdout + done.stderr
-        assert "7 of 7 pinned outputs match" in done.stdout
+        assert "8 of 8 pinned outputs match" in done.stdout
 
     def test_warm_closed_form_table_keeps_the_pin(self):
         # the S records outlive a campaign: run one near q = 1 on another

@@ -9,6 +9,7 @@ as the cross-representation oracle for the series form.
 import dataclasses
 import functools
 import math
+from bisect import bisect_right
 
 import pytest
 
@@ -16,7 +17,7 @@ from qek.ekoperator import (
     OperatorParams,
     OperatorResult,
     OperatorRule,
-    _log_kernel_table,
+    _kernel_record,
     _s_record,
     ek_integral,
     ek_series,
@@ -229,33 +230,39 @@ class TestIntegralForm:
 
 
 class TestIntegralKernel:
-    """The log-factor table behind ek_integral against the per-node
+    """The kernel table behind ek_integral against the per-node
     reference kernel q_power_alpha(t^beta, tau^beta q, q, mu - 1)."""
 
     @pytest.mark.parametrize("q", [0.3, 0.9, 0.99])
     @pytest.mark.parametrize("mu", [0.5, 1.5, 2.0])
     def test_table_matches_q_power_alpha(self, q, mu):
-        table, log_tail, converged = _log_kernel_table(q, mu, DEFAULT_POLICY)
-        size = len(table)
+        kernels, log_tail, gam, converged = _kernel_record(q, mu, DEFAULT_POLICY)
+        size = len(kernels)
         assert converged
+        assert gam == q_gamma(mu, q)
         assert 0.0 < log_tail < 2.0 * DEFAULT_POLICY.rel_tol / (1.0 - q)
         # sampled nodes, the last table entry and a node past the table
         nodes = sorted({*range(0, size, max(1, size // 6)), size - 1, size + 5})
         for beta in (0.5, 2.0):
             for t in (0.5, 2.0):
                 for j in nodes:
-                    log_kern = table[j] if j < size else 0.0
-                    kern = t ** (beta * (mu - 1.0)) * math.exp(log_kern)
+                    kern = t ** (beta * (mu - 1.0)) * (kernels[j] if j < size
+                                                       else 1.0)
                     tau = t * q ** (j / beta)
                     ref = q_power_alpha(t ** beta, tau ** beta * q, q, mu - 1.0)
                     assert abs(kern - ref.value) <= 1e-12 * abs(ref.value)
 
     def test_table_over_budget_is_flagged(self):
-        table, log_tail, converged = _log_kernel_table(
+        kernels, log_tail, gam, converged = _kernel_record(
             0.9, 1.5, TruncationPolicy(max_terms=20))
         assert not converged
-        assert len(table) == 20
+        assert len(kernels) == 20
         assert log_tail > 1e-3
+        # q_gamma(1.5)'s products need more than 20 factors too: its partial
+        assert not gam.converged and gam.terms_used == 20
+        # every caller shares the record, so none can write to it
+        with pytest.raises(TypeError):
+            kernels[0] = 1.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -719,6 +726,24 @@ class TestOperatorRule:
         assert [rule.apply(names, m) for names, m in products] == first
         assert seen == []
 
+    def test_column_adds_monomials_left_to_right(self):
+        # a piece of several monomials is valued by adding c x^p in its
+        # polynomial's order, as floats add in any Python; the builtin
+        # sum() compensates from 3.12 on and differs at 13 of these nodes
+        f = parse_function_spec("(product (piecewise_linear (0 0.1) (0.3 0.9)"
+                                " (1 0.2)) (sum (sum (const -0.7) (power 0.5))"
+                                " (power 2.5)))")
+        rule = OperatorRule(1.0, OperatorParams(-0.5, 1.5, 2.0), 0.9, {"f": f})
+        column = rule._column("f")[0]
+        assert len(column) == len(rule._nodes) == 23
+        for x, value in zip(rule._nodes, column):
+            poly = rule._pieces["f"][bisect_right(rule._inner["f"], x)].poly
+            assert len(poly) > 2
+            total = 0.0
+            for p, c in poly.items():
+                total += c * x ** p
+            assert value.hex() == total.hex()
+
     def test_plain_callable_is_rejected(self):
         p = OperatorParams(0.0, 1.0, 1.0)
         with pytest.raises(TypeError, match="'f'.*parse_function_spec"):
@@ -799,3 +824,64 @@ class TestClosedFormTable:
         info = _s_record.cache_info()
         assert info.misses >= bound + 50
         assert info.currsize == info.maxsize == bound
+
+
+KERNEL_F = parse_function_spec(
+    "(sum (piecewise_linear (0 0.1) (0.8 0.3) (1 1)) (power 1.5))")
+
+
+class TestKernelRecord:
+    """The integral form's kernels and GammaQ(mu) are built once per
+    (q, mu, policy) and read by every ek_integral and kober call."""
+
+    @pytest.mark.parametrize("q", [0.6, 0.99])
+    def test_results_do_not_depend_on_what_came_before(self, q):
+        calls = [(OperatorParams(eta, 1.5, beta), t)
+                 for eta in (-0.5, 0.5) for beta in (0.5, 2.0) for t in (0.7, 1.3)]
+        cold = []
+        for p, t in calls:
+            _kernel_record.cache_clear()
+            cold.append(_bits(ek_integral(KERNEL_F, t, p, q)))
+        warm = [_bits(ek_integral(KERNEL_F, t, p, q)) for p, t in calls]
+        # other (q, mu) keys, then this key in reversed order
+        for mu in (0.5, 2.0):
+            ek_integral(KERNEL_F, 1.0, OperatorParams(0.0, mu, 1.0), q)
+        kober(KERNEL_F, 1.0, 0.0, 1.5, 0.9)
+        after = [_bits(ek_integral(KERNEL_F, t, p, q)) for p, t in reversed(calls)]
+        assert warm == cold
+        assert after[::-1] == cold
+
+    def test_policy_is_part_of_the_key(self):
+        # at eta = 20 the nodes fit in 20 terms and the kernels do not, so
+        # only a record built under max_terms = 20 makes the call raise
+        p, q = OperatorParams(20.0, 1.5, 1.0), 0.9
+        _kernel_record.cache_clear()
+        full = ek_integral(ONE, 1.0, p, q)
+        with pytest.raises(NotConvergedError, match="kernel factors") as info:
+            ek_integral(ONE, 1.0, p, q, TruncationPolicy(max_terms=20))
+        partial = info.value.partial
+        assert partial.converged is False
+        assert 0.0 < partial.value < full.value
+        res = ek_integral(ONE, 1.0, p, q)
+        assert res.converged and _bits(res) == _bits(full)
+
+    def test_table_is_bounded(self):
+        bound = _kernel_record.cache_info().maxsize
+        assert bound == 16
+        _kernel_record.cache_clear()
+        for k in range(bound + 10):
+            kober(ONE, 1.0, 0.0, 0.5 + k / 8.0, 0.3)
+        info = _kernel_record.cache_info()
+        assert info.misses == bound + 10
+        assert info.currsize == info.maxsize == bound
+
+    def test_one_record_per_q_and_mu(self):
+        q, mu = 0.9, 1.5
+        _kernel_record.cache_clear()
+        for eta in (-0.5, 0.0, 1.0):
+            for beta in (0.5, 1.0, 2.0):
+                for t in (0.7, 1.3):
+                    ek_integral(KERNEL_F, t, OperatorParams(eta, mu, beta), q)
+        kober(KERNEL_F, 1.3, 0.0, mu, q)
+        info = _kernel_record.cache_info()
+        assert (info.misses, info.hits) == (1, 18)

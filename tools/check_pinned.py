@@ -1,13 +1,15 @@
-"""Check that seeded campaign reports, a sweep, an eval and the reduce-check
-line are unchanged.
+"""Check that seeded campaign reports, two sweeps, an eval and the
+reduce-check line are unchanged.
 
 Runs ``qek verify`` on three pinned campaigns, the first of them again
-in a two-process pool (``--jobs 2``, which must give the same bytes), one
-``qek sweep``, one ``qek eval --form both`` (the only pinned output that
-prints the integral form's node count and tail estimate) and ``qek
-reduce-check`` in this process, then compares the SHA-256 of each
-campaign's report bytes, of the sweep's CSV and of the eval's lines, and
-the reduce-check line, against the values pinned below. Exits 0 when all
+in a two-process pool (``--jobs 2``, which must give the same bytes), two
+``qek sweep`` runs (one along q, one along beta at q = 0.99, where every
+step after the first reads the integral form's cached kernel record), one
+``qek eval --form both`` (the only pinned output that prints the integral
+form's node count and tail estimate) and ``qek reduce-check`` in this
+process, then compares the SHA-256 of each campaign's report bytes, of
+each sweep's CSV and of the eval's lines, and the reduce-check line,
+against the values pinned below. Exits 0 when all
 match and 1 on any mismatch. Stdlib only, so it runs where pytest is
 not installed:
 
@@ -56,6 +58,11 @@ PINNED = (
       "8", "--eta", "-0.5", "--mu", "1.5", "--beta", "2", "--t", "1.3",
       "--f", "(sum (piecewise_linear (0 0.1) (0.8 0.3) (1 1)) (power 1.5))"],
      "sha256 5b79095af14f5214853a4f4c82942197e62883b994e33bfbc09a2c12fc9add97"),
+    ("sweep over beta in [0.5, 2] at q = 0.99, piecewise-linear plus power",
+     ["sweep", "--axis", "beta", "--start", "0.5", "--stop", "2", "--steps",
+      "7", "--q", "0.99", "--eta", "-0.5", "--mu", "1.5", "--t", "1.3",
+      "--f", "(sum (piecewise_linear (0 0.1) (0.8 0.3) (1 1)) (power 1.5))"],
+     "sha256 4144fb5fe4fdc5ac17a7cc33be5bec7ea4d5c5394f701b602d732470e12cf58e"),
     ("eval of both forms at q = 0.99, piecewise-linear plus power",
      ["eval", "--q", "0.99", "--eta", "-0.5", "--mu", "1.5", "--beta", "2",
       "--t", "1.3", "--f",
