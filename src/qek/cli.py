@@ -8,9 +8,14 @@ timestamp header). Exit codes: 0 all checks hold, 1 at least one
 violation, 2 usage/config error.
 
 ``qek verify`` runs in constant memory: one ordered engine maps a row
-worker over the cases (in-process, or in a process pool with --jobs N),
-each finished line is written in case-index order, and the summary is
-tallied as rows pass, so no report is kept and none is pickled.
+worker over the case indices (in-process, or in a process pool with
+--jobs N). The worker evaluates every theorem of one index, so theorems
+whose cases have equal rule inputs share one pair of rules and one table
+of operator values (``inequalities.evaluate_case``'s ``shared``). Rows
+still come out theorem-major: the first theorem's are written as they
+come and each later theorem's are spooled to a temporary file that is
+appended at the end. The summary is tallied as rows pass, so no report
+is kept and none is pickled.
 """
 
 from __future__ import annotations
@@ -20,8 +25,11 @@ import contextlib
 import csv
 import io
 import json
+import math
 import random
+import shutil
 import sys
+import tempfile
 from collections import Counter, defaultdict, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -74,7 +82,8 @@ REPORT_COLUMNS = (
 
 _MASK64 = (1 << 64) - 1
 
-# Cases per pool task, and pool tasks in flight per worker process.
+# Case indices per pool task (each index runs every theorem of the
+# campaign), and pool tasks in flight per worker process.
 _CHUNK = 8
 _CHUNKS_AHEAD = 4
 
@@ -112,11 +121,18 @@ class CampaignConfig:
     policy: TruncationPolicy = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for tid in self.theorems:
+        for i, tid in enumerate(self.theorems):
             if tid not in _THEOREMS:
                 raise ValueError(f"unknown theorem id {tid!r}")
+            if tid in self.theorems[:i]:
+                raise ValueError(f"theorem id {tid!r} given twice")
         if self.cases <= 0:
             raise ValueError("case count must be positive")
+        for value in (self.t_values + self.q1_grid + self.q2_grid
+                      + self.eta_grid + self.mu_grid + self.beta_grid
+                      + self.zeta_grid + self.nu_grid + self.delta_grid):
+            if not math.isfinite(value):
+                raise ValueError(f"grid values must be finite, got {value}")
         for q in self.q1_grid + self.q2_grid:
             DeformationParam(q)
         for t in self.t_values:
@@ -164,12 +180,30 @@ def derive_case(config: CampaignConfig, theorem: str,
                        bounds=fam.bounds, lipschitz=fam.lipschitz)
 
 
-def _evaluate_index(item) -> tuple[int, InequalityReport]:
-    """Report worker: the case's index and its report."""
-    config, theorem, index = item
+def _report(config: CampaignConfig, theorem: str, index: int,
+            shared: dict | None) -> InequalityReport:
+    """The report of case ``index`` of ``theorem``, sharing rules and
+    operator values with the other theorems of the index through
+    ``shared``."""
     case = derive_case(config, theorem, index)
-    return index, evaluate_case(case, config.policy,
-                                expect_reversed=(config.expect == "reversed"))
+    return evaluate_case(case, config.policy,
+                         expect_reversed=(config.expect == "reversed"),
+                         shared=shared)
+
+
+def _index_shared(config: CampaignConfig) -> dict | None:
+    """The ``shared`` dict of one case index; none for one theorem, which
+    has nothing to share and would only pay for the keys."""
+    return {} if len(config.theorems) > 1 else None
+
+
+def _index_reports(item) -> list[tuple[int, InequalityReport]]:
+    """Report worker: the (index, report) pair of every theorem at one
+    case index, in config order."""
+    config, index = item
+    shared = _index_shared(config)
+    return [(index, _report(config, theorem, index, shared))
+            for theorem in config.theorems]
 
 
 def _summary_fields(report: InequalityReport) -> tuple:
@@ -178,11 +212,19 @@ def _summary_fields(report: InequalityReport) -> tuple:
             report.worst_tail, report.bracket)
 
 
-def _row_of_index(fmt: str, item) -> tuple[str, tuple]:
-    """Row worker: the case's finished output line and its summary fields,
-    so no report crosses a process boundary."""
-    index, report = _evaluate_index(item)
-    return format_row(report_row(index, report), fmt), _summary_fields(report)
+def _index_rows(fmt: str, item) -> list[tuple[str, tuple]]:
+    """Row worker: the finished output line and the summary fields of every
+    theorem at one case index, in config order, so no report crosses a
+    process boundary. Each report is dropped before the next is made."""
+    config, index = item
+    shared = _index_shared(config)
+    rows = []
+    for theorem in config.theorems:
+        report = _report(config, theorem, index, shared)
+        rows.append((format_row(report_row(index, report), fmt),
+                     _summary_fields(report)))
+        del report
+    return rows
 
 
 def _run_chunk(worker, items) -> list:
@@ -190,18 +232,16 @@ def _run_chunk(worker, items) -> list:
 
 
 def _ordered_map(worker, config: CampaignConfig):
-    """Yield ``worker((config, theorem, index))`` for every case of the
-    campaign in (theorem, index) order, each as soon as it and all before
-    it are done.
+    """Yield ``worker((config, index))`` for every case index of the
+    campaign in index order, each as soon as it and all before it are
+    done.
 
     In-process at jobs 1. Otherwise a process pool runs chunks of
-    _CHUNK cases, with at most _CHUNKS_AHEAD chunks per worker submitted
+    _CHUNK indices, with at most _CHUNKS_AHEAD chunks per worker submitted
     and not yet yielded: ``Executor.map`` would submit the whole campaign
     at once and hold every result the caller has not reached yet.
     """
-    work = ((config, theorem, index)
-            for theorem in config.theorems
-            for index in range(config.cases))
+    work = ((config, index) for index in range(config.cases))
     if config.jobs == 1:
         yield from map(worker, work)
         return
@@ -297,11 +337,14 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Evaluate every (theorem, case index) pair of the campaign and keep
     the reports.
 
-    With jobs > 1 cases run in a process pool; results are kept in
-    case-index order either way, so output is deterministic regardless
-    of parallelism. ``qek verify`` streams rows instead of calling this.
+    Case indices run one at a time, every theorem of an index together,
+    and with jobs > 1 in a process pool; the reports are kept in
+    (theorem, index) order either way, so output is deterministic
+    regardless of parallelism. ``qek verify`` streams rows instead of
+    calling this.
     """
-    reports = list(_ordered_map(_evaluate_index, config))
+    by_index = list(_ordered_map(_index_reports, config))
+    reports = [pair for column in zip(*by_index) for pair in column]
     tally = CampaignTally(config)
     for _, report in reports:
         tally.add(*_summary_fields(report))
@@ -436,6 +479,11 @@ def _policy_from_args(args) -> TruncationPolicy:
     return TruncationPolicy(rel_tol=args.tol, max_terms=args.max_terms)
 
 
+def _check_t(t: float) -> None:
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"t must be positive and finite, got {t}")
+
+
 def _fail_usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -450,8 +498,7 @@ def cmd_eval(args) -> int:
         p = OperatorParams(args.eta, args.mu, args.beta)
         spec = parse_function_spec(args.f)
         policy = _policy_from_args(args)
-        if not args.t > 0:
-            raise ValueError("t must be positive")
+        _check_t(args.t)
     except (ValueError, QekError) as exc:
         return _fail_usage(str(exc))
     results = {}
@@ -561,12 +608,26 @@ def cmd_verify(args) -> int:
     output = args.output or io.get("output")
     timestamp = not (args.no_timestamp or io.get("no_timestamp", False))
     tally = CampaignTally(config)
-    with (open(output, "w", encoding="utf-8", newline="") if output
-          else contextlib.nullcontext(sys.stdout)) as out:
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(
+            open(output, "w", encoding="utf-8", newline="") if output
+            else contextlib.nullcontext(sys.stdout))
         out.writelines(_header_lines(fmt, timestamp))
-        for line, fields in _ordered_map(partial(_row_of_index, fmt), config):
-            out.write(line)
-            tally.add(*fields)
+        # the first theorem's rows go out as they come, each later
+        # theorem's to its own spool, appended in theorem order at the end
+        # (also when a case raises: the rows of every finished index stay)
+        spools = [stack.enter_context(tempfile.TemporaryFile(
+            "w+", encoding="utf-8", newline=""))
+            for _ in config.theorems[1:]]
+        try:
+            for rows in _ordered_map(partial(_index_rows, fmt), config):
+                for sink, (line, fields) in zip((out, *spools), rows):
+                    sink.write(line)
+                    tally.add(*fields)
+        finally:
+            for spool in spools:
+                spool.seek(0)
+                shutil.copyfileobj(spool, out)
     for theorem in config.theorems:
         print(tally.summary_line(theorem), file=sys.stderr)
     return 1 if any(map(tally.failed, config.theorems)) else 0
@@ -580,6 +641,7 @@ def cmd_sweep(args) -> int:
     try:
         policy = _policy_from_args(args)
         spec = parse_function_spec(args.f)
+        _check_t(args.t)
         if args.steps == 1:
             values = [args.start]
         else:

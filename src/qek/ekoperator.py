@@ -56,7 +56,7 @@ from copy import copy
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, islice, repeat, takewhile, tee
-from math import ceil, exp, expm1, floor, fsum, inf, log, log1p, prod
+from math import ceil, exp, expm1, floor, fsum, inf, isfinite, log, log1p, prod
 from operator import add, lt, mul, neg, sub, truediv
 
 from .errors import DomainError, NotConvergedError
@@ -101,6 +101,10 @@ class OperatorParams:
     beta: float = 1.0
 
     def __post_init__(self):
+        if not (isfinite(self.eta) and isfinite(self.mu)
+                and isfinite(self.beta)):
+            raise ValueError(f"eta, mu and beta must be finite, got eta="
+                             f"{self.eta}, mu={self.mu}, beta={self.beta}")
         if not self.eta > -1.0:
             raise ValueError(
                 f"eta must exceed -1 (series diverges otherwise), got {self.eta}"

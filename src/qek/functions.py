@@ -21,7 +21,7 @@ import functools
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import inf
+from math import inf, isfinite
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, NotLipschitzError
@@ -544,6 +544,8 @@ def _parse_tokens(tokens: list[str], pos: int):
             val = float(tokens[pos])
         except ValueError as exc:
             raise ValueError(f"bad number {tokens[pos]!r} in ({head} ...)") from exc
+        if not isfinite(val):
+            raise ValueError(f"non-finite number {tokens[pos]!r} in ({head} ...)")
         pos += 1
         return val
 

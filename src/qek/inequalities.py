@@ -29,14 +29,17 @@ rounding (see :class:`qek.ekoperator.OperatorRule`). That guards against
 numerical noise but does not rule it out: the worst single tail is not
 propagated through the products of the margin (ROADMAP item 2).
 
-Within one case the eight products per side reuse repeated operator
-evaluations through a case-local memo (e.g. the plain weight operator
+Within one report the eight products per side reuse repeated operator
+evaluations through the report's memo (e.g. the plain weight operator
 appears in several products), and all operators of one side share one
 quadrature rule, so each closed form and each factor's values at the
 nodes summed one by one are formed once per side however many products
 use them; no factor's closure is called. The two sides share one factor
 table (``OperatorRule.at``): each factor's pieces and each piece of a
-product are built once per case.
+product are built once per case. Cases whose rule inputs coincide (in a
+campaign, the theorems of one case index often do) can share one store
+of rules and operator values through ``evaluate_case``'s ``shared``
+dict; each report still counts its own evaluations and worst tail.
 """
 
 from __future__ import annotations
@@ -138,16 +141,17 @@ def _verdict(margin: float, worst_tail: float) -> str:
     return "holds" if margin > 0.0 else "violated"
 
 
-class _CaseOps:
-    """Case-local memo over operator evaluations.
+class _CaseStore:
+    """The two operator rules of one set of case inputs and every result
+    they gave.
 
-    Keys are (side, weight name, function subset, moment power); side 1
-    evaluates on the rule at (q1, p1), side 2 on the same factors' rule
-    at (q2, p2).
-    The rules get the FunctionSpecs, not their closures: they read each
-    expression's pieces and never call it. An evaluation that does not
-    converge counts in ``evals`` too, and raises NotConvergedError naming
-    its key, its partial value and its terms.
+    ``rules[1]`` is the rule at (q1, p1), ``rules[2]`` the same factors'
+    rule at (q2, p2). The rules get the FunctionSpecs, not their closures:
+    they read each expression's pieces and never call it. ``results`` maps
+    (side, weight name, function subset, moment power) to the
+    OperatorResult, or to the NotConvergedError the evaluation raised; the
+    :class:`_CaseOps` views fill it. Reports whose cases have equal rule
+    inputs may share one store (``_store_of``).
     """
 
     def __init__(self, case: TheoremCase, policy: TruncationPolicy):
@@ -155,7 +159,38 @@ class _CaseOps:
         if case.v is not None:
             fns["v"] = case.v
         rule = OperatorRule(case.t, case.p1, case.q1, fns, policy)
-        self._rules = {1: rule, 2: rule.at(case.p2, case.q2)}
+        self.rules = {1: rule, 2: rule.at(case.p2, case.q2)}
+        self.results: dict[tuple, object] = {}
+
+
+def _store_of(case: TheoremCase, policy: TruncationPolicy,
+              shared: Optional[dict]) -> _CaseStore:
+    """The store of ``case``'s rule inputs: a new one, or with ``shared``
+    the one kept there for equal inputs. The key is every input the rules
+    read; v is in it because its knots move the direct size of the rule
+    and with it every value's bits."""
+    if shared is None:
+        return _CaseStore(case, policy)
+    key = (case.t, case.q1, case.p1, case.q2, case.p2, policy,
+           case.u, case.f, case.g, case.h, case.v)
+    store = shared.get(key)
+    if store is None:
+        store = shared[key] = _CaseStore(case, policy)
+    return store
+
+
+class _CaseOps:
+    """One report's memo over the operator values of a :class:`_CaseStore`.
+
+    ``evals`` counts the report's distinct requests and ``worst_tail`` is
+    the largest tail among them, whichever report first made the store
+    evaluate them. A request that did not converge counts in ``evals`` too,
+    and raises NotConvergedError naming its key, its partial value and its
+    terms.
+    """
+
+    def __init__(self, store: _CaseStore):
+        self._rules, self._results = store.rules, store.results
         self._memo: dict[tuple, float] = {}
         self.worst_tail = 0.0
         self.evals = 0
@@ -167,14 +202,19 @@ class _CaseOps:
         if hit is not None:
             return hit
         self.evals += 1
-        try:
-            res = self._rules[side].apply((weight, *subset), moment)
-        except NotConvergedError as exc:
-            part = exc.partial
+        res = self._results.get(key)
+        if res is None:  # the first request of any view of the store
+            try:
+                res = self._rules[side].apply((weight, *subset), moment)
+            except NotConvergedError as exc:
+                res = exc
+            self._results[key] = res
+        if isinstance(res, NotConvergedError):
+            part = res.partial
             raise NotConvergedError(
                 f"side {side} operator of {weight}*{subset or '1'}"
                 f" (moment {moment}): partial value {part.value!r} from"
-                f" {part.terms_used} terms; {exc}", partial=part) from exc
+                f" {part.terms_used} terms; {res}", partial=part) from res
         if res.tail_estimate > self.worst_tail:
             self.worst_tail = res.tail_estimate
         self._memo[key] = res.value
@@ -340,13 +380,14 @@ _THEOREMS = {
 
 
 def _evaluate(theorem_id: str, case: TheoremCase, policy: TruncationPolicy,
-              expect_reversed: bool = False) -> InequalityReport:
+              expect_reversed: bool = False,
+              shared: Optional[dict] = None) -> InequalityReport:
     sides, weight2, require, _ = _THEOREMS[theorem_id]
     _require_nonnegative(case.u, case.t, "u")
     if weight2 == "v":
         _require_nonnegative(case.v, case.t, "v")
     require(case, expect_reversed)
-    ops = _CaseOps(case, policy)
+    ops = _CaseOps(_store_of(case, policy, shared))
     try:
         lhs, rhs, margin, extra = sides(case, ops, weight2)
     except NotConvergedError as exc:
@@ -407,10 +448,18 @@ def theorem6(case: TheoremCase,
 
 
 def evaluate_case(case: TheoremCase, policy: TruncationPolicy = DEFAULT_POLICY,
-                  expect_reversed: bool = False) -> InequalityReport:
+                  expect_reversed: bool = False,
+                  shared: Optional[dict] = None) -> InequalityReport:
     """Evaluate a case under its own theorem id; ``expect_reversed`` only
-    affects T1/T2."""
-    return _evaluate(case.theorem_id, case, policy, expect_reversed)
+    affects T1/T2.
+
+    ``shared`` is a dict the caller keeps across cases whose rule inputs
+    may coincide (t, q1, p1, q2, p2, the policy and the specs u, f, g, h
+    and v): such cases share one pair of rules and each operator value,
+    and get the same report as without it. The dict holds every store
+    made for it, so the caller drops it when those cases are done.
+    """
+    return _evaluate(case.theorem_id, case, policy, expect_reversed, shared)
 
 
 def proof_kernel_A(f, g, h, tau: float, rho: float) -> float:

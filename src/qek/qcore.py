@@ -99,8 +99,8 @@ class TruncationPolicy:
     max_terms: int = 100_000
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be strictly positive")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be strictly positive and finite")
         if self.max_terms <= _STREAK:
             # a sum stops only with a full streak short of max_terms
             raise ValueError(f"max_terms must exceed {_STREAK}")

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from collections import Counter
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -73,6 +74,21 @@ class TestEval:
         code, _, _ = run(
             ["eval", "--q", "0.5", "--t", "-1", "--f", "(const 1)"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--f", "(const inf)"],
+        ["--f", "(power nan)"],
+        ["--beta", "inf"],
+        ["--eta", "inf"],
+        ["--mu", "nan"],
+        ["--t", "inf"],
+        ["--t", "nan"],
+    ])
+    def test_non_finite_input_exits_two(self, capsys, flags):
+        code, out, err = run(
+            ["eval", "--q", "0.5", "--f", "(const 1)", *flags], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and ("finite" in err)
 
     def test_underflowed_nodes_exit_two(self, capsys):
         code, _, err = run(
@@ -152,10 +168,11 @@ class TestVerify:
     def test_reversal_threshold_follows_safety_factor(self, capsys,
                                                       monkeypatch, factor,
                                                       expected):
-        def noisy(case, policy, expect_reversed=False):
+        def noisy(case, policy, expect_reversed=False, shared=None):
             # a positive margin of five worst tails: inside the noise band
             # at SAFETY_FACTOR 10, a failed reversal at SAFETY_FACTOR 2
-            rep = inequalities.evaluate_case(case, policy, expect_reversed)
+            rep = inequalities.evaluate_case(case, policy, expect_reversed,
+                                             shared)
             assert rep.worst_tail > 0.0
             return dataclasses.replace(rep, margin=5.0 * rep.worst_tail)
 
@@ -173,6 +190,35 @@ class TestVerify:
         code, _, _ = run(["verify", "--theorem", "T7", "--cases", "2"], capsys)
         assert code == 2
 
+    def test_duplicate_theorem_exits_two_before_output(self, capsys,
+                                                       tmp_path):
+        out_path = tmp_path / "report.jsonl"
+        code, out, err = run(
+            ["verify", "--theorem", "T1", "--theorem", "T1", "--cases", "2",
+             "--output", str(out_path)], capsys)
+        assert code == 2 and out == "" and "given twice" in err
+        assert not out_path.exists()
+        with pytest.raises(ValueError, match="given twice"):
+            CampaignConfig(theorems=("T2", "T5", "T2"))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("grid", [
+        "t_values", "q1_grid", "q2_grid", "eta_grid", "mu_grid",
+        "beta_grid", "zeta_grid", "nu_grid", "delta_grid"])
+    def test_non_finite_grid_value_rejected(self, grid, value):
+        with pytest.raises(ValueError, match="finite"):
+            CampaignConfig(**{grid: (0.5, value)})
+
+    @pytest.mark.parametrize("flag", ["--grid-t", "--grid-eta", "--grid-nu"])
+    def test_non_finite_grid_flag_exits_two(self, capsys, tmp_path, flag):
+        out_path = tmp_path / "report.jsonl"
+        code, out, err = run(
+            ["verify", "--theorem", "T1", "--cases", "2", flag, "inf",
+             "--output", str(out_path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "finite" in err
+        assert not out_path.exists()
+
     def test_bad_grid_exits_two(self, capsys):
         code, _, err = run(
             ["verify", "--theorem", "T1", "--cases", "2", "--grid-q1", "1.5"],
@@ -182,6 +228,8 @@ class TestVerify:
         assert "error" in err
 
     @pytest.mark.parametrize("kwargs", [{"rel_tol": -1.0}, {"rel_tol": 0.0},
+                                        {"rel_tol": math.inf},
+                                        {"rel_tol": math.nan},
                                         {"max_terms": 2}])
     def test_invalid_policy_rejected_up_front(self, kwargs):
         with pytest.raises(ValueError):
@@ -348,8 +396,9 @@ class TestStreaming:
 
             def submit(self, fn, *args):
                 out = pickle.loads(pickle.dumps(fn(*args)))
-                for line, fields in out:
-                    assert isinstance(line, str) and len(fields) == 5
+                for rows in out:  # one list of rows per case index
+                    for line, fields in rows:
+                        assert isinstance(line, str) and len(fields) == 5
                 fut = Tracked()
                 fut.set_result(out)
                 state["open"] += 1
@@ -373,8 +422,8 @@ class TestStreaming:
                                            tmp_path):
         evaluate = cli.evaluate_case
 
-        def fail_at_third(case, policy, expect_reversed=False):
-            report = evaluate(case, policy, expect_reversed)
+        def fail_at_third(case, policy, expect_reversed=False, shared=None):
+            report = evaluate(case, policy, expect_reversed, shared)
             if fail_at_third.calls == 3:
                 raise QekError("stop")
             fail_at_third.calls += 1
@@ -392,13 +441,51 @@ class TestStreaming:
         rows = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert [row["case_index"] for row in rows] == [0, 1, 2]
 
+    @pytest.mark.parametrize("fails", ["T1", "T3", None])
+    def test_raising_run_keeps_finished_indices_theorem_major(
+            self, capsys, monkeypatch, tmp_path, fails):
+        # T1 and T3 run case-major (T1 0, T3 0, T1 1, ...); the case of
+        # index 3 of ``fails`` raises
+        evaluate = cli.evaluate_case
+        make_spool = cli.tempfile.TemporaryFile
+        spools = []
+        calls = Counter()
+
+        def fail_at_index_three(case, policy, expect_reversed=False,
+                                shared=None):
+            calls[case.theorem_id] += 1
+            if case.theorem_id == fails and calls[fails] == 4:
+                raise QekError("stop")
+            return evaluate(case, policy, expect_reversed, shared)
+
+        def tracked_spool(*args, **kwargs):
+            spools.append(make_spool(*args, **kwargs))
+            return spools[-1]
+
+        monkeypatch.setattr(cli, "evaluate_case", fail_at_index_three)
+        monkeypatch.setattr(cli.tempfile, "TemporaryFile", tracked_spool)
+        out_path = tmp_path / "partial.jsonl"
+        code, _, err = run(
+            ["verify", "--theorem", "T1", "--theorem", "T3", "--cases", "6",
+             "--seed", "3", "--output", str(out_path), "--no-timestamp"],
+            capsys,
+        )
+        rows = [json.loads(line) for line in out_path.read_text().splitlines()]
+        done = 6 if fails is None else 3
+        if fails is not None:
+            assert code == 2 and "stop" in err
+        assert [(row["theorem"], row["case_index"]) for row in rows] == [
+            (theorem, index) for theorem in ("T1", "T3")
+            for index in range(done)]
+        assert len(spools) == 1 and spools[0].closed
+
     def test_no_report_outlives_its_row(self, capsys, monkeypatch):
         evaluate = cli.evaluate_case
         earlier = []
 
-        def tracked(case, policy, expect_reversed=False):
+        def tracked(case, policy, expect_reversed=False, shared=None):
             assert all(ref() is None for ref in earlier)
-            report = evaluate(case, policy, expect_reversed)
+            report = evaluate(case, policy, expect_reversed, shared)
             earlier.append(weakref.ref(report))
             return report
 
@@ -471,6 +558,14 @@ class TestSweep:
         assert info.misses == 2 * steps
         assert info.currsize == info.maxsize
 
+    @pytest.mark.parametrize("t", ["inf", "-inf", "nan"])
+    def test_non_finite_t_exits_two(self, capsys, t):
+        code, out, err = run(
+            ["sweep", "--axis", "q", "--start", "0.5", "--stop", "0.6",
+             "--steps", "2", f"--t={t}"], capsys)
+        assert code == 2 and out == ""
+        assert "t must be positive and finite" in err
+
     def test_empty_range_exits_two(self, capsys):
         code, _, _ = run(
             ["sweep", "--axis", "q", "--start", "0.9", "--stop", "0.1",
@@ -518,7 +613,7 @@ class TestPinnedOutputs:
         done = subprocess.run([sys.executable, str(script)],
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stdout + done.stderr
-        assert "8 of 8 pinned outputs match" in done.stdout
+        assert "9 of 9 pinned outputs match" in done.stdout
 
     def test_warm_closed_form_table_keeps_the_pin(self):
         # the S records outlive a campaign: run one near q = 1 on another

@@ -88,6 +88,13 @@ class TestOperatorParams:
         with pytest.raises(ValueError):
             OperatorParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["eta", "mu", "beta"])
+    def test_rejects_non_finite_fields(self, name, value):
+        kwargs = {"eta": 0.0, "mu": 1.0, "beta": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"must be finite, .*{name}="):
+            OperatorParams(**kwargs)
+
 
 class TestSeriesForm:
     def test_unit_function_unit_order(self):

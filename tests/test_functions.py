@@ -190,6 +190,19 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_expr(bad)
 
+    @pytest.mark.parametrize("text", [
+        "(const inf)",
+        "(const nan)",
+        "(power -inf)",
+        "(affine 1 inf)",
+        "(piecewise_linear (0 0) (1 nan))",
+        "(scale inf (power 1))",
+        "(sum (const 1) (const -infinity))",
+    ])
+    def test_non_finite_numbers_rejected(self, text):
+        with pytest.raises(ValueError, match="non-finite number"):
+            parse_expr(text)
+
     def test_parse_function_spec_carries_metadata(self):
         s = parse_function_spec("(affine -1 5)")
         assert s.c_lambda_exponent == 0.0

@@ -572,3 +572,73 @@ class TestSharedFactorTable:
             fresh = OperatorRule(case.t, case.p2, case.q2, fns, config.policy)
             for names, moment, res in requests:
                 assert _bits(fresh.apply(names, moment)) == _bits(res)
+
+
+def _report_bits(rep):
+    """Every field of a report, floats by their exact hex digits."""
+    return tuple(x.hex() if isinstance(x, float) else x
+                 for x in (getattr(rep, f.name)
+                           for f in dataclasses.fields(rep)))
+
+
+class TestSharedStore:
+    """Theorems evaluated at one case index through one ``shared`` dict
+    share the rules and operator values of equal rule inputs, and each
+    reports what it reports alone, field by field."""
+
+    @pytest.mark.parametrize("grid,family,expect,max_terms,cases", [
+        ((0.3, 0.6, 0.9), "synchronous", "holds", 100_000, 12),
+        ((0.97, 0.99), "synchronous", "holds", 100_000, 3),
+        ((0.3, 0.6, 0.9), "asynchronous", "reversed", 100_000, 12),
+        ((0.99,), "synchronous", "holds", 40, 3),
+    ])
+    def test_shared_route_matches_independent_reports(self, grid, family,
+                                                      expect, max_terms,
+                                                      cases):
+        config = CampaignConfig(theorems=("T1", "T2", "T3", "T4", "T5", "T6"),
+                                cases=cases, seed=1, q1_grid=grid,
+                                q2_grid=grid, family=family, expect=expect,
+                                max_terms=max_terms)
+        reversed_ = expect == "reversed"
+        reused = unconverged = 0
+        for index in range(cases):
+            shared = {}
+            for theorem in config.theorems:
+                case = derive_case(config, theorem, index)
+                stores = len(shared)
+                rep = evaluate_case(case, config.policy, reversed_, shared)
+                reused += len(shared) == stores
+                alone = evaluate_case(case, config.policy, reversed_)
+                assert _report_bits(rep) == _report_bits(alone)
+                unconverged += any(note.startswith("not converged")
+                                   for note in rep.notes)
+        assert reused >= cases  # T3 reuses T1's store at every index
+        if max_terms == 40:  # the NaN-margin notes are compared too
+            assert unconverged > 0
+
+    def test_t3_after_t1_makes_no_new_evaluation(self, monkeypatch):
+        applied = []
+        apply = OperatorRule.apply
+
+        def counted(self, names, moment=0):
+            applied.append((names, moment))
+            return apply(self, names, moment)
+
+        monkeypatch.setattr(OperatorRule, "apply", counted)
+        config = CampaignConfig(theorems=("T1", "T2", "T3"), seed=601)
+        for index in range(6):
+            shared = {}
+            evaluate_case(derive_case(config, "T1", index), config.policy,
+                          shared=shared)
+            t3 = derive_case(config, "T3", index)
+            applied.clear()
+            rep = evaluate_case(t3, config.policy, shared=shared)
+            assert applied == [] and len(shared) == 1
+            alone = evaluate_case(t3, config.policy)
+            assert len(applied) == alone.operator_evals > 0
+            assert rep.operator_evals == alone.operator_evals
+            assert _report_bits(rep) == _report_bits(alone)
+            # v is part of the key: T2 draws it and builds its own store
+            evaluate_case(derive_case(config, "T2", index), config.policy,
+                          shared=shared)
+            assert len(shared) == 2

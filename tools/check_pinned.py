@@ -1,8 +1,10 @@
 """Check that seeded campaign reports, two sweeps, an eval and the
 reduce-check line are unchanged.
 
-Runs ``qek verify`` on three pinned campaigns, the first of them again
-in a two-process pool (``--jobs 2``, which must give the same bytes), two
+Runs ``qek verify`` on four pinned campaigns, the first of them again
+in a two-process pool (``--jobs 2``, which must give the same bytes) and
+the last in CSV in a pool (its later theorems' rows pass through the
+temporary spools ``qek verify`` appends at the end), two
 ``qek sweep`` runs (one along q, one along beta at q = 0.99, where every
 step after the first reads the integral form's cached kernel record), one
 ``qek eval --form both`` (the only pinned output that prints the integral
@@ -69,6 +71,12 @@ PINNED = (
       "(sum (piecewise_linear (0 0.1) (0.8 0.3) (1 1)) (power 1.5))",
       "--form", "both"],
      "sha256 a3c83d9ff585f621057e2b0084e4248ab99d797c92c85f0be56bd57a8028b37b"),
+    ("T1-T6 --cases 40 --seed 7 --format csv --jobs 2",
+     ["verify", "--theorem", "T1", "--theorem", "T2", "--theorem", "T3",
+      "--theorem", "T4", "--theorem", "T5", "--theorem", "T6",
+      "--cases", "40", "--seed", "7", "--format", "csv", "--no-timestamp",
+      "--jobs", "2"],
+     "sha256 1abb704f5e273e6de4989c8d92a24269e54d8e9241e90fe168955e0cd0edeef7"),
     ("reduce-check",
      ["reduce-check"],
      "max relative gap 8.162e-15 at (q, eta, mu, shape)=(0.9, -0.5, 2.0, 0)"),
