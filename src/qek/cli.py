@@ -27,7 +27,6 @@ import io
 import json
 import math
 import random
-import shutil
 import sys
 import tempfile
 from collections import Counter, defaultdict, deque
@@ -627,7 +626,7 @@ def cmd_verify(args) -> int:
         finally:
             for spool in spools:
                 spool.seek(0)
-                shutil.copyfileobj(spool, out)
+                out.writelines(spool)
     for theorem in config.theorems:
         print(tally.summary_line(theorem), file=sys.stderr)
     return 1 if any(map(tally.failed, config.theorems)) else 0

@@ -88,7 +88,7 @@ class TestEval:
         code, out, err = run(
             ["eval", "--q", "0.5", "--f", "(const 1)", *flags], capsys)
         assert code == 2 and out == ""
-        assert err.startswith("error:") and ("finite" in err)
+        assert err.startswith("error:") and "finite" in err
 
     def test_underflowed_nodes_exit_two(self, capsys):
         code, _, err = run(
