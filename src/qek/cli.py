@@ -9,13 +9,15 @@ violation, 2 usage/config error.
 
 ``qek verify`` runs in constant memory: one ordered engine maps a row
 worker over the case indices (in-process, or in a process pool with
---jobs N). The worker evaluates every theorem of one index, so theorems
-whose cases have equal rule inputs share one pair of rules and one table
-of operator values (``inequalities.evaluate_case``'s ``shared``). Rows
-still come out theorem-major: the first theorem's are written as they
-come and each later theorem's are spooled to a temporary file that is
-appended at the end. The summary is tallied as rows pass, so no report
-is kept and none is pickled.
+--jobs N). The worker draws a case index once for all its theorems (one
+t, q1, q2, p1, p2, u and v, and one family per kind) and evaluates every
+theorem of it, so theorems whose cases have equal rule inputs share one
+pair of rules and one table of operator values
+(``inequalities.evaluate_case``'s ``shared``). Rows still come out
+theorem-major: the first theorem's are written as they come and each
+later theorem's are spooled to a temporary file that is appended at the
+end. The summary is tallied as rows pass, so no report is kept and none
+is pickled.
 """
 
 from __future__ import annotations
@@ -153,9 +155,12 @@ class CampaignConfig:
             rel_tol=self.rel_tol, max_terms=self.max_terms))
 
 
-def derive_case(config: CampaignConfig, theorem: str,
-                case_index: int) -> TheoremCase:
-    """Deterministically derive case number ``case_index`` of a campaign."""
+def _index_cases(config: CampaignConfig, theorems,
+                 case_index: int) -> list[TheoremCase]:
+    """The cases of ``theorems`` at case number ``case_index``, in the
+    given order, from one draw of the index's RNG: t, q1, q2, p1 and p2,
+    then the family, u and v seeds. u, each family kind and v (when first
+    needed) are built once, so the theorems share those objects."""
     rng = random.Random(mix_seed(config.seed, case_index))
     t = rng.choice(config.t_values)
     q1 = DeformationParam(rng.choice(config.q1_grid))
@@ -166,43 +171,43 @@ def derive_case(config: CampaignConfig, theorem: str,
     p2 = OperatorParams(rng.choice(config.zeta_grid),
                         rng.choice(config.nu_grid),
                         rng.choice(config.delta_grid))
-    kind = _THEOREMS[theorem].family
-    if kind == "synchronous_triple" and config.family == "asynchronous":
-        kind = "asynchronous_pair_plus_nonneg"
-    fam = generate_family(kind, rng.getrandbits(63), t)
+    family_seed = rng.getrandbits(63)
     u = generate_weight(rng.getrandbits(63), t)
+    families: dict = {}
     v = None
-    if _THEOREMS[theorem].weight2 == "v":
-        v = generate_weight(rng.getrandbits(63), t)
-    return TheoremCase(theorem_id=theorem, t=t, q1=q1, q2=q2, p1=p1, p2=p2,
-                       u=u, f=fam.f, g=fam.g, h=fam.h, v=v,
-                       bounds=fam.bounds, lipschitz=fam.lipschitz)
+    cases = []
+    for theorem in theorems:
+        _, weight2, _, kind = _THEOREMS[theorem]
+        if kind == "synchronous_triple" and config.family == "asynchronous":
+            kind = "asynchronous_pair_plus_nonneg"
+        fam = families.get(kind)
+        if fam is None:
+            fam = families[kind] = generate_family(kind, family_seed, t)
+        if weight2 == "v" and v is None:
+            v = generate_weight(rng.getrandbits(63), t)
+        cases.append(TheoremCase(
+            theorem_id=theorem, t=t, q1=q1, q2=q2, p1=p1, p2=p2, u=u,
+            f=fam.f, g=fam.g, h=fam.h, v=v if weight2 == "v" else None,
+            bounds=fam.bounds, lipschitz=fam.lipschitz))
+    return cases
 
 
-def _report(config: CampaignConfig, theorem: str, index: int,
-            shared: dict | None) -> InequalityReport:
-    """The report of case ``index`` of ``theorem``, sharing rules and
-    operator values with the other theorems of the index through
-    ``shared``."""
-    case = derive_case(config, theorem, index)
-    return evaluate_case(case, config.policy,
-                         expect_reversed=(config.expect == "reversed"),
-                         shared=shared)
-
-
-def _index_shared(config: CampaignConfig) -> dict | None:
-    """The ``shared`` dict of one case index; none for one theorem, which
-    has nothing to share and would only pay for the keys."""
-    return {} if len(config.theorems) > 1 else None
+def derive_case(config: CampaignConfig, theorem: str,
+                case_index: int) -> TheoremCase:
+    """Deterministically derive case number ``case_index`` of a campaign."""
+    return _index_cases(config, (theorem,), case_index)[0]
 
 
 def _index_reports(item) -> list[tuple[int, InequalityReport]]:
     """Report worker: the (index, report) pair of every theorem at one
-    case index, in config order."""
+    case index, in config order, sharing rules and operator values
+    through one ``shared`` dict."""
     config, index = item
-    shared = _index_shared(config)
-    return [(index, _report(config, theorem, index, shared))
-            for theorem in config.theorems]
+    shared = {}
+    return [(index, evaluate_case(case, config.policy,
+                                  expect_reversed=(config.expect == "reversed"),
+                                  shared=shared))
+            for case in _index_cases(config, config.theorems, index)]
 
 
 def _summary_fields(report: InequalityReport) -> tuple:
@@ -216,10 +221,12 @@ def _index_rows(fmt: str, item) -> list[tuple[str, tuple]]:
     theorem at one case index, in config order, so no report crosses a
     process boundary. Each report is dropped before the next is made."""
     config, index = item
-    shared = _index_shared(config)
+    shared = {}
     rows = []
-    for theorem in config.theorems:
-        report = _report(config, theorem, index, shared)
+    for case in _index_cases(config, config.theorems, index):
+        report = evaluate_case(case, config.policy,
+                               expect_reversed=(config.expect == "reversed"),
+                               shared=shared)
         rows.append((format_row(report_row(index, report), fmt),
                      _summary_fields(report)))
         del report

@@ -59,8 +59,9 @@ from itertools import accumulate, chain, islice, repeat, takewhile, tee
 from math import ceil, exp, expm1, floor, fsum, inf, isfinite, log, log1p, prod
 from operator import add, lt, mul, neg, sub, truediv
 
-from .errors import DomainError, NotConvergedError
+from .errors import NotConvergedError
 from .functions import FunctionSpec, Piece, as_callable, piece_product, pieces
+from .jackson import _check_exponent
 from .qcore import (
     DEFAULT_POLICY,
     DeformationParam,
@@ -126,17 +127,6 @@ class OperatorResult(SeriesResult):
     """
 
     min_term: float = 0.0
-
-
-def _check_exponent(f, p: OperatorParams) -> float:
-    """eta + 1 + min(pf, 0)/beta, pf the ``c_lambda_exponent`` of f (0
-    without it): the exponent of q in the eventual ratio of the terms."""
-    pf = getattr(f, "c_lambda_exponent", 0.0)
-    if p.eta + 1.0 + pf / p.beta <= 0.0:
-        raise DomainError(
-            f"series not summable: eta+1+p/beta = {p.eta + 1.0 + pf / p.beta}"
-        )
-    return p.eta + 1.0 + min(pf, 0.0) / p.beta
 
 
 class OperatorRule:
@@ -670,9 +660,7 @@ def ek_series(f, t: float, p: OperatorParams, q: DeformationParam | float,
               policy: TruncationPolicy = DEFAULT_POLICY) -> OperatorResult:
     """Series representation of the generalized Erdelyi-Kober q-operator
     of the FunctionSpec f; any other f raises TypeError."""
-    rule = OperatorRule(t, p, q, {"f": f}, policy)
-    _check_exponent(f, p)
-    return rule.apply(("f",))
+    return OperatorRule(t, p, q, {"f": f}, policy).apply(("f",))
 
 
 # One record per (q, mu, policy): the integral form's kernels and
@@ -758,7 +746,7 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     if not t > 0.0:
         raise ValueError(f"evaluation point must be positive, got {t}")
     qv = as_deformation(q).q
-    ratio = qv ** _check_exponent(f, p)
+    ratio = qv ** _check_exponent(f, p.eta, p.beta)
     fn = as_callable(f)
     beta, eta, mu = p.beta, p.eta, p.mu
 

@@ -2,14 +2,15 @@
 
 Expressions are built from seven node types (constant, power, affine,
 piecewise-linear, product, sum, scale) and wrapped in a
-:class:`FunctionSpec`: the tree, its compiled closure and the exponent p
-of its t^p behaviour near 0. The closed grammar is what makes bounds,
-Lipschitz constants, nonnegativity and monotone directions certifiable
-instead of sampled guesses. Each certificate is a function of the
-expression and an interval [0, T], computed on the interval the caller
-reads; none is stored on the spec and none is sampled. Bounds are one
-interval enclosure over [0, T]: sound for every term, exact for every
-certified direction.
+:class:`FunctionSpec`, which holds the tree only and derives its compiled
+closure and the exponent p of its t^p behaviour near 0 when first read.
+The closed grammar is what makes bounds, Lipschitz constants,
+nonnegativity and monotone directions certifiable instead of sampled
+guesses. Each certificate is a function of the expression and an
+interval [0, T], computed on the interval the caller reads; none is
+stored on the spec and none is sampled. Bounds are one interval
+enclosure over [0, T]: sound for every term, exact for every certified
+direction.
 
 Specs serialize to s-expressions, e.g. ``(product (power 2) (const 1.5))``,
 and round-trip exactly.
@@ -131,16 +132,16 @@ class Scale(Expr):
 # evaluation
 
 
-# Bounded: campaigns build fresh trees for every case, so an unbounded
-# cache would grow with the campaign.
+# Bounded: any caller may compile trees without end (an oracle or a
+# sweep over generated shapes), so an unbounded cache would grow with it.
 @functools.lru_cache(maxsize=256)
 def compile_expr(expr: Expr) -> Callable[[float], float]:
     """Compile an expression tree into a plain closure.
 
     Compiled evaluators assume t >= 0 (the domain check lives in
-    FunctionSpec.__call__). A FunctionSpec compiles its tree once, at
-    construction, and keeps the closure as ``spec.fn``; the cache shares
-    subtrees between specs built from the same nodes.
+    FunctionSpec.__call__). A FunctionSpec compiles its tree when its
+    ``fn`` is first read and keeps the closure; the cache shares subtrees
+    between specs built from the same nodes.
     """
     if isinstance(expr, Const):
         c = expr.value
@@ -448,28 +449,30 @@ def c_lambda_exponent_of(expr: Expr) -> float:
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """DSL expression, its compiled closure and its exponent near 0.
+    """A DSL expression, and what is derived from it when first read.
 
-    ``c_lambda_exponent`` is derived structurally by :func:`function_spec`.
-    The spec stores no interval and no certificate: direction, bounds,
-    nonnegativity and Lipschitz constants are computed from ``expr`` on
-    the [0, T] each caller reads (:func:`monotonicity_on`,
-    :func:`extract_bounds`, :func:`nonnegative_on`,
-    :func:`extract_lipschitz`).
-
-    ``fn`` is the compiled closure of ``expr``, built once here: it skips
-    the domain check of ``__call__``, and it is not part of equality,
-    hashing, repr or the pickled state (unpickling compiles it again).
+    ``c_lambda_exponent`` is the exponent p of its t^p behaviour near 0
+    (:func:`c_lambda_exponent_of`), and ``fn`` its compiled closure, which
+    skips the domain check of ``__call__``. Neither is part of equality,
+    hashing, repr or the pickled state. No interval and no certificate is
+    stored: direction, bounds, nonnegativity and Lipschitz constants are
+    computed from ``expr`` on the [0, T] each caller reads
+    (:func:`monotonicity_on`, :func:`extract_bounds`,
+    :func:`nonnegative_on`, :func:`extract_lipschitz`).
     """
 
     expr: Expr
-    c_lambda_exponent: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "fn", compile_expr(self.expr))
+    @functools.cached_property
+    def c_lambda_exponent(self) -> float:
+        return c_lambda_exponent_of(self.expr)
+
+    @functools.cached_property
+    def fn(self) -> Callable[[float], float]:
+        return compile_expr(self.expr)
 
     def __reduce__(self):
-        return (FunctionSpec, (self.expr, self.c_lambda_exponent))
+        return (FunctionSpec, (self.expr,))
 
     def __call__(self, t: float) -> float:
         if t < 0.0:
@@ -487,7 +490,7 @@ def as_callable(f) -> Callable[[float], float]:
 
 def function_spec(expr: Expr) -> FunctionSpec:
     """Wrap an expression tree in a FunctionSpec."""
-    return FunctionSpec(expr, c_lambda_exponent_of(expr))
+    return FunctionSpec(expr)
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,9 @@ _THEOREMS = {
 def _evaluate(theorem_id: str, case: TheoremCase, policy: TruncationPolicy,
               expect_reversed: bool = False,
               shared: Optional[dict] = None) -> InequalityReport:
+    if case.theorem_id != theorem_id:
+        raise ValueError(f"a {case.theorem_id} case given to the {theorem_id}"
+                         f" evaluator")
     sides, weight2, require, _ = _THEOREMS[theorem_id]
     _require_nonnegative(case.u, case.t, "u")
     if weight2 == "v":

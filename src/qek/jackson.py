@@ -6,7 +6,8 @@ node set {b * q^j} stays strictly positive, so integrands only need to be
 defined on (0, b]. Convergence of the node series requires the integrand
 to behave like t^p near 0 with p > -1; integrands carrying a
 ``c_lambda_exponent`` attribute p are checked against that bound, and
-those without it are taken as bounded near 0.
+those without it are taken as bounded near 0. The operator's integral
+form (``ekoperator.ek_integral``) shares the rule at its (eta, beta).
 """
 
 from __future__ import annotations
@@ -80,15 +81,16 @@ class QGridSample:
         return sample
 
 
-def _check_integrable(f) -> float:
-    """1 + min(p, 0), p the integrand's ``c_lambda_exponent`` (0 without
-    it): the exponent of q in the ratio of the terms q^j f(q^j b)."""
+def _check_exponent(f, eta: float = 0.0, beta: float = 1.0) -> float:
+    """eta + 1 + min(p, 0)/beta, p the integrand's ``c_lambda_exponent``
+    (0 without it): the exponent of q in the eventual ratio of the terms
+    q^(j(eta+1)) f(b q^(j/beta)), which must fall: DomainError unless
+    eta + 1 + p/beta > 0. The Jackson integral is (eta, beta) = (0, 1)."""
     p = getattr(f, "c_lambda_exponent", 0.0)
-    if p <= -1.0:
+    if eta + 1.0 + p / beta <= 0.0:
         raise DomainError(
-            f"integrand decays like t^{p} near 0; need exponent > -1"
-        )
-    return 1.0 + min(p, 0.0)
+            f"series not summable: eta+1+p/beta = {eta + 1.0 + p / beta}")
+    return eta + 1.0 + min(p, 0.0) / beta
 
 
 def q_derivative(f, t: float, q: DeformationParam | float) -> float:
@@ -111,7 +113,7 @@ def jackson_integral(f, b: float, q: DeformationParam | float,
     if not b > 0.0:
         raise ValueError(f"upper limit must be positive, got {b}")
     qv = as_deformation(q).q
-    ratio = qv ** _check_integrable(f)
+    ratio = qv ** _check_exponent(f)
     fn = as_callable(f)
 
     def terms():
@@ -161,7 +163,7 @@ def jackson_stieltjes(f, g, b: float, q: DeformationParam | float,
     if not b > 0.0:
         raise ValueError(f"upper limit must be positive, got {b}")
     qv = as_deformation(q).q
-    _check_integrable(f)
+    _check_exponent(f)
 
     def terms():
         qj = 1.0

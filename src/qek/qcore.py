@@ -259,8 +259,9 @@ def log_q_product(a: float, q: float,
             if limit * gap < 1.0 else 1)
     count = max(1, min(need, policy.max_terms - cut))
     # term_n = x^n / (n (1 - q^n)), kept as -term_n = x^n / (n expm1(n log q))
+    ns = range(1, count + 1)
     terms = list(map(truediv, accumulate(repeat(x, count), mul),
-                     _series_denominators(lq, -(-count // 16) * 16)))
+                     map(mul, ns, map(math.expm1, map(mul, repeat(lq), ns)))))
     # their sizes fall, so bisection finds the first n with
     # |term_n| ratio <= rel_tol
     count = bisect_left(terms, -limit, key=_minus_abs) + 1
@@ -280,14 +281,6 @@ def log_q_product(a: float, q: float,
     err = ((moved + cut + 2.0 * spread + 11.0 * first
             + abs(series) + abs(value)) * _U + tail)
     return LogQProduct(value, sign, cut + count, err, True)
-
-
-@functools.lru_cache(maxsize=128)
-def _series_denominators(lq: float, size: int) -> tuple[float, ...]:
-    """n expm1(n log q), n = 1..size: Euler's series denominators, shared
-    by every q-product at one q."""
-    ns = range(1, size + 1)
-    return tuple(map(mul, ns, map(math.expm1, map(mul, repeat(lq), ns))))
 
 
 def _minus_abs(x: float) -> float:

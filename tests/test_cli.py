@@ -112,6 +112,60 @@ class TestMixSeed:
         assert a == b
 
 
+_ALL = ("T1", "T2", "T3", "T4", "T5", "T6")
+
+
+class TestIndexCases:
+    """``cli._index_cases`` draws one case index once for all theorems."""
+
+    @pytest.mark.parametrize("family", ["synchronous", "asynchronous"])
+    @pytest.mark.parametrize("grid", [(0.3, 0.6, 0.9), (0.97, 0.99)])
+    def test_cases_equal_derive_case(self, family, grid):
+        config = CampaignConfig(theorems=_ALL, cases=30, seed=601,
+                                family=family, q1_grid=grid, q2_grid=grid)
+        for index in range(config.cases):
+            cases = cli._index_cases(config, config.theorems, index)
+            assert [c.theorem_id for c in cases] == list(_ALL)
+            for case in cases:
+                alone = derive_case(config, case.theorem_id, index)
+                for f in dataclasses.fields(case):
+                    assert getattr(case, f.name) == getattr(alone, f.name), (
+                        index, case.theorem_id, f.name)
+
+    def test_inputs_built_once_per_index(self):
+        config = CampaignConfig(theorems=_ALL, cases=10, seed=601)
+        for index in range(config.cases):
+            t1, t2, t3, t4, t5, t6 = cli._index_cases(config, _ALL, index)
+            assert all(c.u is t1.u for c in (t2, t3, t4, t5, t6))
+            assert t4.v is t2.v and t6.v is t2.v and t1.v is None
+            for a, b in ((t1, t2), (t3, t4), (t5, t6)):
+                assert (a.f, a.g, a.h) == (b.f, b.g, b.h)
+                assert a.f is b.f and a.g is b.g and a.h is b.h
+
+    def test_one_draw_per_family_kind_and_weight(self, monkeypatch):
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli, "generate_family",
+                            counted("family", cli.generate_family))
+        monkeypatch.setattr(cli, "generate_weight",
+                            counted("weight", cli.generate_weight))
+        config = CampaignConfig(theorems=_ALL, cases=20, seed=601)
+        run_campaign(config)
+        assert counts == {"family": 3 * 20, "weight": 2 * 20}
+
+    def test_campaign_compiles_no_closure(self):
+        before = compile_expr.cache_info()
+        run_campaign(CampaignConfig(theorems=_ALL, cases=20, seed=601))
+        after = compile_expr.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses
+
+
 class TestVerify:
     def test_small_campaign_exit_zero(self, capsys, tmp_path):
         out_path = tmp_path / "reports.jsonl"
@@ -613,7 +667,7 @@ class TestPinnedOutputs:
         done = subprocess.run([sys.executable, str(script)],
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stdout + done.stderr
-        assert "9 of 9 pinned outputs match" in done.stdout
+        assert "10 of 10 pinned outputs match" in done.stdout
 
     def test_warm_closed_form_table_keeps_the_pin(self):
         # the S records outlive a campaign: run one near q = 1 on another

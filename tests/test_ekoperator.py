@@ -27,7 +27,6 @@ from qek.errors import DomainError, NotConvergedError
 from qek.functions import (
     Affine,
     Const,
-    FunctionSpec,
     PiecewiseLinear,
     Power,
     Product,
@@ -187,11 +186,6 @@ class TestSeriesForm:
             ek_series(ONE, 1.0, OperatorParams(0.0, 1.5, 1.0), 0.9,
                       TruncationPolicy(max_terms=5))
 
-    def test_rejects_non_summable_exponent(self):
-        f = FunctionSpec(parse_function_spec("(power 1)").expr, -0.9)
-        with pytest.raises(DomainError, match="= -0.4"):
-            ek_series(f, 1.0, OperatorParams(-0.5, 1.0, 1.0), 0.5)
-
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
             ek_series(ONE, 0.0, OperatorParams(0.0, 1.0, 1.0), 0.5)
@@ -213,6 +207,15 @@ class TestIntegralForm:
     def test_zero_function(self):
         p = OperatorParams(0.5, 0.7, 2.0)
         assert ek_integral(lambda t: 0.0, 2.0, p, 0.3).value == 0.0
+
+    def test_rejects_non_summable_exponent(self):
+        # t^-0.9 at eta = -0.5: eta + 1 + p/beta = -0.4, the terms grow
+        def f(t):
+            return t ** -0.9
+
+        f.c_lambda_exponent = -0.9
+        with pytest.raises(DomainError, match="= -0.4"):
+            ek_integral(f, 1.0, OperatorParams(-0.5, 1.0, 1.0), 0.5)
 
     def test_underflowed_node_ends_the_sum(self):
         # the fourth node underflows to 0.0, where tau^(-1/2) has no value

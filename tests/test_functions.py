@@ -76,32 +76,39 @@ class TestCompiledSpec:
 
     def test_pickle_round_trip(self):
         s = function_spec(self.EXPR)
-        back = pickle.loads(pickle.dumps(s))
-        assert back == s
-        assert hash(back) == hash(s)
-        assert back(1.5) == s(1.5)
-        assert back.fn(0.25) == s.fn(0.25)
+        for _ in range(2):  # before and after its closure is compiled
+            back = pickle.loads(pickle.dumps(s))
+            assert back == s
+            assert hash(back) == hash(s)
+            assert back(1.5) == s(1.5)
+            assert back.fn(0.25) == s.fn(0.25)
 
     def test_closure_left_out_of_eq_and_repr(self):
         s = function_spec(self.EXPR)
-        twin = FunctionSpec(s.expr, s.c_lambda_exponent)
+        assert s.fn(1.5) == s(1.5)  # compiled and kept on s
+        twin = FunctionSpec(s.expr)
         assert twin == s and hash(twin) == hash(s)
         assert "fn=" not in repr(s)
         assert "<function" not in repr(s)
 
     def test_calls_do_not_recompile(self):
-        s = function_spec(self.EXPR)
+        s = function_spec(Affine(3.0, 0.25))  # compiled in one call
         before = compile_expr.cache_info()
+        first = s(0.0)
+        after_first = compile_expr.cache_info()
+        assert (after_first.hits + after_first.misses
+                == before.hits + before.misses + 1)
         values = [s(0.1 * k) for k in range(50)]
         after = compile_expr.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
-        assert values[10] == s.fn(1.0)
+        assert (after.hits, after.misses) == (after_first.hits,
+                                              after_first.misses)
+        assert values[0] == first and values[10] == s.fn(1.0)
 
     def test_compile_cache_is_bounded(self):
         info = compile_expr.cache_info()
         assert info.maxsize is not None
         for k in range(info.maxsize + 10):
-            function_spec(Affine(1.0, float(k)))
+            function_spec(Affine(1.0, float(k))).fn(0.0)
         assert compile_expr.cache_info().currsize == info.maxsize
 
 

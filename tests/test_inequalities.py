@@ -103,6 +103,20 @@ class TestTheoremCaseValidation:
             make_case("T5", IDENT, IDENT, IDENT)
 
 
+_EVALUATORS = {"T1": theorem1, "T2": theorem2, "T3": theorem3,
+               "T4": theorem4, "T5": theorem5, "T6": theorem6}
+
+
+@pytest.mark.parametrize("given,evaluator", [
+    (given, evaluator) for given in _EVALUATORS for evaluator in _EVALUATORS
+    if given != evaluator])
+def test_evaluator_rejects_another_theorems_case(given, evaluator):
+    # T1's evaluator on a T3 case used to report T1's sides under T3's id
+    case = derive_case(CampaignConfig(theorems=(given,), seed=1), given, 0)
+    with pytest.raises(ValueError, match=f"{given}.*{evaluator}"):
+        _EVALUATORS[evaluator](case)
+
+
 class TestTheoremOne:
     def test_constant_triple_margin_zero(self):
         case = make_case("T1", CONST2, CONST2, CONST2, q2=0.7,

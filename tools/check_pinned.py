@@ -1,10 +1,11 @@
 """Check that seeded campaign reports, two sweeps, an eval and the
 reduce-check line are unchanged.
 
-Runs ``qek verify`` on four pinned campaigns, the first of them again
-in a two-process pool (``--jobs 2``, which must give the same bytes) and
-the last in CSV in a pool (its later theorems' rows pass through the
-temporary spools ``qek verify`` appends at the end), two
+Runs ``qek verify`` on five pinned campaigns, the first of them again
+in a two-process pool (``--jobs 2``, which must give the same bytes), one
+in CSV in a pool (its later theorems' rows pass through the
+temporary spools ``qek verify`` appends at the end) and one of a single
+theorem (T6, whose cases each index draws alone), two
 ``qek sweep`` runs (one along q, one along beta at q = 0.99, where every
 step after the first reads the integral form's cached kernel record), one
 ``qek eval --form both`` (the only pinned output that prints the integral
@@ -77,6 +78,10 @@ PINNED = (
       "--cases", "40", "--seed", "7", "--format", "csv", "--no-timestamp",
       "--jobs", "2"],
      "sha256 1abb704f5e273e6de4989c8d92a24269e54d8e9241e90fe168955e0cd0edeef7"),
+    ("T6 --cases 60 --seed 11, one theorem",
+     ["verify", "--theorem", "T6", "--cases", "60", "--seed", "11",
+      "--no-timestamp"],
+     "sha256 e6c74fd8b232e9bb5c3c8689b3b226563f5881b5d4cf7c8aab306d12bf01c4fa"),
     ("reduce-check",
      ["reduce-check"],
      "max relative gap 8.162e-15 at (q, eta, mu, shape)=(0.9, -0.5, 2.0, 0)"),
