@@ -6,9 +6,10 @@ Layers, bottom up:
   explicit truncation policy: q-products carry a certified error bound,
   node sums a tail estimate that assumes a geometric tail.
 * :mod:`qek.jackson` -- q-derivative and Jackson q-integration.
-* :mod:`qek.functions` -- a closed function DSL whose monotone directions,
-  bounds, nonnegativity and Lipschitz constants are certified on any
-  [0, T] from the expression, plus seeded family generation.
+* :mod:`qek.functions` -- a closed function DSL whose expression trees are
+  the specs (every node is a :class:`FunctionSpec`) and whose monotone
+  directions, bounds, nonnegativity and Lipschitz constants are certified
+  on any [0, T] from the tree, plus seeded family generation.
 * :mod:`qek.ekoperator` -- the generalized Erdelyi-Kober fractional
   q-integral operator (series and integral forms) and the Kober operator.
 * :mod:`qek.inequalities` -- evaluators for six Chebyshev-type operator
@@ -60,11 +61,9 @@ from .functions import (
     check_synchronous,
     extract_bounds,
     extract_lipschitz,
-    function_spec,
     generate_family,
     generate_weight,
     monotonicity_on,
-    parse_expr,
     parse_function_spec,
     format_expr,
 )

@@ -15,8 +15,8 @@ equivalent representations:
 The series is a quadrature rule: weights times integrand values at the
 geometric nodes t q^(k/beta). ``OperatorRule`` holds the rule of one
 (t, p, q) and sums any product of its factors; ``ek_series`` is its
-one-factor case. Both take DSL expressions
-(:class:`qek.functions.FunctionSpec`) only, and neither calls one: every
+one-factor case. Both take DSL expression trees (whose nodes subclass
+:class:`qek.functions.FunctionSpec`) only, and neither calls one: every
 DSL expression is piecewise a monomial sum (``functions.pieces``), so the
 series of a product is a sum over its pieces of closed forms from the
 q-binomial theorem and its difference equation, with nothing truncated
@@ -183,7 +183,7 @@ class OperatorRule:
         # ``_column`` rules of its pieces, made when first used
         self._pieces, self._ends, self._inner, self._evaluations = {}, {}, {}, {}
         for name, spec in specs.items():
-            row = self._pieces[name] = pieces(spec.expr, t)
+            row = self._pieces[name] = pieces(spec, t)
             ends = self._ends[name] = [pc.end for pc in row]
             self._inner[name] = ends[:-1]
             self._evaluations[name] = [None] * len(row)

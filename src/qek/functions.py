@@ -1,9 +1,10 @@
 """A small closed function DSL with certified metadata.
 
-Expressions are built from seven node types (constant, power, affine,
-piecewise-linear, product, sum, scale) and wrapped in a
-:class:`FunctionSpec`, which holds the tree only and derives its compiled
-closure and the exponent p of its t^p behaviour near 0 when first read.
+A spec is an expression tree of seven node types (constant, power,
+affine, piecewise-linear, product, sum, scale), all subclasses of
+:class:`FunctionSpec`; a node holds its fields only and derives its
+compiled closure, its s-expression text and the exponent p of its t^p
+behaviour near 0 when first read.
 The closed grammar is what makes bounds, Lipschitz constants,
 nonnegativity and monotone directions certifiable instead of sampled
 guesses. Each certificate is a function of the expression and an
@@ -39,8 +40,6 @@ __all__ = [
     "BoundsTriple",
     "LipschitzTriple",
     "FunctionFamily",
-    "function_spec",
-    "parse_expr",
     "format_expr",
     "parse_function_spec",
     "compile_expr",
@@ -58,19 +57,53 @@ __all__ = [
 ]
 
 
-class Expr:
-    """Base class for DSL expression nodes."""
+class FunctionSpec:
+    """A DSL expression: the base class of the seven node dataclasses.
 
-    __slots__ = ()
+    ``c_lambda_exponent`` is the exponent p of its t^p behaviour near 0
+    (:func:`c_lambda_exponent_of`), ``fn`` its compiled closure, which
+    skips the domain check of ``__call__``, and ``to_sexpr()`` its
+    canonical text; each is derived when first read and kept. None is a
+    field, so none is part of equality, hashing, repr or the pickled
+    state. No interval and no certificate is stored: direction, bounds,
+    nonnegativity and Lipschitz constants are computed from the tree on
+    the [0, T] each caller reads (:func:`monotonicity_on`,
+    :func:`extract_bounds`, :func:`nonnegative_on`,
+    :func:`extract_lipschitz`).
+    """
+
+    @functools.cached_property
+    def c_lambda_exponent(self) -> float:
+        return c_lambda_exponent_of(self)
+
+    @functools.cached_property
+    def fn(self) -> Callable[[float], float]:
+        return compile_expr(self)
+
+    @functools.cached_property
+    def _sexpr(self) -> str:
+        return format_expr(self)
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, name)
+                                  for name in self.__dataclass_fields__))
+
+    def __call__(self, t: float) -> float:
+        if t < 0.0:
+            raise DomainError(f"function domain is [0, inf), got t={t}")
+        return self.fn(t)
+
+    def to_sexpr(self) -> str:
+        return self._sexpr
 
 
 @dataclass(frozen=True)
-class Const(Expr):
+class Const(FunctionSpec):
     value: float
 
 
 @dataclass(frozen=True)
-class Power(Expr):
+class Power(FunctionSpec):
     """t^exponent with exponent >= 0."""
 
     exponent: float
@@ -81,7 +114,7 @@ class Power(Expr):
 
 
 @dataclass(frozen=True)
-class Affine(Expr):
+class Affine(FunctionSpec):
     """slope * t + intercept."""
 
     slope: float
@@ -89,7 +122,7 @@ class Affine(Expr):
 
 
 @dataclass(frozen=True)
-class PiecewiseLinear(Expr):
+class PiecewiseLinear(FunctionSpec):
     """Linear interpolation through knots (x_i, y_i), first knot at x = 0.
 
     Beyond the last knot the value is clamped to the last y, which keeps
@@ -111,21 +144,21 @@ class PiecewiseLinear(Expr):
 
 
 @dataclass(frozen=True)
-class Product(Expr):
-    left: Expr
-    right: Expr
+class Product(FunctionSpec):
+    left: FunctionSpec
+    right: FunctionSpec
 
 
 @dataclass(frozen=True)
-class Sum(Expr):
-    left: Expr
-    right: Expr
+class Sum(FunctionSpec):
+    left: FunctionSpec
+    right: FunctionSpec
 
 
 @dataclass(frozen=True)
-class Scale(Expr):
+class Scale(FunctionSpec):
     factor: float
-    inner: Expr
+    inner: FunctionSpec
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +168,7 @@ class Scale(Expr):
 # Bounded: any caller may compile trees without end (an oracle or a
 # sweep over generated shapes), so an unbounded cache would grow with it.
 @functools.lru_cache(maxsize=256)
-def compile_expr(expr: Expr) -> Callable[[float], float]:
+def compile_expr(expr: FunctionSpec) -> Callable[[float], float]:
     """Compile an expression tree into a plain closure.
 
     Compiled evaluators assume t >= 0 (the domain check lives in
@@ -192,7 +225,7 @@ def compile_expr(expr: Expr) -> Callable[[float], float]:
 # certified metadata
 
 
-def _is_constant(expr: Expr) -> bool:
+def _is_constant(expr: FunctionSpec) -> bool:
     if isinstance(expr, Const):
         return True
     if isinstance(expr, Power):
@@ -209,7 +242,7 @@ def _is_constant(expr: Expr) -> bool:
     return False
 
 
-def _range(expr: Expr, T: float) -> tuple[float, float]:
+def _range(expr: FunctionSpec, T: float) -> tuple[float, float]:
     """Interval enclosure (lo, hi) of expr over [0, T], one rule per node
     type; for a certified direction the ends are exactly f(0) and f(T)."""
     if isinstance(expr, Const):
@@ -256,7 +289,7 @@ class Piece(NamedTuple):
     err: float
 
 
-def pieces(expr: Expr, t: float) -> tuple[Piece, ...]:
+def pieces(expr: FunctionSpec, t: float) -> tuple[Piece, ...]:
     """The pieces of expr on [0, t], in increasing x: every end but the
     last is a breakpoint below t, and the last end is >= t.
 
@@ -372,7 +405,7 @@ def _nonzero(poly: dict[float, float]) -> dict[float, float]:
     return {p: c for p, c in poly.items() if c != 0.0}
 
 
-def nonnegative_on(expr: Expr, T: float) -> bool:
+def nonnegative_on(expr: FunctionSpec, T: float) -> bool:
     """Whether the interval enclosure of expr over [0, T] is >= 0."""
     return _range(expr, T)[0] >= 0.0
 
@@ -380,7 +413,7 @@ def nonnegative_on(expr: Expr, T: float) -> bool:
 _FLIP = {"increasing": "decreasing", "decreasing": "increasing", "none": "none"}
 
 
-def monotonicity_on(expr: Expr, T: float) -> str:
+def monotonicity_on(expr: FunctionSpec, T: float) -> str:
     """Certified monotone direction on [0, T].
 
     Constants are classified as (weakly) increasing, which keeps the
@@ -422,7 +455,7 @@ def monotonicity_on(expr: Expr, T: float) -> str:
     return "none"
 
 
-def c_lambda_exponent_of(expr: Expr) -> float:
+def c_lambda_exponent_of(expr: FunctionSpec) -> float:
     """Exponent p such that expr(t) = t^p * (continuous on (0, inf))."""
     if isinstance(expr, Const):
         return 0.0
@@ -443,54 +476,9 @@ def c_lambda_exponent_of(expr: Expr) -> float:
     raise TypeError(f"unknown expression node {expr!r}")
 
 
-# ---------------------------------------------------------------------------
-# FunctionSpec
-
-
-@dataclass(frozen=True)
-class FunctionSpec:
-    """A DSL expression, and what is derived from it when first read.
-
-    ``c_lambda_exponent`` is the exponent p of its t^p behaviour near 0
-    (:func:`c_lambda_exponent_of`), and ``fn`` its compiled closure, which
-    skips the domain check of ``__call__``. Neither is part of equality,
-    hashing, repr or the pickled state. No interval and no certificate is
-    stored: direction, bounds, nonnegativity and Lipschitz constants are
-    computed from ``expr`` on the [0, T] each caller reads
-    (:func:`monotonicity_on`, :func:`extract_bounds`,
-    :func:`nonnegative_on`, :func:`extract_lipschitz`).
-    """
-
-    expr: Expr
-
-    @functools.cached_property
-    def c_lambda_exponent(self) -> float:
-        return c_lambda_exponent_of(self.expr)
-
-    @functools.cached_property
-    def fn(self) -> Callable[[float], float]:
-        return compile_expr(self.expr)
-
-    def __reduce__(self):
-        return (FunctionSpec, (self.expr,))
-
-    def __call__(self, t: float) -> float:
-        if t < 0.0:
-            raise DomainError(f"function domain is [0, inf), got t={t}")
-        return self.fn(t)
-
-    def to_sexpr(self) -> str:
-        return format_expr(self.expr)
-
-
 def as_callable(f) -> Callable[[float], float]:
     """The compiled closure of a FunctionSpec; any other callable as is."""
     return f.fn if isinstance(f, FunctionSpec) else f
-
-
-def function_spec(expr: Expr) -> FunctionSpec:
-    """Wrap an expression tree in a FunctionSpec."""
-    return FunctionSpec(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +491,7 @@ def _fmt_num(x: float) -> str:
     return repr(x)
 
 
-def format_expr(expr: Expr) -> str:
+def format_expr(expr: FunctionSpec) -> str:
     """Canonical s-expression text of an expression tree."""
     if isinstance(expr, Const):
         return f"(const {_fmt_num(expr.value)})"
@@ -552,7 +540,7 @@ def _parse_tokens(tokens: list[str], pos: int):
         pos += 1
         return val
 
-    def subexpr() -> Expr:
+    def subexpr() -> FunctionSpec:
         nonlocal pos
         node, pos = _parse_tokens(tokens, pos)
         return node
@@ -564,7 +552,7 @@ def _parse_tokens(tokens: list[str], pos: int):
         pos += 1
 
     if head == "const":
-        node: Expr = Const(number())
+        node: FunctionSpec = Const(number())
     elif head == "power":
         node = Power(number())
     elif head == "affine":
@@ -592,17 +580,13 @@ def _parse_tokens(tokens: list[str], pos: int):
     return node, pos
 
 
-def parse_expr(text: str) -> Expr:
+def parse_function_spec(text: str) -> FunctionSpec:
     """Parse the canonical s-expression grammar back into a tree."""
     tokens = _tokenize(text)
     node, pos = _parse_tokens(tokens, 0)
     if pos != len(tokens):
         raise ValueError(f"trailing tokens after s-expression: {tokens[pos:]}")
     return node
-
-
-def parse_function_spec(text: str) -> FunctionSpec:
-    return function_spec(parse_expr(text))
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +601,9 @@ def check_synchronous(f: FunctionSpec, g: FunctionSpec, T: float) -> str:
     (f(x) - f(y))(g(x) - g(y)) zero, so a pair with a constant is "both"
     synchronous and asynchronous. Nothing is sampled.
     """
-    if _is_constant(f.expr) or _is_constant(g.expr):
+    if _is_constant(f) or _is_constant(g):
         return "both"
-    df, dg = monotonicity_on(f.expr, T), monotonicity_on(g.expr, T)
+    df, dg = monotonicity_on(f, T), monotonicity_on(g, T)
     if "none" in (df, dg):
         return "none"
     return "synchronous" if df == dg else "asynchronous"
@@ -631,10 +615,10 @@ def extract_bounds(spec: FunctionSpec, T: float) -> tuple[float, float]:
     (min, max) of f(0) and f(T) for every spec with a certified direction."""
     if not T > 0.0:
         raise ValueError("T must be positive")
-    return _range(spec.expr, T)
+    return _range(spec, T)
 
 
-def extract_lipschitz(spec_or_expr, T: float) -> float:
+def extract_lipschitz(spec: FunctionSpec, T: float) -> float:
     """Certified Lipschitz constant on [0, T].
 
     |slope| for affine, the largest |slope| of the pieces that start below
@@ -645,11 +629,10 @@ def extract_lipschitz(spec_or_expr, T: float) -> float:
     """
     if not T > 0.0:
         raise ValueError("T must be positive")
-    expr = spec_or_expr.expr if isinstance(spec_or_expr, FunctionSpec) else spec_or_expr
-    return _lipschitz(expr, T)
+    return _lipschitz(spec, T)
 
 
-def _lipschitz(expr: Expr, T: float) -> float:
+def _lipschitz(expr: FunctionSpec, T: float) -> float:
     if isinstance(expr, Const):
         return 0.0
     if isinstance(expr, Power):
@@ -734,7 +717,8 @@ FAMILY_KINDS = (
 )
 
 
-def _increasing_atom(rng: random.Random, T: float, lipschitz_safe: bool) -> Expr:
+def _increasing_atom(rng: random.Random, T: float,
+                     lipschitz_safe: bool) -> FunctionSpec:
     kind = rng.randrange(3)
     if kind == 0:
         return Affine(rng.uniform(0.1, 2.0), rng.uniform(0.0, 2.0))
@@ -757,7 +741,8 @@ def _increasing_atom(rng: random.Random, T: float, lipschitz_safe: bool) -> Expr
     return PiecewiseLinear(tuple(knots))
 
 
-def _increasing_expr(rng: random.Random, T: float, lipschitz_safe: bool) -> Expr:
+def _increasing_expr(rng: random.Random, T: float,
+                     lipschitz_safe: bool) -> FunctionSpec:
     # All atoms are nonnegative and increasing, so sums, products and
     # positive scalings keep a certified increasing direction.
     roll = rng.random()
@@ -772,7 +757,7 @@ def _increasing_expr(rng: random.Random, T: float, lipschitz_safe: bool) -> Expr
     return Scale(rng.uniform(0.2, 2.0), _increasing_atom(rng, T, lipschitz_safe))
 
 
-def _decreasing_expr(rng: random.Random, T: float) -> Expr:
+def _decreasing_expr(rng: random.Random, T: float) -> FunctionSpec:
     if rng.random() < 0.5:
         slope = -rng.uniform(0.1, 2.0)
         return Affine(slope, rng.uniform(0.0, 2.0) - slope * T)
@@ -797,13 +782,13 @@ def generate_family(kind: str, seed: int, T: float) -> FunctionFamily:
     rng = random.Random(seed)
     lipschitz_safe = kind == "lipschitz_triple"
     if kind == "asynchronous_pair_plus_nonneg":
-        f = function_spec(_increasing_expr(rng, T, True))
-        g = function_spec(_decreasing_expr(rng, T))
-        h = function_spec(_increasing_atom(rng, T, True))
+        f = _increasing_expr(rng, T, True)
+        g = _decreasing_expr(rng, T)
+        h = _increasing_atom(rng, T, True)
         return FunctionFamily(kind, f, g, h)
-    f = function_spec(_increasing_expr(rng, T, lipschitz_safe))
-    g = function_spec(_increasing_expr(rng, T, lipschitz_safe))
-    h = function_spec(_increasing_expr(rng, T, lipschitz_safe))
+    f = _increasing_expr(rng, T, lipschitz_safe)
+    g = _increasing_expr(rng, T, lipschitz_safe)
+    h = _increasing_expr(rng, T, lipschitz_safe)
     if kind == "bounded_triple":
         bounds = BoundsTriple(*extract_bounds(f, T), *extract_bounds(g, T),
                               *extract_bounds(h, T))
@@ -819,7 +804,7 @@ def generate_weight(seed: int, T: float) -> FunctionSpec:
     rng = random.Random(seed)
     roll = rng.random()
     if roll < 0.25:
-        expr: Expr = Const(rng.uniform(0.2, 2.0))
+        expr: FunctionSpec = Const(rng.uniform(0.2, 2.0))
     elif roll < 0.5:
         expr = Affine(rng.uniform(0.0, 1.5), rng.uniform(0.1, 2.0))
     elif roll < 0.7:
@@ -829,4 +814,4 @@ def generate_weight(seed: int, T: float) -> FunctionSpec:
     else:
         expr = Product(_increasing_atom(rng, T, True),
                        _increasing_atom(rng, T, True))
-    return function_spec(expr)
+    return expr

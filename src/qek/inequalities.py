@@ -146,11 +146,11 @@ class _CaseStore:
     they gave.
 
     ``rules[1]`` is the rule at (q1, p1), ``rules[2]`` the same factors'
-    rule at (q2, p2). The rules get the FunctionSpecs, not their closures:
-    they read each expression's pieces and never call it. ``results`` maps
-    (side, weight name, function subset, moment power) to the
-    OperatorResult, or to the NotConvergedError the evaluation raised; the
-    :class:`_CaseOps` views fill it. Reports whose cases have equal rule
+    rule at (q2, p2). The rules get the specs, which are expression trees,
+    not their closures: they read each tree's pieces and never call it.
+    ``results`` maps (side, weight name, function subset, moment power) to
+    the OperatorResult, or to the NotConvergedError the evaluation raised;
+    the :class:`_CaseOps` views fill it. Reports whose cases have equal rule
     inputs may share one store (``_store_of``).
     """
 
@@ -235,7 +235,7 @@ _KERNEL_MINUS = (("gh", "f"), ("fh", "g"), ("fg", "h"), ("", "fgh"))
 
 
 def _require_nonnegative(spec: FunctionSpec, t: float, name: str) -> None:
-    if not nonnegative_on(spec.expr, t):
+    if not nonnegative_on(spec, t):
         raise HypothesisViolatedError(
             f"{name} must map [0,inf) into [0,inf); the interval enclosure"
             f" cannot certify it on [0, {t}]")

@@ -1,13 +1,14 @@
 """q-differentiation and Jackson q-integration.
 
-Integrands may be plain callables or :class:`~qek.functions.FunctionSpec`
-objects (which are callable). Functions are never evaluated at 0: every
-node set {b * q^j} stays strictly positive, so integrands only need to be
-defined on (0, b]. Convergence of the node series requires the integrand
-to behave like t^p near 0 with p > -1; integrands carrying a
-``c_lambda_exponent`` attribute p are checked against that bound, and
-those without it are taken as bounded near 0. The operator's integral
-form (``ekoperator.ek_integral``) shares the rule at its (eta, beta).
+Integrands may be plain callables or DSL expression trees (nodes of
+:class:`~qek.functions.FunctionSpec`, which are callable). Functions are
+never evaluated at 0: every node set {b * q^j} stays strictly positive,
+so integrands only need to be defined on (0, b]. Convergence of the node
+series requires the integrand to behave like t^p near 0 with p > -1;
+integrands carrying a ``c_lambda_exponent`` attribute p are checked
+against that bound, and those without it are taken as bounded near 0.
+The operator's integral form (``ekoperator.ek_integral``) shares the
+rule at its (eta, beta).
 """
 
 from __future__ import annotations

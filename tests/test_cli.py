@@ -138,7 +138,9 @@ class TestIndexCases:
             t1, t2, t3, t4, t5, t6 = cli._index_cases(config, _ALL, index)
             assert all(c.u is t1.u for c in (t2, t3, t4, t5, t6))
             assert t4.v is t2.v and t6.v is t2.v and t1.v is None
-            for a, b in ((t1, t2), (t3, t4), (t5, t6)):
+            # T1-T4 share one triple, and only T3/T4 get its bounds
+            assert t1.bounds is None and t3.bounds is not None
+            for a, b in ((t1, t2), (t1, t3), (t3, t4), (t5, t6)):
                 assert (a.f, a.g, a.h) == (b.f, b.g, b.h)
                 assert a.f is b.f and a.g is b.g and a.h is b.h
 
@@ -157,7 +159,7 @@ class TestIndexCases:
                             counted("weight", cli.generate_weight))
         config = CampaignConfig(theorems=_ALL, cases=20, seed=601)
         run_campaign(config)
-        assert counts == {"family": 3 * 20, "weight": 2 * 20}
+        assert counts == {"family": 2 * 20, "weight": 2 * 20}
 
     def test_campaign_compiles_no_closure(self):
         before = compile_expr.cache_info()
@@ -228,7 +230,10 @@ class TestVerify:
             rep = inequalities.evaluate_case(case, policy, expect_reversed,
                                              shared)
             assert rep.worst_tail > 0.0
-            return dataclasses.replace(rep, margin=5.0 * rep.worst_tail)
+            margin = 5.0 * rep.worst_tail
+            return dataclasses.replace(
+                rep, margin=margin,
+                verdict=inequalities._verdict(margin, rep.worst_tail))
 
         monkeypatch.setattr(cli, "evaluate_case", noisy)
         monkeypatch.setattr(inequalities, "SAFETY_FACTOR", factor)
@@ -452,7 +457,7 @@ class TestStreaming:
                 out = pickle.loads(pickle.dumps(fn(*args)))
                 for rows in out:  # one list of rows per case index
                     for line, fields in rows:
-                        assert isinstance(line, str) and len(fields) == 5
+                        assert isinstance(line, str) and len(fields) == 4
                 fut = Tracked()
                 fut.set_result(out)
                 state["open"] += 1

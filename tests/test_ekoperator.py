@@ -31,7 +31,6 @@ from qek.functions import (
     Power,
     Product,
     Scale,
-    function_spec,
     parse_function_spec,
 )
 from qek.jackson import jackson_integral
@@ -69,7 +68,7 @@ SHAPES = [
     ONE,
     parse_function_spec("(power 1)"),
     parse_function_spec("(power 2)"),
-    function_spec(PiecewiseLinear(((0.0, 0.0), (0.5, 0.3), (1.0, 0.5), (2.0, 1.2)))),
+    PiecewiseLinear(((0.0, 0.0), (0.5, 0.3), (1.0, 0.5), (2.0, 1.2))),
 ]
 
 
@@ -499,7 +498,7 @@ class TestHeadAndTail:
         p = OperatorParams(eta, mu, beta)
         for shape in HEAD_TAIL_SHAPES:
             res = ek_series(shape, 1.0, p, q)
-            ref = _mp_series(shape.expr, 1.0, eta, mu, beta, q)
+            ref = _mp_series(shape, 1.0, eta, mu, beta, q)
             assert abs(res.value - ref) <= res.tail_estimate
             # and not a vacuous one: measured at most 6.5e-15 / (1 - q) |ref|,
             # and 6.8e-13 / (1 - q) |ref| for the sign-changing shape,
@@ -515,7 +514,7 @@ class TestHeadAndTail:
             p = OperatorParams(eta, mu, beta)
             for shape in HEAD_TAIL_SHAPES:
                 res = ek_series(shape, 1.0, p, q)
-                ref = _mp_series(shape.expr, 1.0, eta, mu, beta, q)
+                ref = _mp_series(shape, 1.0, eta, mu, beta, q)
                 assert abs(res.value - ref) <= res.tail_estimate
                 scale = 1e-12 if shape is HEAD_TAIL_SHAPES[-1] else 1e-14
                 assert res.tail_estimate <= scale / (1.0 - q) * abs(ref)
@@ -572,7 +571,7 @@ class TestHeadAndTail:
                                             "lin": LIN})
             res = rule.apply(("a",))
             assert res == ek_series(shape, 1.0, p, q)
-            ref = _mp_series(shape.expr, 1.0, eta, mu, beta, q)
+            ref = _mp_series(shape, 1.0, eta, mu, beta, q)
             assert abs(res.value - ref) <= res.tail_estimate
             assert rule.apply(("lin",)) == ek_series(LIN, 1.0, p, q)
 
@@ -606,7 +605,7 @@ class TestHeadAndTail:
         # a few tail-series terms
         p = OperatorParams(0.0, 2.0, 1.0)
         res = ek_series(STEEP, 1.0, p, 0.9999, TruncationPolicy(max_terms=20_000))
-        ref = _mp_series(STEEP.expr, 1.0, 0.0, 2.0, 1.0, 0.9999)
+        ref = _mp_series(STEEP, 1.0, 0.0, 2.0, 1.0, 0.9999)
         assert res.converged
         assert abs(res.value - ref) <= res.tail_estimate
 

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qek.errors import DomainError, NotLipschitzError
@@ -21,18 +21,15 @@ from qek.functions import (
     Product,
     Scale,
     Sum,
-    FunctionSpec,
     check_synchronous,
     compile_expr,
     extract_bounds,
     extract_lipschitz,
     format_expr,
-    function_spec,
     generate_family,
     generate_weight,
     monotonicity_on,
     nonnegative_on,
-    parse_expr,
     parse_function_spec,
     pieces,
 )
@@ -40,26 +37,26 @@ from qek.functions import (
 
 class TestEvaluation:
     def test_power(self):
-        assert function_spec(Power(2.0))(3.0) == 9.0
+        assert Power(2.0)(3.0) == 9.0
 
     def test_product(self):
-        assert function_spec(Product(Power(1.0), Const(2.0)))(4.0) == 8.0
+        assert Product(Power(1.0), Const(2.0))(4.0) == 8.0
 
     def test_piecewise_interpolation(self):
         pwl = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 1.5)))
-        assert function_spec(pwl)(1.5) == pytest.approx(1.25, rel=1e-15)
+        assert pwl(1.5) == pytest.approx(1.25, rel=1e-15)
 
     def test_piecewise_clamps_beyond_last_knot(self):
         pwl = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0)))
-        assert function_spec(pwl)(5.0) == 1.0
+        assert pwl(5.0) == 1.0
 
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
-            function_spec(Power(2.0))(-0.5)
+            Power(2.0)(-0.5)
 
     def test_sum_scale_affine(self):
         e = Sum(Scale(2.0, Affine(1.0, 0.0)), Const(1.0))
-        assert function_spec(e)(3.0) == 7.0
+        assert e(3.0) == 7.0
 
     def test_piecewise_validation(self):
         with pytest.raises(ValueError):
@@ -71,28 +68,32 @@ class TestEvaluation:
 
 
 class TestCompiledSpec:
-    EXPR = Sum(Product(Power(2.0), Affine(0.5, 1.0)),
-               PiecewiseLinear(((0.0, 0.0), (1.0, 2.0), (2.0, 2.5))))
+    TEXT = ("(sum (product (power 2) (affine 0.5 1))"
+            " (piecewise_linear (0 0) (1 2) (2 2.5)))")
 
     def test_pickle_round_trip(self):
-        s = function_spec(self.EXPR)
+        s = parse_function_spec(self.TEXT)
         for _ in range(2):  # before and after its closure is compiled
             back = pickle.loads(pickle.dumps(s))
             assert back == s
             assert hash(back) == hash(s)
+            assert not {"fn", "_sexpr"} & vars(back).keys()
             assert back(1.5) == s(1.5)
             assert back.fn(0.25) == s.fn(0.25)
+            assert back.to_sexpr() == s.to_sexpr() == self.TEXT
 
     def test_closure_left_out_of_eq_and_repr(self):
-        s = function_spec(self.EXPR)
+        s = parse_function_spec(self.TEXT)
         assert s.fn(1.5) == s(1.5)  # compiled and kept on s
-        twin = FunctionSpec(s.expr)
+        assert s.to_sexpr() is s.to_sexpr()  # formatted once and kept
+        twin = parse_function_spec(s.to_sexpr())
+        assert twin is not s and "fn" not in vars(twin)
         assert twin == s and hash(twin) == hash(s)
         assert "fn=" not in repr(s)
         assert "<function" not in repr(s)
 
     def test_calls_do_not_recompile(self):
-        s = function_spec(Affine(3.0, 0.25))  # compiled in one call
+        s = Affine(3.0, 0.25)  # compiled in one call
         before = compile_expr.cache_info()
         first = s(0.0)
         after_first = compile_expr.cache_info()
@@ -108,7 +109,7 @@ class TestCompiledSpec:
         info = compile_expr.cache_info()
         assert info.maxsize is not None
         for k in range(info.maxsize + 10):
-            function_spec(Affine(1.0, float(k))).fn(0.0)
+            Affine(1.0, float(k)).fn(0.0)
         assert compile_expr.cache_info().currsize == info.maxsize
 
 
@@ -144,7 +145,7 @@ class TestMetadata:
         ],
     )
     def test_c_lambda_exponent(self, expr, p):
-        assert function_spec(expr).c_lambda_exponent == p
+        assert expr.c_lambda_exponent == p
 
     @pytest.mark.parametrize(
         "expr",
@@ -157,9 +158,8 @@ class TestMetadata:
     )
     def test_exponent_consistency_by_sampling(self, expr):
         # t^(-p) * f(t) must stay bounded near 0
-        s = function_spec(expr)
-        p = s.c_lambda_exponent
-        samples = [abs(s(10.0 ** -k) / 10.0 ** (-k * p)) for k in range(1, 9)]
+        p = expr.c_lambda_exponent
+        samples = [abs(expr(10.0 ** -k) / 10.0 ** (-k * p)) for k in range(1, 9)]
         assert max(samples) < 1e6
 
 
@@ -176,9 +176,9 @@ class TestSerialization:
         ],
     )
     def test_canonical_round_trip(self, text):
-        expr = parse_expr(text)
+        expr = parse_function_spec(text)
         assert format_expr(expr) == text
-        assert parse_expr(format_expr(expr)) == expr
+        assert parse_function_spec(format_expr(expr)) == expr
 
     @pytest.mark.parametrize(
         "bad",
@@ -195,7 +195,7 @@ class TestSerialization:
     )
     def test_malformed_inputs_rejected(self, bad):
         with pytest.raises(ValueError):
-            parse_expr(bad)
+            parse_function_spec(bad)
 
     @pytest.mark.parametrize("text", [
         "(const inf)",
@@ -208,7 +208,7 @@ class TestSerialization:
     ])
     def test_non_finite_numbers_rejected(self, text):
         with pytest.raises(ValueError, match="non-finite number"):
-            parse_expr(text)
+            parse_function_spec(text)
 
     def test_parse_function_spec_carries_metadata(self):
         s = parse_function_spec("(affine -1 5)")
@@ -251,7 +251,7 @@ class TestSerializationProperty:
     @given(expr=_exprs)
     @settings(max_examples=200)
     def test_round_trip_exact(self, expr):
-        assert parse_expr(format_expr(expr)) == expr
+        assert parse_function_spec(format_expr(expr)) == expr
 
 
 def _knot_abscissae(expr):
@@ -266,11 +266,10 @@ class TestBoundsProperty:
     @given(expr=_exprs, T=st.floats(0.1, 4.0))
     @settings(max_examples=300)
     def test_enclosure_sound_and_exact_when_certified(self, expr, T):
-        s = function_spec(expr)
-        lo, hi = extract_bounds(s, T)
+        lo, hi = extract_bounds(expr, T)
         xs = [T * k / 64 for k in range(65)]
         xs += [x for x in _knot_abscissae(expr) if x <= T]
-        values = [s(x) for x in xs]
+        values = [expr(x) for x in xs]
         # slack for the rounding of the pointwise evaluation only: a
         # piecewise-linear interpolant can round an ulp of its knot values
         # past the knots' own range
@@ -279,7 +278,7 @@ class TestBoundsProperty:
         if nonnegative_on(expr, T):
             assert min(values) >= 0.0
         if monotonicity_on(expr, T) != "none":
-            ends = (s(0.0), s(T))
+            ends = (expr(0.0), expr(T))
             assert (lo, hi) == (min(ends), max(ends))
 
     @given(expr=_exprs, T=st.floats(0.1, 4.0))
@@ -288,11 +287,10 @@ class TestBoundsProperty:
         direction = monotonicity_on(expr, T)
         if direction == "none":
             return
-        s = function_spec(expr)
-        lo, hi = extract_bounds(s, T)
+        lo, hi = extract_bounds(expr, T)
         xs = sorted([T * k / 64 for k in range(65)]
                     + [x for x in _knot_abscissae(expr) if x <= T])
-        values = [s(x) for x in xs]
+        values = [expr(x) for x in xs]
         if direction == "decreasing":
             values = [-v for v in values]
         # the same rounding slack as the enclosure property above
@@ -355,15 +353,14 @@ class TestFirstPieceProperty:
         # positive one, whatever t is
         assert x_b == min((x for x in _knot_abscissae(expr) if x > 0.0),
                           default=math.inf)
-        s = function_spec(expr)
         end = min(x_b, 4.0)
         for k in range(16):
             x = end * k / 16
             got = sum(c * x ** p for p, c in poly.items())
-            assert abs(got - s(x)) <= 1e-12 * (1.0 + _magnitude(expr, x))
+            assert abs(got - expr(x)) <= 1e-12 * (1.0 + _magnitude(expr, x))
 
     def test_piecewise_first_piece(self):
-        expr = parse_expr("(piecewise_linear (0 1) (0.5 2) (1 0))")
+        expr = parse_function_spec("(piecewise_linear (0 1) (0.5 2) (1 0))")
         assert pieces(expr, 1.0)[0][:2] == (0.5, {0.0: 1.0, 1.0: 2.0})
         assert pieces(Product(expr, Power(1.5)), 1.0)[0][:2] == (
             0.5, {1.5: 1.0, 2.5: 2.0})
@@ -373,6 +370,14 @@ class TestFirstPieceProperty:
 class TestPiecesProperty:
     @given(expr=_exprs, t=st.floats(0.1, 4.0))
     @settings(max_examples=300)
+    # on [1.75, 1.875) the coefficients cancel: mag is 3.5e4 for values
+    # near 0.06, and the monomial sum misses by 3.6e-12
+    @example(expr=Product(
+        Product(Const(0.62890625), PiecewiseLinear(
+            ((0, 0), (1, 0), (1.75, 1), (1.875, -1)))),
+        Product(PiecewiseLinear(((0, 0), (1, 0), (1.75, 1), (1.875, 0))),
+                Product(Const(2.077049827440872), PiecewiseLinear(
+                    ((0, 0), (1, 0), (1.75, 0), (2, 1)))))), t=2.0)
     def test_every_piece_on_its_interval(self, expr, t):
         row = pieces(expr, t)
         ends = [pc.end for pc in row]
@@ -381,15 +386,18 @@ class TestPiecesProperty:
         assert ends[:-1] == sorted({x for x in _knot_abscissae(expr)
                                     if 0.0 < x < t})
         assert ends[-1] >= t
-        s = function_spec(expr)
         for start, pc in zip([0.0, *ends], row):
             top = min(pc.end, t)
             for k in range(9):
                 x = start + (top - start) * k / 8
                 got = sum(c * x ** p for p, c in pc.poly.items())
-                assert abs(got - s(x)) <= 1e-12 * (1.0 + _magnitude(expr, x))
+                # the rounding the piece certifies for its monomial sum, and
+                # the closure's own
+                assert abs(got - expr(x)) <= (
+                    (pc.err + pc.mag * (len(pc.poly) + 2)) * 2.0 ** -53
+                    + 2.0 ** -50 * (1.0 + _magnitude(expr, x)))
                 slack = 1e-12 * (1.0 + abs(pc.lo) + abs(pc.hi))
-                assert pc.lo - slack <= s(x) <= pc.hi + slack
+                assert pc.lo - slack <= expr(x) <= pc.hi + slack
             assert (sum(abs(c) * top ** p for p, c in pc.poly.items())
                     <= pc.mag * (1.0 + 1e-12) + 1e-300)
             # err bounds the coefficients' rounding, cancellation included
@@ -402,8 +410,9 @@ class TestPiecesProperty:
             assert miss <= pc.err * 2.0 ** -53 * (1.0 + 1e-9) + 1e-300
 
     def test_pieces_of_a_product_merge_the_breakpoints(self):
-        expr = parse_expr("(product (piecewise_linear (0 1) (0.5 2) (1 0))"
-                          " (piecewise_linear (0 0) (0.25 1) (0.75 2) (2 3)))")
+        expr = parse_function_spec(
+            "(product (piecewise_linear (0 1) (0.5 2) (1 0))"
+            " (piecewise_linear (0 0) (0.25 1) (0.75 2) (2 3)))")
         assert [pc.end for pc in pieces(expr, 0.9)] == [0.25, 0.5, 0.75, 1.0]
         assert [pc.end for pc in pieces(expr, 0.5)] == [0.25, 0.5]
         last = pieces(expr, 3.0)[-1]
@@ -412,25 +421,25 @@ class TestPiecesProperty:
 
 class TestSynchronicity:
     def test_pair_with_itself(self):
-        f = function_spec(Power(1.0))
+        f = Power(1.0)
         assert check_synchronous(f, f, 1.0) == "synchronous"
 
     def test_opposite_monotone(self):
-        f = function_spec(Power(1.0))
-        g = function_spec(Affine(-1.0, 5.0))
+        f = Power(1.0)
+        g = Affine(-1.0, 5.0)
         assert check_synchronous(f, g, 1.0) == "asynchronous"
 
     def test_constant_is_both(self):
         # (f(x) - f(y)) (g(x) - g(y)) is 0 for a constant f, whatever g
         const = parse_function_spec("(const 2)")
-        hat = function_spec(PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))))
+        hat = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))
         for other in (parse_function_spec("(affine -1 2)"), const, hat):
             assert check_synchronous(const, other, 2.0) == "both"
             assert check_synchronous(other, const, 2.0) == "both"
 
     def test_hat_function_is_neither(self):
-        f = function_spec(Power(2.0))
-        hat = function_spec(PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0))))
+        f = Power(2.0)
+        hat = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))
         assert check_synchronous(f, hat, 2.0) == "none"
         assert check_synchronous(hat, f, 2.0) == "none"
 
@@ -456,28 +465,28 @@ class TestSynchronicity:
 
 class TestBounds:
     def test_monotone_endpoints(self):
-        assert extract_bounds(function_spec(Power(2.0)), 2.0) == (0.0, 4.0)
+        assert extract_bounds(Power(2.0), 2.0) == (0.0, 4.0)
 
     def test_constant(self):
-        assert extract_bounds(function_spec(Const(3.0)), 5.0) == (3.0, 3.0)
+        assert extract_bounds(Const(3.0), 5.0) == (3.0, 3.0)
 
     def test_decreasing_affine(self):
-        assert extract_bounds(function_spec(Affine(-2.0, 10.0)), 3.0) == (4.0, 10.0)
+        assert extract_bounds(Affine(-2.0, 10.0), 3.0) == (4.0, 10.0)
 
     def test_hat_knot_evaluation(self):
-        hat = function_spec(PiecewiseLinear(((0.0, 0.2), (1.0, 1.5), (2.0, 0.1))))
+        hat = PiecewiseLinear(((0.0, 0.2), (1.0, 1.5), (2.0, 0.1)))
         lo, hi = extract_bounds(hat, 2.0)
         assert (lo, hi) == (0.1, 1.5)
 
     def test_bounds_attained_for_monotone(self):
-        s = function_spec(Sum(Power(2.0), Affine(1.0, 0.3)))
+        s = Sum(Power(2.0), Affine(1.0, 0.3))
         lo, hi = extract_bounds(s, 2.0)
         assert abs(lo - s(0.0)) < 1e-12
         assert abs(hi - s(2.0)) < 1e-12
 
     def test_enclosure_contains_samples(self):
-        s = function_spec(Product(Affine(1.0, 0.0), Affine(-1.0, 2.0)))
-        assert monotonicity_on(s.expr, 2.0) == "none"
+        s = Product(Affine(1.0, 0.0), Affine(-1.0, 2.0))
+        assert monotonicity_on(s, 2.0) == "none"
         lo, hi = extract_bounds(s, 2.0)
         for k in range(101):
             val = s(2.0 * k / 100)
@@ -497,27 +506,27 @@ class TestBounds:
 
 class TestLipschitz:
     def test_affine(self):
-        assert extract_lipschitz(function_spec(Affine(3.0, 1.0)), 1.0) == 3.0
+        assert extract_lipschitz(Affine(3.0, 1.0), 1.0) == 3.0
 
     def test_power_two(self):
-        assert extract_lipschitz(function_spec(Power(2.0)), 2.0) == 4.0
+        assert extract_lipschitz(Power(2.0), 2.0) == 4.0
 
     def test_fractional_power_rejected(self):
         with pytest.raises(NotLipschitzError):
-            extract_lipschitz(function_spec(Power(0.5)), 1.0)
+            extract_lipschitz(Power(0.5), 1.0)
 
     def test_piecewise_max_slope(self):
-        pwl = function_spec(PiecewiseLinear(((0.0, 0.0), (0.5, 2.0), (2.0, 2.5))))
+        pwl = PiecewiseLinear(((0.0, 0.0), (0.5, 2.0), (2.0, 2.5)))
         assert extract_lipschitz(pwl, 2.0) == 4.0
 
     @pytest.mark.parametrize("T, const", [(1.0, 1.0), (1.5, 4.0)])
     def test_piecewise_reads_pieces_below_T(self, T, const):
         # the slope-4 piece starts at 1, so it does not meet [0, 1)
-        pwl = function_spec(PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 5.0))))
+        pwl = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 5.0)))
         assert extract_lipschitz(pwl, T) == const
 
     def test_constant_rate_zero(self):
-        assert extract_lipschitz(function_spec(Const(9.0)), 3.0) == 0.0
+        assert extract_lipschitz(Const(9.0), 3.0) == 0.0
 
     @pytest.mark.parametrize("seed", [1, 5, 9])
     def test_composite_constant_validates_on_pairs(self, seed):
@@ -558,7 +567,7 @@ class TestFamilies:
             for x, y in ((fam.f, fam.g), (fam.f, fam.h), (fam.g, fam.h)):
                 assert check_synchronous(x, y, 1.0) == "synchronous"
             for s in fam.specs:
-                assert monotonicity_on(s.expr, 1.0) == "increasing"
+                assert monotonicity_on(s, 1.0) == "increasing"
 
     def test_bounded_triple_bounds_cover_samples(self):
         fam = generate_family("bounded_triple", 2, 1.0)
@@ -569,6 +578,14 @@ class TestFamilies:
             sampled = [s(k / 50) for k in range(51)]
             assert lo <= min(sampled) + 1e-12
             assert max(sampled) <= hi + 1e-12
+
+    @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+    def test_bounded_triple_draws_the_synchronous_trees(self, T):
+        # campaigns draw T1/T2's triple as the bounded one (cli._index_cases)
+        for seed in range(200):
+            sync = generate_family("synchronous_triple", seed, T)
+            bounded = generate_family("bounded_triple", seed, T)
+            assert bounded.specs == sync.specs and sync.bounds is None
 
     def test_lipschitz_triple_thousand_pairs(self):
         fam = generate_family("lipschitz_triple", 3, 1.0)

@@ -19,7 +19,7 @@ import statistics
 import pytest
 
 from qek.cli import CampaignConfig, derive_case
-from qek.functions import Const, Scale, Sum, function_spec
+from qek.functions import Const, Scale, Sum
 from qek.inequalities import SAFETY_FACTOR, evaluate_case
 
 EXPONENTS = range(2, 17)
@@ -36,7 +36,7 @@ CASES = {"default grid": 40, "near 1": 15}
 def near_equality(case, eps):
     """The case with f, its bounds and its Lipschitz constant moved to
     1 + eps f, 1 + eps psi, 1 + eps Psi and eps L1."""
-    f = function_spec(Sum(Const(1.0), Scale(eps, case.f.expr)))
+    f = Sum(Const(1.0), Scale(eps, case.f))
     bounds, lipschitz = case.bounds, case.lipschitz
     if bounds is not None:
         bounds = dataclasses.replace(bounds, psi=1.0 + eps * bounds.psi,
