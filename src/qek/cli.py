@@ -112,8 +112,7 @@ class CampaignConfig:
     zeta_grid: tuple[float, ...] = (-0.5, 0.0, 1.0)
     nu_grid: tuple[float, ...] = (0.5, 1.0, 2.0)
     delta_grid: tuple[float, ...] = (0.5, 1.0, 2.0)
-    family: str = "synchronous"  # "asynchronous" flips T1/T2 hypotheses
-    expect: str = "holds"        # "reversed" for the reversal campaign
+    expect: str = "holds"  # "reversed": T1/T2 draw asynchronous f, g
     rel_tol: float = 1e-14
     max_terms: int = 100_000
     jobs: int = 1
@@ -143,8 +142,6 @@ class CampaignConfig:
         for m in self.mu_grid + self.nu_grid + self.beta_grid + self.delta_grid:
             if not m > 0.0:
                 raise ValueError("mu/nu/beta/delta grid values must be positive")
-        if self.family not in ("synchronous", "asynchronous"):
-            raise ValueError(f"unknown family {self.family!r}")
         if self.expect not in ("holds", "reversed"):
             raise ValueError(f"unknown expectation {self.expect!r}")
         if self.jobs <= 0:
@@ -161,7 +158,8 @@ def _index_cases(config: CampaignConfig, theorems,
     needed) are built once, so the theorems share those objects. A
     synchronous triple is drawn as the bounded triple, which holds the same
     trees and their bounds, so T1-T4 share one triple; only the bounded
-    theorems get the bounds."""
+    theorems get the bounds. A reversed campaign draws T1/T2's f, g, h as
+    the asynchronous pair plus a nonnegative h instead."""
     rng = random.Random(mix_seed(config.seed, case_index))
     t = rng.choice(config.t_values)
     q1 = DeformationParam(rng.choice(config.q1_grid))
@@ -182,7 +180,7 @@ def _index_cases(config: CampaignConfig, theorems,
         draw = kind
         if kind == "synchronous_triple":
             draw = ("asynchronous_pair_plus_nonneg"
-                    if config.family == "asynchronous" else "bounded_triple")
+                    if config.expect == "reversed" else "bounded_triple")
         fam = families.get(draw)
         if fam is None:
             fam = families[draw] = generate_family(draw, family_seed, t)
@@ -572,7 +570,7 @@ def _config_from_args(args) -> tuple[CampaignConfig, dict]:
                 values[key] = int(val)
             elif key in ("rel_tol",):
                 values[key] = float(val)
-            elif key in ("family", "expect"):
+            elif key == "expect":
                 values[key] = val
             elif key in ("output", "format"):
                 io[key] = val
@@ -592,8 +590,6 @@ def _config_from_args(args) -> tuple[CampaignConfig, dict]:
         values["max_terms"] = args.max_terms
     if args.jobs is not None:
         values["jobs"] = args.jobs
-    if args.family:
-        values["family"] = args.family
     if args.expect:
         values["expect"] = args.expect
     for flag, key in _GRID_KEYS.items():
@@ -673,8 +669,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reduce_check(args) -> int:
-    if args.beta is not None and args.beta != 1.0:
-        return _fail_usage("reduce-check fixes beta=1")
     policy = TruncationPolicy(max_terms=args.max_terms)
     max_gap = 0.0
     worst = None
@@ -719,7 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--cases", type=int)
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--jobs", type=int)
-    p_verify.add_argument("--family", choices=("synchronous", "asynchronous"))
     p_verify.add_argument("--expect", choices=("holds", "reversed"))
     for flag in _GRID_KEYS:
         p_verify.add_argument(f"--grid-{flag}", dest=f"grid_{flag}",
@@ -750,7 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reduce = sub.add_parser("reduce-check",
                               help="series vs Kober agreement at beta=1")
-    p_reduce.add_argument("--beta", type=float, default=None)
     p_reduce.add_argument("--tol", type=float, default=1e-12,
                           help="pass threshold on the max relative gap; "
                                "truncation uses the default policy")

@@ -9,9 +9,10 @@ The closed grammar is what makes bounds, Lipschitz constants,
 nonnegativity and monotone directions certifiable instead of sampled
 guesses. Each certificate is a function of the expression and an
 interval [0, T], computed on the interval the caller reads; none is
-stored on the spec and none is sampled. Bounds are one interval
-enclosure over [0, T]: sound for every term, exact for every certified
-direction.
+stored on the spec and none is sampled. One walker, :func:`pieces`,
+computes values: it splits a node on [0, t] into monomial pieces, each
+with an enclosure. Bounds are the hull of those enclosures over [0, T]:
+sound for every term, exact for every certified direction.
 
 Specs serialize to s-expressions, e.g. ``(product (power 2) (const 1.5))``,
 and round-trip exactly.
@@ -63,14 +64,17 @@ class FunctionSpec:
     ``c_lambda_exponent`` is the exponent p of its t^p behaviour near 0
     (:func:`c_lambda_exponent_of`), ``fn`` its compiled closure, which
     skips the domain check of ``__call__``, and ``to_sexpr()`` its
-    canonical text; each is derived when first read and kept. None is a
-    field, so none is part of equality, hashing, repr or the pickled
-    state. No interval and no certificate is stored: direction, bounds,
+    canonical text; each is derived when first read and kept, as is
+    ``_split_at``, the split :func:`pieces` made at the last t asked for.
+    None is a field, so none is part of equality, hashing, repr or the
+    pickled state. No certificate is stored: direction, bounds,
     nonnegativity and Lipschitz constants are computed from the tree on
     the [0, T] each caller reads (:func:`monotonicity_on`,
     :func:`extract_bounds`, :func:`nonnegative_on`,
     :func:`extract_lipschitz`).
     """
+
+    _split_at = (None, ())  # (t, pieces(self, t)), set by pieces
 
     @functools.cached_property
     def c_lambda_exponent(self) -> float:
@@ -225,49 +229,6 @@ def compile_expr(expr: FunctionSpec) -> Callable[[float], float]:
 # certified metadata
 
 
-def _is_constant(expr: FunctionSpec) -> bool:
-    if isinstance(expr, Const):
-        return True
-    if isinstance(expr, Power):
-        return expr.exponent == 0.0
-    if isinstance(expr, Affine):
-        return expr.slope == 0.0
-    if isinstance(expr, PiecewiseLinear):
-        ys = {y for _, y in expr.knots}
-        return len(ys) == 1
-    if isinstance(expr, (Product, Sum)):
-        return _is_constant(expr.left) and _is_constant(expr.right)
-    if isinstance(expr, Scale):
-        return expr.factor == 0.0 or _is_constant(expr.inner)
-    return False
-
-
-def _range(expr: FunctionSpec, T: float) -> tuple[float, float]:
-    """Interval enclosure (lo, hi) of expr over [0, T], one rule per node
-    type; for a certified direction the ends are exactly f(0) and f(T)."""
-    if isinstance(expr, Const):
-        return expr.value, expr.value
-    if isinstance(expr, Power):
-        return (1.0, 1.0) if expr.exponent == 0.0 else (0.0, T ** expr.exponent)
-    if isinstance(expr, Affine):
-        a, b = expr.slope, expr.intercept
-        ends = (a * 0.0 + b, a * T + b)
-    elif isinstance(expr, PiecewiseLinear):
-        ends = [y for x, y in expr.knots if x <= T]
-        if T < expr.knots[-1][0]:  # past the last knot, f(T) is listed
-            ends.append(compile_expr(expr)(T))
-    elif isinstance(expr, Scale):
-        ends = [expr.factor * end for end in _range(expr.inner, T)]
-    elif isinstance(expr, (Sum, Product)):
-        (lo_l, hi_l), (lo_r, hi_r) = _range(expr.left, T), _range(expr.right, T)
-        if isinstance(expr, Sum):
-            return lo_l + lo_r, hi_l + hi_r
-        ends = (lo_l * lo_r, lo_l * hi_r, hi_l * lo_r, hi_l * hi_r)
-    else:
-        raise TypeError(f"unknown expression node {expr!r}")
-    return min(ends), max(ends)
-
-
 class Piece(NamedTuple):
     """One piece of an expression on [0, t]: expr(x) = sum_p c x^p
     (``poly`` = {p: c}) for x in [start, end) within [0, t], where start
@@ -293,14 +254,23 @@ def pieces(expr: FunctionSpec, t: float) -> tuple[Piece, ...]:
     """The pieces of expr on [0, t], in increasing x: every end but the
     last is a breakpoint below t, and the last end is >= t.
 
-    One rule per node type, as in ``_range``: constants, powers and affine
-    maps are one monomial sum everywhere (end = inf); a piecewise-linear
-    node is affine between consecutive knots and constant past the last;
-    scalings scale, and sums and products merge their operands'
-    breakpoints. Zero coefficients are dropped, except in products.
-    ``pieces(expr, t)[0]`` is the first piece, whose end is the first
-    knot whatever t is.
+    The DSL's one value walker, one rule per node type: constants, powers
+    and affine maps are one monomial sum everywhere (end = inf); a
+    piecewise-linear node is affine between consecutive knots and constant
+    past the last; scalings scale, and sums and products merge their
+    operands' breakpoints. Zero coefficients are dropped, except in
+    products. ``pieces(expr, t)[0]`` is the first piece, whose end is the
+    first knot and whose polynomial is the same whatever t is. The split
+    is kept on the node for the last t asked for (``_split_at``), and
+    children are split through it, so the hypothesis checks and the
+    operator rule of one case split each node once.
     """
+    if expr._split_at[0] != t:
+        expr.__dict__["_split_at"] = (t, _split(expr, t))
+    return expr._split_at[1]
+
+
+def _split(expr: FunctionSpec, t: float) -> tuple[Piece, ...]:
     if isinstance(expr, Const):
         c = expr.value
         return (Piece(inf, _nonzero({0.0: c}), c, c, abs(c), 0.0),)
@@ -324,8 +294,8 @@ def pieces(expr: FunctionSpec, t: float) -> tuple[Piece, ...]:
             poly = {0.0: c0, 1.0: s} if c0 and s else _nonzero({0.0: c0, 1.0: s})
             if x1 <= t:
                 top, y_top = x1, y1
-            else:
-                top, y_top = t, y0 + s * (t - x0)
+            else:  # the closure's formula, so an end is f(t) to the bit
+                top, y_top = t, y0 + (y1 - y0) * (t - x0) / (x1 - x0)
             lo, hi = (y0, y_top) if y0 < y_top else (y_top, y0)
             # s and c0 carry at most 3 and 5 roundings of |y0| + |s| (x0 + x)
             out.append(new(Piece, (x1, poly, lo, hi, abs(c0) + abs(s) * top,
@@ -405,6 +375,19 @@ def _nonzero(poly: dict[float, float]) -> dict[float, float]:
     return {p: c for p, c in poly.items() if c != 0.0}
 
 
+def _range(expr: FunctionSpec, T: float) -> tuple[float, float]:
+    """Interval enclosure (lo, hi) of expr over [0, T], the hull of its
+    pieces'; for a certified direction the ends are exactly f(0) and f(T)."""
+    _, _, lo, hi, _, _ = zip(*pieces(expr, T))
+    return min(lo), max(hi)
+
+
+def _is_constant(expr: FunctionSpec, T: float) -> bool:
+    """Whether expr is constant on [0, T]: its enclosure there is a point."""
+    lo, hi = _range(expr, T)
+    return lo == hi
+
+
 def nonnegative_on(expr: FunctionSpec, T: float) -> bool:
     """Whether the interval enclosure of expr over [0, T] is >= 0."""
     return _range(expr, T)[0] >= 0.0
@@ -416,13 +399,13 @@ _FLIP = {"increasing": "decreasing", "decreasing": "increasing", "none": "none"}
 def monotonicity_on(expr: FunctionSpec, T: float) -> str:
     """Certified monotone direction on [0, T].
 
-    Constants are classified as (weakly) increasing, which keeps the
-    direction of a sum or product with a constant sound since the defining
-    inequalities are non-strict; :func:`check_synchronous` reads a
-    constant as both directions. Returns "none" whenever the construction
+    Terms constant on [0, T] are classified as (weakly) increasing, which
+    keeps the direction of a sum or product with one sound since the
+    defining inequalities are non-strict; :func:`check_synchronous` reads
+    one as both directions. Returns "none" whenever the construction
     rules cannot certify a direction.
     """
-    if isinstance(expr, Power) or _is_constant(expr):
+    if isinstance(expr, Power) or _is_constant(expr, T):
         return "increasing"
     if isinstance(expr, Affine):
         return "increasing" if expr.slope >= 0.0 else "decreasing"
@@ -440,7 +423,7 @@ def monotonicity_on(expr: FunctionSpec, T: float) -> str:
     if isinstance(expr, (Sum, Product)):
         # a constant keeps the other side's direction; a negative factor flips it
         for const, other in ((expr.left, expr.right), (expr.right, expr.left)):
-            if _is_constant(const):
+            if _is_constant(const, T):
                 m = monotonicity_on(other, T)
                 if isinstance(expr, Sum) or _range(const, T)[0] >= 0.0:
                     return m
@@ -456,24 +439,10 @@ def monotonicity_on(expr: FunctionSpec, T: float) -> str:
 
 
 def c_lambda_exponent_of(expr: FunctionSpec) -> float:
-    """Exponent p such that expr(t) = t^p * (continuous on (0, inf))."""
-    if isinstance(expr, Const):
-        return 0.0
-    if isinstance(expr, Power):
-        return expr.exponent
-    if isinstance(expr, Affine):
-        if expr.intercept != 0.0:
-            return 0.0
-        return 1.0 if expr.slope != 0.0 else 0.0
-    if isinstance(expr, PiecewiseLinear):
-        return 0.0 if expr.knots[0][1] != 0.0 else 1.0
-    if isinstance(expr, Product):
-        return c_lambda_exponent_of(expr.left) + c_lambda_exponent_of(expr.right)
-    if isinstance(expr, Sum):
-        return min(c_lambda_exponent_of(expr.left), c_lambda_exponent_of(expr.right))
-    if isinstance(expr, Scale):
-        return c_lambda_exponent_of(expr.inner) if expr.factor != 0.0 else 0.0
-    raise TypeError(f"unknown expression node {expr!r}")
+    """Exponent p such that expr(t) = t^p * (continuous on (0, inf)): the
+    least power of the first piece, whose polynomial does not depend on
+    t; 0 for a first piece that is zero."""
+    return min(pieces(expr, 1.0)[0].poly, default=0.0)
 
 
 def as_callable(f) -> Callable[[float], float]:
@@ -597,11 +566,12 @@ def check_synchronous(f: FunctionSpec, g: FunctionSpec, T: float) -> str:
     """Classify a pair on [0, T] from the directions :func:`monotonicity_on`
     certifies for their expressions: "synchronous" for the same direction,
     "asynchronous" for opposite ones, and "none" when either has no
-    certified direction on [0, T]. A constant makes every product
-    (f(x) - f(y))(g(x) - g(y)) zero, so a pair with a constant is "both"
-    synchronous and asynchronous. Nothing is sampled.
+    certified direction on [0, T]. A function constant on [0, T] makes
+    every product (f(x) - f(y))(g(x) - g(y)) with x, y in [0, T] zero, so
+    a pair with one is "both" synchronous and asynchronous. Nothing is
+    sampled.
     """
-    if _is_constant(f) or _is_constant(g):
+    if _is_constant(f, T) or _is_constant(g, T):
         return "both"
     df, dg = monotonicity_on(f, T), monotonicity_on(g, T)
     if "none" in (df, dg):

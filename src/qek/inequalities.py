@@ -130,7 +130,6 @@ class InequalityReport:
     worst_tail: float
     operator_evals: int
     bracket: Optional[float] = None
-    bracket_nonnegative: Optional[bool] = None
     notes: tuple[str, ...] = ()
 
 
@@ -348,9 +347,7 @@ def _lipschitz_sides(case: TheoremCase, ops: _CaseOps, weight2: str):
                         - ops.value(1, "", moment=2)
                         * ops.value(2, "", weight2, moment=1)))
     rhs = trip.L1 * trip.L2 * trip.L3 * bracket
-    return lhs, rhs, rhs - lhs, {"bracket": bracket,
-                                 "bracket_nonnegative": bracket >= 0.0,
-                                 "notes": notes}
+    return lhs, rhs, rhs - lhs, {"bracket": bracket, "notes": notes}
 
 
 class _Theorem(NamedTuple):

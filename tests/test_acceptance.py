@@ -204,7 +204,7 @@ def test_criterion_09_equality_at_constants():
 def test_criterion_10_reversal_campaign():
     started = time.perf_counter()
     config = CampaignConfig(theorems=("T1",), cases=500, seed=1010,
-                            family="asynchronous", expect="reversed")
+                            expect="reversed")
     result = run_campaign(config)
     assert len(result.reports) == 500
     for _, rep in result.reports:

@@ -19,7 +19,7 @@ import pytest
 from qek import cli, inequalities
 from qek.ekoperator import _s_record
 from qek.errors import QekError
-from qek.functions import compile_expr
+from qek.functions import check_synchronous, compile_expr
 from qek.cli import (
     REPORT_COLUMNS,
     CampaignConfig,
@@ -118,11 +118,13 @@ _ALL = ("T1", "T2", "T3", "T4", "T5", "T6")
 class TestIndexCases:
     """``cli._index_cases`` draws one case index once for all theorems."""
 
-    @pytest.mark.parametrize("family", ["synchronous", "asynchronous"])
+    # the ids name the family T1/T2 draw under each expectation
+    @pytest.mark.parametrize("expect", ["holds", "reversed"],
+                             ids=["synchronous", "asynchronous"])
     @pytest.mark.parametrize("grid", [(0.3, 0.6, 0.9), (0.97, 0.99)])
-    def test_cases_equal_derive_case(self, family, grid):
+    def test_cases_equal_derive_case(self, expect, grid):
         config = CampaignConfig(theorems=_ALL, cases=30, seed=601,
-                                family=family, q1_grid=grid, q2_grid=grid)
+                                expect=expect, q1_grid=grid, q2_grid=grid)
         for index in range(config.cases):
             cases = cli._index_cases(config, config.theorems, index)
             assert [c.theorem_id for c in cases] == list(_ALL)
@@ -213,8 +215,7 @@ class TestVerify:
     def test_reversal_campaign_exit_zero(self, capsys):
         code, _, err = run(
             ["verify", "--theorem", "T1", "--cases", "10", "--seed", "5",
-             "--family", "asynchronous", "--expect", "reversed",
-             "--no-timestamp"],
+             "--expect", "reversed", "--no-timestamp"],
             capsys,
         )
         assert code == 0
@@ -239,8 +240,7 @@ class TestVerify:
         monkeypatch.setattr(inequalities, "SAFETY_FACTOR", factor)
         code, _, _ = run(
             ["verify", "--theorem", "T1", "--cases", "3", "--seed", "5",
-             "--family", "asynchronous", "--expect", "reversed",
-             "--no-timestamp"],
+             "--expect", "reversed", "--no-timestamp"],
             capsys,
         )
         assert code == expected
@@ -335,6 +335,18 @@ class TestVerify:
         assert out == ""
         assert "unknown config key 'grid.bogus'" in err
 
+    def test_family_is_not_a_setting(self, capsys, tmp_path):
+        # --expect decides the T1/T2 family; there is no key or flag for it
+        cfg = tmp_path / "campaign.cfg"
+        cfg.write_text("theorem = T1\ncases = 2\nfamily = asynchronous\n")
+        code, _, err = run(["verify", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "unknown config key 'family'" in err
+        code, _, err = run(["verify", "--theorem", "T1", "--family",
+                            "asynchronous"], capsys)
+        assert code == 2
+        assert "unrecognized arguments" in err
+
     def test_config_file_io_keys(self, capsys, tmp_path):
         out_path = tmp_path / "from_config.csv"
         cfg = tmp_path / "campaign.cfg"
@@ -420,21 +432,27 @@ class TestStreaming:
         assert code == (1 if violated else 0)
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    # family: the pair f, g a reversed campaign draws for these theorems
     @pytest.mark.parametrize("theorems,family", [
         (("T1", "T2"), "asynchronous"),
         (("T3", "T5"), "synchronous"),
     ])
     def test_reversed_exit_code(self, capsys, jobs, theorems, family):
         cfg = CampaignConfig(theorems=theorems, cases=5, seed=8,
-                             family=family, expect="reversed")
+                             expect="reversed")
+        reports = [rep for _, rep in run_campaign(cfg).reports]
+        for rep in reports:
+            case = rep.case
+            assert check_synchronous(case.f, case.g, case.t) in (family,
+                                                                 "both")
         unreversed = any(
             rep.margin == rep.margin
             and rep.margin > rep.worst_tail * inequalities.SAFETY_FACTOR
-            for _, rep in run_campaign(cfg).reports)
+            for rep in reports)
         code, _, _ = run(
             ["verify", *_theorem_flags(theorems), "--cases", "5", "--seed",
-             "8", "--family", family, "--expect", "reversed", "--jobs",
-             str(jobs), "--no-timestamp"],
+             "8", "--expect", "reversed", "--jobs", str(jobs),
+             "--no-timestamp"],
             capsys,
         )
         assert code == (1 if unreversed else 0)
@@ -659,9 +677,10 @@ class TestReduceCheck:
         assert loose_out == default_out
 
     def test_beta_flag_rejected(self, capsys):
-        code, _, err = run(["reduce-check", "--beta", "2"], capsys)
+        # beta = 1 is the only Kober reduction; there is no flag to set it
+        code, _, err = run(["reduce-check", "--beta", "1"], capsys)
         assert code == 2
-        assert "fixes beta=1" in err
+        assert "unrecognized arguments" in err
 
 
 class TestPinnedOutputs:

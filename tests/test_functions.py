@@ -142,6 +142,8 @@ class TestMetadata:
             (Sum(Power(2.0), Power(1.0)), 1.0),
             (PiecewiseLinear(((0.0, 0.0), (1.0, 2.0))), 1.0),
             (PiecewiseLinear(((0.0, 0.5), (1.0, 2.0))), 0.0),
+            # t - t is 0: no power of t is left near 0
+            (Sum(Power(1.0), Scale(-1.0, Power(1.0))), 0.0),
         ],
     )
     def test_c_lambda_exponent(self, expr, p):
@@ -265,6 +267,11 @@ def _knot_abscissae(expr):
 class TestBoundsProperty:
     @given(expr=_exprs, T=st.floats(0.1, 4.0))
     @settings(max_examples=300)
+    # the piece cut at T must take its top by the closure's formula: the
+    # slope form y0 + s (T - x0) gives 0.8333333333333333, an ulp below
+    # f(T) = 0.8333333333333334
+    @example(expr=PiecewiseLinear(((0.0, 0.0), (0.75, 1.0), (1.75, 1.0))),
+             T=0.625)
     def test_enclosure_sound_and_exact_when_certified(self, expr, T):
         lo, hi = extract_bounds(expr, T)
         xs = [T * k / 64 for k in range(65)]
@@ -409,6 +416,26 @@ class TestPiecesProperty:
                        for p in {*pc.poly, *exact})
             assert miss <= pc.err * 2.0 ** -53 * (1.0 + 1e-9) + 1e-300
 
+    def test_split_kept_on_the_node_for_the_last_t(self):
+        left = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 3.0)))
+        expr = Product(left, Power(2.0))
+        row = pieces(expr, 1.5)
+        assert pieces(expr, 1.5) is row
+        assert expr._split_at == (1.5, row)
+        # a child is split through its own memo, at the same t
+        assert left._split_at[0] == 1.5
+        other = pieces(expr, 3.0)
+        assert expr._split_at == (3.0, other)
+        assert left._split_at[0] == 3.0
+        again = pieces(expr, 1.5)
+        assert again is not row and again == row
+        # the memo is not a field: equality, hashing, repr and pickling
+        # see the tree only
+        fresh = Product(PiecewiseLinear(left.knots), Power(2.0))
+        assert fresh == expr and hash(fresh) == hash(expr)
+        assert repr(fresh) == repr(expr)
+        assert "_split_at" not in pickle.loads(pickle.dumps(expr)).__dict__
+
     def test_pieces_of_a_product_merge_the_breakpoints(self):
         expr = parse_function_spec(
             "(product (piecewise_linear (0 1) (0.5 2) (1 0))"
@@ -454,6 +481,12 @@ class TestSynchronicity:
             assert all((f(x) - f(y)) * (g(x) - g(y)) >= 0.0
                        for x in grid for y in grid)
 
+    def test_constant_on_the_interval_is_both(self):
+        # h is 1 on [0, 1] and falls after it
+        h = PiecewiseLinear(((0.0, 1.0), (1.0, 1.0), (2.0, 0.0)))
+        assert check_synchronous(h, Power(1.0), 1.0) == "both"
+        assert check_synchronous(h, Power(1.0), 2.0) == "asynchronous"
+
     def test_direction_read_on_the_given_interval(self):
         # (1 - t)^2 falls on [0, 1] but not on [0, 2], where it rises again
         f = parse_function_spec("(product (affine -1 1) (affine -1 1))")
@@ -497,6 +530,16 @@ class TestBounds:
         s = parse_function_spec("(product (affine 1 0) (affine -1 0.3))")
         assert s(0.15) == pytest.approx(0.0225, rel=1e-15)
         assert extract_bounds(s, 1.0)[1] >= 0.0225
+
+    def test_sum_encloses_piece_by_piece(self):
+        # f rises from -1 to 1 on [0, 1] where g is 1, and g falls from 1
+        # to -1 on [1, 2] where f is 1: f + g lies in [0, 2], although each
+        # has the range [-1, 1] on [0, 2]
+        f = PiecewiseLinear(((0.0, -1.0), (1.0, 1.0), (2.0, 1.0)))
+        g = PiecewiseLinear(((0.0, 1.0), (1.0, 1.0), (2.0, -1.0)))
+        assert extract_bounds(f, 2.0) == extract_bounds(g, 2.0) == (-1.0, 1.0)
+        assert extract_bounds(Sum(f, g), 2.0) == (0.0, 2.0)
+        assert nonnegative_on(Sum(f, g), 2.0)
 
     def test_nonnegative_product_of_negative_slopes(self):
         # (-t)(-t) = t^2 >= 0 although neither factor is nonnegative

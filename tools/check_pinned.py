@@ -51,10 +51,9 @@ PINNED = (
       "--seed", "3", "--grid-q1", "0.97,0.99", "--grid-q2", "0.97,0.99",
       "--no-timestamp"],
      "sha256 568d441a2f600bc90466c4869d78e18f5c64dbe69a08444a184025902a80196a"),
-    ("T1,T2 --cases 200 --seed 1 asynchronous, expect reversed",
+    ("T1,T2 --cases 200 --seed 1, expect reversed",
      ["verify", "--theorem", "T1", "--theorem", "T2", "--cases", "200",
-      "--seed", "1", "--family", "asynchronous", "--expect", "reversed",
-      "--no-timestamp"],
+      "--seed", "1", "--expect", "reversed", "--no-timestamp"],
      "sha256 e096552c9c6b2dad069b1e8a5c47f3f03559007cb48963555a367890028e34f2"),
     ("sweep over q in [0.5, 0.99], piecewise-linear plus power",
      ["sweep", "--axis", "q", "--start", "0.5", "--stop", "0.99", "--steps",
