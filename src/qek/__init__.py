@@ -12,8 +12,8 @@ Layers, bottom up:
   on any [0, T] from the tree, plus seeded family generation.
 * :mod:`qek.ekoperator` -- the generalized Erdelyi-Kober fractional
   q-integral operator (series and integral forms) and the Kober operator.
-* :mod:`qek.inequalities` -- evaluators for six Chebyshev-type operator
-  inequalities with margin/verdict reports.
+* :mod:`qek.inequalities` -- ``evaluate_case``, the one evaluator of six
+  Chebyshev-type operator inequalities, with margin/verdict reports.
 * :mod:`qek.cli` -- the ``qek`` command line front end (eval, verify,
   sweep, reduce-check).
 """
@@ -79,12 +79,6 @@ from .inequalities import (
     TheoremCase,
     evaluate_case,
     proof_kernel_A,
-    theorem1,
-    theorem2,
-    theorem3,
-    theorem4,
-    theorem5,
-    theorem6,
 )
 
 __version__ = "0.1.0"

@@ -53,7 +53,7 @@ from .inequalities import (
     TheoremCase,
     evaluate_case,
 )
-from .qcore import DeformationParam, TruncationPolicy
+from .qcore import DEFAULT_POLICY, DeformationParam, TruncationPolicy
 
 __all__ = [
     "CampaignConfig",
@@ -113,8 +113,8 @@ class CampaignConfig:
     nu_grid: tuple[float, ...] = (0.5, 1.0, 2.0)
     delta_grid: tuple[float, ...] = (0.5, 1.0, 2.0)
     expect: str = "holds"  # "reversed": T1/T2 draw asynchronous f, g
-    rel_tol: float = 1e-14
-    max_terms: int = 100_000
+    rel_tol: float = DEFAULT_POLICY.rel_tol
+    max_terms: int = DEFAULT_POLICY.max_terms
     jobs: int = 1
     policy: TruncationPolicy = field(init=False, repr=False, compare=False)
 
@@ -328,15 +328,6 @@ class CampaignResult:
     reports: list[tuple[int, InequalityReport]]
     tally: CampaignTally
 
-    def counts(self, theorem: str) -> dict[str, int]:
-        return self.tally.counts(theorem)
-
-    def min_margin(self, theorem: str) -> float:
-        return self.tally.min_margin(theorem)
-
-    def bracket_sign_counts(self, theorem: str) -> tuple[int, int]:
-        return self.tally.bracket_sign_counts(theorem)
-
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Evaluate every (theorem, case index) pair of the campaign and keep
@@ -443,11 +434,10 @@ def standard_shapes() -> list[FunctionSpec]:
     ]
 
 
-def reduce_check_rows(policy: TruncationPolicy | None = None):
+def reduce_check_rows(policy: TruncationPolicy = DEFAULT_POLICY):
     """Compare the series operator at beta = 1 against the Kober operator,
     i.e. the integral form at beta = 1, over the standard grid; yields
     (q, eta, mu, shape index, rel gap)."""
-    policy = policy or TruncationPolicy()
     shapes = standard_shapes()
     for q in (0.3, 0.6, 0.9):
         for eta in (-0.5, 0.0, 1.0):
@@ -669,10 +659,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reduce_check(args) -> int:
-    policy = TruncationPolicy(max_terms=args.max_terms)
     max_gap = 0.0
     worst = None
-    for q, eta, mu, shape, gap in reduce_check_rows(policy):
+    for q, eta, mu, shape, gap in reduce_check_rows():
         if gap > max_gap:
             max_gap = gap
             worst = (q, eta, mu, shape)
@@ -681,10 +670,10 @@ def cmd_reduce_check(args) -> int:
 
 
 def _add_policy_flags(parser):
-    parser.add_argument("--tol", type=float, default=1e-14,
+    parser.add_argument("--tol", type=float, default=DEFAULT_POLICY.rel_tol,
                         help="relative truncation tolerance")
-    parser.add_argument("--max-terms", type=int, default=100_000,
-                        dest="max_terms")
+    parser.add_argument("--max-terms", type=int,
+                        default=DEFAULT_POLICY.max_terms, dest="max_terms")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -746,8 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--tol", type=float, default=1e-12,
                           help="pass threshold on the max relative gap; "
                                "truncation uses the default policy")
-    p_reduce.add_argument("--max-terms", type=int, default=100_000,
-                          dest="max_terms")
     p_reduce.set_defaults(func=cmd_reduce_check)
     return parser
 

@@ -410,11 +410,11 @@ def monotonicity_on(expr: FunctionSpec, T: float) -> str:
     if isinstance(expr, Affine):
         return "increasing" if expr.slope >= 0.0 else "decreasing"
     if isinstance(expr, PiecewiseLinear):
-        ys = [y for _, y in expr.knots]
-        diffs = [b - a for a, b in zip(ys, ys[1:])]
-        if all(d >= 0.0 for d in diffs):
+        # the slopes of its pieces on [0, T]; knots past T do not count
+        slopes = [pc.poly.get(1.0, 0.0) for pc in pieces(expr, T)]
+        if all(s >= 0.0 for s in slopes):
             return "increasing"
-        if all(d <= 0.0 for d in diffs):
+        if all(s <= 0.0 for s in slopes):
             return "decreasing"
         return "none"
     if isinstance(expr, Scale):
@@ -441,8 +441,9 @@ def monotonicity_on(expr: FunctionSpec, T: float) -> str:
 def c_lambda_exponent_of(expr: FunctionSpec) -> float:
     """Exponent p such that expr(t) = t^p * (continuous on (0, inf)): the
     least power of the first piece, whose polynomial does not depend on
-    t; 0 for a first piece that is zero."""
-    return min(pieces(expr, 1.0)[0].poly, default=0.0)
+    t; 0 for a first piece that is zero. The split is the one the node
+    keeps, at 1.0 only when it keeps none, so the memo is not replaced."""
+    return min(pieces(expr, expr._split_at[0] or 1.0)[0].poly, default=0.0)
 
 
 def as_callable(f) -> Callable[[float], float]:

@@ -1,10 +1,10 @@
-"""Evaluators for the six Chebyshev-type operator inequalities.
+"""The evaluator of the six Chebyshev-type operator inequalities.
 
 The six are three shapes, Chebyshev (T1/T2), bounded (T3/T4) and
 Lipschitz (T5/T6), each with one weight u on both sides or with u at
-(q1, p1) and v at (q2, p2). One function evaluates every theorem from a
-table that maps its id to a sides function, a q2 weight, a hypothesis
-check and the family kind campaigns draw from, and returns an
+(q1, p1) and v at (q2, p2). :func:`evaluate_case` evaluates every theorem
+from a table that maps its id to a sides function, a q2 weight, a
+hypothesis check and the family kind campaigns draw from, and returns an
 :class:`InequalityReport` with the oriented margin and a verdict; a side
 that does not converge makes it inconclusive.
 Every eight-product sum is one ``_pair_sum`` over a table of
@@ -68,12 +68,6 @@ __all__ = [
     "TheoremCase",
     "InequalityReport",
     "SAFETY_FACTOR",
-    "theorem1",
-    "theorem2",
-    "theorem3",
-    "theorem4",
-    "theorem5",
-    "theorem6",
     "evaluate_case",
     "proof_kernel_A",
 ]
@@ -376,13 +370,25 @@ _THEOREMS = {
 }
 
 
-def _evaluate(theorem_id: str, case: TheoremCase, policy: TruncationPolicy,
-              expect_reversed: bool = False,
-              shared: Optional[dict] = None) -> InequalityReport:
-    if case.theorem_id != theorem_id:
-        raise ValueError(f"a {case.theorem_id} case given to the {theorem_id}"
-                         f" evaluator")
-    sides, weight2, require, _ = _THEOREMS[theorem_id]
+def evaluate_case(case: TheoremCase, policy: TruncationPolicy = DEFAULT_POLICY,
+                  expect_reversed: bool = False,
+                  shared: Optional[dict] = None) -> InequalityReport:
+    """Evaluate a case under its own theorem id, the one theorem evaluator.
+
+    * T2, T4 and T6 put v inside every q2 operator and reduce to T1, T3
+      and T5 when v = u.
+    * T5/T6 record the sign of the moment bracket and do not assert it.
+    * ``expect_reversed`` only affects T1/T2: the check switches to f, g
+      asynchronous and h >= 0, under which the inequality flips; the
+      margin is computed identically either way.
+
+    ``shared`` is a dict the caller keeps across cases whose rule inputs
+    may coincide (t, q1, p1, q2, p2, the policy and the specs u, f, g, h
+    and v): such cases share one pair of rules and each operator value,
+    and get the same report as without it. The dict holds every store
+    made for it, so the caller drops it when those cases are done.
+    """
+    sides, weight2, require, _ = _THEOREMS[case.theorem_id]
     _require_nonnegative(case.u, case.t, "u")
     if weight2 == "v":
         _require_nonnegative(case.v, case.t, "v")
@@ -396,70 +402,6 @@ def _evaluate(theorem_id: str, case: TheoremCase, policy: TruncationPolicy,
     return InequalityReport(case, lhs, rhs, margin,
                             _verdict(margin, ops.worst_tail),
                             ops.worst_tail, ops.evals, **extra)
-
-
-def theorem1(case: TheoremCase, policy: TruncationPolicy = DEFAULT_POLICY,
-             expect_reversed: bool = False) -> InequalityReport:
-    """Synchronous-triple inequality with one weight u on both sides.
-
-    Hypotheses: u >= 0, f and g synchronous, h >= 0 (h is also checked
-    synchronous with f and g). With ``expect_reversed`` the check switches
-    to the sign condition under which the inequality flips (f, g
-    asynchronous and h >= 0); the margin is computed identically either way.
-    """
-    return _evaluate("T1", case, policy, expect_reversed)
-
-
-def theorem2(case: TheoremCase, policy: TruncationPolicy = DEFAULT_POLICY,
-             expect_reversed: bool = False) -> InequalityReport:
-    """Two-weight version: v inside every q2 operator. Reduces to
-    theorem1 when v = u."""
-    return _evaluate("T2", case, policy, expect_reversed)
-
-
-def theorem3(case: TheoremCase,
-             policy: TruncationPolicy = DEFAULT_POLICY) -> InequalityReport:
-    """Bounded-difference inequality: the absolute eight-term combination
-    is dominated by the product of the plain weight operators times the
-    three bound gaps."""
-    return _evaluate("T3", case, policy)
-
-
-def theorem4(case: TheoremCase,
-             policy: TruncationPolicy = DEFAULT_POLICY) -> InequalityReport:
-    """Two-weight bounded-difference inequality. Reduces to theorem3 when
-    v = u."""
-    return _evaluate("T4", case, policy)
-
-
-def theorem5(case: TheoremCase,
-             policy: TruncationPolicy = DEFAULT_POLICY) -> InequalityReport:
-    """Lipschitz-type inequality: the absolute combination against the
-    L1 L2 L3-scaled moment bracket. The bracket is antisymmetric in the
-    two integration variables and its sign is recorded, not asserted."""
-    return _evaluate("T5", case, policy)
-
-
-def theorem6(case: TheoremCase,
-             policy: TruncationPolicy = DEFAULT_POLICY) -> InequalityReport:
-    """Two-weight Lipschitz-type inequality. Reduces to theorem5 when
-    v = u."""
-    return _evaluate("T6", case, policy)
-
-
-def evaluate_case(case: TheoremCase, policy: TruncationPolicy = DEFAULT_POLICY,
-                  expect_reversed: bool = False,
-                  shared: Optional[dict] = None) -> InequalityReport:
-    """Evaluate a case under its own theorem id; ``expect_reversed`` only
-    affects T1/T2.
-
-    ``shared`` is a dict the caller keeps across cases whose rule inputs
-    may coincide (t, q1, p1, q2, p2, the policy and the specs u, f, g, h
-    and v): such cases share one pair of rules and each operator value,
-    and get the same report as without it. The dict holds every store
-    made for it, so the caller drops it when those cases are done.
-    """
-    return _evaluate(case.theorem_id, case, policy, expect_reversed, shared)
 
 
 def proof_kernel_A(f, g, h, tau: float, rho: float) -> float:

@@ -149,7 +149,7 @@ def test_criterion_07_synchronous_campaigns(synchronous_campaign):
     started = time.perf_counter()
     config, result, build_seconds = synchronous_campaign
     for theorem in ("T1", "T2"):
-        counts = result.counts(theorem)
+        counts = result.tally.counts(theorem)
         total = sum(counts.values())
         assert total == 1000
         assert counts["violated"] == 0
@@ -157,7 +157,7 @@ def test_criterion_07_synchronous_campaigns(synchronous_campaign):
         assert rate < 0.01
         print(f"  {theorem}: 1000 cases, violated=0, "
               f"inconclusive rate={rate:.4f}, "
-              f"min margin={result.min_margin(theorem):.3e}")
+              f"min margin={result.tally.min_margin(theorem):.3e}")
     # charge the campaign evaluation itself against the budget
     _finish(7, "synchronous campaigns T1/T2",
             started - build_seconds, 120.0)
@@ -218,19 +218,19 @@ def test_criterion_11_certified_campaigns():
     for theorem, seed in (("T3", 113), ("T4", 114), ("T5", 115), ("T6", 116)):
         config = CampaignConfig(theorems=(theorem,), cases=500, seed=seed)
         result = run_campaign(config)
-        counts = result.counts(theorem)
+        counts = result.tally.counts(theorem)
         assert sum(counts.values()) == 500
         if theorem in ("T3", "T4"):
             assert counts["violated"] == 0
         else:
-            pos, neg = result.bracket_sign_counts(theorem)
+            pos, neg = result.tally.bracket_sign_counts(theorem)
             assert pos + neg == 500
             lines.append(
                 f"  {theorem}: holds={counts['holds']} "
                 f"violated={counts['violated']} "
                 f"inconclusive={counts['inconclusive']} "
                 f"bracket_nonneg={pos} bracket_neg={neg} "
-                f"min_margin={result.min_margin(theorem):.3e}"
+                f"min_margin={result.tally.min_margin(theorem):.3e}"
             )
     print("empirical report for the Lipschitz-type inequalities:")
     for line in lines:

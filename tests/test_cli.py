@@ -676,9 +676,13 @@ class TestReduceCheck:
         assert code == 0
         assert loose_out == default_out
 
-    def test_beta_flag_rejected(self, capsys):
-        # beta = 1 is the only Kober reduction; there is no flag to set it
-        code, _, err = run(["reduce-check", "--beta", "1"], capsys)
+    @pytest.mark.parametrize("flag", [["--beta", "1"],
+                                      ["--max-terms", "100000"]],
+                             ids=["beta", "max-terms"])
+    def test_beta_flag_rejected(self, flag, capsys):
+        # beta = 1 is the only Kober reduction, and truncation uses the
+        # default policy: there is no flag to set either
+        code, _, err = run(["reduce-check", *flag], capsys)
         assert code == 2
         assert "unrecognized arguments" in err
 

@@ -436,6 +436,17 @@ class TestPiecesProperty:
         assert repr(fresh) == repr(expr)
         assert "_split_at" not in pickle.loads(pickle.dumps(expr)).__dict__
 
+    def test_exponent_read_keeps_the_split(self):
+        # the exponent near 0 reads the split the node keeps, not one at 1.0
+        left = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 3.0)))
+        expr = Product(left, Power(2.0))
+        row = pieces(expr, 1.3)
+        assert expr.c_lambda_exponent == 3.0
+        assert expr._split_at == (1.3, row)
+        assert left._split_at[0] == 1.3
+        # with no split kept it splits at 1.0
+        assert Product(Power(1.0), Power(2.0)).c_lambda_exponent == 3.0
+
     def test_pieces_of_a_product_merge_the_breakpoints(self):
         expr = parse_function_spec(
             "(product (piecewise_linear (0 1) (0.5 2) (1 0))"
@@ -486,6 +497,16 @@ class TestSynchronicity:
         h = PiecewiseLinear(((0.0, 1.0), (1.0, 1.0), (2.0, 0.0)))
         assert check_synchronous(h, Power(1.0), 1.0) == "both"
         assert check_synchronous(h, Power(1.0), 2.0) == "asynchronous"
+
+    def test_piecewise_direction_ignores_knots_past_t(self):
+        # the hat rises on [0, 1] and falls only after it
+        hat = parse_function_spec("(piecewise_linear (0 0) (1 1) (2 0))")
+        assert monotonicity_on(hat, 1.0) == "increasing"
+        assert check_synchronous(hat, Power(1.0), 1.0) == "synchronous"
+        assert monotonicity_on(hat, 2.0) == "none"
+        assert check_synchronous(hat, Power(1.0), 2.0) == "none"
+        # a knot inside [0, T] still counts
+        assert monotonicity_on(hat, 1.5) == "none"
 
     def test_direction_read_on_the_given_interval(self):
         # (1 - t)^2 falls on [0, 1] but not on [0, 2], where it rises again

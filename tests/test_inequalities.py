@@ -24,12 +24,6 @@ from qek.inequalities import (
     TheoremCase,
     evaluate_case,
     proof_kernel_A,
-    theorem1,
-    theorem2,
-    theorem3,
-    theorem4,
-    theorem5,
-    theorem6,
 )
 from qek.qcore import DeformationParam, TruncationPolicy
 
@@ -104,44 +98,30 @@ class TestTheoremCaseValidation:
             make_case("T5", IDENT, IDENT, IDENT)
 
 
-_EVALUATORS = {"T1": theorem1, "T2": theorem2, "T3": theorem3,
-               "T4": theorem4, "T5": theorem5, "T6": theorem6}
-
-
-@pytest.mark.parametrize("given,evaluator", [
-    (given, evaluator) for given in _EVALUATORS for evaluator in _EVALUATORS
-    if given != evaluator])
-def test_evaluator_rejects_another_theorems_case(given, evaluator):
-    # T1's evaluator on a T3 case used to report T1's sides under T3's id
-    case = derive_case(CampaignConfig(theorems=(given,), seed=1), given, 0)
-    with pytest.raises(ValueError, match=f"{given}.*{evaluator}"):
-        _EVALUATORS[evaluator](case)
-
-
 class TestTheoremOne:
     def test_constant_triple_margin_zero(self):
         case = make_case("T1", CONST2, CONST2, CONST2, q2=0.7,
                          p1=(0.5, 1.5, 2.0))
-        rep = theorem1(case)
+        rep = evaluate_case(case)
         scale = max(1.0, abs(rep.lhs), abs(rep.rhs))
         assert abs(rep.margin) <= 1e-12 * scale
 
     def test_identity_triple_holds(self):
         case = make_case("T1", IDENT, IDENT, IDENT)
-        rep = theorem1(case)
+        rep = evaluate_case(case)
         assert rep.margin >= 0.0
         assert rep.verdict == "holds"
         assert rep.operator_evals == 16
 
     def test_reversal_case_nonpositive_margin(self):
         case = make_case("T1", IDENT, DEC, U1)
-        rep = theorem1(case, expect_reversed=True)
+        rep = evaluate_case(case, expect_reversed=True)
         assert rep.margin <= 0.0
 
     def test_synchronicity_enforced(self):
         case = make_case("T1", IDENT, DEC, U1)
         with pytest.raises(HypothesisViolatedError):
-            theorem1(case)
+            evaluate_case(case)
 
     def test_negative_h_rejected(self):
         # f = g = h synchronous but negative on [0, t]: without the h >= 0
@@ -150,32 +130,32 @@ class TestTheoremOne:
         neg = parse_function_spec("(affine 1 -5)")
         bad = dataclasses.replace(case, f=neg, g=neg, h=neg)
         with pytest.raises(HypothesisViolatedError, match="h must map"):
-            theorem1(bad)
+            evaluate_case(bad)
 
     def test_reversal_hypotheses_enforced(self):
         case = make_case("T1", IDENT, IDENT, IDENT)
         with pytest.raises(HypothesisViolatedError):
-            theorem1(case, expect_reversed=True)
+            evaluate_case(case, expect_reversed=True)
 
     def test_negative_weight_rejected(self):
         bad_u = parse_function_spec("(affine 1 -0.5)")
         case = make_case("T1", IDENT, IDENT, IDENT, u=bad_u)
         with pytest.raises(HypothesisViolatedError):
-            theorem1(case)
+            evaluate_case(case)
 
     def test_constant_f_is_synchronous_and_asynchronous(self):
         # a constant f is synchronous and asynchronous with a decreasing g;
         # the exact margin is 0
         case = make_case("T1", CONST2, DEC, DEC)
         for reversed_ in (False, True):
-            rep = theorem1(case, expect_reversed=reversed_)
+            rep = evaluate_case(case, expect_reversed=reversed_)
             assert rep.verdict == "inconclusive"
             assert abs(rep.margin) <= rep.worst_tail
 
     def test_not_converged_goes_inconclusive(self):
         # at mu = 1.5 the tail's log-space product needs more than 5 factors
         case = make_case("T1", IDENT, IDENT, IDENT, q1=0.9, p1=(0.0, 1.5, 1.0))
-        rep = theorem1(case, TruncationPolicy(max_terms=5))
+        rep = evaluate_case(case, TruncationPolicy(max_terms=5))
         assert rep.verdict == "inconclusive"
         assert rep.notes
         assert math.isnan(rep.margin)
@@ -184,7 +164,7 @@ class TestTheoremOne:
         # the first operator read, side 1's u alone, is the one that fails
         policy = TruncationPolicy(max_terms=5)
         case = make_case("T1", IDENT, IDENT, IDENT, q1=0.9, p1=(0.0, 1.5, 1.0))
-        rep = theorem1(case, policy)
+        rep = evaluate_case(case, policy)
         rule = OperatorRule(case.t, case.p1, case.q1, {"u": case.u}, policy)
         with pytest.raises(NotConvergedError) as info:
             rule.apply(("u",))
@@ -201,8 +181,8 @@ class TestTheoremOne:
                          q2=0.7, p2=(0.5, 1.5, 2.0))
         scaled = dataclasses.replace(
             base, u=parse_function_spec("(scale 3 (affine 1 0.5))"))
-        rep1 = theorem1(base)
-        rep9 = theorem1(scaled)
+        rep1 = evaluate_case(base)
+        rep9 = evaluate_case(scaled)
         assert rep9.margin == pytest.approx(9.0 * rep1.margin, rel=1e-12)
 
     def test_random_synchronous_cases_hold(self):
@@ -212,7 +192,7 @@ class TestTheoremOne:
                              u=generate_weight(seed, 1.0),
                              q1=0.6, q2=0.4, p1=(0.5, 0.7, 2.0),
                              p2=(-0.5, 1.3, 0.5))
-            rep = theorem1(case)
+            rep = evaluate_case(case)
             assert rep.verdict != "violated"
 
 
@@ -223,15 +203,15 @@ class TestTheoremTwo:
         base = make_case("T1", fam.f, fam.g, fam.h, u=u, q2=0.7,
                          p2=(0.5, 1.5, 2.0))
         two = dataclasses.replace(base, theorem_id="T2", v=u)
-        rep1 = theorem1(base)
-        rep2 = theorem2(two)
+        rep1 = evaluate_case(base)
+        rep2 = evaluate_case(two)
         assert abs(rep2.margin - rep1.margin) <= 1e-13 * max(1.0, abs(rep1.margin))
 
     def test_distinct_weights_hold(self):
         fam = generate_family("synchronous_triple", 8, 1.0)
         case = make_case("T2", fam.f, fam.g, fam.h, u=U1,
                          v=parse_function_spec("(power 1)"))
-        rep = theorem2(case)
+        rep = evaluate_case(case)
         assert rep.margin >= -SAFETY_FACTOR * rep.worst_tail
         assert rep.verdict != "violated"
 
@@ -240,28 +220,28 @@ class TestTheoremThree:
     def test_constant_triple(self):
         bounds = BoundsTriple(2.0, 2.0, 2.0, 2.0, 2.0, 2.0)
         case = make_case("T3", CONST2, CONST2, CONST2, bounds=bounds)
-        rep = theorem3(case)
+        rep = evaluate_case(case)
         assert rep.lhs <= 1e-12
         assert rep.rhs == 0.0
 
     def test_seeded_bounded_triple_holds(self):
         fam = generate_family("bounded_triple", 7, 1.0)
         case = make_case("T3", fam.f, fam.g, fam.h, bounds=fam.bounds)
-        rep = theorem3(case)
+        rep = evaluate_case(case)
         assert rep.margin >= 0.0
         assert rep.verdict == "holds"
 
     def test_tight_unit_bounds_hold(self):
         bounds = BoundsTriple(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
         case = make_case("T3", IDENT, IDENT, IDENT, bounds=bounds)
-        rep = theorem3(case)
+        rep = evaluate_case(case)
         assert rep.margin >= 0.0
 
     def test_escaping_bounds_detected(self):
         bounds = BoundsTriple(0.0, 0.5, 0.0, 1.0, 0.0, 1.0)  # f escapes 0.5
         case = make_case("T3", IDENT, IDENT, IDENT, bounds=bounds)
         with pytest.raises(HypothesisViolatedError):
-            theorem3(case)
+            evaluate_case(case)
 
 
 class TestTheoremFour:
@@ -271,15 +251,15 @@ class TestTheoremFour:
         base = make_case("T3", fam.f, fam.g, fam.h, u=u, bounds=fam.bounds,
                          q1=0.3, q2=0.8, p1=(1.0, 0.5, 1.0), p2=(0.0, 2.0, 2.0))
         four = dataclasses.replace(base, theorem_id="T4", v=u)
-        rep3 = theorem3(base)
-        rep4 = theorem4(four)
+        rep3 = evaluate_case(base)
+        rep4 = evaluate_case(four)
         assert abs(rep4.margin - rep3.margin) <= 1e-13 * max(1.0, abs(rep3.margin))
 
     def test_two_weight_case_holds(self):
         fam = generate_family("bounded_triple", 11, 1.0)
         case = make_case("T4", fam.f, fam.g, fam.h, bounds=fam.bounds,
                          v=parse_function_spec("(power 2)"))
-        rep = theorem4(case)
+        rep = evaluate_case(case)
         assert rep.margin >= 0.0
 
 
@@ -287,7 +267,7 @@ class TestTheoremFive:
     def test_constant_triple_zero_both_sides(self):
         trip = LipschitzTriple(0.0, 0.0, 0.0)
         case = make_case("T5", CONST2, CONST2, CONST2, lipschitz=trip)
-        rep = theorem5(case)
+        rep = evaluate_case(case)
         assert rep.lhs <= 1e-12
         assert rep.rhs == 0.0
         assert rep.bracket is not None
@@ -295,7 +275,7 @@ class TestTheoremFive:
     def test_symmetric_identity_case_vanishes(self):
         trip = LipschitzTriple(1.0, 1.0, 1.0)
         case = make_case("T5", IDENT, IDENT, IDENT, lipschitz=trip)
-        rep = theorem5(case)
+        rep = evaluate_case(case)
         # identical weights and parameters on both sides: the combination
         # and the cubic bracket are antisymmetric, so both cancel exactly
         assert rep.lhs == 0.0
@@ -305,7 +285,7 @@ class TestTheoremFive:
         fam = generate_family("lipschitz_triple", 13, 1.0)
         case = make_case("T5", fam.f, fam.g, fam.h, lipschitz=fam.lipschitz,
                          q1=0.4, q2=0.7, p1=(0.0, 1.0, 1.0), p2=(0.5, 0.5, 2.0))
-        rep = theorem5(case)
+        rep = evaluate_case(case)
         assert rep.bracket is not None
         assert rep.verdict in ("holds", "violated", "inconclusive")
 
@@ -313,7 +293,7 @@ class TestTheoremFive:
         trip = LipschitzTriple(0.1, 1.0, 1.0)  # identity needs L >= 1
         case = make_case("T5", IDENT, IDENT, IDENT, lipschitz=trip)
         with pytest.raises(HypothesisViolatedError):
-            theorem5(case)
+            evaluate_case(case)
 
 
 class TestTheoremSix:
@@ -324,8 +304,8 @@ class TestTheoremSix:
                          lipschitz=fam.lipschitz, q1=0.35, q2=0.75,
                          p1=(0.5, 1.5, 0.5), p2=(-0.5, 0.7, 1.0))
         six = dataclasses.replace(base, theorem_id="T6", v=u)
-        rep5 = theorem5(base)
-        rep6 = theorem6(six)
+        rep5 = evaluate_case(base)
+        rep6 = evaluate_case(six)
         assert abs(rep6.margin - rep5.margin) <= 1e-13 * max(1.0, abs(rep5.margin))
         assert rep6.bracket == pytest.approx(rep5.bracket, rel=1e-13)
 
@@ -335,7 +315,7 @@ class TestTheoremSix:
         case = make_case("T6", fam.f, fam.g, fam.h, v=v,
                          lipschitz=fam.lipschitz, q1=0.5, q2=0.6,
                          p1=(0.0, 1.0, 1.0), p2=(0.5, 0.7, 2.0))
-        rep = theorem6(case)
+        rep = evaluate_case(case)
         assert rep.bracket is not None
         # recompute the eight combination terms to confirm the dominance flag
         def op(params, q, w, names):
@@ -403,7 +383,7 @@ class TestCertifiedHypotheses:
         assert broken(case.f, case.g)
         with pytest.raises(HypothesisViolatedError,
                            match="f and g must be .* cannot be certified"):
-            theorem1(case, expect_reversed=reverse)
+            evaluate_case(case, expect_reversed=reverse)
 
     def test_true_but_uncertified_bound_rejected(self):
         # Psi = 0.0225 is the true maximum, but the enclosure of the product
@@ -412,31 +392,24 @@ class TestCertifiedHypotheses:
         case = make_case("T3", f, IDENT, IDENT,
                          bounds=BoundsTriple(-0.7, 0.0225, 0.0, 1.0, 0.0, 1.0))
         with pytest.raises(HypothesisViolatedError, match="cannot certify f"):
-            theorem3(case)
+            evaluate_case(case)
 
 
 class TestVerdictSemantics:
     def test_inconclusive_band(self):
         # margin exactly zero with nonzero tails must be inconclusive
         case = make_case("T1", CONST2, CONST2, CONST2)
-        rep = theorem1(case)
+        rep = evaluate_case(case)
         assert rep.worst_tail > 0.0
         assert abs(rep.margin) <= rep.worst_tail * SAFETY_FACTOR
         assert rep.verdict == "inconclusive"
-
-    @pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "T4", "T5", "T6"])
-    def test_dispatch_matches_direct_calls(self, theorem):
-        case = derive_case(CampaignConfig(theorems=(theorem,), seed=1),
-                           theorem, 3)
-        direct = getattr(inequalities, f"theorem{theorem[1]}")
-        assert evaluate_case(case) == direct(case)
 
     def test_report_invariant_on_sample(self):
         for seed in range(10):
             fam = generate_family("synchronous_triple", seed, 1.0)
             case = make_case("T1", fam.f, fam.g, fam.h,
                              u=generate_weight(seed + 50, 1.0))
-            rep = theorem1(case)
+            rep = evaluate_case(case)
             if abs(rep.margin) <= rep.worst_tail * SAFETY_FACTOR:
                 assert rep.verdict == "inconclusive"
             else:
