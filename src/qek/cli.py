@@ -159,7 +159,8 @@ def _index_cases(config: CampaignConfig, theorems,
     synchronous triple is drawn as the bounded triple, which holds the same
     trees and their bounds, so T1-T4 share one triple; only the bounded
     theorems get the bounds. A reversed campaign draws T1/T2's f, g, h as
-    the asynchronous pair plus a nonnegative h instead."""
+    the asynchronous pair plus a nonnegative h instead, and marks those
+    cases reversed; its other theorems' cases are drawn as usual."""
     rng = random.Random(mix_seed(config.seed, case_index))
     t = rng.choice(config.t_values)
     q1 = DeformationParam(rng.choice(config.q1_grid))
@@ -178,9 +179,10 @@ def _index_cases(config: CampaignConfig, theorems,
     for theorem in theorems:
         _, weight2, _, kind = _THEOREMS[theorem]
         draw = kind
+        flip = False
         if kind == "synchronous_triple":
-            draw = ("asynchronous_pair_plus_nonneg"
-                    if config.expect == "reversed" else "bounded_triple")
+            flip = config.expect == "reversed"
+            draw = "asynchronous_pair_plus_nonneg" if flip else "bounded_triple"
         fam = families.get(draw)
         if fam is None:
             fam = families[draw] = generate_family(draw, family_seed, t)
@@ -190,7 +192,7 @@ def _index_cases(config: CampaignConfig, theorems,
             theorem_id=theorem, t=t, q1=q1, q2=q2, p1=p1, p2=p2, u=u,
             f=fam.f, g=fam.g, h=fam.h, v=v if weight2 == "v" else None,
             bounds=fam.bounds if kind == "bounded_triple" else None,
-            lipschitz=fam.lipschitz))
+            lipschitz=fam.lipschitz, reversed=flip))
     return cases
 
 
@@ -206,9 +208,7 @@ def _index_reports(item) -> list[tuple[int, InequalityReport]]:
     through one ``shared`` dict."""
     config, index = item
     shared = {}
-    return [(index, evaluate_case(case, config.policy,
-                                  expect_reversed=(config.expect == "reversed"),
-                                  shared=shared))
+    return [(index, evaluate_case(case, config.policy, shared=shared))
             for case in _index_cases(config, config.theorems, index)]
 
 
@@ -226,9 +226,7 @@ def _index_rows(fmt: str, item) -> list[tuple[str, tuple]]:
     shared = {}
     rows = []
     for case in _index_cases(config, config.theorems, index):
-        report = evaluate_case(case, config.policy,
-                               expect_reversed=(config.expect == "reversed"),
-                               shared=shared)
+        report = evaluate_case(case, config.policy, shared=shared)
         rows.append((format_row(report_row(index, report), fmt),
                      _summary_fields(report)))
         del report
@@ -478,23 +476,12 @@ def _check_t(t: float) -> None:
         raise ValueError(f"t must be positive and finite, got {t}")
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def cmd_eval(args) -> int:
-    try:
-        q = DeformationParam(args.q)
-    except ValueError:
-        return _fail_usage("q must lie in (0,1)")
-    try:
-        p = OperatorParams(args.eta, args.mu, args.beta)
-        spec = parse_function_spec(args.f)
-        policy = _policy_from_args(args)
-        _check_t(args.t)
-    except (ValueError, QekError) as exc:
-        return _fail_usage(str(exc))
+    q = DeformationParam(args.q)
+    p = OperatorParams(args.eta, args.mu, args.beta)
+    spec = parse_function_spec(args.f)
+    policy = _policy_from_args(args)
+    _check_t(args.t)
     results = {}
     if args.form in ("series", "both"):
         results["series"] = ek_series(spec, args.t, p, q, policy)
@@ -548,7 +535,7 @@ _GRID_KEYS = {
 
 def _config_from_args(args) -> tuple[CampaignConfig, dict]:
     values: dict = {}
-    io: dict = {}
+    output_keys: dict = {}
     if args.config:
         raw = _load_config_file(args.config)
         for key, val in raw.items():
@@ -563,9 +550,9 @@ def _config_from_args(args) -> tuple[CampaignConfig, dict]:
             elif key == "expect":
                 values[key] = val
             elif key in ("output", "format"):
-                io[key] = val
+                output_keys[key] = val
             elif key == "no_timestamp":
-                io[key] = val.lower() in ("1", "true", "yes")
+                output_keys[key] = val.lower() in ("1", "true", "yes")
             else:
                 raise ValueError(f"unknown config key {key!r}")
     if args.theorem:
@@ -586,19 +573,17 @@ def _config_from_args(args) -> tuple[CampaignConfig, dict]:
         text = getattr(args, f"grid_{flag}")
         if text:
             values[key] = _parse_grid(text)
-    return CampaignConfig(**values), io
+    return CampaignConfig(**values), output_keys
 
 
 def cmd_verify(args) -> int:
-    try:
-        config, io = _config_from_args(args)
-        fmt = args.format or io.get("format", "json-lines")
-        if fmt not in ("json-lines", "csv"):
-            raise ValueError(f"unknown output format {fmt!r}")
-    except (ValueError, OSError) as exc:
-        return _fail_usage(str(exc))
-    output = args.output or io.get("output")
-    timestamp = not (args.no_timestamp or io.get("no_timestamp", False))
+    config, output_keys = _config_from_args(args)
+    fmt = args.format or output_keys.get("format", "json-lines")
+    if fmt not in ("json-lines", "csv"):
+        raise ValueError(f"unknown output format {fmt!r}")
+    output = args.output or output_keys.get("output")
+    timestamp = not (args.no_timestamp
+                     or output_keys.get("no_timestamp", False))
     tally = CampaignTally(config)
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(
@@ -627,22 +612,19 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.axis not in ("q", "eta", "mu", "beta"):
-        return _fail_usage(f"unknown sweep axis {args.axis!r}")
+        raise ValueError(f"unknown sweep axis {args.axis!r}")
     if args.steps < 1 or args.stop < args.start:
-        return _fail_usage("empty sweep range")
-    try:
-        policy = _policy_from_args(args)
-        spec = parse_function_spec(args.f)
-        _check_t(args.t)
-        if args.steps == 1:
-            values = [args.start]
-        else:
-            step = (args.stop - args.start) / (args.steps - 1)
-            values = [args.start + k * step for k in range(args.steps)]
-        rows = list(sweep_rows(args.axis, values, args.q, args.eta, args.mu,
-                               args.beta, args.t, spec, policy))
-    except (ValueError, QekError) as exc:
-        return _fail_usage(str(exc))
+        raise ValueError("empty sweep range")
+    policy = _policy_from_args(args)
+    spec = parse_function_spec(args.f)
+    _check_t(args.t)
+    if args.steps == 1:
+        values = [args.start]
+    else:
+        step = (args.stop - args.start) / (args.steps - 1)
+        values = [args.start + k * step for k in range(args.steps)]
+    rows = list(sweep_rows(args.axis, values, args.q, args.eta, args.mu,
+                           args.beta, args.t, spec, policy))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow((args.axis, "terms_used", "tail_estimate",

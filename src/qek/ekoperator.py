@@ -179,14 +179,13 @@ class OperatorRule:
         self.policy = policy
         self._t = t
         # the factor table: it depends on the factors and t only. A factor
-        # has its pieces, their ends, its breakpoints below t and the
-        # ``_column`` rules of its pieces, made when first used
-        self._pieces, self._ends, self._inner, self._evaluations = {}, {}, {}, {}
+        # has its pieces, their ends and its breakpoints below t; the
+        # products' pieces are made when first used
+        self._pieces, self._ends, self._inner = {}, {}, {}
         for name, spec in specs.items():
             row = self._pieces[name] = pieces(spec, t)
             ends = self._ends[name] = [pc.end for pc in row]
             self._inner[name] = ends[:-1]
-            self._evaluations[name] = [None] * len(row)
         self._breakpoints = sorted(set().union(*self._inner.values()))
         self._products: dict[tuple, Piece] = {}
         self._quadrature(p, q)
@@ -258,7 +257,7 @@ class OperatorRule:
         self._node_step = 3.0 * -step
         self._mass = fsum(self._weights) * (1.0 + size * self._step_rel * _U)
         self._columns: dict = {}
-        self._tails: dict[int, dict] = {0: {}}
+        self._tails: dict[tuple, tuple] = {}
         self._deep: dict[int, tuple] = {}
         self._ratio_rows: dict[float, array] = {}
         self._q_powers: dict[int, array] = {}
@@ -270,7 +269,9 @@ class OperatorRule:
         A product with a knot in [0, t] sums the side's direct nodes one
         by one, each factor's value read from its piece's polynomial
         (``_column``); every piece of it below them adds
-        sum_p c_p (G(K_lo, c_p) - G(K_hi, c_p)). ``tail_estimate`` bounds
+        sum_p c_p (G(K_lo, c_p) - G(K_hi, c_p)), each G one ``_tail``; the
+        piece that holds 0 has K_hi = inf and G(K_hi) = 0, and every other
+        adds the rounding of the difference. ``tail_estimate`` bounds
         the truncation of every series and q-product read plus, to first
         order in the unit roundoff u, the rounding: of the pieces'
         coefficients (their ``err``, which keeps any cancellation among
@@ -300,10 +301,8 @@ class OperatorRule:
             # sum_f E_f prod_(g != f) M_g and prod_f M_g, E_f (in units of
             # u) and M_f bounding each column's rounding and size
             lead, size = 0.0, 1.0
-            columns = self._columns
             for name in (*names, moment) if moment else names:
-                column, col_err, col_mag = (columns.get(name)
-                                            or self._column(name))
+                column, col_err, col_mag = self._column(name)
                 terms = map(mul, terms, column)
                 lead, size = lead * col_mag + size * col_err, size * col_mag
             terms = array("d", terms)
@@ -315,7 +314,6 @@ class OperatorRule:
         # the pieces below the direct nodes, from the bottom one: each
         # starts at 0 or at a deep knot, and holds the nodes from K at the
         # next knot above, or the direct limit, to K at its start
-        tails = self._tails
         bounds = (inf, *map(self._index.__getitem__, deep), direct)
         for j, start in enumerate((0.0, *deep)):
             k_lo, k_hi = bounds[j + 1], bounds[j]
@@ -324,28 +322,18 @@ class OperatorRule:
             piece = self._piece(moment, names, start)
             if piece.lo < smallest:
                 smallest = piece.lo
-            lows = tails.get(k_lo)
-            if lows is None:
-                lows = tails[k_lo] = {}
-            highs = None
-            if k_hi != inf:
-                highs = tails.get(k_hi)
-                if highs is None:
-                    highs = tails[k_hi] = {}
             if piece.err:
                 # the coefficients' rounding, sum_p |dc| b^p <= err u, times
                 # sum W_k x_k^p <= b^p sum W_k over the piece
-                mass = (lows.get(0.0) or self._tail(0.0, k_lo, lows))[:2]
-                if highs is not None:
-                    high = highs.get(0.0) or self._tail(0.0, k_hi, highs)
-                    mass = (mass[0] - high[0], mass[1] + high[1])
-                err += piece.err * (mass[0] + 2.0 * mass[1]) * _U
+                mass, mass_err = self._tail(0.0, k_lo)[:2]
+                if k_hi != inf:
+                    high, high_err = self._tail(0.0, k_hi)[:2]
+                    mass, mass_err = mass - high, mass_err + high_err
+                err += piece.err * (mass + 2.0 * mass_err) * _U
             for power, coef in piece.poly.items():
-                value, value_err, terms_read, fail = (
-                    lows.get(power) or self._tail(power, k_lo, lows))
-                if highs is not None:
-                    high, high_err, more, fail_hi = (
-                        highs.get(power) or self._tail(power, k_hi, highs))
+                value, value_err, terms_read, fail = self._tail(power, k_lo)
+                if k_hi != inf:
+                    high, high_err, more, fail_hi = self._tail(power, k_hi)
                     value -= high
                     value_err += high_err + abs(value) * _U
                     terms_read += more
@@ -393,9 +381,13 @@ class OperatorRule:
     def _column(self, name) -> tuple:
         """``(values, error, size)``: the named factor, or s^name for an
         integer name, at every direct node, each value read from the
-        polynomial of the factor's piece that holds the node. ``error``
-        (in units of u) and ``size`` bound each value's rounding, its
-        coefficients' included, and its magnitude."""
+        polynomial of the factor's piece that holds the node: c0 + c1 x,
+        c x^p, or else its terms added left to right. ``error`` (in units
+        of u) and ``size`` bound each value's rounding, its coefficients'
+        included, and its magnitude. Kept in ``_columns``."""
+        hit = self._columns.get(name)
+        if hit is not None:
+            return hit
         nodes = self._nodes
         count = len(nodes)
         # a node t exp(k log(q) / beta) is off by node_rel u relative
@@ -407,7 +399,7 @@ class OperatorRule:
         else:
             index = self._index
             ends = self._ends[name]
-            rules = self._evaluations[name]
+            row = self._pieces[name]
             column = []
             error = size = 0.0
             k_top = 0
@@ -415,20 +407,22 @@ class OperatorRule:
             while k_top < count:  # the factor's pieces from the top down
                 k_bottom = index[ends[j - 1]] if j else count
                 if k_bottom > k_top:
-                    rule = rules[j] or self._evaluation(name, j)
-                    row = nodes[k_top:k_bottom]
-                    kind, coefs, fixed, power_err, mag = rule
-                    if kind == 2:
-                        c0, c1 = coefs
-                        column += [c0 + c1 * x for x in row]
-                    elif kind == 1:
-                        power, coef = coefs
-                        column += ([coef * x ** power for x in row] if power
-                                   else [coef] * len(row))
+                    piece = row[j]
+                    poly, mag = piece.poly, piece.mag
+                    xs = nodes[k_top:k_bottom]
+                    if len(poly) == 2 and 0.0 in poly and 1.0 in poly:
+                        c0, c1 = poly[0.0], poly[1.0]
+                        column += [c0 + c1 * x for x in xs]
+                    elif len(poly) == 1:
+                        (power, coef), = poly.items()
+                        column += ([coef * x ** power for x in xs] if power
+                                   else [coef] * len(xs))
                     else:  # added left to right, not by the builtin sum()
-                        column += [reduce(add, [c * x ** e for e, c in coefs],
-                                          0.0) for x in row]
-                    error = max(error, fixed + power_err * node_rel)
+                        column += [reduce(add, [c * x ** e for e, c
+                                                in poly.items()], 0.0)
+                                   for x in xs]
+                    error = max(error, piece.err + mag * (len(poly) + 2.0)
+                                + mag * max(poly, default=0.0) * node_rel)
                     size = max(size, mag)
                     k_top = k_bottom
                 j -= 1
@@ -436,38 +430,31 @@ class OperatorRule:
         self._columns[name] = hit
         return hit
 
-    def _evaluation(self, name: str, j: int) -> tuple:
-        """How ``_column`` evaluates piece j of the named factor:
-        ``(kind, coefficients, fixed, power_err, mag)``, kind 2 for
-        c0 + c1 x, 1 for c x^p and 0 otherwise, with the bound
-        fixed + power_err node_rel (in units of u) on a value's rounding
-        and mag on its size."""
-        piece = self._pieces[name][j]
-        poly = piece.poly
-        if len(poly) == 2 and 0.0 in poly and 1.0 in poly:
-            rule = (2, (poly[0.0], poly[1.0]))
-        elif len(poly) == 1:
-            rule = (1, next(iter(poly.items())))
-        else:
-            rule = (0, tuple(poly.items()))
-        rule += (piece.err + piece.mag * (len(poly) + 2.0),
-                 piece.mag * max(poly, default=0.0), piece.mag)
-        self._evaluations[name][j] = rule
-        return rule
-
-    def _tail(self, power: float, k: int, row: dict) -> tuple:
+    def _tail(self, power: float, k: int) -> tuple:
         """``(G, error bound, terms, failure)`` for the sum of
-        W_j x_j^power over every node j >= k, k finite: t^power S for k = 0
-        (``_full_moment``), t^power S minus the fsum of the first k terms
-        when k is a direct boundary, else the tail series. ``terms`` counts
-        the factors and series terms of the records and series it reads;
-        ``failure`` names what did not converge, or is empty. Kept in
-        ``row``, the ``_tails`` entry of k."""
+        W_j x_j^power over every node j >= k, k finite: for k = 0,
+        t^power S(q^c) with c = eta + 1 + power/beta (q-binomial theorem),
+        its terms the factors of the S record and of the record its class
+        is reached from; t^power S minus the fsum of the first k terms when
+        k is a direct boundary; else the tail series (``_series``).
+        ``terms`` counts the factors and series terms of the records and
+        series it reads; ``failure`` names what did not converge, or is
+        empty. Kept in ``_tails`` under (k, power)."""
+        hit = self._tails.get((k, power))
+        if hit is not None:
+            return hit
         if not k:
-            return self._full_moment(power)
-        if k <= self._direct:
-            value, value_err, terms, why = (self._tails[0].get(power)
-                                            or self._full_moment(power))
+            p, qv = self._p, self._q
+            c = p.eta + 1.0 + power / p.beta
+            s, s_rel, factors, base, done = _s_record(qv, p.eta, p.mu, c,
+                                                      self.policy)
+            if base is not None:
+                factors += _s_record(qv, p.eta, p.mu, base, self.policy)[2]
+            value = self._t ** power * s
+            hit = (value, value * (s_rel + 8.0 * _U), factors,
+                   "" if done else "product factors")
+        elif k <= self._direct:
+            value, value_err, terms, why = self._tail(power, 0)
             moments = self._weights
             if power:
                 moments = map(mul, moments, map(pow, self._nodes, repeat(power)))
@@ -480,7 +467,7 @@ class OperatorRule:
             hit = (value, value_err + (prefix * rel + abs(value)) * _U, terms, why)
         else:
             hit = self._series(power, k)
-        row[power] = hit
+        self._tails[k, power] = hit
         return hit
 
     def _series(self, power: float, k: int) -> tuple:
@@ -580,23 +567,6 @@ class OperatorRule:
             rel = s_rel + expm1(log_err + abs(log_ratio) * _U) + 4.0 * _U
             why = ("" if series_done else "terms") if done else "product factors"
             hit = self._deep[k] = (weight, rel, factors + terms, why)
-        return hit
-
-    def _full_moment(self, power: float) -> tuple:
-        """The ``_tail`` entry of k = 0: the sum of W_k x_k^power over
-        every node, t^power S(q^c) with c = eta + 1 + power/beta
-        (q-binomial theorem). Its terms are the factors of the S record and
-        of the record its class is reached from."""
-        p, qv = self._p, self._q
-        c = p.eta + 1.0 + power / p.beta
-        s, s_rel, factors, base, done = _s_record(qv, p.eta, p.mu, c,
-                                                  self.policy)
-        if base is not None:
-            factors += _s_record(qv, p.eta, p.mu, base, self.policy)[2]
-        value = self._t ** power * s
-        hit = self._tails[0][power] = (value, value * (s_rel + 8.0 * _U),
-                                       factors,
-                                       "" if done else "product factors")
         return hit
 
 

@@ -80,7 +80,13 @@ SAFETY_FACTOR = 10.0
 @dataclass(frozen=True)
 class TheoremCase:
     """One inequality instance: evaluation point, bases, parameters,
-    functions and (where required) certificates."""
+    functions and (where required) certificates.
+
+    ``reversed`` asks a T1/T2 case for the reversed inequality: its
+    hypotheses become f, g asynchronous and h >= 0, under which the
+    inequality flips; the margin is computed identically either way. Any
+    other theorem raises ValueError for it.
+    """
 
     theorem_id: str
     t: float
@@ -95,6 +101,7 @@ class TheoremCase:
     v: Optional[FunctionSpec] = None
     bounds: Optional[BoundsTriple] = None
     lipschitz: Optional[LipschitzTriple] = None
+    reversed: bool = False
 
     def __post_init__(self):
         theorem = _THEOREMS.get(self.theorem_id)
@@ -108,6 +115,9 @@ class TheoremCase:
             raise ValueError(f"{self.theorem_id} needs a BoundsTriple")
         if theorem.family == "lipschitz_triple" and self.lipschitz is None:
             raise ValueError(f"{self.theorem_id} needs a LipschitzTriple")
+        if self.reversed and theorem.require is not _require_chebyshev:
+            raise ValueError(f"{self.theorem_id} has no reversed form; only"
+                             f" T1/T2 cases can be reversed")
 
 
 @dataclass(frozen=True)
@@ -234,10 +244,10 @@ def _require_nonnegative(spec: FunctionSpec, t: float, name: str) -> None:
             f" cannot certify it on [0, {t}]")
 
 
-def _require_chebyshev(case: TheoremCase, expect_reversed: bool) -> None:
-    """T1/T2: f, g, h pairwise synchronous, or f, g asynchronous when the
-    reversed inequality is expected; h >= 0 either way."""
-    if expect_reversed:
+def _require_chebyshev(case: TheoremCase) -> None:
+    """T1/T2: f, g, h pairwise synchronous, or f, g asynchronous for a
+    reversed case; h >= 0 either way."""
+    if case.reversed:
         want, pairs = "asynchronous", (("f", "g"),)
     else:
         want, pairs = "synchronous", (("f", "g"), ("f", "h"), ("g", "h"))
@@ -254,7 +264,7 @@ def _require_chebyshev(case: TheoremCase, expect_reversed: bool) -> None:
     _require_nonnegative(case.h, case.t, "h")
 
 
-def _require_bounds_hold(case: TheoremCase, expect_reversed: bool) -> None:
+def _require_bounds_hold(case: TheoremCase) -> None:
     b = case.bounds
     for spec, lo, hi, name in ((case.f, b.psi, b.Psi, "f"),
                                (case.g, b.phi, b.Phi, "g"),
@@ -266,8 +276,7 @@ def _require_bounds_hold(case: TheoremCase, expect_reversed: bool) -> None:
                 f" [{lo}, {hi}] on [0, {case.t}]; it gives [{elo}, {ehi}]")
 
 
-def _require_lipschitz_holds(case: TheoremCase,
-                             expect_reversed: bool) -> None:
+def _require_lipschitz_holds(case: TheoremCase) -> None:
     trip = case.lipschitz
     for spec, const, name in ((case.f, trip.L1, "f"),
                               (case.g, trip.L2, "g"),
@@ -349,8 +358,8 @@ class _Theorem(NamedTuple):
 
     ``sides`` returns (lhs, rhs, margin, extra report fields), margin >= 0
     meaning the inequality holds as printed; ``weight2`` is the q2 weight
-    ("v" for the two-weight versions); ``require(case, expect_reversed)``
-    checks the hypotheses; ``family`` is the generated family kind a
+    ("v" for the two-weight versions); ``require(case)`` checks the
+    hypotheses; ``family`` is the generated family kind a
     campaign draws f, g, h and their certificates from.
     """
 
@@ -371,16 +380,15 @@ _THEOREMS = {
 
 
 def evaluate_case(case: TheoremCase, policy: TruncationPolicy = DEFAULT_POLICY,
-                  expect_reversed: bool = False,
                   shared: Optional[dict] = None) -> InequalityReport:
     """Evaluate a case under its own theorem id, the one theorem evaluator.
 
     * T2, T4 and T6 put v inside every q2 operator and reduce to T1, T3
       and T5 when v = u.
     * T5/T6 record the sign of the moment bracket and do not assert it.
-    * ``expect_reversed`` only affects T1/T2: the check switches to f, g
-      asynchronous and h >= 0, under which the inequality flips; the
-      margin is computed identically either way.
+    * A reversed case (T1/T2 only, ``TheoremCase.reversed``) is checked
+      for f, g asynchronous and h >= 0, under which the inequality flips;
+      the margin is computed identically either way.
 
     ``shared`` is a dict the caller keeps across cases whose rule inputs
     may coincide (t, q1, p1, q2, p2, the policy and the specs u, f, g, h
@@ -392,7 +400,7 @@ def evaluate_case(case: TheoremCase, policy: TruncationPolicy = DEFAULT_POLICY,
     _require_nonnegative(case.u, case.t, "u")
     if weight2 == "v":
         _require_nonnegative(case.v, case.t, "v")
-    require(case, expect_reversed)
+    require(case)
     ops = _CaseOps(_store_of(case, policy, shared))
     try:
         lhs, rhs, margin, extra = sides(case, ops, weight2)

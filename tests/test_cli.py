@@ -225,11 +225,10 @@ class TestVerify:
     def test_reversal_threshold_follows_safety_factor(self, capsys,
                                                       monkeypatch, factor,
                                                       expected):
-        def noisy(case, policy, expect_reversed=False, shared=None):
+        def noisy(case, policy, shared=None):
             # a positive margin of five worst tails: inside the noise band
             # at SAFETY_FACTOR 10, a failed reversal at SAFETY_FACTOR 2
-            rep = inequalities.evaluate_case(case, policy, expect_reversed,
-                                             shared)
+            rep = inequalities.evaluate_case(case, policy, shared)
             assert rep.worst_tail > 0.0
             margin = 5.0 * rep.worst_tail
             return dataclasses.replace(
@@ -499,8 +498,8 @@ class TestStreaming:
                                            tmp_path):
         evaluate = cli.evaluate_case
 
-        def fail_at_third(case, policy, expect_reversed=False, shared=None):
-            report = evaluate(case, policy, expect_reversed, shared)
+        def fail_at_third(case, policy, shared=None):
+            report = evaluate(case, policy, shared)
             if fail_at_third.calls == 3:
                 raise QekError("stop")
             fail_at_third.calls += 1
@@ -528,12 +527,11 @@ class TestStreaming:
         spools = []
         calls = Counter()
 
-        def fail_at_index_three(case, policy, expect_reversed=False,
-                                shared=None):
+        def fail_at_index_three(case, policy, shared=None):
             calls[case.theorem_id] += 1
             if case.theorem_id == fails and calls[fails] == 4:
                 raise QekError("stop")
-            return evaluate(case, policy, expect_reversed, shared)
+            return evaluate(case, policy, shared)
 
         def tracked_spool(*args, **kwargs):
             spools.append(make_spool(*args, **kwargs))
@@ -560,9 +558,9 @@ class TestStreaming:
         evaluate = cli.evaluate_case
         earlier = []
 
-        def tracked(case, policy, expect_reversed=False, shared=None):
+        def tracked(case, policy, shared=None):
             assert all(ref() is None for ref in earlier)
-            report = evaluate(case, policy, expect_reversed, shared)
+            report = evaluate(case, policy, shared)
             earlier.append(weakref.ref(report))
             return report
 

@@ -35,12 +35,13 @@ DEC = parse_function_spec("(affine -1 2)")
 
 def make_case(theorem_id, f, g, h, u=U1, v=None, t=1.0, q1=0.5, q2=0.5,
               p1=(0.0, 1.0, 1.0), p2=(0.0, 1.0, 1.0), bounds=None,
-              lipschitz=None):
+              lipschitz=None, reversed=False):
     return TheoremCase(
         theorem_id=theorem_id, t=t,
         q1=DeformationParam(q1), q2=DeformationParam(q2),
         p1=OperatorParams(*p1), p2=OperatorParams(*p2),
         u=u, f=f, g=g, h=h, v=v, bounds=bounds, lipschitz=lipschitz,
+        reversed=reversed,
     )
 
 
@@ -97,6 +98,17 @@ class TestTheoremCaseValidation:
         with pytest.raises(ValueError):
             make_case("T5", IDENT, IDENT, IDENT)
 
+    @pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "T4", "T5", "T6"])
+    def test_only_chebyshev_cases_reverse(self, theorem):
+        case = derive_case(CampaignConfig(theorems=(theorem,), seed=1),
+                           theorem, 0)
+        assert not case.reversed
+        if theorem in ("T1", "T2"):
+            assert dataclasses.replace(case, reversed=True).reversed
+        else:
+            with pytest.raises(ValueError, match="no reversed form"):
+                dataclasses.replace(case, reversed=True)
+
 
 class TestTheoremOne:
     def test_constant_triple_margin_zero(self):
@@ -114,8 +126,8 @@ class TestTheoremOne:
         assert rep.operator_evals == 16
 
     def test_reversal_case_nonpositive_margin(self):
-        case = make_case("T1", IDENT, DEC, U1)
-        rep = evaluate_case(case, expect_reversed=True)
+        case = make_case("T1", IDENT, DEC, U1, reversed=True)
+        rep = evaluate_case(case)
         assert rep.margin <= 0.0
 
     def test_synchronicity_enforced(self):
@@ -133,9 +145,9 @@ class TestTheoremOne:
             evaluate_case(bad)
 
     def test_reversal_hypotheses_enforced(self):
-        case = make_case("T1", IDENT, IDENT, IDENT)
+        case = make_case("T1", IDENT, IDENT, IDENT, reversed=True)
         with pytest.raises(HypothesisViolatedError):
-            evaluate_case(case, expect_reversed=True)
+            evaluate_case(case)
 
     def test_negative_weight_rejected(self):
         bad_u = parse_function_spec("(affine 1 -0.5)")
@@ -146,9 +158,9 @@ class TestTheoremOne:
     def test_constant_f_is_synchronous_and_asynchronous(self):
         # a constant f is synchronous and asynchronous with a decreasing g;
         # the exact margin is 0
-        case = make_case("T1", CONST2, DEC, DEC)
         for reversed_ in (False, True):
-            rep = evaluate_case(case, expect_reversed=reversed_)
+            case = make_case("T1", CONST2, DEC, DEC, reversed=reversed_)
+            rep = evaluate_case(case)
             assert rep.verdict == "inconclusive"
             assert abs(rep.margin) <= rep.worst_tail
 
@@ -379,11 +391,11 @@ class TestCertifiedHypotheses:
             "T1-square-past-its-minimum"])
     def test_uncertified_synchrony_rejected(self, f, g, h, t, reverse, broken):
         case = make_case("T1", parse_function_spec(f), parse_function_spec(g),
-                         parse_function_spec(h), t=t)
+                         parse_function_spec(h), t=t, reversed=reverse)
         assert broken(case.f, case.g)
         with pytest.raises(HypothesisViolatedError,
                            match="f and g must be .* cannot be certified"):
-            evaluate_case(case, expect_reversed=reverse)
+            evaluate_case(case)
 
     def test_true_but_uncertified_bound_rejected(self):
         # Psi = 0.0225 is the true maximum, but the enclosure of the product
@@ -596,9 +608,10 @@ class TestSharedStore:
                     assert check_synchronous(case.f, case.g, case.t) in (
                         family, "both")
                 stores = len(shared)
-                rep = evaluate_case(case, config.policy, reversed_, shared)
+                assert case.reversed == (reversed_ and theorem in ("T1", "T2"))
+                rep = evaluate_case(case, config.policy, shared)
                 reused += len(shared) == stores
-                alone = evaluate_case(case, config.policy, reversed_)
+                alone = evaluate_case(case, config.policy)
                 assert _report_bits(rep) == _report_bits(alone)
                 unconverged += any(note.startswith("not converged")
                                    for note in rep.notes)
