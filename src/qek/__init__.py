@@ -2,10 +2,11 @@
 
 Layers, bottom up:
 
-* :mod:`qek.qcore` -- q-shifted factorials, q-Gamma, q-powers, all under an
-  explicit truncation policy: q-products carry a certified error bound,
-  node sums a tail estimate that assumes a geometric tail.
-* :mod:`qek.jackson` -- q-derivative and Jackson q-integration.
+* :mod:`qek.qcore` -- q-products, q-Gamma, q-factorial and the q-power
+  kernel, all under an explicit truncation policy: q-products carry a
+  certified error bound, node sums a tail estimate that assumes a
+  geometric tail.
+* :mod:`qek.jackson` -- the Jackson q-integral over (0, b].
 * :mod:`qek.functions` -- a closed function DSL whose expression trees are
   the specs (every node is a :class:`FunctionSpec`) and whose monotone
   directions, bounds, nonnegativity and Lipschitz constants are certified
@@ -33,19 +34,9 @@ from .qcore import (
     TruncationPolicy,
     q_factorial,
     q_gamma,
-    q_pochhammer_alpha,
-    q_pochhammer_inf,
-    q_pochhammer_n,
-    q_power,
     q_power_alpha,
 )
-from .jackson import (
-    QGridSample,
-    jackson_integral,
-    jackson_integral_ab,
-    jackson_stieltjes,
-    q_derivative,
-)
+from .jackson import jackson_integral
 from .functions import (
     Affine,
     BoundsTriple,

@@ -20,15 +20,17 @@ one-factor case. Both take DSL expression trees (whose nodes subclass
 DSL expression is piecewise a monomial sum (``functions.pieces``), so the
 series of a product is a sum over its pieces of closed forms from the
 q-binomial theorem and its difference equation, with nothing truncated
-but q-products and geometrically falling series. Its cost and error do
-not grow like 1/(1 - q): a knot adds at most about
-sqrt(2 log(rel_tol) / log q) terms, and a knot well below t a few. Two
-caches serve the closed forms: one bounded table of the values S per
-process, keyed by (q, eta, mu, c, policy), and one factor table (the
-factors' pieces and the pieces of their products) per set of factors and
-t, which ``OperatorRule.at`` shares with the rule at another (p, q). The
-integral form and the Kober operator, its beta = 1 member, take any
-callable.
+but q-products and geometrically falling series. Its error does not
+grow like 1/(1 - q), nor do its node sums: a knot adds at most about
+sqrt(2 log(rel_tol) / log q) terms, and a knot well below t a few. Its
+closed forms do: each reads about ln 2 / (1 - q) leading factors of
+``qcore.log_q_ratio``, 63,289 terms in all for a piecewise-linear f at
+q = 0.9999 and 624,736 at 0.99999. Two caches serve the closed forms:
+one bounded table of the values S per process, keyed by (q, eta, mu, c,
+policy), and one factor table (the factors' pieces and the pieces of
+their products) per set of factors and t, which ``OperatorRule.at``
+shares with the rule at another (p, q). The integral form and the Kober
+operator, its beta = 1 member, take any callable.
 
 ``ek_integral`` evaluates the integral form on the same nodes but by its
 own route: at node j the kernel is t^(beta(mu-1)) (q^(j+1); q)_inf /
@@ -564,10 +566,20 @@ class OperatorRule:
             log_ratio, log_err, terms, series_done = log_q_ratio(
                 qv, k + 1.0, p.mu - 1.0, policy)
             weight = -expm1(p.mu * lq) * s1 * exp(-log_ratio)
-            rel = s_rel + expm1(log_err + abs(log_ratio) * _U) + 4.0 * _U
+            rel = s_rel + _exp_rel(log_err + abs(log_ratio) * _U) + 4.0 * _U
             why = ("" if series_done else "terms") if done else "product factors"
             hit = self._deep[k] = (weight, rel, factors + terms, why)
         return hit
+
+
+def _exp_rel(log_err: float) -> float:
+    """expm1(log_err), the relative error of exp(x) for x off by at most
+    log_err, or inf where that overflows, as after a budget that cut a
+    ``log_q_ratio`` short: a bound never raises; the caller's flag does."""
+    try:
+        return expm1(log_err)
+    except OverflowError:
+        return inf
 
 
 # Bounded like compile_expr: a sweep over q meets new keys at every step.
@@ -610,7 +622,7 @@ def _s_record(q: float, eta: float, mu: float, c: float,
             err += (3.0 * (e + 2.0 * abs(eta)) * -lq * _U
                     * ((1.0 - gap) / gap + log(gap) / lq))
         err += abs(log_s) * _U
-        return exp(log_s), expm1(err) + _U, terms, None, done
+        return exp(log_s), _exp_rel(err) + _U, terms, None, done
     s0, rel0, _, _, done = _s_record(q, eta, mu, base, policy)
     n = round(c - base)
     if n > 0:

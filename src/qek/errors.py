@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Vanishing denominators in finite products raise the builtin
-``ZeroDivisionError``; everything else derives from :class:`QekError`
-so callers can catch library failures in one clause.
+A vanishing denominator product in ``qcore.q_power_alpha`` raises the
+builtin ``ZeroDivisionError``; everything else derives from
+:class:`QekError` so callers can catch library failures in one clause.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""q-arithmetic primitives: shifted factorials, q-Gamma, q-factorial, q-powers.
+"""q-arithmetic primitives: q-products, q-Gamma, q-factorial, the q-power kernel.
 
 All infinite sums and products are truncated under an explicit
 :class:`TruncationPolicy` and return a :class:`SeriesResult` carrying the
@@ -8,7 +8,7 @@ value together with a tail estimate. Each rule is written once:
   ``rel_tol * |running total| + 1e-300``, reading at most ``max_terms``
   terms. The tail estimate assumes a geometric tail.
 * Infinite products (a; q)_inf of a general a, :func:`log_q_product`,
-  behind (a; q)_inf, (a; q)_alpha and the q-powers: the few leading
+  behind the q-power kernel :func:`q_power_alpha`: the few leading
   factors with |a q^k| > 1/2 in log space, then Euler's series
   log (x; q)_inf = -sum_(n>=1) x^n / (n (1 - q^n)), |x| <= 1/2, until its
   certified tail falls below ``rel_tol``.
@@ -46,12 +46,8 @@ __all__ = [
     "LogQProduct",
     "log_q_product",
     "log_q_ratio",
-    "q_pochhammer_n",
-    "q_pochhammer_inf",
-    "q_pochhammer_alpha",
     "q_gamma",
     "q_factorial",
-    "q_power",
     "q_power_alpha",
 ]
 
@@ -160,37 +156,6 @@ def sum_series(terms, policy: TruncationPolicy, tail_ratio: float,
         why = f"{what}: no convergence within {max_terms} terms"
     raise NotConvergedError(why, partial=SeriesResult(value, used, abs(value),
                                                       False))
-
-
-def q_pochhammer_n(a: float, q: DeformationParam | float, n: int) -> float:
-    """q-shifted factorial (a; q)_n for integer n of either sign.
-
-    For n >= 0 this is the finite product prod_{k=0..n-1} (1 - a q^k)
-    (empty product 1); for n < 0 it is 1 / prod_{k=1..|n|} (1 - a q^-k).
-
-    Raises ZeroDivisionError when a negative-subscript factor vanishes,
-    i.e. a equals q^m for some needed m >= 1.
-    """
-    qv = as_deformation(q).q
-    n = int(n)
-    if n >= 0:
-        prod = 1.0
-        qk = 1.0
-        for _ in range(n):
-            prod *= 1.0 - a * qk
-            qk *= qv
-        return prod
-    denom = 1.0
-    qmk = 1.0
-    for _ in range(-n):
-        qmk /= qv
-        factor = 1.0 - a * qmk
-        if factor == 0.0:
-            raise ZeroDivisionError(
-                f"(a;q)_{n} undefined: factor 1 - a*q^-k vanishes for a={a}, q={qv}"
-            )
-        denom *= factor
-    return 1.0 / denom
 
 
 class LogQProduct(NamedTuple):
@@ -367,63 +332,11 @@ def log_q_ratio(q: float, e: float, d: float,
             rest <= policy.rel_tol)
 
 
-def _pochhammer_inf_parts(a: float, qv: float,
-                          policy: TruncationPolicy) -> LogQProduct:
-    """``log_q_product(a, qv, policy)``, raising NotConvergedError with
-    the partial product when it does not converge.
-
-    Working with log magnitude plus sign keeps products well defined far
-    outside the double-precision range, which matters for ratios like
-    (a; q)_alpha near q -> 1 where both products underflow.
-    """
-    parts = log_q_product(a, qv, policy)
-    if not parts.converged:
-        raise NotConvergedError(
-            f"(a;q)_inf: no convergence within {policy.max_terms} terms "
-            f"(a={a}, q={qv})",
-            partial=SeriesResult(parts.sign * _safe_exp(parts.value),
-                                 parts.terms_used, math.inf, False))
-    return parts
-
-
 def _safe_exp(log_abs: float) -> float:
     try:
         return math.exp(log_abs)
     except OverflowError:
         return math.inf
-
-
-def q_pochhammer_inf(a: float, q: DeformationParam | float,
-                     policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
-    """Infinite q-shifted factorial (a; q)_inf = prod_{k>=0} (1 - a q^k)."""
-    qv = as_deformation(q).q
-    log_abs, sign, used, err, _ = _pochhammer_inf_parts(a, qv, policy)
-    value = sign * _safe_exp(log_abs)
-    tail = abs(value) * math.expm1(err + _U) if math.isfinite(value) else math.inf
-    return SeriesResult(value, used, tail, True)
-
-
-def q_pochhammer_alpha(a: float, q: DeformationParam | float, alpha: float,
-                       policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
-    """q-shifted factorial with arbitrary real exponent.
-
-    (a; q)_alpha = (a; q)_inf / (a q^alpha; q)_inf, formed in log space so
-    a pair of individually underflowing products still has a well-defined
-    ratio. Agrees with q_pochhammer_n for integer alpha.
-    """
-    qv = as_deformation(q).q
-    num = _pochhammer_inf_parts(a, qv, policy)
-    den = _pochhammer_inf_parts(a * qv ** alpha, qv, policy)
-    used = num.terms_used + den.terms_used
-    if den.value == -math.inf:
-        raise ZeroDivisionError(
-            f"(a;q)_alpha a={a} alpha={alpha}: denominator product vanishes")
-    if num.value == -math.inf:  # a factor of the numerator is exactly 0
-        return SeriesResult(0.0, used, 0.0, True)
-    value = num.sign * den.sign * _safe_exp(num.value - den.value)
-    err = num.error + den.error + (abs(num.value) + abs(den.value)) * _U
-    tail = abs(value) * math.expm1(err + _U) if math.isfinite(value) else math.inf
-    return SeriesResult(value, used, tail, True)
 
 
 def q_gamma(a: float, q: DeformationParam | float,
@@ -496,36 +409,47 @@ def q_factorial(n: int, q: DeformationParam | float) -> float:
     return prod
 
 
-def q_power(t: float, a: float, q: DeformationParam | float, n: int) -> float:
-    """q-analogue of (t - a)^n: prod_{k=0..n-1} (t - q^k a)."""
-    qv = as_deformation(q).q
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"q_power requires n >= 0, got {n}")
-    prod = 1.0
-    qk = 1.0
-    for _ in range(n):
-        prod *= t - qk * a
-        qk *= qv
-    return prod
-
-
 def q_power_alpha(t: float, a: float, q: DeformationParam | float, alpha: float,
                   policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesResult:
     """q-analogue of (t - a)^alpha for real alpha and t > 0.
 
-    Evaluates t^alpha * (a/t; q)_alpha. This is the kernel of the
-    integral representation of the fractional operators; ek_integral
-    reads it from one table of log factors per call, and this per-node
-    form is that table's reference.
+    Evaluates t^alpha (x; q)_alpha, x = a/t, the ratio
+    (x; q)_inf / (x q^alpha; q)_inf of two :func:`log_q_product` calls in
+    log space, so that two underflowing products still have a ratio; at
+    an integer alpha it is the finite product. This is the kernel of the
+    integral form of the operators; ek_integral reads it from one table
+    of log factors per call, and this per-node form is that table's
+    reference. The first product that does not converge raises
+    NotConvergedError with its partial; a vanishing denominator raises
+    ZeroDivisionError.
     """
     if not t > 0.0:
         raise ValueError(f"q_power_alpha requires t > 0, got {t}")
-    poch = q_pochhammer_alpha(a / t, q, alpha, policy)
+    qv = as_deformation(q).q
+    x = a / t
+
+    def product(b: float) -> LogQProduct:
+        parts = log_q_product(b, qv, policy)
+        if not parts.converged:
+            raise NotConvergedError(
+                f"(a;q)_inf: no convergence within {policy.max_terms} terms "
+                f"(a={b}, q={qv})",
+                partial=SeriesResult(parts.sign * _safe_exp(parts.value),
+                                     parts.terms_used, math.inf, False))
+        return parts
+
+    num = product(x)
+    den = product(x * qv ** alpha)
+    used = num.terms_used + den.terms_used
+    if den.value == -math.inf:
+        raise ZeroDivisionError(
+            f"(a;q)_alpha a={x} alpha={alpha}: denominator product vanishes")
+    if num.value == -math.inf:  # a factor of the numerator is exactly 0
+        value = tail = 0.0
+    else:
+        value = num.sign * den.sign * _safe_exp(num.value - den.value)
+        err = num.error + den.error + (abs(num.value) + abs(den.value)) * _U
+        tail = (abs(value) * math.expm1(err + _U) if math.isfinite(value)
+                else math.inf)
     scale = t ** alpha
-    return SeriesResult(
-        poch.value * scale,
-        poch.terms_used,
-        poch.tail_estimate * abs(scale),
-        poch.converged,
-    )
+    return SeriesResult(value * scale, used, tail * abs(scale), True)

@@ -90,6 +90,16 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "finite" in err
 
+    def test_budget_cut_near_one_exits_two(self, capsys):
+        # five product factors at q = 0.9999 leave a log error bound of
+        # about 768: a "no convergence" error, not an OverflowError
+        code, out, err = run(
+            ["eval", "--q", "0.9999", "--mu", "0.7", "--max-terms", "5",
+             "--f", "(const 1)"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: operator series: no convergence within 5 "
+                       "product factors\n")
+
     def test_underflowed_nodes_exit_two(self, capsys):
         code, _, err = run(
             ["eval", "--form", "integral", "--q", "1e-120", "--eta", "-0.5",
@@ -243,6 +253,19 @@ class TestVerify:
             capsys,
         )
         assert code == expected
+
+    def test_budget_cut_near_one_is_inconclusive(self, capsys):
+        # the same budget as TestEval's: every case is a NaN, inconclusive
+        # row and the run exits 0, not 1 on an OverflowError
+        code, out, err = run(
+            ["verify", "--theorem", "T1", "--cases", "3", "--seed", "1",
+             "--grid-q1", "0.9999", "--grid-q2", "0.9999", "--grid-mu", "0.7",
+             "--max-terms", "5", "--no-timestamp"], capsys)
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [row["verdict"] for row in rows] == ["inconclusive"] * 3
+        assert all(math.isnan(row["margin"]) for row in rows)
+        assert "summary T1: holds=0 violated=0 inconclusive=3" in err
 
     def test_unknown_theorem_exits_two(self, capsys):
         code, _, _ = run(["verify", "--theorem", "T7", "--cases", "2"], capsys)

@@ -38,7 +38,6 @@ from qek.qcore import (
     DEFAULT_POLICY,
     TruncationPolicy,
     q_gamma,
-    q_pochhammer_n,
     q_power_alpha,
 )
 
@@ -47,11 +46,19 @@ def power(sigma):
     return parse_function_spec(f"(power {sigma:g})")
 
 
+def finite_pochhammer(a, q, n):
+    """(a; q)_n = prod_(i<n) (1 - a q^i), formed factor by factor."""
+    prod = 1.0
+    for i in range(n):
+        prod *= 1.0 - a * q ** i
+    return prod
+
+
 def brute_series(f, t, eta, mu, beta, q, terms=900):
     """Direct summation with coefficients built from finite products."""
     total = 0.0
     for k in range(terms):
-        coef = q_pochhammer_n(q ** mu, q, k) / q_pochhammer_n(q, q, k)
+        coef = finite_pochhammer(q ** mu, q, k) / finite_pochhammer(q, q, k)
         total += coef * q ** (k * (eta + 1.0)) * f(t * q ** (k / beta))
     return beta * (1.0 - q ** (1.0 / beta)) * (1.0 - q) ** (mu - 1.0) * total
 
@@ -823,6 +830,17 @@ class TestClosedFormTable:
             ek_series(ONE, 1.0, p, q, TruncationPolicy(max_terms=5))
         res = ek_series(ONE, 1.0, p, q)
         assert res.converged and _bits(res) == fresh
+
+    @pytest.mark.parametrize("c", [1.0, 2.5])
+    def test_budget_cut_record_bound_is_inf(self, c):
+        # log_q_ratio cut at 5 of its about 6,900 leading factors bounds
+        # its log by about 768, whose exp overflows: the record's relative
+        # bound is inf and its flag says it did not converge; c = 2.5 is
+        # reached from its class's anchor 1.5
+        s, rel, _, _, done = _s_record(0.9999, 0.0, 0.7, c,
+                                       TruncationPolicy(max_terms=5))
+        assert (rel, done) == (math.inf, False)
+        assert math.isfinite(s)
 
     def test_table_is_bounded(self):
         bound = _s_record.cache_info().maxsize

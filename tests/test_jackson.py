@@ -1,17 +1,12 @@
-"""Jackson calculus: geometric closed forms as oracles, plus the
-q-antiderivative and q -> 1 consistency properties."""
+"""The Jackson integral: geometric closed forms as oracles, its node
+grid and stop rule, plus the q-antiderivative and q -> 1 consistency
+properties."""
 
 import pytest
 
 from qek.errors import DomainError, NotConvergedError
-from qek.jackson import (
-    QGridSample,
-    jackson_integral,
-    jackson_integral_ab,
-    jackson_stieltjes,
-    q_derivative,
-)
-from qek.qcore import DeformationParam, TruncationPolicy
+from qek.jackson import jackson_integral
+from qek.qcore import TruncationPolicy
 
 
 def monomial_integral(k, b, q):
@@ -20,34 +15,35 @@ def monomial_integral(k, b, q):
 
 
 def first_small_node(q, rel_tol):
-    """(j, q^j) for the first j with q^j < rel_tol, q^j formed by the same
-    running product as QGridSample's nodes."""
-    j, scale = 0, 1.0
-    while not scale < rel_tol:
+    """(j, q^j) for the first j whose term q^j in the Jackson sum of f = 1
+    on (0, 1] is below rel_tol times the running total plus 1e-300, the
+    stop rule's test, q^j formed by the same running product as
+    jackson_integral's nodes."""
+    j, scale, total = 0, 1.0, 1.0
+    while not scale < rel_tol * total + 1e-300:
         j, scale = j + 1, scale * q
+        total += scale
     return j, scale
 
 
+def q_difference(f, t, q):
+    """The q-difference quotient (f(qt) - f(t)) / ((q - 1) t)."""
+    return (f(q * t) - f(t)) / ((q - 1.0) * t)
+
+
 class TestQDerivative:
+    """The q-difference quotient that TestFundamentalTheorem relies on,
+    checked on closed forms first."""
+
     def test_identity(self):
-        assert q_derivative(lambda t: t, 3.0, 0.5) == pytest.approx(1.0, rel=1e-15)
+        assert q_difference(lambda t: t, 3.0, 0.5) == pytest.approx(1.0, rel=1e-15)
 
     def test_square(self):
         # difference quotient of t^2 collapses to (1 + q) t
-        assert q_derivative(lambda t: t * t, 2.0, 0.5) == pytest.approx(3.0, rel=1e-14)
+        assert q_difference(lambda t: t * t, 2.0, 0.5) == pytest.approx(3.0, rel=1e-14)
 
     def test_constant(self):
-        assert q_derivative(lambda t: 7.0, 1.0, 0.9) == 0.0
-
-    def test_rejects_zero(self):
-        with pytest.raises(DomainError):
-            q_derivative(lambda t: t, 0.0, 0.5)
-
-    def test_unevaluable_function(self):
-        import math
-
-        with pytest.raises(DomainError):
-            q_derivative(lambda t: math.sqrt(t - 10.0), 2.0, 0.5)
+        assert q_difference(lambda t: 7.0, 1.0, 0.9) == 0.0
 
 
 class TestJacksonIntegral:
@@ -160,67 +156,19 @@ class TestJacksonIntegral:
 
 
 class TestJacksonIntegralAB:
+    """The Jackson integral over [a, b], the difference of the integrals
+    over (0, b] and (0, a]."""
+
     def test_constant(self):
-        res = jackson_integral_ab(lambda t: 1.0, 1.0, 2.0, 0.5)
-        assert res.value == pytest.approx(1.0, rel=1e-13)
+        res = (jackson_integral(lambda t: 1.0, 2.0, 0.5).value
+               - jackson_integral(lambda t: 1.0, 1.0, 0.5).value)
+        assert res == pytest.approx(1.0, rel=1e-13)
 
     def test_linear(self):
-        res = jackson_integral_ab(lambda t: t, 1.0, 2.0, 0.5)
-        assert res.value == pytest.approx(2.0, rel=1e-13)
-
-    def test_equal_limits(self):
-        res = jackson_integral_ab(lambda t: t, 1.5, 1.5, 0.5)
-        assert res.value == 0.0
-
-    def test_equal_limits_still_validate_q(self):
-        with pytest.raises(ValueError, match="q must lie in"):
-            jackson_integral_ab(lambda t: 1.0, 1.0, 1.0, 5.0)
-
-    def test_antisymmetry(self):
-        fwd = jackson_integral_ab(lambda t: t * t, 1.0, 2.0, 0.6)
-        rev = jackson_integral_ab(lambda t: t * t, 2.0, 1.0, 0.6)
-        assert fwd.value == -rev.value
-
-    def test_tails_add(self):
-        f = lambda t: t  # noqa: E731
-        res = jackson_integral_ab(f, 1.0, 2.0, 0.5)
-        upper = jackson_integral(f, 2.0, 0.5)
-        lower = jackson_integral(f, 1.0, 0.5)
-        assert res.tail_estimate == upper.tail_estimate + lower.tail_estimate
-
-
-class TestJacksonStieltjes:
-    def test_identity_integrator_reduces_to_plain(self):
-        q, b = 0.5, 1.3
-        f = lambda t: 1.0 + t * t  # noqa: E731
-        stieltjes = jackson_stieltjes(f, lambda t: t, b, q)
-        plain = jackson_integral(f, b, q)
-        assert stieltjes.value == pytest.approx(plain.value, rel=1e-12)
-
-    def test_unit_integrand_telescopes(self):
-        # f = 1 telescopes to g(b) - g(0+)
-        q, b = 0.5, 2.0
-        res = jackson_stieltjes(lambda t: 1.0, lambda t: t * t, b, q)
-        assert res.value == pytest.approx(b * b, rel=1e-12)
-
-    def test_identity_pair_closed_form(self):
-        q = 0.5
-        res = jackson_stieltjes(lambda t: t, lambda t: t, 1.0, q)
-        assert res.value == pytest.approx((1.0 - q) / (1.0 - q * q), rel=1e-13)
-
-    def test_not_converged(self):
-        with pytest.raises(NotConvergedError):
-            jackson_stieltjes(lambda t: 1.0, lambda t: t, 1.0, 0.9,
-                              TruncationPolicy(max_terms=4))
-
-    def test_underflowed_node_ends_the_sum(self):
-        # term j reads g at node j + 1, and node 3 underflows to 0.0
-        seen = []
-        with pytest.raises(NotConvergedError, match="underflow") as info:
-            jackson_stieltjes(lambda t: seen.append(t) or 1.0,
-                              lambda t: seen.append(t) or t, 1.0, 1e-120)
-        assert min(seen) > 0.0
-        assert info.value.partial.terms_used == 2
+        # (b^2 - a^2) (1 - q) / (1 - q^2) = 3 / 1.5
+        res = (jackson_integral(lambda t: t, 2.0, 0.5).value
+               - jackson_integral(lambda t: t, 1.0, 0.5).value)
+        assert res == pytest.approx(2.0, rel=1e-13)
 
 
 class TestFundamentalTheorem:
@@ -232,57 +180,60 @@ class TestFundamentalTheorem:
         def antiderivative(x):
             return jackson_integral(f, x, q).value
 
-        assert q_derivative(antiderivative, t, q) == pytest.approx(f(t), rel=1e-9)
+        assert q_difference(antiderivative, t, q) == pytest.approx(f(t), rel=1e-9)
 
 
 class TestQGridSample:
+    """The geometric node grid {b q^j} that jackson_integral samples, and
+    where the stop rule for sums cuts it."""
+
     def test_sample_nodes_decrease(self):
-        grid = QGridSample.sample(lambda t: t, 2.0, 0.5)
-        nodes = [node for node, _ in grid.values]
-        assert nodes[0] == 2.0
-        assert all(b < a for a, b in zip(nodes, nodes[1:]))
-        assert all(val == node for node, val in grid.values)
+        seen = []
+        jackson_integral(lambda t: seen.append(t) or t, 2.0, 0.5)
+        assert seen[0] == 2.0
+        assert all(b < a for a, b in zip(seen, seen[1:]))
+        assert all(node == 2.0 * 0.5 ** j for j, node in enumerate(seen))
 
     def test_sample_count_follows_policy(self):
-        coarse = QGridSample.sample(lambda t: t, 1.0, 0.5,
-                                    TruncationPolicy(rel_tol=1e-6))
-        fine = QGridSample.sample(lambda t: t, 1.0, 0.5,
-                                  TruncationPolicy(rel_tol=1e-12))
-        assert len(fine.values) > len(coarse.values)
+        coarse = jackson_integral(lambda t: t, 1.0, 0.5,
+                                  TruncationPolicy(rel_tol=1e-6))
+        fine = jackson_integral(lambda t: t, 1.0, 0.5,
+                                TruncationPolicy(rel_tol=1e-12))
+        assert fine.terms_used > coarse.terms_used
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.99])
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-14])
     def test_sample_count_is_first_small_node_plus_three(self, q, rel_tol):
+        # the first small term starts the streak of 3 that stops the sum
         first, scale = first_small_node(q, rel_tol)
-        grid = QGridSample.sample(lambda t: t, 1.0, q,
-                                  TruncationPolicy(rel_tol=rel_tol))
-        assert len(grid.values) == first + 3
-        assert grid.values[first][0] == scale
+        seen = []
+        res = jackson_integral(lambda t: seen.append(t) or 1.0, 1.0, q,
+                               TruncationPolicy(rel_tol=rel_tol))
+        assert res.terms_used == len(seen) == first + 3
+        assert seen[first] == scale
 
     def test_sample_at_its_budget_raises(self):
-        # 23 nodes (0.5^20 < 1e-6 <= 0.5^19) converge only below max_terms
+        # 22 terms (0.5^19 < 1e-6 (2 - 0.5^19) <= 0.5^18) converge only
+        # below max_terms; at max_terms the same sum is a partial
         first, _ = first_small_node(0.5, 1e-6)
-        assert first + 3 == 23
-        grid = QGridSample.sample(lambda t: t, 1.0, 0.5,
-                                  TruncationPolicy(rel_tol=1e-6, max_terms=24))
-        with pytest.raises(NotConvergedError) as info:
-            QGridSample.sample(lambda t: t, 1.0, 0.5,
+        assert first + 3 == 22
+        res = jackson_integral(lambda t: 1.0, 1.0, 0.5,
                                TruncationPolicy(rel_tol=1e-6, max_terms=23))
-        assert info.value.partial == grid
+        assert res.converged and res.terms_used == 22
+        with pytest.raises(NotConvergedError) as info:
+            jackson_integral(lambda t: 1.0, 1.0, 0.5,
+                             TruncationPolicy(rel_tol=1e-6, max_terms=22))
+        partial = info.value.partial
+        assert (partial.value, partial.terms_used) == (res.value, 22)
+        assert (partial.tail_estimate, partial.converged) == (abs(res.value), False)
 
     def test_unconverged_sample_raises_with_partial(self):
         # q^j stays above rel_tol for all 10 allowed nodes (q^9 = 0.9991)
+        seen = []
         with pytest.raises(NotConvergedError) as info:
-            QGridSample.sample(lambda t: 1.0, 1.0, 0.9999,
-                               TruncationPolicy(max_terms=10))
+            jackson_integral(lambda t: seen.append(t) or 1.0, 1.0, 0.9999,
+                             TruncationPolicy(max_terms=10))
         partial = info.value.partial
-        assert len(partial.values) == 10
-        assert partial.values[-1][0] == pytest.approx(0.9999 ** 9)
-
-    def test_rejects_unsorted_nodes(self):
-        with pytest.raises(ValueError):
-            QGridSample(1.0, DeformationParam(0.5), ((0.5, 1.0), (0.7, 1.0)))
-
-    def test_rejects_nonpositive_base_point(self):
-        with pytest.raises(ValueError):
-            QGridSample(0.0, DeformationParam(0.5), ())
+        assert partial.terms_used == len(seen) == 10
+        assert seen[-1] == pytest.approx(0.9999 ** 9)
+        assert partial.value == pytest.approx(1.0 - 0.9999 ** 10, rel=1e-12)

@@ -19,10 +19,6 @@ from qek.qcore import (
     log_q_ratio,
     q_factorial,
     q_gamma,
-    q_pochhammer_alpha,
-    q_pochhammer_inf,
-    q_pochhammer_n,
-    q_power,
     q_power_alpha,
     sum_series,
 )
@@ -33,6 +29,20 @@ def brute_pochhammer(a, q, terms):
     for k in range(terms):
         prod *= 1.0 - a * q ** k
     return prod
+
+
+def brute_q_power(t, a, q, n):
+    """(t - a)_n = prod_(k<n) (t - q^k a), formed factor by factor."""
+    prod = 1.0
+    for k in range(n):
+        prod *= t - q ** k * a
+    return prod
+
+
+def q_product(a, q, policy=None):
+    """(a; q)_inf as sign * exp of log_q_product."""
+    res = log_q_product(a, q, policy or TruncationPolicy())
+    return res.sign * math.exp(res.value)
 
 
 def rel_err(x, ref):
@@ -131,20 +141,22 @@ class TestStopRules:
         # 9 leading factors 1 - 3.7 (0.8)^k with 3.7 (0.8)^k > 1/2, then
         # the log series; max_terms bounds their sum
         a, q = 3.7, 0.8
-        res = q_pochhammer_inf(a, q, TruncationPolicy(max_terms=500))
+        res = log_q_product(a, q, TruncationPolicy(max_terms=500))
         leading = sum(1 for k in range(100) if a * q ** k > 0.5)
         assert leading == 9
-        assert leading < res.terms_used <= leading + 60
+        assert res.converged and leading < res.terms_used <= leading + 60
         oracle = brute_pochhammer(a, q, 500)
-        assert res.value == pytest.approx(oracle, rel=1e-14)
-        assert abs(res.value - oracle) <= res.tail_estimate + 4e-16 * abs(oracle)
+        value = res.sign * math.exp(res.value)
+        assert value == pytest.approx(oracle, rel=1e-14)
+        # the log's error bound, as a relative bound on the product
+        bound = abs(value) * math.expm1(res.error + 2.0 ** -53)
+        assert abs(value - oracle) <= bound + 4e-16 * abs(oracle)
         exact = TruncationPolicy(max_terms=res.terms_used)
-        assert q_pochhammer_inf(a, q, exact) == res
+        assert log_q_product(a, q, exact) == res
         # one term fewer leaves a series tail above rel_tol
-        with pytest.raises(NotConvergedError) as info:
-            q_pochhammer_inf(a, q, TruncationPolicy(max_terms=res.terms_used - 1))
-        assert info.value.partial.terms_used == res.terms_used - 1
-        assert info.value.partial.value == pytest.approx(oracle, rel=1e-3)
+        cut = log_q_product(a, q, TruncationPolicy(max_terms=res.terms_used - 1))
+        assert (cut.terms_used, cut.converged) == (res.terms_used - 1, False)
+        assert cut.sign * math.exp(cut.value) == pytest.approx(oracle, rel=1e-3)
 
 
 @functools.lru_cache(maxsize=None)
@@ -292,28 +304,34 @@ class TestLogQRatio:
 
 
 class TestPochhammerFinite:
+    """(a; q)_n at an integer n of either sign: q_power_alpha at t = 1,
+    the ratio (a; q)_inf / (a q^n; q)_inf of two log_q_product calls."""
+
     def test_empty_product(self):
-        assert q_pochhammer_n(0.5, 0.5, 0) == 1.0
+        assert q_power_alpha(1.0, 0.5, 0.5, 0.0).value == 1.0
 
     def test_two_factors(self):
-        assert q_pochhammer_n(0.5, 0.5, 2) == pytest.approx(0.375, rel=1e-15)
+        # (1 - 0.5) (1 - 0.25)
+        res = q_power_alpha(1.0, 0.5, 0.5, 2.0)
+        assert res.value == pytest.approx(0.375, rel=1e-14)
 
     def test_negative_subscript(self):
         # single reciprocal factor: 1 / (1 - 0.25/0.5)
-        assert q_pochhammer_n(0.25, 0.5, -1) == pytest.approx(2.0, rel=1e-15)
+        res = q_power_alpha(1.0, 0.25, 0.5, -1.0)
+        assert res.value == pytest.approx(2.0, rel=1e-14)
 
     def test_negative_subscript_pole(self):
-        # a = q^1 makes the k=1 reciprocal factor vanish
-        with pytest.raises(ZeroDivisionError):
-            q_pochhammer_n(0.5, 0.5, -1)
+        # a = q^1 makes the denominator's first factor 1 - a q^-1 vanish
+        with pytest.raises(ZeroDivisionError, match="denominator product vanishes"):
+            q_power_alpha(1.0, 0.5, 0.5, -1.0)
 
     @pytest.mark.parametrize("a", [-0.9, -0.5, 0.1, 0.5, 0.9])
     @pytest.mark.parametrize("q", [0.3, 0.6, 0.9])
     def test_telescoping_over_n_range(self, a, q):
         for n in range(-10, 31):
             try:
-                left = q_pochhammer_n(a, q, n) * (1.0 - a * q ** n)
-                right = q_pochhammer_n(a, q, n + 1)
+                left = q_power_alpha(1.0, a, q, float(n)).value * (1.0 - a * q ** n)
+                right = q_power_alpha(1.0, a, q, n + 1.0).value
             except ZeroDivisionError:
                 continue
             assert left == pytest.approx(right, rel=1e-12)
@@ -328,94 +346,106 @@ class TestPochhammerFinite:
         if n < 0:
             factors = [1.0 - a * q ** (-k) for k in range(1, -n + 1)]
             assume(min(abs(f) for f in factors) > 1e-3)
-        left = q_pochhammer_n(a, q, n) * (1.0 - a * q ** n)
-        right = q_pochhammer_n(a, q, n + 1)
+        left = q_power_alpha(1.0, a, q, float(n)).value * (1.0 - a * q ** n)
+        right = q_power_alpha(1.0, a, q, n + 1.0).value
         assert left == pytest.approx(right, rel=1e-11, abs=1e-300)
 
 
 class TestPochhammerInfinite:
+    """(a; q)_inf as sign * exp of log_q_product, against finite products
+    and mpmath."""
+
     def test_zero_argument(self):
-        res = q_pochhammer_inf(0.0, 0.5)
-        assert res.value == 1.0
-        assert res.converged
+        res = log_q_product(0.0, 0.5)
+        assert (res.value, res.sign, res.converged) == (0.0, 1, True)
+        assert q_product(0.0, 0.5) == 1.0
 
     def test_matches_brute_force_half(self):
-        res = q_pochhammer_inf(0.5, 0.5)
+        res = log_q_product(0.5, 0.5)
+        value = res.sign * math.exp(res.value)
         oracle = brute_pochhammer(0.5, 0.5, 200)
-        assert res.value == pytest.approx(oracle, rel=1e-14)
+        assert value == pytest.approx(oracle, rel=1e-14)
         assert res.converged
-        assert abs(res.value - oracle) <= res.tail_estimate + 1e-15
+        bound = abs(value) * math.expm1(res.error + 2.0 ** -53)
+        assert abs(value - oracle) <= bound + 1e-15
 
     def test_matches_brute_force_point_nine(self):
-        res = q_pochhammer_inf(0.9, 0.9)
         oracle = brute_pochhammer(0.9, 0.9, 2000)
-        assert res.value == pytest.approx(oracle, rel=1e-12)
+        assert q_product(0.9, 0.9) == pytest.approx(oracle, rel=1e-12)
 
     def test_terms_grow_like_log_tol_over_log_q(self):
         # log(2)/|log q| leading factors, then a log series whose length
         # depends on rel_tol, not on q
-        slow = q_pochhammer_inf(0.9, 0.9)
-        fast = q_pochhammer_inf(0.5, 0.5)
+        slow = log_q_product(0.9, 0.9)
+        fast = log_q_product(0.5, 0.5)
         assert slow.terms_used > fast.terms_used
         for q in (0.99, 0.999, 0.9999):
             leading = math.log(2.0 * q) / -math.log(q)
-            res = q_pochhammer_inf(q, q)
+            res = log_q_product(q, q)
             assert res.converged
             assert leading < res.terms_used <= leading + 60
-        loose = q_pochhammer_inf(0.9, 0.9, TruncationPolicy(rel_tol=1e-7))
+        loose = log_q_product(0.9, 0.9, TruncationPolicy(rel_tol=1e-7))
         assert slow.terms_used - loose.terms_used >= 20
 
     def test_negative_a_all_factors_positive(self):
-        res = q_pochhammer_inf(-0.9, 0.6)
+        res = log_q_product(-0.9, 0.6)
         oracle = brute_pochhammer(-0.9, 0.6, 400)
-        assert res.value == pytest.approx(oracle, rel=1e-13)
+        assert res.sign == 1
+        assert math.exp(res.value) == pytest.approx(oracle, rel=1e-13)
 
     def test_vanishing_factor_gives_exact_zero(self):
-        # a = 1/q hits a zero factor at k = 1
-        res = q_pochhammer_inf(2.0, 0.5)
-        assert res.value == 0.0
-        assert res.converged
+        # x = 8/2 hits a zero factor 1 - 4 (1/2)^2 at k = 2, so the
+        # numerator of q_power_alpha is exactly 0
+        res = q_power_alpha(2.0, 8.0, 0.5, 2.5)
+        assert (res.value, res.tail_estimate, res.converged) == (0.0, 0.0, True)
+        assert log_q_product(4.0, 0.5).terms_used == 3
 
     def test_not_converged_raises_with_partial(self):
+        # (0.9; 0.99)_inf has 59 leading factors, more than the budget:
+        # q_power_alpha raises with the leading factors read
         policy = TruncationPolicy(max_terms=10)
-        with pytest.raises(NotConvergedError) as exc:
-            q_pochhammer_inf(0.9, 0.99, policy)
+        with pytest.raises(NotConvergedError, match=r"within 10 terms \(a=0.9,") as exc:
+            q_power_alpha(1.0, 0.9, 0.99, 0.5, policy)
         partial = exc.value.partial
         assert partial is not None
         assert not partial.converged
-        assert partial.terms_used == 10
+        assert (partial.terms_used, partial.tail_estimate) == (10, math.inf)
+        assert partial.value == pytest.approx(brute_pochhammer(0.9, 0.99, 10),
+                                              rel=1e-14)
 
     @pytest.mark.parametrize("a", [-0.9, -0.5, 0.1, 0.5, 0.9])
     @pytest.mark.parametrize("q", [0.3, 0.6, 0.9])
     @pytest.mark.parametrize("n", [0, 1, 7, 23, 50])
     def test_finite_equals_ratio_of_infinite(self, a, q, n):
-        finite = q_pochhammer_n(a, q, n)
-        num = q_pochhammer_inf(a, q)
-        den = q_pochhammer_inf(a * q ** n, q)
-        assert finite == pytest.approx(num.value / den.value, rel=1e-12)
+        finite = brute_pochhammer(a, q, n)
+        num = q_product(a, q)
+        den = q_product(a * q ** n, q)
+        assert finite == pytest.approx(num / den, rel=1e-12)
 
     def test_cross_check_mpmath(self):
         for a, q in [(0.5, 0.5), (-0.7, 0.8), (0.3, 0.9)]:
-            res = q_pochhammer_inf(a, q)
             ref = float(mpmath.qp(a, q))
-            assert res.value == pytest.approx(ref, rel=1e-12)
+            assert q_product(a, q) == pytest.approx(ref, rel=1e-12)
 
 
 class TestPochhammerAlpha:
+    """(a; q)_alpha = (a; q)_inf / (a q^alpha; q)_inf: q_power_alpha at
+    t = 1."""
+
     def test_integer_alpha_matches_finite(self):
-        res = q_pochhammer_alpha(0.3, 0.5, 2.0)
-        assert res.value == pytest.approx(q_pochhammer_n(0.3, 0.5, 2), rel=1e-13)
+        res = q_power_alpha(1.0, 0.3, 0.5, 2.0)
+        assert res.value == pytest.approx(brute_pochhammer(0.3, 0.5, 2), rel=1e-13)
 
     def test_alpha_zero_is_one(self):
-        assert q_pochhammer_alpha(0.3, 0.5, 0.0).value == 1.0
+        assert q_power_alpha(1.0, 0.3, 0.5, 0.0).value == 1.0
 
     def test_vanishing_numerator_is_exact_zero(self):
         # (2; 1/2)_inf has the factor 1 - 2 (1/2) = 0
-        res = q_pochhammer_alpha(2.0, 0.5, 1.5)
+        res = q_power_alpha(1.0, 2.0, 0.5, 1.5)
         assert (res.value, res.tail_estimate, res.converged) == (0.0, 0.0, True)
 
     def test_fractional_alpha_two_product_oracle(self):
-        res = q_pochhammer_alpha(0.3, 0.5, 1.5)
+        res = q_power_alpha(1.0, 0.3, 0.5, 1.5)
         oracle = brute_pochhammer(0.3, 0.5, 200) / brute_pochhammer(
             0.3 * 0.5 ** 1.5, 0.5, 200
         )
@@ -459,7 +489,7 @@ class TestQGamma:
             for mu in (0.25, 0.5, 1.0, 2.5, 7.0):
                 assert q_gamma(mu, q).value > 0.0
                 for k in range(0, 8):
-                    assert q_pochhammer_n(q ** mu, q, k) > 0.0
+                    assert q_power_alpha(1.0, q ** mu, q, float(k)).value > 0.0
 
     @pytest.mark.parametrize("q", [0.99, 0.9999])
     @pytest.mark.parametrize("n", [1, 2, 5, 20])
@@ -554,18 +584,25 @@ class TestQFactorial:
 
 
 class TestQPower:
+    """q_power_alpha(t, a, q, alpha) = t^alpha (a/t; q)_alpha, the
+    q-analogue of (t - a)^alpha; at an integer alpha n it is the finite
+    product prod_(k<n) (t - q^k a)."""
+
     def test_empty(self):
-        assert q_power(2.0, 1.0, 0.5, 0) == 1.0
+        assert q_power_alpha(2.0, 1.0, 0.5, 0.0).value == 1.0
 
     def test_two_factors(self):
-        assert q_power(2.0, 1.0, 0.5, 2) == pytest.approx(1.5, rel=1e-15)
+        # (2 - 1) (2 - 0.5)
+        res = q_power_alpha(2.0, 1.0, 0.5, 2.0)
+        assert res.value == pytest.approx(1.5, rel=1e-14)
 
     def test_vanishing_first_factor(self):
-        assert q_power(1.0, 1.0, 0.5, 3) == 0.0
+        res = q_power_alpha(1.0, 1.0, 0.5, 3.0)
+        assert (res.value, res.tail_estimate) == (0.0, 0.0)
 
     def test_alpha_integer_consistency(self):
         res = q_power_alpha(2.0, 1.0, 0.5, 2.0)
-        assert res.value == pytest.approx(q_power(2.0, 1.0, 0.5, 2), rel=1e-13)
+        assert res.value == pytest.approx(brute_q_power(2.0, 1.0, 0.5, 2), rel=1e-13)
 
     def test_alpha_zero_base(self):
         res = q_power_alpha(3.0, 0.0, 0.5, 1.5)
@@ -587,5 +624,20 @@ class TestQPower:
     @pytest.mark.parametrize("t,a,q", [(2.0, 1.0, 0.5), (1.5, -0.7, 0.3), (3.0, 0.2, 0.9)])
     def test_integer_alpha_grid(self, alpha, t, a, q):
         res = q_power_alpha(t, a, q, alpha)
-        ref = q_power(t, a, q, int(alpha))
+        ref = brute_q_power(t, a, q, int(alpha))
         assert res.value == pytest.approx(ref, rel=1e-13)
+        assert abs(res.value - ref) <= res.tail_estimate + 4e-16 * abs(ref)
+
+    def test_first_unconverged_product_raises(self):
+        # the numerator (0.1; 0.99)_inf converges in 17 series terms; the
+        # denominator at 0.1 * 0.99^-300 = 2.04 needs 140 leading factors
+        x, q = 0.1, 0.99
+        den_arg = x * q ** -300.0
+        with pytest.raises(NotConvergedError) as exc:
+            q_power_alpha(1.0, x, q, -300.0, TruncationPolicy(max_terms=100))
+        assert str(exc.value) == (f"(a;q)_inf: no convergence within 100 "
+                                  f"terms (a={den_arg}, q={q})")
+        partial = exc.value.partial
+        parts = log_q_product(den_arg, q, TruncationPolicy(max_terms=100))
+        assert partial == SeriesResult(parts.sign * math.exp(parts.value), 100,
+                                       math.inf, False)
