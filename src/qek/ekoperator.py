@@ -180,6 +180,7 @@ class OperatorRule:
                     f" one with qek.functions.parse_function_spec")
         self.policy = policy
         self._t = t
+        self._specs = dict(specs)
         # the factor table: it depends on the factors and t only. A factor
         # has its pieces, their ends and its breakpoints below t; the
         # products' pieces are made when first used
@@ -210,6 +211,10 @@ class OperatorRule:
         qv = as_deformation(q).q
         lq = log(qv)
         self._q, self._p, self._lq = qv, p, lq
+        # every number apply reads, the head of each value key
+        self._inputs = (float(t), qv, float(p.eta), float(p.mu),
+                        float(p.beta), float(policy.rel_tol),
+                        int(policy.max_terms))
         # 1 - q^(1/beta) formed by expm1, which does not cancel
         self._prefactor = (p.beta * -expm1(lq / p.beta)
                            * (1.0 - qv) ** (p.mu - 1.0))
@@ -264,6 +269,26 @@ class OperatorRule:
         self._ratio_rows: dict[float, array] = {}
         self._q_powers: dict[int, array] = {}
 
+    def value_key(self, names, moment: int = 0) -> tuple:
+        """Everything ``apply(names, moment)`` reads: (t, q, eta, mu, beta,
+        rel_tol, max_terms), the direct size the product sums, the moment
+        and the named specs in order. Requests with equal keys, to this
+        rule or to any other, give the same result bit for bit, or the
+        same NotConvergedError.
+
+        A rule's direct size moves with the knots of every factor it
+        holds, so the key carries it, not the other factors: their knots
+        change a value only through it."""
+        names = tuple(names)
+        return (self._inputs, self._direct_size(names), moment,
+                *map(self._specs.__getitem__, names))
+
+    def _direct_size(self, names: tuple) -> int:
+        """The direct nodes a product of ``names`` sums one by one: the
+        rule's, if a named factor has a knot in (0, t), else none."""
+        return (self._direct if any(map(self._inner.__getitem__, names))
+                else 0)
+
     def apply(self, names, moment: int = 0) -> OperatorResult:
         """Operator applied to s^moment times the product of the named
         factors.
@@ -289,8 +314,7 @@ class OperatorRule:
         # a product with a knot in [0, t] sums the direct nodes one by one:
         # those below one of its knots lie where it equals the piece that
         # holds them
-        direct = (self._direct if any(map(self._inner.__getitem__, names))
-                  else 0)
+        direct = self._direct_size(names)
         deep = ()
         if self._deep_breaks:
             deep = sorted({b for n in names for b in self._deep_breaks.get(n, ())})

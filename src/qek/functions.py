@@ -64,8 +64,9 @@ class FunctionSpec:
     ``c_lambda_exponent`` is the exponent p of its t^p behaviour near 0
     (:func:`c_lambda_exponent_of`), ``fn`` its compiled closure, which
     skips the domain check of ``__call__``, and ``to_sexpr()`` its
-    canonical text; each is derived when first read and kept, as is
-    ``_split_at``, the split :func:`pieces` made at the last t asked for.
+    canonical text; each is derived when first read and kept, as are its
+    hash and ``_split_at``, the split :func:`pieces` made at the last t
+    asked for.
     None is a field, so none is part of equality, hashing, repr or the
     pickled state. No certificate is stored: direction, bounds,
     nonnegativity and Lipschitz constants are computed from the tree on
@@ -75,6 +76,25 @@ class FunctionSpec:
     """
 
     _split_at = (None, ())  # (t, pieces(self, t)), set by pieces
+
+    # The node dataclasses are declared with eq=False, so that these two
+    # are theirs: equality and hashing read the fields, as the generated
+    # methods would, but the hash of a tree is formed once per node, not
+    # on every dict lookup.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(self._fields())
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
     @functools.cached_property
     def c_lambda_exponent(self) -> float:
@@ -101,12 +121,12 @@ class FunctionSpec:
         return self._sexpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(FunctionSpec):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Power(FunctionSpec):
     """t^exponent with exponent >= 0."""
 
@@ -117,7 +137,7 @@ class Power(FunctionSpec):
             raise ValueError("power exponent must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Affine(FunctionSpec):
     """slope * t + intercept."""
 
@@ -125,7 +145,7 @@ class Affine(FunctionSpec):
     intercept: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseLinear(FunctionSpec):
     """Linear interpolation through knots (x_i, y_i), first knot at x = 0.
 
@@ -147,19 +167,19 @@ class PiecewiseLinear(FunctionSpec):
         object.__setattr__(self, "knots", knots)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Product(FunctionSpec):
     left: FunctionSpec
     right: FunctionSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sum(FunctionSpec):
     left: FunctionSpec
     right: FunctionSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scale(FunctionSpec):
     factor: float
     inner: FunctionSpec

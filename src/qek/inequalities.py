@@ -36,10 +36,12 @@ quadrature rule, so each closed form and each factor's values at the
 nodes summed one by one are formed once per side however many products
 use them; no factor's closure is called. The two sides share one factor
 table (``OperatorRule.at``): each factor's pieces and each piece of a
-product are built once per case. Cases whose rule inputs coincide (in a
-campaign, the theorems of one case index often do) can share one store
-of rules and operator values through ``evaluate_case``'s ``shared``
-dict; each report still counts its own evaluations and worst tail.
+product are built once per case. The cases of one campaign index share
+through ``evaluate_case``'s ``shared`` dict one store of rules per set of
+equal rule inputs, and one table of operator values keyed by what each
+value reads (``OperatorRule.value_key``): a T2 side-1 u-product is T1's,
+and a side-2 value at (q2, p2) = (q1, p1) is side 1's. Each report still
+counts its own evaluations and worst tail.
 """
 
 from __future__ import annotations
@@ -145,40 +147,45 @@ def _verdict(margin: float, worst_tail: float) -> str:
 
 
 class _CaseStore:
-    """The two operator rules of one set of case inputs and every result
-    they gave.
+    """The two operator rules of one set of case inputs, and the results
+    they read from and add to.
 
     ``rules[1]`` is the rule at (q1, p1), ``rules[2]`` the same factors'
     rule at (q2, p2). The rules get the specs, which are expression trees,
     not their closures: they read each tree's pieces and never call it.
-    ``results`` maps (side, weight name, function subset, moment power) to
-    the OperatorResult, or to the NotConvergedError the evaluation raised;
-    the :class:`_CaseOps` views fill it. Reports whose cases have equal rule
-    inputs may share one store (``_store_of``).
+    ``results`` maps a value key (``OperatorRule.value_key``) to the
+    OperatorResult, or to the NotConvergedError the evaluation raised; the
+    :class:`_CaseOps` views fill it. Stores made through one ``shared``
+    dict hold one ``results`` (``_store_of``), so a value any of their
+    rules gave is not evaluated again by any other.
     """
 
-    def __init__(self, case: TheoremCase, policy: TruncationPolicy):
+    def __init__(self, case: TheoremCase, policy: TruncationPolicy,
+                 results: dict):
         fns = {"f": case.f, "g": case.g, "h": case.h, "u": case.u}
         if case.v is not None:
             fns["v"] = case.v
         rule = OperatorRule(case.t, case.p1, case.q1, fns, policy)
         self.rules = {1: rule, 2: rule.at(case.p2, case.q2)}
-        self.results: dict[tuple, object] = {}
+        self.results = results
 
 
 def _store_of(case: TheoremCase, policy: TruncationPolicy,
               shared: Optional[dict]) -> _CaseStore:
-    """The store of ``case``'s rule inputs: a new one, or with ``shared``
-    the one kept there for equal inputs. The key is every input the rules
-    read; v is in it because its knots move the direct size of the rule
-    and with it every value's bits."""
+    """The store of ``case``'s rule inputs: a new one with its own
+    results, or with ``shared`` the one kept there for equal inputs, whose
+    results are the one dict kept under ``"values"``. The rule-input key
+    holds v, whose knots move the rules' direct size; a value key holds
+    only the direct size, so a T2 store reads every side-1 u-product T1's
+    store gave."""
     if shared is None:
-        return _CaseStore(case, policy)
+        return _CaseStore(case, policy, {})
     key = (case.t, case.q1, case.p1, case.q2, case.p2, policy,
            case.u, case.f, case.g, case.h, case.v)
     store = shared.get(key)
     if store is None:
-        store = shared[key] = _CaseStore(case, policy)
+        store = shared[key] = _CaseStore(case, policy,
+                                         shared.setdefault("values", {}))
     return store
 
 
@@ -186,10 +193,12 @@ class _CaseOps:
     """One report's memo over the operator values of a :class:`_CaseStore`.
 
     ``evals`` counts the report's distinct requests and ``worst_tail`` is
-    the largest tail among them, whichever report first made the store
-    evaluate them. A request that did not converge counts in ``evals`` too,
-    and raises NotConvergedError naming its key, its partial value and its
-    terms.
+    the largest tail among them, whichever rule or report first evaluated
+    their values. A request is looked up in the store's results by its
+    value key, so requests of equal values share one evaluation. A request
+    that did not converge counts in ``evals`` too, and raises
+    NotConvergedError naming its own side, weight, subset and moment, its
+    partial value and its terms.
     """
 
     def __init__(self, store: _CaseStore):
@@ -205,13 +214,15 @@ class _CaseOps:
         if hit is not None:
             return hit
         self.evals += 1
-        res = self._results.get(key)
-        if res is None:  # the first request of any view of the store
+        rule, names = self._rules[side], (weight, *subset)
+        value_key = rule.value_key(names, moment)
+        res = self._results.get(value_key)
+        if res is None:  # the first request of this value
             try:
-                res = self._rules[side].apply((weight, *subset), moment)
+                res = rule.apply(names, moment)
             except NotConvergedError as exc:
                 res = exc
-            self._results[key] = res
+            self._results[value_key] = res
         if isinstance(res, NotConvergedError):
             part = res.partial
             raise NotConvergedError(
@@ -390,11 +401,15 @@ def evaluate_case(case: TheoremCase, policy: TruncationPolicy = DEFAULT_POLICY,
       for f, g asynchronous and h >= 0, under which the inequality flips;
       the margin is computed identically either way.
 
-    ``shared`` is a dict the caller keeps across cases whose rule inputs
-    may coincide (t, q1, p1, q2, p2, the policy and the specs u, f, g, h
-    and v): such cases share one pair of rules and each operator value,
-    and get the same report as without it. The dict holds every store
-    made for it, so the caller drops it when those cases are done.
+    ``shared`` is a dict the caller keeps across cases whose operator
+    values may coincide, as those of one campaign index do. Cases with
+    equal rule inputs (t, q1, p1, q2, p2, the policy and the specs u, f,
+    g, h and v) share one pair of rules, and every case evaluates each
+    distinct value once: requests whose value keys
+    (``OperatorRule.value_key``) are equal share one evaluation, whichever
+    case, side or weight asks. Each case gets the same report as without
+    ``shared``. The dict holds every store and value made for it, so the
+    caller drops it when those cases are done.
     """
     sides, weight2, require, _ = _THEOREMS[case.theorem_id]
     _require_nonnegative(case.u, case.t, "u")
@@ -404,12 +419,14 @@ def evaluate_case(case: TheoremCase, policy: TruncationPolicy = DEFAULT_POLICY,
     ops = _CaseOps(_store_of(case, policy, shared))
     try:
         lhs, rhs, margin, extra = sides(case, ops, weight2)
+        worst_tail = ops.worst_tail
     except NotConvergedError as exc:
         lhs = rhs = margin = float("nan")  # a nan margin is inconclusive
+        worst_tail = math.inf  # and no side has an error bound
         extra = {"notes": (f"not converged: {exc}",)}
     return InequalityReport(case, lhs, rhs, margin,
-                            _verdict(margin, ops.worst_tail),
-                            ops.worst_tail, ops.evals, **extra)
+                            _verdict(margin, worst_tail),
+                            worst_tail, ops.evals, **extra)
 
 
 def proof_kernel_A(f, g, h, tau: float, rho: float) -> float:

@@ -313,7 +313,8 @@ def log_q_ratio(q: float, e: float, d: float,
     # most scale m^(n+1) / ((n+1) (1 - m)): stop where that is <= rel_tol
     want = (math.ceil(math.log(policy.rel_tol * gap / scale) / math.log(m)) - 1
             if m else 1)
-    n = max(1, min(want, policy.max_terms - lead))
+    # at least one term, but none past the budget the leading factors left
+    n = min(max(1, want), policy.max_terms - lead)
     ns = range(1, n + 1)
     # x^n (1 - q^(dn)) = sign(d) m^n (1 - q^(|d| n)), which does not
     # overflow for a large -d

@@ -267,6 +267,20 @@ class TestVerify:
         assert all(math.isnan(row["margin"]) for row in rows)
         assert "summary T1: holds=0 violated=0 inconclusive=3" in err
 
+    def test_budget_cut_rows_print_no_zero_error_budget(self, capsys):
+        # a side that did not converge has no error bound: the row's
+        # worst_tail is inf, printed as JSON prints NaN, never 0.0
+        code, out, _ = run(
+            ["verify", "--theorem", "T1", "--theorem", "T6", "--cases", "2",
+             "--seed", "1", "--grid-q1", "0.9999", "--grid-q2", "0.9999",
+             "--grid-mu", "0.7", "--max-terms", "5", "--no-timestamp"],
+            capsys)
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 4
+        assert all(row["worst_tail"] == math.inf for row in rows)
+        assert out.count('"worst_tail": Infinity') == 4
+
     def test_unknown_theorem_exits_two(self, capsys):
         code, _, _ = run(["verify", "--theorem", "T7", "--cases", "2"], capsys)
         assert code == 2
@@ -716,7 +730,7 @@ class TestPinnedOutputs:
         done = subprocess.run([sys.executable, str(script)],
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stdout + done.stderr
-        assert "10 of 10 pinned outputs match" in done.stdout
+        assert "11 of 11 pinned outputs match" in done.stdout
 
     def test_warm_closed_form_table_keeps_the_pin(self):
         # the S records outlive a campaign: run one near q = 1 on another

@@ -9,6 +9,7 @@ as the cross-representation oracle for the series form.
 import dataclasses
 import functools
 import math
+import random
 from bisect import bisect_right
 
 import pytest
@@ -31,6 +32,8 @@ from qek.functions import (
     Power,
     Product,
     Scale,
+    generate_family,
+    generate_weight,
     parse_function_spec,
 )
 from qek.jackson import jackson_integral
@@ -790,6 +793,96 @@ CACHE_PRODUCTS = ((("u",), 0), (("u", "f"), 0), (("u", "g", "h"), 0),
                   (("h",), 2))
 
 
+def _outcome(rule, names, moment):
+    """What apply gives: its result, or its error's message and partial,
+    floats by their exact hex digits."""
+    try:
+        return _bits(rule.apply(names, moment))
+    except NotConvergedError as exc:
+        return str(exc), _bits(exc.partial)
+
+
+# products a case asks a side for, with "w" a second name of u's spec
+KEY_PRODUCTS = ((("u",), 0), (("u", "f"), 0), (("w", "f"), 0),
+                (("u", "f", "g"), 0), (("f", "u"), 0), (("u",), 3),
+                (("u", "g"), 1))
+
+
+class TestValueKey:
+    """Requests with equal value keys give the same result bit for bit, or
+    the same error and partial, whichever rule, factor set, side or order
+    of evaluation they come from; a factor outside the product changes a
+    value only through the direct size the key holds."""
+
+    def test_equal_keys_give_equal_outcomes(self):
+        rng = random.Random(27)
+        seen = {}  # value key -> (outcome, factor set of the first rule)
+        across = 0
+        qs = (0.3, 0.6, 0.9, 0.97, 0.99, 0.9999)
+        budgets = (5, 40, DEFAULT_POLICY.max_terms)
+        for trial in range(60):
+            t = rng.choice((0.7, 1.0, 1.6))
+            # (t, q, eta, mu, beta, rel_tol, max_terms)
+            inputs = [t, qs[trial % 6], rng.choice((-0.5, 0.0, 0.7)),
+                      rng.choice((0.5, 1.0, 1.5)), rng.choice((0.5, 1.0, 2.0)),
+                      1e-14, budgets[trial // 6 % 3]]
+            # the same inputs but one, which the keys must tell apart
+            other = list(inputs)
+            j = trial % 7
+            other[j] = (1.25 * t, qs[(trial + 1) % 6], other[2] + 0.25,
+                        other[3] + 0.25, 2.0 * other[4], 1e-12,
+                        budgets[(trial // 6 + 1) % 3])[j]
+            fam = generate_family("lipschitz_triple", rng.getrandbits(63), t)
+            u = generate_weight(rng.getrandbits(63), t)
+            base = {"u": u, "w": u, "f": fam.f, "g": fam.g}
+            # an extra factor whose knot just below t the direct nodes
+            # reach, one whose knot lies far below them, and another f
+            near = {"x": PiecewiseLinear(((0.0, 1.0), (0.93 * t, 2.0),
+                                          (t, 3.0)))}
+            deep = {"x": PiecewiseLinear(((0.0, 1.0), (1e-4 * t, 2.0),
+                                          (t, 3.0)))}
+            for (t_, q, eta, mu, beta, rel_tol, max_terms), extra in (
+                    (inputs, {}), (inputs, near), (inputs, deep),
+                    (inputs, {"f": fam.h}), (other, {})):
+                p = OperatorParams(eta, mu, beta)
+                rule = OperatorRule(t_, p, q, {**base, **extra},
+                                    TruncationPolicy(rel_tol, max_terms))
+                factors = frozenset(rule._specs.items())
+                # the same (p, q) through at, which shares the factor table
+                for r in (rule, rule.at(p, q)) if extra else (rule,):
+                    for names, moment in KEY_PRODUCTS:
+                        key = r.value_key(names, moment)
+                        got = _outcome(r, names, moment)
+                        if key in seen:
+                            want, first = seen[key]
+                            assert got == want, (key, names, moment)
+                            across += first != factors
+                        else:
+                            seen[key] = (got, factors)
+        # keys that differ in their direct size only
+        sizes = {}
+        for key in seen:
+            sizes.setdefault((key[0], *key[2:]), set()).add(key[1])
+        by_direct = sum(len(s) > 1 for s in sizes.values())
+        assert across > 0 and by_direct > 0
+
+    def test_key_is_what_apply_reads(self):
+        # a knot the direct nodes reach enlarges the direct size of every
+        # product with a knot; a knot-free product's key has size 0
+        t, p, q = 1.0, OperatorParams(0.0, 1.5, 1.0), 0.99
+        f = PiecewiseLinear(((0.0, 0.2), (0.8, 0.4), (1.0, 1.0)))
+        near = PiecewiseLinear(((0.0, 1.0), (0.5, 2.0), (1.0, 3.0)))
+        alone = OperatorRule(t, p, q, {"f": f, "g": power(2)})
+        more = OperatorRule(t, p, q, {"f": f, "g": power(2), "x": near})
+        assert alone._direct < more._direct
+        assert alone.value_key(("g",)) == more.value_key(("g",))
+        assert alone.value_key(("g",))[1] == 0
+        assert alone.value_key(("f", "g"), 2) == (
+            (1.0, 0.99, 0.0, 1.5, 1.0, 1e-14, 100_000), alone._direct, 2,
+            f, power(2))
+        assert more.value_key(("f", "g"), 2)[1] == more._direct
+
+
 class TestClosedFormTable:
     """The S records are shared by every rule of the process."""
 
@@ -841,6 +934,12 @@ class TestClosedFormTable:
                                        TruncationPolicy(max_terms=5))
         assert (rel, done) == (math.inf, False)
         assert math.isfinite(s)
+
+    def test_budget_cut_record_reads_no_factor_past_the_budget(self):
+        # the anchor record's one log_q_ratio stops at the budget
+        factors, done = _s_record(0.9999, 0.0, 0.7, 1.0,
+                                  TruncationPolicy(max_terms=5))[2::2]
+        assert (factors, done) == (5, False)
 
     def test_table_is_bounded(self):
         bound = _s_record.cache_info().maxsize

@@ -82,6 +82,26 @@ class TestCompiledSpec:
             assert back.fn(0.25) == s.fn(0.25)
             assert back.to_sexpr() == s.to_sexpr() == self.TEXT
 
+    def test_hash_is_kept_and_reads_the_fields_only(self):
+        s = parse_function_spec(self.TEXT)
+        by_hand = Sum(Product(Power(2.0), Affine(0.5, 1.0)),
+                      PiecewiseLinear(((0.0, 0.0), (1.0, 2.0), (2.0, 2.5))))
+        assert "_hash" not in vars(s)
+        h = hash(s)
+        assert vars(s)["_hash"] == h and vars(s.left)["_hash"] == hash(s.left)
+        back = pickle.loads(pickle.dumps(s))
+        assert "_hash" not in vars(back)  # never part of the pickled state
+        for twin in (by_hand, back):
+            assert twin is not s and twin == s and s == twin
+            assert hash(twin) == h
+        # the hash the generated dataclass method gave; the node type is
+        # part of equality, not of the hash
+        assert h == hash((s.left, s.right))
+        swapped = Product(s.left, s.right)
+        assert swapped != s and hash(swapped) == h
+        assert {s: 1}[by_hand] == 1 and swapped not in {s: 1}
+        assert Sum(s.right, s.left) != s
+
     def test_closure_left_out_of_eq_and_repr(self):
         s = parse_function_spec(self.TEXT)
         assert s.fn(1.5) == s(1.5)  # compiled and kept on s

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from qek import ekoperator, inequalities
-from qek.cli import CampaignConfig, derive_case
+from qek.cli import CampaignConfig, _index_reports, derive_case
 from qek.ekoperator import OperatorParams, OperatorRule, ek_integral
 from qek.errors import HypothesisViolatedError, NotConvergedError
 from qek.functions import (
@@ -479,12 +479,13 @@ class TestCaseRuleEquivalence:
         def recording(self, side, subset, weight="u", moment=0):
             if not ops_seen or ops_seen[-1] is not self:
                 ops_seen.append(self)
-            before = len(applied)
+            before = self.evals
             val = original_value(self, side, subset, weight, moment)
-            if len(applied) > before:  # a memo miss: one rule evaluation
-                assert len(applied) == before + 1
-                assert val == applied[-1].value
-                requests.append((side, subset, weight, moment, applied[-1]))
+            if self.evals > before:  # a memo miss: one request of a value
+                key = self._rules[side].value_key((weight, *subset), moment)
+                res = self._results[key]
+                assert val == res.value
+                requests.append((side, subset, weight, moment, res, key))
             return val
 
         monkeypatch.setattr(OperatorRule, "apply", recording_apply)
@@ -493,13 +494,16 @@ class TestCaseRuleEquivalence:
                                 q1_grid=grid, q2_grid=grid)
         for index in range(cases):
             case = derive_case(config, theorem, index)
-            requests.clear()
-            ops_seen.clear()
+            for log in (requests, ops_seen, applied):
+                log.clear()
             rep = evaluate_case(case, config.policy)
             assert requests and len(ops_seen) == 1
             names = {"f": case.f, "g": case.g, "h": case.h, "u": case.u,
                      "v": case.v}
-            for side, subset, weight, moment, res in requests:
+            # one rule evaluation per distinct value, each of them requested
+            assert len(applied) == len({r[5] for r in requests})
+            assert {id(res) for res in applied} == {id(r[4]) for r in requests}
+            for side, subset, weight, moment, res, _ in requests:
                 q, p = ((case.q1, case.p1) if side == 1
                         else (case.q2, case.p2))
                 factors = [names[n].fn for n in (weight, *subset)]
@@ -579,6 +583,36 @@ def _report_bits(rep):
                            for f in dataclasses.fields(rep)))
 
 
+@pytest.fixture
+def value_log(monkeypatch):
+    """Logs of value keys: of every request a report's memo misses, and of
+    every rule evaluation."""
+    requests, applied = [], []
+    value, apply = inequalities._CaseOps.value, OperatorRule.apply
+
+    def logged_value(self, side, subset, weight="u", moment=0):
+        evals = self.evals
+        try:
+            return value(self, side, subset, weight, moment)
+        finally:
+            if self.evals > evals:
+                requests.append(self._rules[side].value_key(
+                    (weight, *subset), moment))
+
+    def logged_apply(self, names, moment=0):
+        applied.append(self.value_key(names, moment))
+        return apply(self, names, moment)
+
+    monkeypatch.setattr(inequalities._CaseOps, "value", logged_value)
+    monkeypatch.setattr(OperatorRule, "apply", logged_apply)
+    return requests, applied
+
+
+def _stores(shared):
+    """The rule stores a ``shared`` dict holds."""
+    return sum(isinstance(x, inequalities._CaseStore) for x in shared.values())
+
+
 class TestSharedStore:
     """Theorems evaluated at one case index through one ``shared`` dict
     share the rules and operator values of equal rule inputs, and each
@@ -619,16 +653,10 @@ class TestSharedStore:
         if max_terms == 40:  # the NaN-margin notes are compared too
             assert unconverged > 0
 
-    def test_t3_after_t1_makes_no_new_evaluation(self, monkeypatch):
-        applied = []
-        apply = OperatorRule.apply
-
-        def counted(self, names, moment=0):
-            applied.append((names, moment))
-            return apply(self, names, moment)
-
-        monkeypatch.setattr(OperatorRule, "apply", counted)
+    def test_t3_after_t1_makes_no_new_evaluation(self, value_log):
+        requests, applied = value_log
         config = CampaignConfig(theorems=("T1", "T2", "T3"), seed=601)
+        read_from_t1 = 0
         for index in range(6):
             shared = {}
             evaluate_case(derive_case(config, "T1", index), config.policy,
@@ -636,12 +664,39 @@ class TestSharedStore:
             t3 = derive_case(config, "T3", index)
             applied.clear()
             rep = evaluate_case(t3, config.policy, shared=shared)
-            assert applied == [] and len(shared) == 1
+            assert applied == [] and _stores(shared) == 1
+            requests.clear()
             alone = evaluate_case(t3, config.policy)
-            assert len(applied) == alone.operator_evals > 0
-            assert rep.operator_evals == alone.operator_evals
+            # alone, one evaluation per distinct value the report asks for
+            assert len(applied) == len(set(requests)) > 0
+            assert len(requests) == alone.operator_evals == rep.operator_evals
             assert _report_bits(rep) == _report_bits(alone)
-            # v is part of the key: T2 draws it and builds its own store
+            # v is part of the store key: T2 draws it and builds its own
+            # store, which reads the values T1's store gave
+            requests.clear()
+            applied.clear()
             evaluate_case(derive_case(config, "T2", index), config.policy,
                           shared=shared)
-            assert len(shared) == 2
+            assert _stores(shared) == 2
+            assert len(applied) <= len(set(requests))
+            read_from_t1 += len(set(requests)) - len(applied)
+        assert read_from_t1 > 0
+
+    def test_one_evaluation_per_distinct_value_at_each_index(self,
+                                                             value_log):
+        # T1-T6 --cases 200 --seed 601 asks for 21,800 values: 11,976
+        # rule evaluations when each store evaluated its own requests, one
+        # per distinct value key at each index now
+        requests, applied = value_log
+        config = CampaignConfig(theorems=("T1", "T2", "T3", "T4", "T5", "T6"),
+                                cases=200, seed=601)
+        total = asked = 0
+        for index in range(config.cases):
+            requests.clear()
+            applied.clear()
+            _index_reports((config, index))
+            assert len(applied) == len(set(applied))
+            assert set(applied) == set(requests)
+            total += len(applied)
+            asked += len(requests)
+        assert (total, asked) == (7800, 21_800)

@@ -299,8 +299,19 @@ class TestLogQRatio:
         value, error, terms, converged = log_q_ratio(
             0.99, 0.5, 1.0, TruncationPolicy(max_terms=10))
         assert not converged
-        assert terms <= 11
+        assert terms == 10
         assert error > 1e-3
+
+    @pytest.mark.parametrize("max_terms", [4, 5, 40])
+    def test_leading_factors_at_the_budget_read_no_series_term(self,
+                                                                max_terms):
+        # at q = 0.9999 the leading factors alone want about 6930 terms:
+        # the budget stops them, and no series term is read after it
+        value, error, terms, converged = log_q_ratio(
+            0.9999, 1.5, 0.7, TruncationPolicy(max_terms=max_terms))
+        assert terms == max_terms
+        assert not converged
+        assert math.isfinite(value) and error > 1.0
 
 
 class TestPochhammerFinite:

@@ -1,20 +1,21 @@
 """Check that seeded campaign reports, two sweeps, an eval and the
 reduce-check line are unchanged.
 
-Runs ``qek verify`` on five pinned campaigns, the first of them again
+Runs ``qek verify`` on six pinned campaigns, the first of them again
 in a two-process pool (``--jobs 2``, which must give the same bytes), one
 in CSV in a pool (its later theorems' rows pass through the
-temporary spools ``qek verify`` appends at the end) and one of a single
-theorem (T6, whose cases each index draws alone), two
-``qek sweep`` runs (one along q, one along beta at q = 0.99, where every
-step after the first reads the integral form's cached kernel record), one
-``qek eval --form both`` (the only pinned output that prints the integral
-form's node count and tail estimate) and ``qek reduce-check`` in this
-process, then compares the SHA-256 of each campaign's report bytes, of
-each sweep's CSV and of the eval's lines, and the reduce-check line,
-against the values pinned below. Exits 0 when all
-match and 1 on any mismatch. Stdlib only, so it runs where pytest is
-not installed:
+temporary spools ``qek verify`` appends at the end), one of a single
+theorem (T6, whose cases each index draws alone) and one of all six at
+q in 0.97, 0.99, where the knots of v most often move the direct size
+of the T2/T4/T6 rules. It also runs two ``qek sweep``s (one along q, one
+along beta at q = 0.99, where every step after the first reads the
+integral form's cached kernel record), one ``qek eval --form both`` (the
+only pinned output that prints the integral form's node count and tail
+estimate) and ``qek reduce-check``, all in this process, and compares
+the SHA-256 of each campaign's report bytes, of each sweep's CSV and of
+the eval's lines, and the reduce-check line, against the values pinned
+below. Exits 0 when all match and 1 on any mismatch. Stdlib only, so it
+runs where pytest is not installed:
 
     python tools/check_pinned.py
 
@@ -51,6 +52,12 @@ PINNED = (
       "--seed", "3", "--grid-q1", "0.97,0.99", "--grid-q2", "0.97,0.99",
       "--no-timestamp"],
      "sha256 568d441a2f600bc90466c4869d78e18f5c64dbe69a08444a184025902a80196a"),
+    ("T1-T6 --cases 30 --seed 3 at q in 0.97,0.99",
+     ["verify", "--theorem", "T1", "--theorem", "T2", "--theorem", "T3",
+      "--theorem", "T4", "--theorem", "T5", "--theorem", "T6",
+      "--cases", "30", "--seed", "3", "--grid-q1", "0.97,0.99",
+      "--grid-q2", "0.97,0.99", "--no-timestamp"],
+     "sha256 12253ab93015d67df63cff18f11567c2f98cc8b8800da5c880b888d787b2fb76"),
     ("T1,T2 --cases 200 --seed 1, expect reversed",
      ["verify", "--theorem", "T1", "--theorem", "T2", "--cases", "200",
       "--seed", "1", "--expect", "reversed", "--no-timestamp"],
