@@ -76,25 +76,7 @@ class FunctionSpec:
     """
 
     _split_at = (None, ())  # (t, pieces(self, t)), set by pieces
-
-    # The node dataclasses are declared with eq=False, so that these two
-    # are theirs: equality and hashing read the fields, as the generated
-    # methods would, but the hash of a tree is formed once per node, not
-    # on every dict lookup.
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._fields() == other._fields()
-
-    def __hash__(self):
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash(self._fields())
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
+    _hash = None  # the generated hash over the fields, set by _keeps_hash
 
     @functools.cached_property
     def c_lambda_exponent(self) -> float:
@@ -121,12 +103,31 @@ class FunctionSpec:
         return self._sexpr
 
 
-@dataclass(frozen=True, eq=False)
+def _keeps_hash(cls):
+    """Keep a node's hash once formed. It is the generated one, over the
+    fields, which would walk the whole tree again on every dict lookup;
+    equality stays the generated one and the kept value is not pickled."""
+    fields_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = fields_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_keeps_hash
+@dataclass(frozen=True)
 class Const(FunctionSpec):
     value: float
 
 
-@dataclass(frozen=True, eq=False)
+@_keeps_hash
+@dataclass(frozen=True)
 class Power(FunctionSpec):
     """t^exponent with exponent >= 0."""
 
@@ -137,7 +138,8 @@ class Power(FunctionSpec):
             raise ValueError("power exponent must be >= 0")
 
 
-@dataclass(frozen=True, eq=False)
+@_keeps_hash
+@dataclass(frozen=True)
 class Affine(FunctionSpec):
     """slope * t + intercept."""
 
@@ -145,7 +147,8 @@ class Affine(FunctionSpec):
     intercept: float
 
 
-@dataclass(frozen=True, eq=False)
+@_keeps_hash
+@dataclass(frozen=True)
 class PiecewiseLinear(FunctionSpec):
     """Linear interpolation through knots (x_i, y_i), first knot at x = 0.
 
@@ -167,19 +170,22 @@ class PiecewiseLinear(FunctionSpec):
         object.__setattr__(self, "knots", knots)
 
 
-@dataclass(frozen=True, eq=False)
+@_keeps_hash
+@dataclass(frozen=True)
 class Product(FunctionSpec):
     left: FunctionSpec
     right: FunctionSpec
 
 
-@dataclass(frozen=True, eq=False)
+@_keeps_hash
+@dataclass(frozen=True)
 class Sum(FunctionSpec):
     left: FunctionSpec
     right: FunctionSpec
 
 
-@dataclass(frozen=True, eq=False)
+@_keeps_hash
+@dataclass(frozen=True)
 class Scale(FunctionSpec):
     factor: float
     inner: FunctionSpec
