@@ -675,11 +675,13 @@ class TestSharedStore:
             # store, which reads the values T1's store gave
             requests.clear()
             applied.clear()
+            given = set(shared["values"])
             evaluate_case(derive_case(config, "T2", index), config.policy,
                           shared=shared)
             assert _stores(shared) == 2
-            assert len(applied) <= len(set(requests))
-            read_from_t1 += len(set(requests)) - len(applied)
+            assert len(applied) == len(set(applied))
+            assert set(applied) == set(requests) - given
+            read_from_t1 += len(set(requests) & given)
         assert read_from_t1 > 0
 
     def test_one_evaluation_per_distinct_value_at_each_index(self,
