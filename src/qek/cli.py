@@ -5,15 +5,17 @@ Campaigns are reproducible: every case derives its own RNG seed from the
 global seed and the case index through a fixed 64-bit mixer, so identical
 configs produce byte-identical report files (modulo the suppressible
 timestamp header). Exit codes: 0 all checks hold, 1 at least one
-violation, 2 usage/config error.
+violation, 2 usage/config error, 3 an unexpected exception (its traceback
+goes to stderr).
 
 ``qek verify`` runs in constant memory: one ordered engine maps a row
 worker over the case indices (in-process, or in a process pool with
---jobs N). The worker draws a case index once for all its theorems (one
-t, q1, q2, p1, p2, u and v, and one family per kind) and evaluates every
-theorem of it, so theorems whose cases have equal rule inputs share one
-pair of rules and one table of operator values
-(``inequalities.evaluate_case``'s ``shared``). Rows still come out
+--jobs N; the pool is imported on its first use, so a command that runs
+none loads no ``multiprocessing``). The worker draws a case index once
+for all its theorems (one t, q1, q2, p1, p2, u and v, and one family per
+kind) and evaluates every theorem of it, so theorems whose cases have
+equal rule inputs share one pair of rules and one table of operator
+values (``inequalities.evaluate_case``'s ``shared``). Rows still come out
 theorem-major: the first theorem's are written as they come and each
 later theorem's are spooled to a temporary file that is appended at the
 end. The summary is tallied as rows pass, so no report is kept and none
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import math
@@ -32,9 +33,7 @@ import random
 import sys
 import tempfile
 from collections import Counter, defaultdict, deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from functools import partial
 from itertools import islice
 
@@ -251,6 +250,8 @@ def _ordered_map(worker, config: CampaignConfig):
     if config.jobs == 1:
         yield from map(worker, work)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     chunks = iter(lambda: list(islice(work, _CHUNK)), [])
     pending = deque()
     pool = ProcessPoolExecutor(max_workers=config.jobs)
@@ -373,10 +374,14 @@ def report_row(case_index: int, report: InequalityReport) -> dict:
 
 
 def _timestamp_line() -> str:
+    from datetime import datetime, timezone
+
     return datetime.now(timezone.utc).isoformat()
 
 
 def _csv_line(values) -> str:
+    import csv
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(values)
     return buf.getvalue()
@@ -623,15 +628,11 @@ def cmd_sweep(args) -> int:
     else:
         step = (args.stop - args.start) / (args.steps - 1)
         values = [args.start + k * step for k in range(args.steps)]
-    rows = list(sweep_rows(args.axis, values, args.q, args.eta, args.mu,
-                           args.beta, args.t, spec, policy))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow((args.axis, "terms_used", "tail_estimate",
-                     "series_value", "integral_value", "relative_gap"))
-    for row in rows:
-        writer.writerow(row)
-    text = buf.getvalue()
+    header = (args.axis, "terms_used", "tail_estimate", "series_value",
+              "integral_value", "relative_gap")
+    rows = sweep_rows(args.axis, values, args.q, args.eta, args.mu,
+                      args.beta, args.t, spec, policy)
+    text = "".join(map(_csv_line, (header, *rows)))
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -732,6 +733,11 @@ def main(argv=None) -> int:
     except (QekError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

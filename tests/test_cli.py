@@ -1,10 +1,12 @@
 """Command line front end: exit codes, output formats, determinism."""
 
+import concurrent.futures
 import dataclasses
 import gc
 import importlib.util
 import json
 import math
+import os
 import pickle
 import subprocess
 import sys
@@ -525,7 +527,9 @@ class TestStreaming:
         base = ["verify", "--theorem", "T1", "--cases", "100", "--seed", "6",
                 "--no-timestamp"]
         _, serial, _ = run(base, capsys)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        # the pool is imported where a --jobs N run starts it
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
         _, pooled, _ = run(base + ["--jobs", "2"], capsys)
         assert pooled == serial
         assert state["tasks"] == 13 and state["open"] == 0
@@ -553,6 +557,30 @@ class TestStreaming:
         assert code == 2 and "stop" in err
         rows = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert [row["case_index"] for row in rows] == [0, 1, 2]
+
+    def test_crash_exits_three_and_keeps_rows_written(self, capsys,
+                                                      monkeypatch, tmp_path):
+        evaluate = cli.evaluate_case
+
+        def crash_at_third(case, policy, shared=None):
+            if crash_at_third.calls == 2:
+                raise RuntimeError("unexpected")
+            crash_at_third.calls += 1
+            return evaluate(case, policy, shared)
+
+        crash_at_third.calls = 0
+        monkeypatch.setattr(cli, "evaluate_case", crash_at_third)
+        out_path = tmp_path / "partial.jsonl"
+        code, _, err = run(
+            ["verify", "--theorem", "T1", "--cases", "6", "--seed", "3",
+             "--output", str(out_path), "--no-timestamp"],
+            capsys,
+        )
+        assert code == 3
+        assert err.startswith("Traceback (most recent call last):")
+        assert "RuntimeError: unexpected" in err
+        rows = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert [row["case_index"] for row in rows] == [0, 1]
 
     @pytest.mark.parametrize("fails", ["T1", "T3", None])
     def test_raising_run_keeps_finished_indices_theorem_major(
@@ -746,6 +774,36 @@ class TestPinnedOutputs:
         name, argv, expected = pinned.PINNED[0]
         assert name == "T1-T6 --cases 200 --seed 1"
         assert pinned.observed(argv) == expected
+
+
+class TestColdStart:
+    def test_serial_verify_loads_no_pool_datetime_or_csv(self, tmp_path):
+        # a fresh interpreter: this one has loaded them for other tests
+        script = f"""
+import json, sys
+def deferred():
+    return sorted(m for m in set(sys.modules) - start
+                  if m.split(".")[0] in ("multiprocessing", "datetime", "csv")
+                  or m.startswith("concurrent.futures"))
+start = set(sys.modules)
+import qek.cli
+on_import = deferred()
+code = qek.cli.main(["verify", "--theorem", "T1", "--theorem", "T5",
+                     "--cases", "3", "--seed", "1", "--jobs", "1",
+                     "--no-timestamp", "--output", {str(tmp_path / "out.jsonl")!r}])
+print(json.dumps([on_import, code, deferred()]))
+"""
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        on_import, code, after_run = json.loads(done.stdout)
+        assert on_import == [] and after_run == []
+        assert code in (0, 1)
+        assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 6
 
 
 class TestReportSerialization:
