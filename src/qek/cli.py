@@ -32,8 +32,7 @@ import math
 import random
 import sys
 import tempfile
-from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict, deque, namedtuple
 from functools import partial
 from itertools import islice
 
@@ -52,7 +51,12 @@ from .inequalities import (
     TheoremCase,
     evaluate_case,
 )
-from .qcore import DEFAULT_POLICY, DeformationParam, TruncationPolicy
+from .qcore import (
+    DEFAULT_POLICY,
+    DeformationParam,
+    TruncationPolicy,
+    _Validated,
+)
 
 __all__ = [
     "CampaignConfig",
@@ -95,29 +99,38 @@ def mix_seed(global_seed: int, case_index: int) -> int:
     return x ^ (x >> 31)
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Reproducible campaign description; every field is validated up front."""
+_CONFIG_DEFAULTS = {
+    "theorems": ("T1",),
+    "cases": 100,
+    "seed": 0,
+    "t_values": (0.5, 1.0, 2.0),
+    "q1_grid": (0.3, 0.6, 0.9),
+    "q2_grid": (0.3, 0.6, 0.9),
+    "eta_grid": (-0.5, 0.0, 1.0),
+    "mu_grid": (0.5, 1.0, 2.0),
+    "beta_grid": (0.5, 1.0, 2.0),
+    "zeta_grid": (-0.5, 0.0, 1.0),
+    "nu_grid": (0.5, 1.0, 2.0),
+    "delta_grid": (0.5, 1.0, 2.0),
+    "expect": "holds",  # "reversed": T1/T2 draw asynchronous f, g
+    "rel_tol": DEFAULT_POLICY.rel_tol,
+    "max_terms": DEFAULT_POLICY.max_terms,
+    "jobs": 1,
+}
 
-    theorems: tuple[str, ...] = ("T1",)
-    cases: int = 100
-    seed: int = 0
-    t_values: tuple[float, ...] = (0.5, 1.0, 2.0)
-    q1_grid: tuple[float, ...] = (0.3, 0.6, 0.9)
-    q2_grid: tuple[float, ...] = (0.3, 0.6, 0.9)
-    eta_grid: tuple[float, ...] = (-0.5, 0.0, 1.0)
-    mu_grid: tuple[float, ...] = (0.5, 1.0, 2.0)
-    beta_grid: tuple[float, ...] = (0.5, 1.0, 2.0)
-    zeta_grid: tuple[float, ...] = (-0.5, 0.0, 1.0)
-    nu_grid: tuple[float, ...] = (0.5, 1.0, 2.0)
-    delta_grid: tuple[float, ...] = (0.5, 1.0, 2.0)
-    expect: str = "holds"  # "reversed": T1/T2 draw asynchronous f, g
-    rel_tol: float = DEFAULT_POLICY.rel_tol
-    max_terms: int = DEFAULT_POLICY.max_terms
-    jobs: int = 1
-    policy: TruncationPolicy = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+class CampaignConfig(_Validated, namedtuple(
+        "CampaignConfig", _CONFIG_DEFAULTS,
+        defaults=_CONFIG_DEFAULTS.values())):
+    """Reproducible campaign description; every field is validated up
+    front, ``rel_tol`` and ``max_terms`` together as ``policy``, the
+    :class:`TruncationPolicy` they form, which is built again on each
+    read and is not a field."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for i, tid in enumerate(self.theorems):
             if tid not in _THEOREMS:
                 raise ValueError(f"unknown theorem id {tid!r}")
@@ -145,8 +158,12 @@ class CampaignConfig:
             raise ValueError(f"unknown expectation {self.expect!r}")
         if self.jobs <= 0:
             raise ValueError("jobs must be positive")
-        object.__setattr__(self, "policy", TruncationPolicy(
-            rel_tol=self.rel_tol, max_terms=self.max_terms))
+        self.policy  # raises on an invalid rel_tol or max_terms
+        return self
+
+    @property
+    def policy(self) -> TruncationPolicy:
+        return TruncationPolicy(self.rel_tol, self.max_terms)
 
 
 def _index_cases(config: CampaignConfig, theorems,
@@ -206,8 +223,9 @@ def _index_reports(item) -> list[tuple[int, InequalityReport]]:
     case index, in config order, sharing rules and operator values
     through one ``shared`` dict."""
     config, index = item
+    policy = config.policy
     shared = {}
-    return [(index, evaluate_case(case, config.policy, shared=shared))
+    return [(index, evaluate_case(case, policy, shared=shared))
             for case in _index_cases(config, config.theorems, index)]
 
 
@@ -222,10 +240,11 @@ def _index_rows(fmt: str, item) -> list[tuple[str, tuple]]:
     theorem at one case index, in config order, so no report crosses a
     process boundary. Each report is dropped before the next is made."""
     config, index = item
+    policy = config.policy
     shared = {}
     rows = []
     for case in _index_cases(config, config.theorems, index):
-        report = evaluate_case(case, config.policy, shared=shared)
+        report = evaluate_case(case, policy, shared=shared)
         rows.append((format_row(report_row(index, report), fmt),
                      _summary_fields(report)))
         del report
@@ -318,14 +337,11 @@ class CampaignTally:
         return line
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(namedtuple("CampaignResult", "config reports tally")):
     """A campaign's (case index, report) pairs in (theorem, index) order
     and the tally of those reports."""
 
-    config: CampaignConfig
-    reports: list[tuple[int, InequalityReport]]
-    tally: CampaignTally
+    __slots__ = ()
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:

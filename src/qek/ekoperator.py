@@ -54,8 +54,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections import namedtuple
 from copy import copy
-from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, islice, repeat, takewhile, tee
 from math import ceil, exp, expm1, floor, fsum, inf, isfinite, log, log1p, prod
@@ -69,6 +69,7 @@ from .qcore import (
     DeformationParam,
     SeriesResult,
     TruncationPolicy,
+    _Validated,
     as_deformation,
     log_q_ratio,
     q_gamma,
@@ -91,19 +92,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OperatorParams:
+class OperatorParams(_Validated, namedtuple("OperatorParams", "eta mu beta",
+                                            defaults=(1.0,))):
     """Order-shift eta, fractional order mu, deformation exponent beta.
 
     eta > -1 makes the series term ratio q^(eta+1) < 1 (convergence);
     mu > 0 and beta > 0 keep every series weight positive.
     """
 
-    eta: float
-    mu: float
-    beta: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (isfinite(self.eta) and isfinite(self.mu)
                 and isfinite(self.beta)):
             raise ValueError(f"eta, mu and beta must be finite, got eta="
@@ -116,11 +116,13 @@ class OperatorParams:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
+        return self
 
 
-@dataclass(frozen=True)
-class OperatorResult(SeriesResult):
-    """SeriesResult extended with the smallest (scaled) term.
+class OperatorResult(namedtuple(
+        "OperatorResult", "value terms_used tail_estimate converged min_term",
+        defaults=(0.0,))):
+    """A SeriesResult's four fields, then the smallest (scaled) term.
 
     ``min_term`` >= 0 certifies that every term of the evaluation was
     nonnegative, which for nonnegative inputs is exact, not a tolerance
@@ -128,7 +130,7 @@ class OperatorResult(SeriesResult):
     integrand's interval enclosure below x_b, or 0 when that is >= 0.
     """
 
-    min_term: float = 0.0
+    __slots__ = ()
 
 
 class OperatorRule:
@@ -769,16 +771,17 @@ def ek_integral(f, t: float, p: OperatorParams, q: DeformationParam | float,
     taus, taus_f = tee(takewhile(positive, map(mul, repeat(t), rjs_tau)))
     terms = map(mul, map(mul, map(mul, rjs, chain(kernels, repeat(1.0))),
                          map(pow, taus, repeat(tau_exp))), map(fn, taus_f))
-    node_policy = replace(policy, rel_tol=policy.rel_tol * (1.0 - ratio))
+    node_policy = policy._replace(rel_tol=policy.rel_tol * (1.0 - ratio))
     res = sum_series(terms, node_policy, ratio, "operator integral",
                      front * (1.0 - root) * t)
     if not done:
         raise NotConvergedError(
             f"operator integral: no convergence within {policy.max_terms} "
             f"kernel factors",
-            partial=replace(res, tail_estimate=abs(res.value), converged=False))
+            partial=res._replace(tail_estimate=abs(res.value),
+                                 converged=False))
     rel = gam.tail_estimate / abs(gam.value) + expm1(log_tail)
-    return replace(res, tail_estimate=res.tail_estimate + abs(res.value) * rel)
+    return res._replace(tail_estimate=res.tail_estimate + abs(res.value) * rel)
 
 
 def kober(f, t: float, eta: float, mu: float, q: DeformationParam | float,

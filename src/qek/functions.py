@@ -23,11 +23,11 @@ from __future__ import annotations
 import functools
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from math import inf, isfinite
-from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, NotLipschitzError
+from .qcore import _Validated
 
 __all__ = [
     "Const",
@@ -58,25 +58,28 @@ __all__ = [
 ]
 
 
-class FunctionSpec:
-    """A DSL expression: the base class of the seven node dataclasses.
+class FunctionSpec(_Validated):
+    """A DSL expression: the base class of the seven node types, each a
+    namedtuple of its fields with this class first in its bases.
 
     ``c_lambda_exponent`` is the exponent p of its t^p behaviour near 0
     (:func:`c_lambda_exponent_of`), ``fn`` its compiled closure, which
     skips the domain check of ``__call__``, and ``to_sexpr()`` its
-    canonical text; each is derived when first read and kept, as are its
-    hash and ``_split_at``, the split :func:`pieces` made at the last t
-    asked for.
+    canonical text; each is derived when first read and kept in the
+    instance dict, as are its hash and ``_split_at``, the split
+    :func:`pieces` made at the last t asked for.
     None is a field, so none is part of equality, hashing, repr or the
-    pickled state. No certificate is stored: direction, bounds,
-    nonnegativity and Lipschitz constants are computed from the tree on
-    the [0, T] each caller reads (:func:`monotonicity_on`,
-    :func:`extract_bounds`, :func:`nonnegative_on`,
-    :func:`extract_lipschitz`).
+    pickled state. Two nodes are equal only if they have one type and
+    equal fields; the hash is the tuple hash of the fields, so the node
+    type is part of equality, not of the hash. Nodes are frozen. No
+    certificate is stored: direction, bounds, nonnegativity and Lipschitz
+    constants are computed from the tree on the [0, T] each caller reads
+    (:func:`monotonicity_on`, :func:`extract_bounds`,
+    :func:`nonnegative_on`, :func:`extract_lipschitz`).
     """
 
     _split_at = (None, ())  # (t, pieces(self, t)), set by pieces
-    _hash = None  # the generated hash over the fields, set by _keeps_hash
+    _hash = None  # the tuple hash over the fields, set by __hash__
 
     @functools.cached_property
     def c_lambda_exponent(self) -> float:
@@ -90,9 +93,28 @@ class FunctionSpec:
     def _sexpr(self) -> str:
         return format_expr(self)
 
+    def __eq__(self, other):
+        # False, not NotImplemented, so a plain tuple never equals a node
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        # kept once formed: the tuple hash walks the whole tree again
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = tuple.__hash__(self)
+        return h
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
     def __reduce__(self):
-        return (type(self), tuple(getattr(self, name)
-                                  for name in self.__dataclass_fields__))
+        return (type(self), tuple(self))
 
     def __call__(self, t: float) -> float:
         if t < 0.0:
@@ -103,63 +125,32 @@ class FunctionSpec:
         return self._sexpr
 
 
-def _keeps_hash(cls):
-    """Keep a node's hash once formed. It is the generated one, over the
-    fields, which would walk the whole tree again on every dict lookup;
-    equality stays the generated one and the kept value is not pickled."""
-    fields_hash = cls.__hash__
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = fields_hash(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__
-    return cls
+class Const(FunctionSpec, namedtuple("Const", "value")):
+    """The constant value."""
 
 
-@_keeps_hash
-@dataclass(frozen=True)
-class Const(FunctionSpec):
-    value: float
-
-
-@_keeps_hash
-@dataclass(frozen=True)
-class Power(FunctionSpec):
+class Power(FunctionSpec, namedtuple("Power", "exponent")):
     """t^exponent with exponent >= 0."""
 
-    exponent: float
-
-    def __post_init__(self):
-        if self.exponent < 0:
+    def __new__(cls, exponent):
+        if exponent < 0:
             raise ValueError("power exponent must be >= 0")
+        return super().__new__(cls, exponent)
 
 
-@_keeps_hash
-@dataclass(frozen=True)
-class Affine(FunctionSpec):
+class Affine(FunctionSpec, namedtuple("Affine", "slope intercept")):
     """slope * t + intercept."""
 
-    slope: float
-    intercept: float
 
-
-@_keeps_hash
-@dataclass(frozen=True)
-class PiecewiseLinear(FunctionSpec):
+class PiecewiseLinear(FunctionSpec, namedtuple("PiecewiseLinear", "knots")):
     """Linear interpolation through knots (x_i, y_i), first knot at x = 0.
 
     Beyond the last knot the value is clamped to the last y, which keeps
     the monotonicity and range certificates valid on every [0, T].
     """
 
-    knots: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        knots = tuple((float(x), float(y)) for x, y in self.knots)
+    def __new__(cls, knots):
+        knots = tuple((float(x), float(y)) for x, y in knots)
         if len(knots) < 2:
             raise ValueError("piecewise_linear needs at least two knots")
         if knots[0][0] != 0.0:
@@ -167,28 +158,19 @@ class PiecewiseLinear(FunctionSpec):
         xs = [x for x, _ in knots]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("knot abscissae must be strictly increasing")
-        object.__setattr__(self, "knots", knots)
+        return super().__new__(cls, knots)
 
 
-@_keeps_hash
-@dataclass(frozen=True)
-class Product(FunctionSpec):
-    left: FunctionSpec
-    right: FunctionSpec
+class Product(FunctionSpec, namedtuple("Product", "left right")):
+    """left * right."""
 
 
-@_keeps_hash
-@dataclass(frozen=True)
-class Sum(FunctionSpec):
-    left: FunctionSpec
-    right: FunctionSpec
+class Sum(FunctionSpec, namedtuple("Sum", "left right")):
+    """left + right."""
 
 
-@_keeps_hash
-@dataclass(frozen=True)
-class Scale(FunctionSpec):
-    factor: float
-    inner: FunctionSpec
+class Scale(FunctionSpec, namedtuple("Scale", "factor inner")):
+    """factor * inner."""
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +237,7 @@ def compile_expr(expr: FunctionSpec) -> Callable[[float], float]:
 # certified metadata
 
 
-class Piece(NamedTuple):
+class Piece(namedtuple("Piece", "end poly lo hi mag err")):
     """One piece of an expression on [0, t]: expr(x) = sum_p c x^p
     (``poly`` = {p: c}) for x in [start, end) within [0, t], where start
     is the previous piece's end, or 0 for the first piece.
@@ -268,12 +250,7 @@ class Piece(NamedTuple):
     rounding of its terms.
     """
 
-    end: float
-    poly: dict
-    lo: float
-    hi: float
-    mag: float
-    err: float
+    __slots__ = ()
 
 
 def pieces(expr: FunctionSpec, t: float) -> tuple[Piece, ...]:
@@ -312,7 +289,7 @@ def _split(expr: FunctionSpec, t: float) -> tuple[Piece, ...]:
                       abs(b) + abs(a) * t, 0.0),)
     if isinstance(expr, PiecewiseLinear):
         out = []
-        new = tuple.__new__  # skips NamedTuple's Python-level __new__
+        new = tuple.__new__  # skips namedtuple's Python-level __new__
         knots = expr.knots
         for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
             s = (y1 - y0) / (x1 - x0)
@@ -380,7 +357,7 @@ def piece_product(left: Piece, right: Piece) -> Piece:
         ends = (lo_l * lo_r, lo_l * hi_r, hi_l * lo_r, hi_l * hi_r)
         lo, hi = min(ends), max(ends)
     mag = mag_l * mag_r
-    # tuple.__new__ skips NamedTuple's Python-level __new__ on this hot path
+    # tuple.__new__ skips namedtuple's Python-level __new__ on this hot path
     return tuple.__new__(Piece, (
         end_l if end_l < end_r else end_r, poly_product(poly_l, poly_r), lo,
         hi, mag, err_l * mag_r + mag_l * err_r
@@ -663,43 +640,38 @@ def _lipschitz(expr: FunctionSpec, T: float) -> float:
 # certificates and seeded family generation
 
 
-@dataclass(frozen=True)
-class BoundsTriple:
+class BoundsTriple(_Validated, namedtuple("BoundsTriple",
+                                          "psi Psi phi Phi omega Omega")):
     """Lower/upper bounds for the three functions of a bounded triple."""
 
-    psi: float
-    Psi: float
-    phi: float
-    Phi: float
-    omega: float
-    Omega: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.psi > self.Psi or self.phi > self.Phi or self.omega > self.Omega:
             raise ValueError("each lower bound must not exceed its upper bound")
+        return self
 
 
-@dataclass(frozen=True)
-class LipschitzTriple:
+class LipschitzTriple(_Validated, namedtuple("LipschitzTriple", "L1 L2 L3")):
     """Lipschitz constants for the three functions of a triple."""
 
-    L1: float
-    L2: float
-    L3: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.L1, self.L2, self.L3) < 0.0:
             raise ValueError("Lipschitz constants must be nonnegative")
+        return self
 
 
-@dataclass(frozen=True)
-class FunctionFamily:
-    kind: str
-    f: FunctionSpec
-    g: FunctionSpec
-    h: FunctionSpec
-    bounds: Optional[BoundsTriple] = None
-    lipschitz: Optional[LipschitzTriple] = None
+class FunctionFamily(namedtuple("FunctionFamily",
+                                "kind f g h bounds lipschitz",
+                                defaults=(None, None))):
+    """A generated triple f, g, h of one family kind, with the bounds or
+    Lipschitz certificates the kind carries."""
+
+    __slots__ = ()
 
     @property
     def specs(self) -> tuple[FunctionSpec, FunctionSpec, FunctionSpec]:

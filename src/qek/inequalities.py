@@ -47,24 +47,21 @@ counts its own evaluations and worst tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from collections import namedtuple
 
-from .ekoperator import OperatorParams, OperatorRule
+from .ekoperator import OperatorRule
 # Not called here; kept so tracing harnesses (qekbench/child.py) that wrap
 # qek.inequalities.ek_series by attribute still find it.
 from .ekoperator import ek_series  # noqa: F401
 from .errors import HypothesisViolatedError, NotConvergedError, NotLipschitzError
 from .functions import (
-    BoundsTriple,
     FunctionSpec,
-    LipschitzTriple,
     check_synchronous,
     extract_bounds,
     extract_lipschitz,
     nonnegative_on,
 )
-from .qcore import DEFAULT_POLICY, DeformationParam, TruncationPolicy
+from .qcore import DEFAULT_POLICY, TruncationPolicy, _Validated
 
 __all__ = [
     "TheoremCase",
@@ -79,8 +76,9 @@ __all__ = [
 SAFETY_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
-class TheoremCase:
+class TheoremCase(_Validated, namedtuple(
+        "TheoremCase", "theorem_id t q1 q2 p1 p2 u f g h v bounds lipschitz"
+        " reversed", defaults=(None, None, None, False))):
     """One inequality instance: evaluation point, bases, parameters,
     functions and (where required) certificates.
 
@@ -90,22 +88,10 @@ class TheoremCase:
     other theorem raises ValueError for it.
     """
 
-    theorem_id: str
-    t: float
-    q1: DeformationParam
-    q2: DeformationParam
-    p1: OperatorParams
-    p2: OperatorParams
-    u: FunctionSpec
-    f: FunctionSpec
-    g: FunctionSpec
-    h: FunctionSpec
-    v: Optional[FunctionSpec] = None
-    bounds: Optional[BoundsTriple] = None
-    lipschitz: Optional[LipschitzTriple] = None
-    reversed: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         theorem = _THEOREMS.get(self.theorem_id)
         if theorem is None:
             raise ValueError(f"unknown theorem id {self.theorem_id!r}")
@@ -120,23 +106,58 @@ class TheoremCase:
         if self.reversed and theorem.require is not _require_chebyshev:
             raise ValueError(f"{self.theorem_id} has no reversed form; only"
                              f" T1/T2 cases can be reversed")
+        return self
 
 
-@dataclass(frozen=True)
 class InequalityReport:
     """LHS/RHS record for one case; margin >= 0 means the inequality
     holds as printed; worst_tail is the largest truncation tail among the
-    operator evaluations feeding both sides."""
+    operator evaluations feeding both sides.
 
-    case: TheoremCase
-    lhs: float
-    rhs: float
-    margin: float
-    verdict: str
-    worst_tail: float
-    operator_evals: int
-    bracket: Optional[float] = None
-    notes: tuple[str, ...] = ()
+    Immutable, with a namedtuple's ``_fields`` and ``_replace``, but not a
+    tuple: a report can be weakly referenced.
+    """
+
+    _fields = ("case", "lhs", "rhs", "margin", "verdict", "worst_tail",
+               "operator_evals", "bracket", "notes")
+    __slots__ = _fields + ("__weakref__",)
+
+    def __init__(self, case: TheoremCase, lhs: float, rhs: float,
+                 margin: float, verdict: str, worst_tail: float,
+                 operator_evals: int, bracket: Optional[float] = None,
+                 notes: tuple[str, ...] = ()):
+        for name, value in zip(self._fields, (
+                case, lhs, rhs, margin, verdict, worst_tail,
+                operator_evals, bracket, notes)):
+            object.__setattr__(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes) -> InequalityReport:
+        return InequalityReport(**dict(zip(self._fields, self._astuple()),
+                                       **changes))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (InequalityReport, self._astuple())
+
+    def __eq__(self, other):
+        if type(other) is not InequalityReport:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return "InequalityReport(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
 
 
 def _verdict(margin: float, worst_tail: float) -> str:
@@ -364,7 +385,7 @@ def _lipschitz_sides(case: TheoremCase, ops: _CaseOps, weight2: str):
     return lhs, rhs, rhs - lhs, {"bracket": bracket, "notes": notes}
 
 
-class _Theorem(NamedTuple):
+class _Theorem(namedtuple("_Theorem", "sides weight2 require family")):
     """One row of the theorem table, the one place per-theorem facts live.
 
     ``sides`` returns (lhs, rhs, margin, extra report fields), margin >= 0
@@ -374,10 +395,7 @@ class _Theorem(NamedTuple):
     campaign draws f, g, h and their certificates from.
     """
 
-    sides: Callable
-    weight2: str
-    require: Callable
-    family: str
+    __slots__ = ()
 
 
 _THEOREMS = {

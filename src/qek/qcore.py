@@ -30,10 +30,9 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, islice, repeat
 from operator import add, mul, neg, sub, truediv
-from typing import NamedTuple
 
 from .errors import NotConvergedError, PoleError
 
@@ -62,17 +61,28 @@ _ABS_TOL = 1e-300
 _STREAK = 3
 
 
-@dataclass(frozen=True)
-class DeformationParam:
+class _Validated:
+    """Base of a namedtuple record whose ``__new__`` validates: the
+    namedtuple ``_replace`` builds through ``_make``, which would skip
+    ``__new__``, so ``_make`` calls the class."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class DeformationParam(_Validated, namedtuple("DeformationParam", "q")):
     """Deformation base q, restricted to the open interval (0, 1)."""
 
-    q: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        q = float(self.q)
-        if not (0.0 < q < 1.0) or q != q:
-            raise ValueError(f"q must lie in (0,1), got {self.q!r}")
-        object.__setattr__(self, "q", q)
+    def __new__(cls, q):
+        value = float(q)
+        if not (0.0 < value < 1.0) or value != value:
+            raise ValueError(f"q must lie in (0,1), got {q!r}")
+        return super().__new__(cls, value)
 
 
 def as_deformation(q: DeformationParam | float) -> DeformationParam:
@@ -82,8 +92,8 @@ def as_deformation(q: DeformationParam | float) -> DeformationParam:
     return DeformationParam(float(q))
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(_Validated, namedtuple(
+        "TruncationPolicy", "rel_tol max_terms", defaults=(1e-14, 100_000))):
     """Tolerance and budget for every truncated infinite sum or product.
 
     ``rel_tol`` is the relative size below which a sum's term or a
@@ -91,22 +101,23 @@ class TruncationPolicy:
     factors or nodes one sum or product reads.
     """
 
-    rel_tol: float = 1e-14
-    max_terms: int = 100_000
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be strictly positive and finite")
         if self.max_terms <= _STREAK:
             # a sum stops only with a full streak short of max_terms
             raise ValueError(f"max_terms must exceed {_STREAK}")
+        return self
 
 
 DEFAULT_POLICY = TruncationPolicy()
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(namedtuple("SeriesResult",
+                              "value terms_used tail_estimate converged")):
     """Value of a truncated series/product plus truncation bookkeeping.
 
     ``tail_estimate`` is an upper bound on the absolute error: for a
@@ -116,10 +127,7 @@ class SeriesResult:
     from a :class:`NotConvergedError`.
     """
 
-    value: float
-    terms_used: int
-    tail_estimate: float
-    converged: bool
+    __slots__ = ()
 
 
 def sum_series(terms, policy: TruncationPolicy, tail_ratio: float,
@@ -158,15 +166,12 @@ def sum_series(terms, policy: TruncationPolicy, tail_ratio: float,
                                                       False))
 
 
-class LogQProduct(NamedTuple):
+class LogQProduct(namedtuple("LogQProduct",
+                             "value sign terms_used error converged")):
     """log|(a; q)_inf| with its sign, the factors plus series terms read,
     an absolute error bound on the log and whether it converged."""
 
-    value: float
-    sign: int
-    terms_used: int
-    error: float
-    converged: bool
+    __slots__ = ()
 
 
 def log_q_product(a: float, q: float,

@@ -6,7 +6,6 @@ are asserted, values first: every expected number is either a direct hand
 value or produced by the stated independent oracle.
 """
 
-import dataclasses
 import json
 import math
 import time
@@ -175,7 +174,7 @@ def test_criterion_08_reduction_chain():
         config = CampaignConfig(theorems=(odd,), cases=100, seed=seed)
         for index in range(config.cases):
             case = derive_case(config, odd, index)
-            twin = dataclasses.replace(case, theorem_id=even, v=case.u)
+            twin = case._replace(theorem_id=even, v=case.u)
             rep_odd = evaluate_case(case)
             rep_even = evaluate_case(twin)
             scale = max(1.0, abs(rep_odd.margin))

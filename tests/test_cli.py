@@ -1,7 +1,6 @@
 """Command line front end: exit codes, output formats, determinism."""
 
 import concurrent.futures
-import dataclasses
 import gc
 import importlib.util
 import json
@@ -142,9 +141,9 @@ class TestIndexCases:
             assert [c.theorem_id for c in cases] == list(_ALL)
             for case in cases:
                 alone = derive_case(config, case.theorem_id, index)
-                for f in dataclasses.fields(case):
-                    assert getattr(case, f.name) == getattr(alone, f.name), (
-                        index, case.theorem_id, f.name)
+                for name in case._fields:
+                    assert getattr(case, name) == getattr(alone, name), (
+                        index, case.theorem_id, name)
 
     def test_inputs_built_once_per_index(self):
         config = CampaignConfig(theorems=_ALL, cases=10, seed=601)
@@ -243,8 +242,8 @@ class TestVerify:
             rep = inequalities.evaluate_case(case, policy, shared)
             assert rep.worst_tail > 0.0
             margin = 5.0 * rep.worst_tail
-            return dataclasses.replace(
-                rep, margin=margin,
+            return rep._replace(
+                margin=margin,
                 verdict=inequalities._verdict(margin, rep.worst_tail))
 
         monkeypatch.setattr(cli, "evaluate_case", noisy)
@@ -778,12 +777,15 @@ class TestPinnedOutputs:
 
 class TestColdStart:
     def test_serial_verify_loads_no_pool_datetime_or_csv(self, tmp_path):
-        # a fresh interpreter: this one has loaded them for other tests
+        # a fresh interpreter: this one has loaded them for other tests;
+        # the records are namedtuples, so neither dataclasses nor the
+        # inspect it imports is loaded either
         script = f"""
 import json, sys
 def deferred():
     return sorted(m for m in set(sys.modules) - start
-                  if m.split(".")[0] in ("multiprocessing", "datetime", "csv")
+                  if m.split(".")[0] in ("multiprocessing", "datetime", "csv",
+                                         "dataclasses", "inspect")
                   or m.startswith("concurrent.futures"))
 start = set(sys.modules)
 import qek.cli

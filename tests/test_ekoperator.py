@@ -6,7 +6,6 @@ evaluator's recurrence) before being relied on; the integral form serves
 as the cross-representation oracle for the series form.
 """
 
-import dataclasses
 import functools
 import math
 import random
@@ -777,7 +776,7 @@ class TestOperatorRule:
 def _bits(res):
     """Every field of a result, floats by their exact hex digits."""
     return tuple(x.hex() if isinstance(x, float) else x
-                 for x in dataclasses.astuple(res))
+                 for x in res)
 
 
 CACHE_SPECS = {name: parse_function_spec(text) for name, text in (

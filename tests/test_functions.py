@@ -94,8 +94,8 @@ class TestCompiledSpec:
         for twin in (by_hand, back):
             assert twin is not s and twin == s and s == twin
             assert hash(twin) == h
-        # the hash the generated dataclass method gave; the node type is
-        # part of equality, not of the hash
+        # the tuple hash over the fields; the node type is part of
+        # equality, not of the hash
         assert h == hash((s.left, s.right))
         swapped = Product(s.left, s.right)
         assert swapped != s and hash(swapped) == h
@@ -405,6 +405,11 @@ class TestPiecesProperty:
         Product(PiecewiseLinear(((0, 0), (1, 0), (1.75, 1), (1.875, 0))),
                 Product(Const(2.077049827440872), PiecewiseLinear(
                     ((0, 0), (1, 0), (1.75, 0), (2, 1)))))), t=2.0)
+    # the piece [0.9999999999999999, 1) is one ulp wide: its float
+    # midpoint rounds to 1, in the next piece
+    @example(expr=Product(PiecewiseLinear(((0, 0), (1, 0), (2, 1))),
+                          PiecewiseLinear(((0, 0), (0.9999999999999999, 0),
+                                           (2, 1)))), t=1.0)
     def test_every_piece_on_its_interval(self, expr, t):
         row = pieces(expr, t)
         ends = [pc.end for pc in row]
@@ -427,8 +432,9 @@ class TestPiecesProperty:
                 assert pc.lo - slack <= expr(x) <= pc.hi + slack
             assert (sum(abs(c) * top ** p for p, c in pc.poly.items())
                     <= pc.mag * (1.0 + 1e-12) + 1e-300)
-            # err bounds the coefficients' rounding, cancellation included
-            exact = _exact_poly(expr, (start + top) / 2)
+            # err bounds the coefficients' rounding, cancellation included;
+            # the midpoint is exact, so it lies inside a one-ulp piece
+            exact = _exact_poly(expr, (Fraction(start) + Fraction(top)) / 2)
             miss = sum(abs(Fraction(pc.poly.get(p, 0.0)) - exact.get(p, 0))
                        * Fraction(top) ** int(p) if float(p).is_integer()
                        else abs(pc.poly.get(p, 0.0) - float(exact.get(p, 0)))

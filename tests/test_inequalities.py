@@ -1,7 +1,6 @@
 """Inequality evaluators: kernel identities, margin signs on known cases,
 reduction chains, hypothesis enforcement, and verdict semantics."""
 
-import dataclasses
 import math
 import random
 
@@ -104,10 +103,10 @@ class TestTheoremCaseValidation:
                            theorem, 0)
         assert not case.reversed
         if theorem in ("T1", "T2"):
-            assert dataclasses.replace(case, reversed=True).reversed
+            assert case._replace(reversed=True).reversed
         else:
             with pytest.raises(ValueError, match="no reversed form"):
-                dataclasses.replace(case, reversed=True)
+                case._replace(reversed=True)
 
 
 class TestTheoremOne:
@@ -140,7 +139,7 @@ class TestTheoremOne:
         # check this case reported margin -4.42, "violated"
         case = derive_case(CampaignConfig(theorems=("T1",), seed=1), "T1", 0)
         neg = parse_function_spec("(affine 1 -5)")
-        bad = dataclasses.replace(case, f=neg, g=neg, h=neg)
+        bad = case._replace(f=neg, g=neg, h=neg)
         with pytest.raises(HypothesisViolatedError, match="h must map"):
             evaluate_case(bad)
 
@@ -191,8 +190,7 @@ class TestTheoremOne:
         base = make_case("T1", IDENT, IDENT, IDENT,
                          u=parse_function_spec("(affine 1 0.5)"),
                          q2=0.7, p2=(0.5, 1.5, 2.0))
-        scaled = dataclasses.replace(
-            base, u=parse_function_spec("(scale 3 (affine 1 0.5))"))
+        scaled = base._replace(u=parse_function_spec("(scale 3 (affine 1 0.5))"))
         rep1 = evaluate_case(base)
         rep9 = evaluate_case(scaled)
         assert rep9.margin == pytest.approx(9.0 * rep1.margin, rel=1e-12)
@@ -214,7 +212,7 @@ class TestTheoremTwo:
         fam = generate_family("synchronous_triple", 5, 1.0)
         base = make_case("T1", fam.f, fam.g, fam.h, u=u, q2=0.7,
                          p2=(0.5, 1.5, 2.0))
-        two = dataclasses.replace(base, theorem_id="T2", v=u)
+        two = base._replace(theorem_id="T2", v=u)
         rep1 = evaluate_case(base)
         rep2 = evaluate_case(two)
         assert abs(rep2.margin - rep1.margin) <= 1e-13 * max(1.0, abs(rep1.margin))
@@ -262,7 +260,7 @@ class TestTheoremFour:
         u = generate_weight(11, 1.0)
         base = make_case("T3", fam.f, fam.g, fam.h, u=u, bounds=fam.bounds,
                          q1=0.3, q2=0.8, p1=(1.0, 0.5, 1.0), p2=(0.0, 2.0, 2.0))
-        four = dataclasses.replace(base, theorem_id="T4", v=u)
+        four = base._replace(theorem_id="T4", v=u)
         rep3 = evaluate_case(base)
         rep4 = evaluate_case(four)
         assert abs(rep4.margin - rep3.margin) <= 1e-13 * max(1.0, abs(rep3.margin))
@@ -315,7 +313,7 @@ class TestTheoremSix:
         base = make_case("T5", fam.f, fam.g, fam.h, u=u,
                          lipschitz=fam.lipschitz, q1=0.35, q2=0.75,
                          p1=(0.5, 1.5, 0.5), p2=(-0.5, 0.7, 1.0))
-        six = dataclasses.replace(base, theorem_id="T6", v=u)
+        six = base._replace(theorem_id="T6", v=u)
         rep5 = evaluate_case(base)
         rep6 = evaluate_case(six)
         assert abs(rep6.margin - rep5.margin) <= 1e-13 * max(1.0, abs(rep5.margin))
@@ -363,11 +361,10 @@ class TestCertifiedHypotheses:
          lambda c: c.f(1e-4) / 1e-4 > c.lipschitz.L1),
     ], ids=["T1-negative-u", "T3-escaping-Psi", "T5-sqrt-L1"])
     def test_false_hypothesis_rejected(self, theorem, fields, false_at):
-        case = dataclasses.replace(
-            make_case(theorem, IDENT, IDENT, IDENT,
-                      bounds=BoundsTriple(0.0, 1.0, 0.0, 1.0, 0.0, 1.0),
-                      lipschitz=LipschitzTriple(1.0, 1.0, 1.0)),
-            **fields)
+        case = make_case(theorem, IDENT, IDENT, IDENT,
+                         bounds=BoundsTriple(0.0, 1.0, 0.0, 1.0, 0.0, 1.0),
+                         lipschitz=LipschitzTriple(1.0, 1.0, 1.0))._replace(
+                             **fields)
         assert false_at(case)
         with pytest.raises(HypothesisViolatedError, match="cannot certify"):
             evaluate_case(case)
@@ -436,8 +433,7 @@ class TestVerdictSemantics:
                                 q1_grid=grid, q2_grid=grid)
         flat = parse_function_spec("(const 1.7)")
         for index in range(50):
-            case = dataclasses.replace(derive_case(config, theorem, index),
-                                       f=flat)
+            case = derive_case(config, theorem, index)._replace(f=flat)
             rep = evaluate_case(case, config.policy)
             assert rep.verdict == "inconclusive", (index, rep.margin)
 
@@ -518,7 +514,7 @@ class TestCaseRuleEquivalence:
 def _bits(res):
     """Every field of a result, floats by their exact hex digits."""
     return tuple(x.hex() if isinstance(x, float) else x
-                 for x in dataclasses.astuple(res))
+                 for x in res)
 
 
 class TestSharedFactorTable:
@@ -579,8 +575,7 @@ class TestSharedFactorTable:
 def _report_bits(rep):
     """Every field of a report, floats by their exact hex digits."""
     return tuple(x.hex() if isinstance(x, float) else x
-                 for x in (getattr(rep, f.name)
-                           for f in dataclasses.fields(rep)))
+                 for x in (getattr(rep, name) for name in rep._fields))
 
 
 @pytest.fixture

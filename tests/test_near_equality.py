@@ -13,7 +13,6 @@ scaling bound a margin used, and its resolution: per case whose eps = 1
 verdict is "holds", the largest k with "holds" at eps = 10^-k.
 """
 
-import dataclasses
 import statistics
 
 import pytest
@@ -39,17 +38,17 @@ def near_equality(case, eps):
     f = Sum(Const(1.0), Scale(eps, case.f))
     bounds, lipschitz = case.bounds, case.lipschitz
     if bounds is not None:
-        bounds = dataclasses.replace(bounds, psi=1.0 + eps * bounds.psi,
-                                     Psi=1.0 + eps * bounds.Psi)
+        bounds = bounds._replace(psi=1.0 + eps * bounds.psi,
+                                 Psi=1.0 + eps * bounds.Psi)
     if lipschitz is not None:
-        lipschitz = dataclasses.replace(lipschitz, L1=eps * lipschitz.L1)
-    return dataclasses.replace(case, f=f, bounds=bounds, lipschitz=lipschitz)
+        lipschitz = lipschitz._replace(L1=eps * lipschitz.L1)
+    return case._replace(f=f, bounds=bounds, lipschitz=lipschitz)
 
 
 @pytest.mark.parametrize("grid", list(GRIDS))
 @pytest.mark.parametrize("theorem", ["T1", "T2", "T3", "T4", "T5", "T6"])
 def test_margin_scales_and_no_verdict_flips(theorem, grid):
-    config = dataclasses.replace(GRIDS[grid], theorems=(theorem,))
+    config = GRIDS[grid]._replace(theorems=(theorem,))
     resolutions = []
     used = 0.0  # the largest share of the scaling bound a miss takes
     for index in range(CASES[grid]):
